@@ -217,33 +217,38 @@ def nonseparable_family(game: EuGame) -> CertifiedFamily:
     """Construct and verify all 80 bundled certificates of the council family.
 
     The 75 pairs are built by the transfer and anchor constructions, the 5
-    triples come from the bundled witness data.  Every certificate must
-    verify; any failure aborts the construction.
+    triples come from the bundled witness data.  Each certificate is verified
+    once, right after it is built.  The first failure aborts the construction
+    with a ValueError or CertificateError whose message names the edge, as in
+    ``{L3,L14}: <reason>``.
     """
-    certificates: dict[frozenset[int], BalanceCertificate] = {}
-    for i, j in NONSEPARABLE_PAIRS:
+
+    def build(edge: tuple[int, ...]) -> BalanceCertificate:
+        if len(edge) == 3:
+            return BalanceCertificate(
+                losing=(LOSING_FAMILY[i - 1] for i in edge),
+                winning=(WINNING_FAMILY[w - 1] for w in TRIPLE_WITNESS_LABELS[edge]),
+            )
+        i, j = edge
         if j == ANCHOR_LABEL:
-            cert = build_anchor_certificate(LOSING_FAMILY[i - 1], game)
-        else:
-            cert = build_pair_certificate(LOSING_FAMILY[i - 1], LOSING_FAMILY[j - 1], game)
-        certificates[frozenset((i, j))] = cert
-    for triple in NONSEPARABLE_TRIPLES:
-        witnesses = TRIPLE_WITNESS_LABELS[triple]
-        cert = BalanceCertificate(
-            losing=(LOSING_FAMILY[i - 1] for i in triple),
-            winning=(WINNING_FAMILY[w - 1] for w in witnesses),
-        )
-        certificates[frozenset(triple)] = cert
-    for edge, cert in certificates.items():
+            return build_anchor_certificate(LOSING_FAMILY[i - 1], game)
+        return build_pair_certificate(LOSING_FAMILY[i - 1], LOSING_FAMILY[j - 1], game)
+
+    certificates: dict[frozenset[int], BalanceCertificate] = {}
+    for edge in NONSEPARABLE_PAIRS + NONSEPARABLE_TRIPLES:
+        label = "{" + ",".join(f"L{v}" for v in edge) + "}"
+        try:
+            cert = build(edge)
+        except (ValueError, CertificateError) as err:
+            raise type(err)(f"{label}: {err}") from err
         if not verify_balance(cert, game.game):
-            raise CertificateError(f"certificate for edge {sorted(edge)} fails verification")
-    family = CertifiedFamily(
+            raise CertificateError(f"{label}: certificate does not verify")
+        certificates[frozenset(edge)] = cert
+    return CertifiedFamily(
         nodes=LOSING_FAMILY,
         hypergraph=Hypergraph(len(LOSING_FAMILY), certificates.keys()),
         certificates=certificates,
     )
-    family.check(game.game)
-    return family
 
 
 def certificate_to_json(cert: BalanceCertificate) -> dict:

@@ -17,7 +17,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .games import Coalition, IntersectionGame, SimpleGame, UnionGame, WeightedGame
+from .games import Coalition, IntersectionGame, SimpleGame, UnionGame, WeightedGame, masked_sum
 
 N_MEMBERS = 28
 MEMBER_QUOTA = 16  # smallest integer >= 55% of 28
@@ -74,6 +74,9 @@ class MemberTable:
             seen.add(index)
             if population <= 0:
                 raise ValueError(f"nonpositive population for {name!r}: {population}")
+        # Populations by bit position (member index - 1), for population_of.
+        by_bit = tuple(population for _, _, population in sorted(self.entries))
+        object.__setattr__(self, "_bit_populations", by_bit)
 
     @property
     def populations(self) -> dict[int, int]:
@@ -90,8 +93,7 @@ class MemberTable:
     def population_of(self, coalition: Coalition) -> int:
         if coalition.n != N_MEMBERS:
             raise ValueError(f"coalition over {coalition.n} members, table has {N_MEMBERS}")
-        pops = self.populations
-        return sum(pops[m] for m in coalition.members)
+        return masked_sum(self._bit_populations, coalition.mask)
 
 
 def default_members() -> MemberTable:

@@ -3,12 +3,16 @@
 A simple game over members 1..n is an upward-closed family of winning
 coalitions.  Weighted games realize the threshold rule
 ``sum(weights[m] for m in C) >= quota``; arbitrary simple games are built as
-unions and intersections of weighted or explicitly listed games.  All weight
-and quota arithmetic is exact (``fractions.Fraction``), never floating point.
+unions and intersections of weighted or explicitly listed games.  Weights and
+quota are exact rationals (``fractions.Fraction``); a weighted game scales them
+once, by the least common multiple of their denominators, to integers, so
+membership is an integer sum over the coalition's bits.  Nothing is ever
+rounded or computed in floating point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -99,6 +103,16 @@ def coalition_sort_key(c: Coalition) -> tuple[int, tuple[int, ...]]:
     return (len(c), c.members)
 
 
+def masked_sum(values: Sequence[int], mask: int) -> int:
+    """Sum of ``values[i]`` over the set bits ``i`` of ``mask``."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += values[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
 class SimpleGame:
     """Base for all game expressions; subclasses implement `contains`."""
 
@@ -119,7 +133,9 @@ class WeightedGame(SimpleGame):
     """Threshold rule: winning iff the members' weight sum meets the quota.
 
     Weights must be nonnegative; weights and quota are held as exact
-    rationals, so membership never depends on rounding.
+    rationals.  Membership compares integer copies of both, scaled by the
+    least common multiple of their denominators, so it never depends on
+    rounding and never touches a `Fraction`.
     """
 
     n: int
@@ -135,11 +151,13 @@ class WeightedGame(SimpleGame):
         for i, w in enumerate(self.weights):
             if w < 0:
                 raise ValueError(f"weight of member {i + 1} is negative: {w}")
+        scale = math.lcm(self.quota.denominator, *(w.denominator for w in self.weights))
+        object.__setattr__(self, "_scaled_weights", tuple(int(w * scale) for w in self.weights))
+        object.__setattr__(self, "_scaled_quota", int(self.quota * scale))
 
     def contains(self, coalition: Coalition) -> bool:
         self._check_dimension(coalition)
-        total = sum((self.weights[m - 1] for m in coalition.members), Fraction(0))
-        return total >= self.quota
+        return masked_sum(self._scaled_weights, coalition.mask) >= self._scaled_quota
 
 
 class ExplicitGame(SimpleGame):

@@ -4,6 +4,7 @@ import subprocess
 
 import pytest
 
+from gamedim import certificates
 from gamedim.cli import main, parse_coalition, run_verification
 from gamedim.eu import MEMBERS_2014, N_MEMBERS
 
@@ -59,6 +60,29 @@ class TestVerify:
         assert "FAIL" in out
         assert "not established" in out
 
+    def test_failed_pair_certificate_names_its_edge(self, capsys, tmp_path):
+        # With Bulgaria at 6521109 the reference coalitions still classify,
+        # but no transfer certifies {L3,L14}.
+        entries = [(i, name, 6521109 if i == 16 else pop) for i, name, pop in MEMBERS_2014]
+        path = write_members(tmp_path / "bulgaria.csv", entries)
+        code, out, _ = run(capsys, "verify", "--members", path)
+        assert code == 1
+        assert out == (
+            "council voting rule, dimension lower bound\n"
+            "note: total population 506692039; member quota 16 of 28; "
+            "population quota 6586996507/20\n"
+            "note: the population rule is read as a closed inequality: "
+            "20*pop(C) >= 13*total\n"
+            "\n"
+            "step 1  reference coalitions  PASS  15 losing and 12 winning confirmed\n"
+            "step 2  pair certificates     FAIL  {L3,L14}: no transfer of 4 members "
+            "makes both halves of {2,3,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,"
+            "23,24,25,26,27}, {1,4,6,7,8,9,10,11,12,13,14,15,16,17,18,20,21,22,23,24,"
+            "25,26,27,28} winning\n"
+            "\n"
+            "conclusion: not established (failed at: pair certificates)\n"
+        )
+
     def test_malformed_members_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "broken.csv"
         path.write_text("index,name,population\n1,Germany\n")
@@ -75,6 +99,19 @@ class TestVerify:
         assert transcript.verified
         assert [s.status for s in transcript.steps] == ["PASS"] * 7
         assert transcript.conclusion == "dimension >= 8"
+
+    def test_each_certificate_built_and_verified_once(self, monkeypatch):
+        calls = {"verify_balance": 0, "build_pair_certificate": 0}
+        for name in calls:
+            original = getattr(certificates, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(certificates, name, counted)
+        assert run_verification().verified
+        assert calls == {"verify_balance": 80, "build_pair_certificate": 61}
 
     def test_console_script(self):
         script = shutil.which("gamedim")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -132,6 +133,90 @@ class TestWeightedGame:
         scaled = WeightedGame(n, [w * scale for w in weights], quota * scale)
         for c in all_coalitions(n):
             assert g.contains(c) == scaled.contains(c)
+
+
+def fraction_contains(game, coalition):
+    """Membership by the exact rational weight sum: the reference oracle."""
+    return sum((game.weights[m - 1] for m in coalition.members), Fraction(0)) >= game.quota
+
+
+def first_primes(count, start):
+    primes = []
+    k = start
+    while len(primes) < count:
+        if all(k % d for d in range(2, math.isqrt(k) + 1)):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+class TestIntegerScaledMembership:
+    @given(
+        st.lists(st.fractions(min_value=0, max_value=20, max_denominator=12),
+                 min_size=1, max_size=8),
+        st.integers(0, 2 ** 8 - 1),
+        st.sampled_from((-1, 0, 1)),
+        st.fractions(min_value=0, max_value=40, max_denominator=12),
+    )
+    def test_agrees_with_fraction_sum(self, weights, subset_mask, offset, free_quota):
+        # Quotas at a subset's exact weight (a tie) and one step either side,
+        # plus a quota whose denominator the weights need not share.
+        n = len(weights)
+        subset = Coalition(n, subset_mask & ((1 << n) - 1))
+        lcm = math.lcm(*(w.denominator for w in weights))
+        quota = sum((weights[m - 1] for m in subset.members), Fraction(0))
+        quota += Fraction(offset, lcm)
+        for g in (WeightedGame(n, weights, quota), WeightedGame(n, weights, free_quota)):
+            for c in all_coalitions(n):
+                assert g.contains(c) == fraction_contains(g, c)
+        if offset == 0:
+            assert WeightedGame(n, weights, quota).contains(subset)
+
+    @given(
+        st.lists(st.fractions(min_value=0, max_value=20, max_denominator=12),
+                 min_size=1, max_size=8),
+        st.fractions(min_value=0, max_value=40, max_denominator=12),
+    )
+    def test_public_fields_stay_fractions(self, weights, quota):
+        g = WeightedGame(len(weights), [str(w) for w in weights], str(quota))
+        assert g.weights == tuple(weights)
+        assert all(type(w) is Fraction for w in g.weights)
+        assert g.quota == quota and type(g.quota) is Fraction
+        assert game_to_json(g) == {
+            "n": len(weights),
+            "kind": "weighted",
+            "weights": [str(w) for w in weights],
+            "quota": str(quota),
+        }
+        assert g == WeightedGame(len(weights), weights, quota)
+        assert hash(g) == hash(WeightedGame(len(weights), weights, quota))
+        assert repr(g) == (f"WeightedGame(n={len(weights)}, weights={tuple(weights)!r}, "
+                           f"quota={quota!r})")
+
+    def test_equality_ignores_scaled_copies(self):
+        # Same integer weights after scaling, different games.
+        assert WeightedGame(2, [1, 1], 1) != WeightedGame(2, [2, 2], 2)
+        assert WeightedGame(2, ["1/2", "1/2"], "1/2") != WeightedGame(2, [1, 1], 1)
+
+    def test_64_members_with_large_coprime_denominators(self):
+        rng = random.Random(64)
+        n = 64
+        dens = first_primes(n, 10 ** 6)
+        weights = [Fraction(rng.randint(0, 10 ** 6), d) for d in dens]
+        tie = Coalition(n, rng.getrandbits(n))
+        quota = sum((weights[m - 1] for m in tie.members), Fraction(0))
+        step = Fraction(1, math.lcm(*dens))
+        for q in (quota - step, quota, quota + step):
+            g = WeightedGame(n, weights, q)
+            for mask in [tie.mask] + [rng.getrandbits(n) for _ in range(300)]:
+                c = Coalition(n, mask)
+                assert g.contains(c) == fraction_contains(g, c)
+        exact = WeightedGame(n, weights, quota)
+        assert exact.contains(tie)
+        assert not WeightedGame(n, weights, quota + step).contains(tie)
+        for m in tie.members:
+            if weights[m - 1]:
+                assert not exact.contains(tie - Coalition.from_indices([m], n))
 
 
 class TestGameExpressions:
