@@ -373,7 +373,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, json.JSONDecodeError,
+            certificates.CertificateError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
 

@@ -13,28 +13,36 @@ system over the rationals, scaling both by k = 1 / min(b - a(L)) > 0 gives a
 solution with gap at least 1; conversely any gap-1 solution is strictly
 feasible.  All closed constraints are invariant under positive scaling.
 
-The solver is exact rational Fourier-Motzkin elimination with constraint
-deduplication, chosen over simplex because the instances here are tiny and
-elimination has no pivoting or degeneracy subtleties.  Feasible systems
-yield an explicit witness (re-checked by substitution before returning);
-infeasible ones yield a nonnegative-combination certificate that is likewise
-re-checked.
+The solver is a Phase-I simplex over x = (a, b) >= 0 and the rows
+b - a(W) <= 0 and a(L) - b <= -1, written A x <= r.  (The bound b >= 0 costs
+nothing: any target forces b >= 1.)  It maximizes -x0 over Chvatal's
+auxiliary problem A x - x0 <= r, x0 >= 0: one pivot that lets x0 enter on the
+row with the most negative right-hand side makes the origin's dictionary
+feasible, and the system is feasible iff the optimum is 0.  Entering and
+leaving variables follow Bland's smallest-index rule, which cannot cycle, so
+the solver always terminates.  Arithmetic is exact in Python integers: all
+dictionary entries share one positive denominator D, and a pivot on entry
+p = T[r][s] is the integer-preserving (Edmonds/Bareiss) update
+
+    T'[i][j] = (T[i][j] * p - T[i][s] * T[r][j]) / D,    D' = |p|,
+
+with every entry negated when p < 0.  The division is exact because every
+entry is, up to sign, a minor of the input.  A feasible vertex is re-checked
+by substitution before it is returned.  An infeasible system yields the
+optimal dual multipliers: a nonnegative combination of the listed
+constraints that reads 0 <= total with total < 0, which is likewise
+re-checked by combination.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .games import Coalition, SimpleGame, minimal_winning
+from .games import Coalition, SimpleGame, masked_sum, minimal_winning
 
 SEPARATION_GUARD = 14
-
-# One inequality sum(coeffs[i] * x_i) <= rhs, with multipliers tracking how it
-# was derived as a nonnegative combination of the original constraints.
-_Row = tuple[tuple[int, ...], Fraction, tuple[Fraction, ...]]
 
 
 @dataclass(frozen=True)
@@ -69,123 +77,100 @@ class Separable:
 
 @dataclass(frozen=True)
 class NotSeparable:
-    """No separating weighted game exists; the note names a refuting combination."""
+    """No separating weighted game exists.
 
-    farkas_note: str
-
-
-def _normalized(coeffs: tuple[int, ...], rhs: Fraction,
-                mults: tuple[Fraction, ...]) -> _Row:
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, abs(c))
-    if g > 1:
-        coeffs = tuple(c // g for c in coeffs)
-        rhs = rhs / g
-        mults = tuple(m / g for m in mults)
-    return coeffs, rhs, mults
-
-
-def _deduped(rows: list[_Row]) -> list[_Row]:
-    # Identical coefficient vectors: only the tightest right-hand side binds.
-    best: dict[tuple[int, ...], tuple[Fraction, tuple[Fraction, ...]]] = {}
-    for coeffs, rhs, mults in rows:
-        cur = best.get(coeffs)
-        if cur is None or rhs < cur[0]:
-            best[coeffs] = (rhs, mults)
-    return [(c, r, m) for c, (r, m) in sorted(best.items())]
-
-
-def _contradiction(rows: list[_Row]) -> tuple[Fraction, ...] | None:
-    for coeffs, rhs, mults in rows:
-        if rhs < 0 and not any(coeffs):
-            return mults
-    return None
-
-
-def _solve(constraints: list[tuple[tuple[int, ...], int]], nvars: int
-           ) -> tuple[list[Fraction] | None, tuple[Fraction, ...] | None]:
-    """Fourier-Motzkin elimination over sum(c_i x_i) <= rhs rows.
-
-    Returns (witness, None) if feasible, else (None, farkas multipliers over
-    the input constraints).
+    The nonnegative multipliers of `terms`, each tied to the label of one
+    listed constraint, combine those constraints into 0 <= total < 0.
     """
-    n0 = len(constraints)
-    rows = _deduped([
-        _normalized(tuple(coeffs), Fraction(rhs),
-                    tuple(Fraction(1 if i == idx else 0) for i in range(n0)))
-        for idx, (coeffs, rhs) in enumerate(constraints)
-    ])
-    systems: list[list[_Row]] = []
-    order: list[int] = []
-    remaining = list(range(nvars))
-    while remaining:
-        bad = _contradiction(rows)
-        if bad is not None:
-            return None, bad
 
-        def fanout(v: int) -> tuple[int, int]:
-            pos = sum(1 for r in rows if r[0][v] > 0)
-            neg = sum(1 for r in rows if r[0][v] < 0)
-            return pos * neg, v
+    terms: tuple[tuple[Fraction, str], ...]
+    total: Fraction
 
-        v = min(remaining, key=fanout)
-        remaining.remove(v)
-        systems.append(rows)
-        order.append(v)
-        pos = [r for r in rows if r[0][v] > 0]
-        neg = [r for r in rows if r[0][v] < 0]
-        new = [r for r in rows if r[0][v] == 0]
-        for ca, ra, ma in pos:
-            for cb, rb, mb in neg:
-                p, q = ca[v], -cb[v]
-                new.append(_normalized(
-                    tuple(q * x + p * y for x, y in zip(ca, cb)),
-                    q * ra + p * rb,
-                    tuple(q * x + p * y for x, y in zip(ma, mb)),
-                ))
-        rows = _deduped(new)
-    bad = _contradiction(rows)
-    if bad is not None:
-        return None, bad
+    @property
+    def farkas_note(self) -> str:
+        return ("nonnegative combination "
+                + " + ".join(f"{lam} * [{label}]" for lam, label in self.terms)
+                + f" gives the contradiction 0 <= {self.total}")
 
-    # Back-substitute in reverse elimination order; Fourier-Motzkin guarantees
-    # the interval for each variable is non-empty given the later choices.
-    values: list[Fraction | None] = [None] * nvars
-    for i in range(len(order) - 1, -1, -1):
-        v = order[i]
-        lo: Fraction | None = None
-        hi: Fraction | None = None
-        for coeffs, rhs, _ in systems[i]:
-            cv = coeffs[v]
-            if cv == 0:
+
+def _phase_one(rows: list[list[int]], rhs: list[int]) -> tuple[bool, list[int], int]:
+    """Chvatal's auxiliary problem for rows . x <= rhs, x >= 0.
+
+    Some rhs must be negative.  Returns (True, x, D) with a feasible vertex
+    x / D, or (False, y, D) with multipliers y / D >= 0 over the rows such
+    that y . rows >= 0 componentwise and y . rhs < 0.  Variable ids: 0 is
+    x0, 1..k the columns of `rows`, k+1+i the slack of row i; dictionary
+    row i reads basic[i] = (T[i][0] + sum_j T[i][j] * cols[j]) / D.
+    """
+    k = len(rows[0])
+    cols = [-1] + list(range(k + 1))
+    basic = list(range(k + 1, k + 1 + len(rows)))
+    table = [[b, 1] + [-a for a in row] for row, b in zip(rows, rhs)]
+    obj = [0, -1] + [0] * k
+    denom = 1
+    r, s = min(range(len(rows)), key=rhs.__getitem__), 1
+    while True:
+        prow = table[r]
+        p = prow[s]
+        sign = 1 if p > 0 else -1
+        pa = abs(p)
+        for i, row in enumerate(table + [obj]):
+            if i == r:
                 continue
-            rest = rhs - sum(coeffs[j] * values[j]
-                             for j in range(nvars) if j != v and coeffs[j])
-            bound = rest / cv
-            if cv > 0:
-                hi = bound if hi is None else min(hi, bound)
-            else:
-                lo = bound if lo is None else max(lo, bound)
-        if lo is not None and hi is not None:
-            if lo > hi:
-                raise RuntimeError("elimination produced an empty interval")
-            values[v] = (lo + hi) / 2
-        elif lo is not None:
-            values[v] = lo
-        elif hi is not None:
-            values[v] = hi
-        else:
-            values[v] = Fraction(0)
-    assert all(v is not None for v in values)
-    return list(values), None  # type: ignore[arg-type]
+            f = row[s]
+            if f:
+                fs = f * sign
+                new = [(x * pa - fs * y) // denom for x, y in zip(row, prow)]
+                new[s] = fs
+                row[:] = new
+            elif pa != denom:
+                row[:] = [x * pa // denom for x in row]
+        new = [-sign * y for y in prow]
+        new[s] = sign * denom
+        table[r] = new
+        denom = pa
+        basic[r], cols[s] = cols[s], basic[r]
+
+        # The auxiliary objective -x0 is never positive, so 0 is optimal.
+        if obj[0] == 0:
+            x = [0] * k
+            for i, v in enumerate(basic):
+                if 1 <= v <= k:
+                    x[v - 1] = table[i][0]
+            return True, x, denom
+        entering = [(cols[j], j) for j in range(1, k + 2) if obj[j] > 0]
+        if not entering:
+            y = [0] * len(rows)
+            for j in range(1, k + 2):
+                if cols[j] > k:
+                    y[cols[j] - k - 1] = -obj[j]
+            return False, y, denom
+        s = min(entering)[1]
+        r = -1
+        for i, row in enumerate(table):
+            if row[s] >= 0:
+                continue
+            if r < 0:
+                r = i
+                continue
+            # ratio row[0] / -row[s] against the best one, cross-multiplied
+            lhs, best = row[0] * -table[r][s], table[r][0] * -row[s]
+            if lhs < best or (lhs == best and basic[i] < basic[r]):
+                r = i
+        if r < 0:
+            raise RuntimeError("auxiliary problem unbounded")
 
 
 def _inclusion_minimal(coalitions: Sequence[Coalition]) -> list[Coalition]:
+    # Bare masks, not Coalition.issubset: this loop is quadratic in the
+    # hundreds of minimal winning coalitions of an n = 12 game.
     out: list[Coalition] = []
+    masks: list[int] = []
     for c in sorted(coalitions, key=len):
-        if not any(o.issubset(c) for o in out):
+        outside = ~c.mask
+        if not any(o & outside == 0 for o in masks):
             out.append(c)
+            masks.append(c.mask)
     return out
 
 
@@ -208,44 +193,47 @@ def lp_feasible(instance: SeparationInstance) -> Separable | NotSeparable:
     n = instance.n
     winning = _inclusion_minimal(instance.winning_constraints)
     losing = _inclusion_maximal(instance.losing_targets)
-    constraints: list[tuple[tuple[int, ...], int]] = []
-    labels: list[str] = []
+    # Rows sum(coeffs[j] * x_j) <= rhs over x = (weights, quota): first the
+    # n bounds weight >= 0, then one row per winning constraint and target.
+    constraints: list[tuple[list[int], int]] = []
     for i in range(n):
         coeffs = [0] * (n + 1)
         coeffs[i] = -1
-        constraints.append((tuple(coeffs), 0))
-        labels.append(f"weight[{i + 1}] >= 0")
+        constraints.append((coeffs, 0))
     for w in winning:
-        coeffs = [0] * (n + 1)
-        for m in w.members:
-            coeffs[m - 1] = -1
-        coeffs[n] = 1
-        constraints.append((tuple(coeffs), 0))
-        labels.append(f"weight({w}) >= quota")
+        constraints.append(([-(w.mask >> i & 1) for i in range(n)] + [1], 0))
     for l in losing:
-        coeffs = [0] * (n + 1)
-        for m in l.members:
-            coeffs[m - 1] = 1
-        coeffs[n] = -1
-        constraints.append((tuple(coeffs), -1))
-        labels.append(f"weight({l}) <= quota - 1")
+        constraints.append(([l.mask >> i & 1 for i in range(n)] + [-1], -1))
 
-    witness, farkas = _solve(constraints, n + 1)
-    if witness is not None:
-        weights, quota = tuple(witness[:n]), witness[n]
+    rows = constraints[n:]
+    feasible, values, denom = _phase_one([c for c, _ in rows], [r for _, r in rows])
+    if feasible:
+        # Substitute the numerators: every value shares the denominator.
+        weights, quota = values[:n], values[n]
         for w in instance.winning_constraints:
-            if sum(weights[m - 1] for m in w.members) < quota:
+            if masked_sum(weights, w.mask) < quota:
                 raise RuntimeError(f"witness violates winning constraint {w}")
         for l in instance.losing_targets:
-            if sum(weights[m - 1] for m in l.members) > quota - 1:
+            if masked_sum(weights, l.mask) > quota - denom:
                 raise RuntimeError(f"witness violates losing target {l}")
         if any(x < 0 for x in weights):
             raise RuntimeError("witness has a negative weight")
-        return Separable(weights, quota)
+        return Separable(tuple(Fraction(x, denom) for x in weights),
+                         Fraction(quota, denom))
 
-    assert farkas is not None
-    total = Fraction(0)
-    combined = [Fraction(0)] * (n + 1)
+    # The simplex bounds x >= 0 are not listed constraints.  At the auxiliary
+    # optimum y . A >= 0, so the rows weight >= 0, with multipliers
+    # (y . A)[i], cancel the weights.  The quota coefficient of y . A is 0
+    # there: were it positive, moving multiplier from a winning row to a
+    # target would keep y . A >= 0 and improve on the optimum.
+    farkas = [sum(lam * coeffs[i] for lam, (coeffs, _) in zip(values, rows))
+              for i in range(n)] + values
+
+    labels = ([f"weight[{i + 1}] >= 0" for i in range(n)]
+              + [f"weight({w}) >= quota" for w in winning]
+              + [f"weight({l}) <= quota - 1" for l in losing])
+    total = 0
+    combined = [0] * (n + 1)
     terms = []
     for lam, (coeffs, rhs), label in zip(farkas, constraints, labels):
         if lam < 0:
@@ -255,14 +243,10 @@ def lp_feasible(instance: SeparationInstance) -> Separable | NotSeparable:
         for j, c in enumerate(coeffs):
             combined[j] += lam * c
         total += lam * rhs
-        terms.append(f"{lam} * [{label}]")
+        terms.append((Fraction(lam, denom), label))
     if any(combined) or total >= 0:
         raise RuntimeError("refutation does not combine to a contradiction")
-    note = (
-        "nonnegative combination " + " + ".join(terms)
-        + f" gives the contradiction 0 <= {total}"
-    )
-    return NotSeparable(note)
+    return NotSeparable(tuple(terms), Fraction(total, denom))
 
 
 def is_nonseparable_exhaustive(game: SimpleGame, targets: Sequence[Coalition]) -> bool:

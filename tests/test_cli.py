@@ -22,6 +22,13 @@ def write_members(path, entries):
     return str(path)
 
 
+def write_bulgaria_members(tmp_path):
+    # With Bulgaria at 6521109 the reference coalitions still classify,
+    # but no transfer certifies {L3,L14}.
+    entries = [(i, name, 6521109 if i == 16 else pop) for i, name, pop in MEMBERS_2014]
+    return write_members(tmp_path / "bulgaria.csv", entries)
+
+
 @pytest.fixture()
 def council_hg_file(tmp_path, council_h):
     from gamedim.cover import hypergraph_to_json
@@ -61,10 +68,7 @@ class TestVerify:
         assert "not established" in out
 
     def test_failed_pair_certificate_names_its_edge(self, capsys, tmp_path):
-        # With Bulgaria at 6521109 the reference coalitions still classify,
-        # but no transfer certifies {L3,L14}.
-        entries = [(i, name, 6521109 if i == 16 else pop) for i, name, pop in MEMBERS_2014]
-        path = write_members(tmp_path / "bulgaria.csv", entries)
+        path = write_bulgaria_members(tmp_path)
         code, out, _ = run(capsys, "verify", "--members", path)
         assert code == 1
         assert out == (
@@ -163,19 +167,23 @@ class TestSeparate:
         }))
         code, out, _ = run(capsys, "separate", str(path))
         assert code == 0
-        assert "NOT SEPARABLE" in out
-        assert "contradiction" in out
+        assert out == (
+            "NOT SEPARABLE\n"
+            "nonnegative combination 1/4 * [weight({1,3}) >= quota] + "
+            "1/4 * [weight({2,4}) >= quota] + 1/4 * [weight({1,2}) <= quota - 1] + "
+            "1/4 * [weight({3,4}) <= quota - 1] gives the contradiction 0 <= -1/2\n"
+        )
 
     def test_separable_instance_prints_witness(self, capsys, tmp_path):
-        path = tmp_path / "easy.json"
+        path = tmp_path / "five.json"
         path.write_text(json.dumps({
-            "n": 2,
-            "winning_constraints": [[1, 2]],
-            "losing_targets": [[1]],
+            "n": 5,
+            "winning_constraints": [[1, 2, 3], [3, 4, 5], [1, 4]],
+            "losing_targets": [[1, 2, 5], [2, 3, 4]],
         }))
         code, out, _ = run(capsys, "separate", str(path))
         assert code == 0
-        assert "SEPARABLE" in out and "quota:" in out
+        assert out == "SEPARABLE\nweights: 3 0 2 2 1\nquota: 5\n"
 
     def test_malformed_instance(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -275,3 +283,17 @@ class TestExport:
     def test_unwritable_path(self, capsys, tmp_path):
         code, _, err = run(capsys, "export", "hypergraph", str(tmp_path / "no" / "dir.json"))
         assert code == 2
+
+    def test_failed_certificate_is_a_usage_error(self, capsys, tmp_path):
+        members = write_bulgaria_members(tmp_path)
+        path = tmp_path / "hg.json"
+        code, out, err = run(capsys, "export", "hypergraph", str(path), "--members", members)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: {L3,L14}: no transfer of 4 members makes both halves of "
+            "{2,3,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27}, "
+            "{1,4,6,7,8,9,10,11,12,13,14,15,16,17,18,20,21,22,23,24,25,26,27,28} "
+            "winning\n"
+        )
+        assert not path.exists()

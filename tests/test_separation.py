@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from gamedim.games import Coalition, IntersectionGame, WeightedGame
+from gamedim.certificates import BalanceCertificate, verify_balance
+from gamedim.games import Coalition, IntersectionGame, WeightedGame, minimal_winning
 from gamedim.separation import (
     NotSeparable,
     Separable,
@@ -26,6 +27,32 @@ def substitute(result: Separable, instance: SeparationInstance) -> None:
     for l in instance.losing_targets:
         assert sum(result.weights[m - 1] for m in l.members) <= result.quota - 1
     assert all(w >= 0 for w in result.weights)
+
+
+def recombine(result: NotSeparable, instance: SeparationInstance) -> None:
+    """Re-add the refutation's terms from constraints rebuilt here."""
+    rows = {f"weight[{i}] >= 0": ({i: -1}, 0) for i in range(1, instance.n + 1)}
+    for w in instance.winning_constraints:
+        rows[f"weight({w}) >= quota"] = ({**{m: -1 for m in w.members}, "quota": 1}, 0)
+    for l in instance.losing_targets:
+        rows[f"weight({l}) <= quota - 1"] = ({**{m: 1 for m in l.members}, "quota": -1}, -1)
+    combined: dict = {}
+    total = Fraction(0)
+    for lam, label in result.terms:
+        assert lam > 0
+        coeffs, rhs = rows[label]
+        for var, c in coeffs.items():
+            combined[var] = combined.get(var, 0) + lam * c
+        total += lam * rhs
+    assert not any(combined.values())
+    assert total == result.total < 0
+
+
+def intersection_instance(parts, targets, n):
+    game = IntersectionGame([WeightedGame(n, w, q) for w, q in parts])
+    instance = SeparationInstance(n, minimal_winning(game),
+                                  [Coalition(n, m) for m in targets])
+    return game, instance
 
 
 CROSSING = SeparationInstance(
@@ -102,6 +129,59 @@ class TestLpFeasible:
             else:
                 not_separable += 1
         assert separable > 10 and not_separable > 10
+
+    def test_random_verdicts_rechecked_by_the_test(self):
+        # Balanced losing pairs and targets that contain a winning
+        # constraint are never separable; random losing targets mostly are.
+        rng = random.Random(1871)
+        separable = not_separable = 0
+        for _ in range(150):
+            n = rng.randint(2, 7)
+            game = random_monotone_game(rng, n)
+            winning = minimal_winning(game)
+            losing = [c for mask in range(1 << n)
+                      if not game.contains(c := Coalition(n, mask))]
+            if not winning or not losing:
+                continue
+            cert = find_balanced_pair_certificate(game, losing, rng, max_pairs=25)
+            if cert is not None:
+                targets = list(cert.losing)
+            else:
+                targets = rng.sample(losing, min(len(losing), rng.randint(1, 3)))
+                if rng.random() < 0.25:
+                    targets[0] = rng.choice(winning) | targets[0]
+            instance = SeparationInstance(n, winning, targets)
+            result = lp_feasible(instance)
+            if isinstance(result, Separable):
+                substitute(result, instance)
+                separable += 1
+            else:
+                recombine(result, instance)
+                not_separable += 1
+        assert separable > 10 and not_separable > 10
+
+
+class TestFormerBlowUps:
+    """Instances on which Fourier-Motzkin elimination ran for 28 s to over 120 s."""
+
+    def test_planted_pair_n8(self):
+        parts = [([2, 3, 8, 10, 1, 4, 3, 7], 16), ([3, 10, 6, 3, 9, 10, 7, 7], 27)]
+        game, instance = intersection_instance(parts, [142, 113], 8)
+        result = lp_feasible(instance)
+        assert isinstance(result, NotSeparable)
+        recombine(result, instance)
+        cert = BalanceCertificate(losing=instance.losing_targets,
+                                  winning=[Coalition(8, 225), Coalition(8, 30)])
+        assert verify_balance(cert, game)
+
+    def test_declared_rung_n14(self):
+        parts = [([7, 9, 5, 7, 6, 7, 4, 3, 2, 3, 3, 4, 4, 1], 43),
+                 ([10, 3, 5, 5, 1, 3, 7, 9, 6, 10, 10, 6, 3, 9], 47)]
+        _, instance = intersection_instance(parts, [12438, 13611, 893], 14)
+        assert len(instance.winning_constraints) == 666
+        result = lp_feasible(instance)
+        assert isinstance(result, Separable)
+        substitute(result, instance)
 
 
 class TestNonSeparableOracle:
