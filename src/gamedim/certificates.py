@@ -38,7 +38,7 @@ from .eu import (
     WINNING_FAMILY,
     EuGame,
 )
-from .games import Coalition, SimpleGame, coalition_sort_key
+from .games import Coalition, SimpleGame, coalition_sort_key, coalitions_from_json
 
 
 class CertificateError(RuntimeError):
@@ -262,6 +262,6 @@ def certificate_from_json(obj: dict, n: int) -> BalanceCertificate:
     if not isinstance(obj, dict) or "losing" not in obj or "winning" not in obj:
         raise ValueError("certificate description needs 'losing' and 'winning'")
     return BalanceCertificate(
-        losing=[Coalition.from_indices(ix, n) for ix in obj["losing"]],
-        winning=[Coalition.from_indices(ix, n) for ix in obj["winning"]],
+        losing=coalitions_from_json(obj["losing"], n, "losing"),
+        winning=coalitions_from_json(obj["winning"], n, "winning"),
     )

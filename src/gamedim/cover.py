@@ -410,4 +410,9 @@ def hypergraph_from_json(obj: dict) -> Hypergraph:
         raise ValueError("hypergraph description needs 'nodes' and 'edges'")
     if not isinstance(obj["nodes"], int):
         raise ValueError("'nodes' must be an integer")
-    return Hypergraph(obj["nodes"], obj["edges"])
+    edges = obj["edges"]
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and all(type(v) is int for v in e) for e in edges
+    ):
+        raise ValueError("'edges' must be a list of node index lists")
+    return Hypergraph(obj["nodes"], edges)

@@ -8,13 +8,24 @@ quota are exact rationals (``fractions.Fraction``); a weighted game scales them
 once, by the least common multiple of their denominators, to integers, so
 membership is an integer sum over the coalition's bits.  Nothing is ever
 rounded or computed in floating point.
+
+The exhaustive scans (`minimal_winning`, `check_monotone`) never test the 2^n
+coalitions one at a time.  Each game packs its whole winning family into one
+Python-int bitset, where bit m is set iff the coalition with mask m wins:
+weighted games from their subset sums, intersections and unions by AND and
+OR of their parts' bitsets, explicit games by an upward closure.  The shift
+step ``(bits & lacking_i) << 2**i`` moves every mask without member i to the
+same mask with member i added, so n such steps close a family upward, or
+find every winning coalition that stays winning after removing one member.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
 MAX_MEMBERS = 64
@@ -43,6 +54,8 @@ class Coalition:
     def from_indices(cls, indices: Iterable[int], n: int) -> "Coalition":
         mask = 0
         for i in indices:
+            if isinstance(i, bool) or not isinstance(i, int):
+                raise ValueError(f"member index {i!r} is not an integer")
             if not 1 <= i <= n:
                 raise ValueError(f"member index {i} out of range 1..{n}")
             bit = 1 << (i - 1)
@@ -113,6 +126,42 @@ def masked_sum(values: Sequence[int], mask: int) -> int:
     return total
 
 
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _pack(flags: Sequence[bool] | bytes | bytearray) -> int:
+    """The bitset whose bit m is ``flags[m]``, built by one base-2 `int()`."""
+    return int(bytes(flags)[::-1].translate(_BINARY_DIGITS), 2)
+
+
+def _bitset(masks: Iterable[int], n: int) -> int:
+    """The bitset over the 2^n masks with exactly the bits ``masks`` set."""
+    flags = bytearray(1 << n)
+    for m in masks:
+        flags[m] = 1
+    return _pack(flags)
+
+
+def _set_bits(bits: int) -> Iterator[int]:
+    """The positions of the set bits of ``bits``, ascending, in linear time."""
+    digits = bin(bits)[:1:-1]
+    m = digits.find("1")
+    while m >= 0:
+        yield m
+        m = digits.find("1", m + 1)
+
+
+def _lacking(n: int) -> Iterator[tuple[int, int]]:
+    """For each member bit i: ``(2**i, bitset of the masks without bit i)``.
+
+    Over the 2^n masks the bitset is blocks of 2^i zeros above 2^i ones,
+    written as one repeated base-2 string.
+    """
+    for i in range(n):
+        step = 1 << i
+        yield step, int(("0" * step + "1" * step) * (1 << (n - 1 - i)), 2)
+
+
 class SimpleGame:
     """Base for all game expressions; subclasses implement `contains`."""
 
@@ -120,6 +169,15 @@ class SimpleGame:
 
     def contains(self, coalition: Coalition) -> bool:
         raise NotImplementedError
+
+    def _winning_bits(self) -> int:
+        """Bitset over all 2^n masks: bit m is set iff `Coalition(n, m)` wins.
+
+        This is the definition: it asks `contains` once per mask.  Every game
+        class here computes the same bitset directly; a subclass that only
+        defines `contains` gets this one.
+        """
+        return _pack([self.contains(Coalition(self.n, m)) for m in range(1 << self.n)])
 
     def _check_dimension(self, coalition: Coalition) -> None:
         if coalition.n != self.n:
@@ -159,6 +217,14 @@ class WeightedGame(SimpleGame):
         self._check_dimension(coalition)
         return masked_sum(self._scaled_weights, coalition.mask) >= self._scaled_quota
 
+    def _winning_bits(self) -> int:
+        # sums[m] is the scaled weight of mask m: each weight doubles the list.
+        sums = [0]
+        for w in self._scaled_weights:
+            sums += [s + w for s in sums]
+        quota = self._scaled_quota
+        return _pack([s >= quota for s in sums])
+
 
 class ExplicitGame(SimpleGame):
     """Game given by a listed winning family, evaluated under upward closure.
@@ -196,6 +262,12 @@ class ExplicitGame(SimpleGame):
         self._check_dimension(coalition)
         return any(m & coalition.mask == m for m in self._minimal)
 
+    def _winning_bits(self) -> int:
+        bits = _bitset(self._minimal, self.n)
+        for step, lacking in _lacking(self.n):
+            bits |= (bits & lacking) << step
+        return bits
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExplicitGame):
             return NotImplemented
@@ -229,6 +301,9 @@ class IntersectionGame(SimpleGame):
         self._check_dimension(coalition)
         return all(g.contains(coalition) for g in self.parts)
 
+    def _winning_bits(self) -> int:
+        return reduce(operator.and_, (g._winning_bits() for g in self.parts))
+
 
 class UnionGame(SimpleGame):
     """Winning iff winning in at least one part."""
@@ -241,6 +316,9 @@ class UnionGame(SimpleGame):
         self._check_dimension(coalition)
         return any(g.contains(coalition) for g in self.parts)
 
+    def _winning_bits(self) -> int:
+        return reduce(operator.or_, (g._winning_bits() for g in self.parts))
+
 
 def all_coalitions(n: int) -> Iterator[Coalition]:
     """All 2**n coalitions over 1..n, in mask order."""
@@ -249,6 +327,8 @@ def all_coalitions(n: int) -> Iterator[Coalition]:
 
 
 def _guard(n: int, what: str) -> None:
+    if n < 1:
+        raise ValueError(f"member count must be in 1..{MAX_MEMBERS}, got {n}")
     if n > ENUMERATION_GUARD:
         raise ValueError(
             f"{what} scans all 2^n coalitions and is limited to "
@@ -259,33 +339,37 @@ def _guard(n: int, what: str) -> None:
 def check_monotone(game: ExplicitGame) -> bool:
     """Whether the declared winning family is upward closed.
 
-    Scans every coalition, so it is guarded at n <= 20.  A declared family
-    passes iff every superset of a declared winner is itself declared.
+    A declared family passes iff every superset of a declared winner is
+    itself declared, that is iff the bitset of the declared masks equals the
+    game's winning bitset (the upward closure of its minimal declared
+    coalitions, by n shift steps).  Both bitsets span all 2^n masks, so it is
+    guarded at n <= 20.
     """
     if not isinstance(game, ExplicitGame):
         raise ValueError("check_monotone requires an explicitly listed game")
     _guard(game.n, "check_monotone")
-    for c in all_coalitions(game.n):
-        if game.contains(c) and not game.declared_contains(c):
-            return False
-    return True
+    return _bitset(game._declared, game.n) == game._winning_bits()
 
 
 def minimal_winning(game: SimpleGame) -> tuple[Coalition, ...]:
     """The winning coalitions whose every proper subset loses, canonically sorted.
 
-    Exhaustive over all coalitions, guarded at n <= 20.  Membership of every
-    game expression here is monotone, so it suffices to test single-member
-    removals.
+    Membership of every game expression here is monotone, so it suffices to
+    test single-member removals.  With W the game's winning bitset, the shift
+    step ``(W & lacking_i) << 2**i`` marks every mask that stays winning
+    without member i; W minus the union of those n marks holds exactly the
+    minimal winning masks, and a `Coalition` is built only for each of them.
+    The bitsets span all 2^n masks, so it is guarded at n <= 20.
     """
     _guard(game.n, "minimal_winning")
-    out = []
-    for c in all_coalitions(game.n):
-        if not game.contains(c):
-            continue
-        if all(not game.contains(Coalition(game.n, c.mask & ~(1 << (m - 1)))) for m in c.members):
-            out.append(c)
-    return tuple(sorted(out, key=coalition_sort_key))
+    winning = game._winning_bits()
+    reducible = 0
+    for step, lacking in _lacking(game.n):
+        reducible |= (winning & lacking) << step
+    return tuple(sorted(
+        (Coalition(game.n, m) for m in _set_bits(winning & ~reducible)),
+        key=coalition_sort_key,
+    ))
 
 
 # --- JSON descriptions -------------------------------------------------------
@@ -301,6 +385,13 @@ def coalition_to_json(c: Coalition) -> list[int]:
 
 def coalition_from_json(indices: Sequence[int], n: int) -> Coalition:
     return Coalition.from_indices(indices, n)
+
+
+def coalitions_from_json(value: object, n: int, what: str) -> list[Coalition]:
+    """Parse a list of index lists; raises ValueError on any other shape."""
+    if not isinstance(value, list) or not all(isinstance(ix, list) for ix in value):
+        raise ValueError(f"{what!r} must be a list of member index lists")
+    return [coalition_from_json(ix, n) for ix in value]
 
 
 def _fraction_from_json(value: int | str) -> Fraction:
@@ -324,7 +415,7 @@ def game_from_json(obj: dict) -> SimpleGame:
             _fraction_from_json(obj["quota"]),
         )
     if kind == "explicit":
-        return ExplicitGame(n, [coalition_from_json(w, n) for w in obj["winning"]])
+        return ExplicitGame(n, coalitions_from_json(obj["winning"], n, "winning"))
     if kind in ("intersection", "union"):
         parts = [game_from_json(p) for p in obj["parts"]]
         cls = IntersectionGame if kind == "intersection" else UnionGame

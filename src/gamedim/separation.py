@@ -40,7 +40,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .games import Coalition, SimpleGame, masked_sum, minimal_winning
+from .games import (
+    Coalition,
+    SimpleGame,
+    coalitions_from_json,
+    masked_sum,
+    minimal_winning,
+)
 
 SEPARATION_GUARD = 14
 
@@ -289,6 +295,6 @@ def instance_from_json(obj: dict) -> SeparationInstance:
         raise ValueError("'n' must be an integer")
     return SeparationInstance(
         n,
-        [Coalition.from_indices(ix, n) for ix in winning],
-        [Coalition.from_indices(ix, n) for ix in losing],
+        coalitions_from_json(winning, n, "winning_constraints"),
+        coalitions_from_json(losing, n, "losing_targets"),
     )

@@ -192,6 +192,44 @@ class TestSeparate:
         assert code == 2
 
 
+def assert_usage_error(capsys, tmp_path, payload, *command):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+class TestMalformedShapes:
+    @pytest.mark.parametrize("payload", [
+        {"n": 3, "winning_constraints": [[1]], "losing_targets": 5},
+        {"n": 3, "winning_constraints": [1, 2], "losing_targets": [[2]]},
+        {"n": 3, "winning_constraints": [[1, "a"]], "losing_targets": [[2]]},
+        {"n": 3, "winning_constraints": [[1, 2.0]], "losing_targets": [[2]]},
+        {"n": 3, "winning_constraints": [[True, 2]], "losing_targets": [[3]]},
+    ])
+    def test_separate(self, capsys, tmp_path, payload):
+        assert_usage_error(capsys, tmp_path, payload, "separate")
+
+    @pytest.mark.parametrize("payload", [
+        {"nodes": 3, "edges": 5},
+        {"nodes": 3, "edges": [[1, "x"]]},
+        {"nodes": 3, "edges": [[1, 2.0]]},
+        {"nodes": 3, "edges": [3]},
+    ])
+    def test_cover_solve(self, capsys, tmp_path, payload):
+        assert_usage_error(capsys, tmp_path, payload, "cover", "solve")
+
+    @pytest.mark.parametrize("payload", [
+        {"losing": [[1]], "winning": 7},
+        {"losing": [[1, "2"]], "winning": [[1, 2]]},
+        {"losing": [1], "winning": [[1, 2]]},
+    ])
+    def test_certs_check(self, capsys, tmp_path, payload):
+        assert_usage_error(capsys, tmp_path, payload, "certs", "check")
+
+
 class TestCerts:
     def test_bundled_certificate_checks(self, capsys, tmp_path, family):
         from gamedim.certificates import certificate_to_json

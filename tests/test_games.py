@@ -9,6 +9,7 @@ from gamedim.games import (
     Coalition,
     ExplicitGame,
     IntersectionGame,
+    SimpleGame,
     UnionGame,
     WeightedGame,
     all_coalitions,
@@ -257,6 +258,92 @@ class TestGameExpressions:
                 assert g.contains(c) == any(d <= c for d in declared)
 
 
+def random_weighted(rng, n):
+    """Fraction weights, some zero, with a quota at a subset's exact weight
+    (a tie), at 0, or anywhere up to the total weight."""
+    weights = [Fraction(rng.randint(0, 9), rng.randint(1, 4)) if rng.random() < 0.8
+               else Fraction(0) for _ in range(n)]
+    pick = rng.random()
+    if pick < 0.4:
+        quota = sum((w for w in weights if rng.random() < 0.5), Fraction(0))
+    elif pick < 0.5:
+        quota = Fraction(0)
+    else:
+        quota = Fraction(rng.randint(0, 4 * int(sum(weights)) + 4), 4)
+    return WeightedGame(n, weights, quota)
+
+
+def random_game(rng, n):
+    """One of: weighted, explicit, intersection, union, union of intersections."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return random_weighted(rng, n)
+    if kind == 1:
+        return ExplicitGame(n, [Coalition(n, rng.randrange(1 << n))
+                                for _ in range(rng.randint(1, 8))])
+    if kind == 2:
+        return IntersectionGame([random_weighted(rng, n) for _ in range(rng.randint(1, 3))])
+    if kind == 3:
+        return UnionGame([random_weighted(rng, n) for _ in range(rng.randint(1, 3))])
+    # The council's shape: a union of intersections of weighted games.
+    return UnionGame([
+        IntersectionGame([random_weighted(rng, n) for _ in range(rng.randint(1, 3))])
+        for _ in range(rng.randint(1, 3))
+    ])
+
+
+class ContainsOnly(SimpleGame):
+    """A user subclass that defines only `contains`: at least half the members."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def contains(self, coalition):
+        self._check_dimension(coalition)
+        return 2 * len(coalition) >= self.n
+
+
+class TestWinningBits:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_agrees_with_contains_on_every_mask(self, seed):
+        rng = random.Random(seed)
+        for n in range(1, 11):
+            game = random_game(rng, n)
+            bits = game._winning_bits()
+            assert 0 <= bits < 1 << (1 << n)
+            for c in all_coalitions(n):
+                assert bits >> c.mask & 1 == game.contains(c), (game, c)
+
+    @given(
+        st.lists(st.fractions(min_value=0, max_value=20, max_denominator=12),
+                 min_size=1, max_size=8),
+        st.integers(0, 2 ** 8 - 1),
+    )
+    def test_weighted_tie_at_the_quota(self, weights, subset_mask):
+        n = len(weights)
+        tie = subset_mask & ((1 << n) - 1)
+        quota = sum((weights[i] for i in range(n) if tie >> i & 1), Fraction(0))
+        game = WeightedGame(n, weights, quota)
+        bits = game._winning_bits()
+        assert bits >> tie & 1
+        for c in all_coalitions(n):
+            assert bits >> c.mask & 1 == fraction_contains(game, c)
+
+    def test_quota_zero_and_zero_weights(self):
+        assert WeightedGame(3, [0, 0, 0], 0)._winning_bits() == (1 << 8) - 1
+        assert WeightedGame(3, [0, 0, 0], 1)._winning_bits() == 0
+        # Member 2 has weight 0: {2} loses, {1} and every superset of it wins.
+        assert WeightedGame(2, [1, 0], 1)._winning_bits() == 0b1010
+
+    def test_base_method_for_contains_only_subclass(self):
+        for n in range(1, 9):
+            game = ContainsOnly(n)
+            bits = game._winning_bits()
+            for c in all_coalitions(n):
+                assert bits >> c.mask & 1 == game.contains(c)
+            assert list(minimal_winning(game)) == brute_minimal_winning(game)
+
+
 class TestCheckMonotone:
     def test_threshold_family_is_monotone(self):
         g = ExplicitGame(4, [c for c in all_coalitions(4) if len(c) >= 2])
@@ -265,6 +352,25 @@ class TestCheckMonotone:
     def test_missing_superset_detected(self):
         g = ExplicitGame(2, [C([1], 2)])
         assert not check_monotone(g)  # {1,2} missing from the declared family
+
+    def test_random_declared_families(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            n = rng.randint(2, 10)
+            closed = random_monotone_game(rng, n)
+            assert check_monotone(closed)
+            declared = {c.mask for c in closed.declared_winning}
+            minimal = {c.mask for c in minimal_winning(closed)}
+            # Dropping a minimal winner leaves an upward-closed family ...
+            dropped = rng.choice(sorted(minimal))
+            assert check_monotone(ExplicitGame(n, [Coalition(n, m) for m in declared
+                                                   if m != dropped]))
+            # ... dropping any other declared winner leaves a superset missing.
+            others = sorted(declared - minimal)
+            if others:
+                dropped = rng.choice(others)
+                assert not check_monotone(ExplicitGame(
+                    n, [Coalition(n, m) for m in declared if m != dropped]))
 
     def test_requires_explicit(self):
         with pytest.raises(ValueError, match="explicit"):
@@ -303,9 +409,62 @@ class TestMinimalWinning:
             g = random_monotone_game(rng, rng.randint(1, 7))
             assert list(minimal_winning(g)) == brute_minimal_winning(g)
 
+    def test_against_brute_force_on_weighted_combinations(self):
+        # Intersections and unions of random weighted games, as on the
+        # separation ladder, up to n = 10.
+        rng = random.Random(19)
+        for _ in range(30):
+            n = rng.randint(1, 10)
+            parts = [WeightedGame(n, [rng.randint(1, 10) for _ in range(n)],
+                                  rng.randint(n, 4 * n)) for _ in range(2)]
+            for game in (IntersectionGame(parts), UnionGame(parts)):
+                assert list(minimal_winning(game)) == brute_minimal_winning(game)
+
+    def test_no_membership_calls_and_one_coalition_per_result(self, monkeypatch):
+        counts = {"contains": 0, "coalitions": 0}
+        for cls in (WeightedGame, ExplicitGame, IntersectionGame, UnionGame):
+            original = cls.contains
+
+            def counted(self, coalition, _original=original):
+                counts["contains"] += 1
+                return _original(self, coalition)
+
+            monkeypatch.setattr(cls, "contains", counted)
+        original_post_init = Coalition.__post_init__
+
+        def counted_post_init(self):
+            counts["coalitions"] += 1
+            original_post_init(self)
+
+        monkeypatch.setattr(Coalition, "__post_init__", counted_post_init)
+        game = IntersectionGame([
+            WeightedGame(12, [7, 9, 5, 7, 6, 7, 4, 3, 2, 3, 3, 4], 40),
+            WeightedGame(12, [10, 3, 5, 5, 1, 3, 7, 9, 6, 10, 10, 6], 45),
+        ])
+        result = minimal_winning(game)
+        assert result
+        assert counts == {"contains": 0, "coalitions": len(result)}
+
+    def test_finishes_at_the_guard(self):
+        got = minimal_winning(WeightedGame(20, [1] * 20, 18))
+        assert len(got) == math.comb(20, 2) == 190
+        assert all(len(c) == 18 for c in got)
+        halves = UnionGame([
+            WeightedGame(20, [1] * 10 + [0] * 10, 10),
+            WeightedGame(20, [0] * 10 + [1] * 10, 10),
+        ])
+        assert minimal_winning(halves) == (C(range(1, 11), 20), C(range(11, 21), 20))
+
     def test_resource_guard(self):
         with pytest.raises(ValueError, match="n <= 20"):
             minimal_winning(WeightedGame(28, [1] * 28, 25))
+
+    def test_no_members_rejected(self):
+        for game in (WeightedGame(0, [], 1), ExplicitGame(0, [])):
+            with pytest.raises(ValueError, match="member count"):
+                minimal_winning(game)
+        with pytest.raises(ValueError, match="member count"):
+            check_monotone(ExplicitGame(0, []))
 
 
 class TestJson:
