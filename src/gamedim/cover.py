@@ -16,10 +16,15 @@ Covers are refuted two independent ways: exhaustive bounded search over the
 maximal independent sets, and, for the bundled council family, by rational
 node weights that bound every candidate part by 1 while the total weight
 exceeds the number of parts available.
+
+The maximal independent sets of a `Hypergraph` are computed once, on first
+request, and kept on it: the enumeration, the exhaustive search and the dual
+check all read the same tuple.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,60 +90,119 @@ class Hypergraph:
     def _edge_masks(self) -> tuple[int, ...]:
         return tuple(_mask_of(e) for e in self.edges)
 
+    @functools.cached_property
+    def _maximal_sets(self) -> tuple[frozenset[int], ...]:
+        # Kept in the instance __dict__, outside the dataclass fields, so
+        # ==, hash and repr do not see it; an exception is not cached.
+        return _maximal_independent(self)
+
+
+def _checked_mask(nodes: frozenset[int], h: Hypergraph) -> int:
+    """Mask of the nodes; raises on a node outside 1..node_count."""
+    mask = 0
+    for v in nodes:
+        if not 1 <= v <= h.node_count:
+            raise ValueError(f"node {v} out of range 1..{h.node_count}")
+        mask |= 1 << (v - 1)
+    return mask
+
 
 def is_independent(nodes: Iterable[int], h: Hypergraph) -> bool:
     """True iff no edge of h lies inside the given node set."""
     s = frozenset(nodes)
-    for v in s:
-        if not 1 <= v <= h.node_count:
-            raise ValueError(f"node {v} out of range 1..{h.node_count}")
+    _checked_mask(s, h)
     return not any(e <= s for e in h.edges)
 
 
 def enumerate_maximal_independent(h: Hypergraph) -> tuple[frozenset[int], ...]:
     """All inclusion-wise maximal independent sets, sorted by member tuple.
 
-    Depth-first over the nodes in order, keeping only branches that stay
-    independent; excluding a node is abandoned early when no remaining edge
-    could ever block it.  Guarded at 24 nodes.
+    Computed once per hypergraph and cached on it, so later calls return the
+    identical tuple.  The depth-first search in `_maximal_independent` prunes
+    a branch as soon as it cannot end in a maximal set, so every leaf it
+    reaches is one.  Guarded at 24 nodes.
     """
-    if h.node_count > NODE_GUARD:
-        raise ValueError(
-            f"maximal-set enumeration limited to {NODE_GUARD} nodes; "
-            f"got {h.node_count}"
-        )
+    return h._maximal_sets
+
+
+def _maximal_independent(h: Hypergraph) -> tuple[frozenset[int], ...]:
+    """Depth-first over the nodes in order, each included first, then excluded.
+
+    The room is the chosen nodes plus the undecided nodes that no chosen pair
+    neighbour rules out.  A node is included only if no edge through it has
+    all its other nodes chosen.  An excluded node must keep an edge whose
+    other nodes all lie in the room, or no leaf below can be maximal; so
+    whenever the room shrinks (an inclusion rules out its pair neighbours,
+    an exclusion drops the node itself), the excluded nodes that share an
+    edge with what left are checked again.  A ruled-out node is skipped: its
+    chosen pair neighbour blocks it for good.  At a leaf the room is the
+    chosen set, so every leaf is a maximal independent set, and each one is
+    reached by the branch that includes exactly its nodes.  Two maximal sets
+    first differ at a node one includes and the other excludes; the
+    including one comes first and has the smaller member tuple, since the
+    other is no subset of it, so the sets come out sorted.
+    """
     t = h.node_count
-    edge_masks = h._edge_masks()
-    by_node: list[list[int]] = [[] for _ in range(t)]
-    for em in edge_masks:
-        for i in range(t):
-            if em >> i & 1:
-                by_node[i].append(em)
+    if t > NODE_GUARD:
+        raise ValueError(
+            f"maximal-set enumeration limited to {NODE_GUARD} nodes; got {t}"
+        )
+    pairs = [0] * t   # pair-edge neighbours of each node
+    rests: list[list[int]] = [[] for _ in range(t)]  # e - {v} for larger edges
+    touch = [0] * t   # every node sharing an edge with v
+    for em in h._edge_masks():
+        m = em
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            rest = em ^ low
+            touch[v] |= rest
+            if rest & (rest - 1):
+                rests[v].append(rest)
+            else:
+                pairs[v] |= rest
+    near = [0] * t    # nodes sharing an edge with a pair neighbour of v
+    for v in range(t):
+        m = pairs[v]
+        while m:
+            low = m & -m
+            m ^= low
+            near[v] |= touch[low.bit_length() - 1]
+
+    # A remainder r lies inside a set s iff r & ~s is 0, so "no remainder
+    # fits" is all(map((~s).__and__, ...)), with no Python frame per edge.
+    def blockable(nodes: int, room: int) -> bool:
+        # each node has an edge whose other nodes all lie in `room`
+        outside = ~room
+        while nodes:
+            low = nodes & -nodes
+            nodes ^= low
+            v = low.bit_length() - 1
+            if not pairs[v] & room and all(map(outside.__and__, rests[v])):
+                return False
+        return True
 
     results: list[int] = []
-    full = (1 << t) - 1
 
-    def blocked(chosen: int, i: int) -> bool:
-        # node i+1 cannot be added to `chosen` without completing an edge
-        want = chosen | (1 << i)
-        return any(em & want == em for em in by_node[i])
-
-    def dfs(i: int, chosen: int, excluded: int) -> None:
-        if i == t:
-            if all(blocked(chosen, j) for j in range(t) if excluded >> j & 1):
-                results.append(chosen)
+    def dfs(chosen: int, free: int, excluded: int) -> None:
+        # free: the undecided nodes that no chosen pair neighbour rules out
+        if not free:
+            results.append(chosen)
             return
-        bit = 1 << i
-        if not any(em & (chosen | bit) == em for em in by_node[i]):
-            dfs(i + 1, chosen | bit, excluded)
-        # Excluding node i+1 only leads to a maximal set if some edge through
-        # it can still be completed by the chosen and undecided nodes.
-        undecided_and_chosen = chosen | (full & ~((1 << (i + 1)) - 1)) | bit
-        if any(em & undecided_and_chosen == em for em in by_node[i]):
-            dfs(i + 1, chosen, excluded | bit)
+        bit = free & -free
+        i = bit.bit_length() - 1
+        rest = free ^ bit
+        # i is free, so only a larger edge through i can complete in chosen
+        if all(map((~chosen).__and__, rests[i])):
+            lost = pairs[i] & rest
+            if not lost or blockable(excluded & near[i], chosen | bit | (rest ^ lost)):
+                dfs(chosen | bit, rest ^ lost, excluded)
+        if blockable((excluded & touch[i]) | bit, chosen | rest):
+            dfs(chosen, rest, excluded | bit)
 
-    dfs(0, 0, 0)
-    return tuple(sorted((_set_of(m) for m in results), key=lambda s: tuple(sorted(s))))
+    dfs(0, (1 << t) - 1, 0)
+    return tuple(_set_of(m) for m in results)
 
 
 @dataclass(frozen=True)
@@ -207,13 +271,21 @@ def min_cover(h: Hypergraph, candidates: Sequence[Iterable[int]]) -> CoverSoluti
     returned.  Raises if a candidate is dependent or the candidates cannot
     jointly cover the nodes.
     """
-    cands = [frozenset(c) for c in candidates]
-    for c in cands:
-        if not is_independent(c, h):
+    # An edge inside a candidate is filed under its lowest node, which the
+    # candidate holds, so each candidate looks only under its own nodes.
+    by_lowest: list[list[int]] = [[] for _ in range(h.node_count + 1)]
+    for em in h._edge_masks():
+        by_lowest[(em & -em).bit_length()].append(em)
+    checked = []
+    for c in map(frozenset, candidates):
+        mask = _checked_mask(c, h)
+        if any(em & mask == em for v in c for em in by_lowest[v]):
             raise ValueError(f"candidate part {sorted(c)} contains an edge")
-    cands.sort(key=lambda c: (-len(c), tuple(sorted(c))))
+        checked.append((c, mask))
+    checked.sort(key=lambda cm: (-len(cm[0]), tuple(sorted(cm[0]))))
+    cands = [c for c, _ in checked]
+    masks = [m for _, m in checked]
     full = _mask_of(h.nodes)
-    masks = [_mask_of(c) for c in cands]
     joint = 0
     for m in masks:
         joint |= m

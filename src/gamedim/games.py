@@ -408,16 +408,28 @@ def game_from_json(obj: dict) -> SimpleGame:
     if not isinstance(n, int):
         raise ValueError("'n' must be an integer")
     kind = obj["kind"]
+
+    def field(name: str) -> object:
+        if name not in obj:
+            raise ValueError(f"{kind} game description needs {name!r}")
+        return obj[name]
+
+    def listed(name: str) -> list:
+        value = field(name)
+        if not isinstance(value, list):
+            raise ValueError(f"{name!r} must be a list")
+        return value
+
     if kind == "weighted":
         return WeightedGame(
             n,
-            [_fraction_from_json(w) for w in obj["weights"]],
-            _fraction_from_json(obj["quota"]),
+            [_fraction_from_json(w) for w in listed("weights")],
+            _fraction_from_json(field("quota")),
         )
     if kind == "explicit":
-        return ExplicitGame(n, coalitions_from_json(obj["winning"], n, "winning"))
+        return ExplicitGame(n, coalitions_from_json(field("winning"), n, "winning"))
     if kind in ("intersection", "union"):
-        parts = [game_from_json(p) for p in obj["parts"]]
+        parts = [game_from_json(p) for p in listed("parts")]
         cls = IntersectionGame if kind == "intersection" else UnionGame
         return cls(parts)
     raise ValueError(f"unknown game kind {kind!r}")

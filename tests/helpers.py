@@ -75,12 +75,16 @@ def find_balanced_pair_certificate(game, losing, rng: random.Random, max_pairs: 
     incidences iff A & B == C & D and A | B == C | D, so candidate winning
     pairs are exactly the splits of the losing pair's symmetric difference.
     Pairs whose union is losing cannot work (everything in between loses by
-    monotonicity) and are skipped up front.
+    monotonicity) and are skipped up front.  The pair filter works on bare
+    masks: the size test comes first, and the union is looked up in the
+    winning masks, each asked of the game once, rather than built as a
+    Coalition and tested per pair.
     """
     if len(losing) < 2:
         return None
+    winning = {m for m in range(1 << game.n) if game.contains(Coalition(game.n, m))}
     pairs = [(a, b) for i, a in enumerate(losing) for b in losing[i + 1:]
-             if game.contains(a | b) and len((a ^ b).members) <= 7]
+             if (a.mask ^ b.mask).bit_count() <= 7 and (a.mask | b.mask) in winning]
     rng.shuffle(pairs)
     for la, lb in pairs[:max_pairs]:
         union, inter = la | lb, la & lb

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from gamedim import cover
 from gamedim.certificates import BalanceCertificate, CertificateError, CertifiedFamily
+from gamedim.cli import run_verification
 from gamedim.cover import (
     COUNCIL_DUALS,
     COUNCIL_MAXIMAL_PARTS,
@@ -120,6 +122,53 @@ class TestEnumerateMaximal:
             h = random_hypergraph(rng, rng.randint(2, 9), rng.randint(0, 12))
             assert list(enumerate_maximal_independent(h)) == brute_maximal_independent(h)
 
+    def test_matches_naive_double_loop_up_to_14_nodes(self):
+        # Edges of 2, 3 and 4 nodes over the first `span` nodes only, so the
+        # nodes above it are isolated; t = 0 and edgeless graphs come first.
+        rng = random.Random(61)
+        graphs = [Hypergraph(0, []), Hypergraph(14, [])]
+        for t in [rng.randint(1, 14) for _ in range(40)] + [14] * 6:
+            span = rng.randint(max(2, t - 3), t) if t >= 2 else t
+            edges = {frozenset(rng.sample(range(1, span + 1), size))
+                     for size in rng.choices((2, 3, 4), k=rng.randint(0, 2 * t))
+                     if size <= span}
+            graphs.append(Hypergraph(t, [e for e in edges if not any(o < e for o in edges)]))
+        assert any(len(e) == 4 for h in graphs for e in h.edges)
+        assert sum(frozenset().union(*h.edges) < h.nodes for h in graphs if h.edges) > 5
+        for h in graphs:
+            assert list(enumerate_maximal_independent(h)) == brute_maximal_independent(h)
+
+    def test_second_call_returns_the_same_tuple(self, council_h):
+        h = Hypergraph(council_h.node_count, council_h.edges)
+        first = enumerate_maximal_independent(h)
+        assert enumerate_maximal_independent(h) is first
+
+    def test_cache_leaves_equality_hash_and_repr_alone(self):
+        edges = [(1, 2), (2, 3, 4), (4, 5)]
+        h, twin = Hypergraph(5, edges), Hypergraph(5, edges)
+        before = (repr(h), hash(h))
+        enumerate_maximal_independent(h)
+        assert (repr(h), hash(h)) == before == (repr(twin), hash(twin))
+        assert h == twin and twin == h
+
+    def test_resource_guard_raises_on_every_call(self):
+        h = Hypergraph(25, [(1, 2)])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="24 nodes"):
+                enumerate_maximal_independent(h)
+
+    def test_one_replay_enumerates_once(self, monkeypatch):
+        calls = []
+        original = cover._maximal_independent
+
+        def counted(h):
+            calls.append(h)
+            return original(h)
+
+        monkeypatch.setattr(cover, "_maximal_independent", counted)
+        assert run_verification().verified
+        assert len(calls) == 1
+
 
 class TestMinCover:
     def test_council_minimum_is_eight(self, council_h):
@@ -138,6 +187,22 @@ class TestMinCover:
     def test_dependent_candidate_rejected(self, council_h):
         with pytest.raises(ValueError, match="contains an edge"):
             min_cover(council_h, [{1, 5}])
+
+    def test_dependent_candidate_found_among_random_subsets(self):
+        rng = random.Random(29)
+        dependent = 0
+        for _ in range(60):
+            h = random_hypergraph(rng, rng.randint(3, 10), rng.randint(1, 14))
+            maximal = list(enumerate_maximal_independent(h))
+            for _ in range(5):
+                part = frozenset(rng.sample(sorted(h.nodes), rng.randint(1, h.node_count)))
+                if any(e <= part for e in h.edges):
+                    dependent += 1
+                    with pytest.raises(ValueError, match="contains an edge"):
+                        min_cover(h, maximal + [part])
+                else:
+                    assert min_cover(h, maximal + [part]).verify(h)
+        assert dependent > 50
 
     def test_noncovering_candidates_rejected(self):
         with pytest.raises(ValueError, match="jointly cover"):

@@ -498,3 +498,17 @@ class TestJson:
     def test_inexact_weight_rejected(self):
         with pytest.raises(ValueError):
             game_from_json({"n": 1, "kind": "weighted", "weights": [0.65], "quota": 1})
+
+    @pytest.mark.parametrize("obj, field", [
+        ({"n": 2, "kind": "weighted", "weights": 5, "quota": 1}, "weights"),
+        ({"n": 2, "kind": "weighted", "quota": 1}, "weights"),
+        ({"n": 2, "kind": "weighted", "weights": [1, 1]}, "quota"),
+        ({"n": 2, "kind": "explicit"}, "winning"),
+        ({"n": 2, "kind": "union", "parts": 5}, "parts"),
+        ({"n": 2, "kind": "intersection", "parts": 5}, "parts"),
+        ({"n": 2, "kind": "union"}, "parts"),
+        ({"n": 2, "kind": "intersection"}, "parts"),
+    ])
+    def test_missing_or_scalar_field_names_it(self, obj, field):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            game_from_json(obj)
