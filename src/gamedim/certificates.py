@@ -24,6 +24,7 @@ bundled data.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -73,10 +74,37 @@ class BalanceCertificate:
         return self.losing[0].n
 
     def incidence_balanced(self) -> bool:
-        for m in range(1, self.n + 1):
-            if sum(m in c for c in self.losing) != sum(m in c for c in self.winning):
-                return False
-        return True
+        """Whether every member sits in as many losing as winning coalitions.
+
+        Compares the two sides' per-member counts as bit planes (see
+        `incidence_planes`): equal counts give equal plane lists.
+        """
+        return (incidence_planes(c.mask for c in self.losing)
+                == incidence_planes(c.mask for c in self.winning))
+
+
+def incidence_planes(masks: Iterable[int]) -> list[int]:
+    """Per-member incidence counts of the masks, as bit planes.
+
+    Bit i of plane k is bit k of the number of masks holding bit i.  Each
+    mask is added to all counts at once by ripple carry: plane k takes the
+    incoming carry by XOR, and the bits where both were set carry into plane
+    k + 1.  The last plane holds the top bit of the largest count, so it is
+    never 0, and two mask lists have equal counts iff their plane lists are
+    equal.
+    """
+    planes: list[int] = []
+    for carry in masks:
+        k = 0
+        while carry:
+            if k == len(planes):
+                planes.append(carry)
+                break
+            plane = planes[k]
+            planes[k] = plane ^ carry
+            carry &= plane
+            k += 1
+    return planes
 
 
 def verify_balance(cert: BalanceCertificate, game: SimpleGame) -> bool:
@@ -139,11 +167,16 @@ def build_pair_certificate(li: Coalition, lj: Coalition, game: EuGame) -> Balanc
             f"symmetric difference of {li} and {lj} has only {len(sym)} members, need {size}"
         )
     pops = game.table.populations
-    ranked = sorted(
-        itertools.combinations(sorted(sym.members), size),
-        key=lambda ix: (sum(pops[m] for m in ix), ix),
-    )
-    for indices in ranked:
+    members = sym.members
+    # (population, indices) for every transfer; popped from a heap in sorted
+    # order, since the first few almost always work.
+    ranked = list(zip(
+        map(sum, itertools.combinations([pops[m] for m in members], size)),
+        itertools.combinations(members, size),
+    ))
+    heapq.heapify(ranked)
+    while ranked:
+        _, indices = heapq.heappop(ranked)
         transfer = Coalition.from_indices(indices, li.n)
         w1, w2 = transfer_split(li, lj, transfer)
         if game.is_winning(w1) and game.is_winning(w2):

@@ -71,9 +71,21 @@ class Hypergraph:
                 if not 1 <= v <= node_count:
                     raise ValueError(f"edge node {v} out of range 1..{node_count}")
             canonical.add(e)
+        # Only a smaller edge can lie inside e, and m lies inside e iff
+        # m & ~e is 0; the edges come in size order, so `smaller` holds the
+        # masks of every edge of smaller size, whether kept or dropped.
         kept = []
+        smaller: list[int] = []
+        same_size: list[int] = []
+        size = 0
         for e in sorted(canonical, key=lambda e: (len(e), tuple(sorted(e)))):
-            if any(other < e for other in canonical if other != e):
+            if len(e) > size:
+                smaller += same_size
+                same_size = []
+                size = len(e)
+            em = _mask_of(e)
+            same_size.append(em)
+            if not all(map((~em).__and__, smaller)):
                 warnings.warn(
                     f"dropping redundant edge {sorted(e)}: it contains a smaller edge",
                     stacklevel=2,
@@ -234,12 +246,18 @@ def _bounded_cover(cand_masks: Sequence[int], full: int, limit: int) -> tuple[in
 
     Branches on the lowest uncovered node over the candidates containing it;
     any cover made of candidates survives some branch, so a None result is an
-    exhaustive refutation of covers within the limit.
+    exhaustive refutation of covers within the limit.  A branch that fails
+    with d parts left proves that no d candidates cover what its covered
+    mask leaves, and so neither do fewer; `failed` keeps, per covered mask,
+    the most parts known not to suffice, and a node reached again with no
+    more parts left is cut at once.  Only subtrees without a cover are cut,
+    so the cover found is the same as without the memo.
     """
     if full == 0:
         return ()
     max_size = max((m.bit_count() for m in cand_masks), default=0)
     by_node: dict[int, list[int]] = {}
+    failed: dict[int, int] = {}
 
     def dfs(covered: int, chosen: tuple[int, ...]) -> tuple[int, ...] | None:
         if covered == full:
@@ -248,7 +266,7 @@ def _bounded_cover(cand_masks: Sequence[int], full: int, limit: int) -> tuple[in
         if depth_left <= 0:
             return None
         uncovered = (full & ~covered).bit_count()
-        if depth_left * max_size < uncovered:
+        if depth_left * max_size < uncovered or failed.get(covered, 0) >= depth_left:
             return None
         lowest = (full & ~covered) & -(full & ~covered)
         v = lowest.bit_length() - 1
@@ -258,6 +276,7 @@ def _bounded_cover(cand_masks: Sequence[int], full: int, limit: int) -> tuple[in
             hit = dfs(covered | cand_masks[i], chosen + (i,))
             if hit is not None:
                 return hit
+        failed[covered] = depth_left
         return None
 
     return dfs(0, ())
@@ -480,7 +499,7 @@ def hypergraph_to_json(h: Hypergraph) -> dict:
 def hypergraph_from_json(obj: dict) -> Hypergraph:
     if not isinstance(obj, dict) or "nodes" not in obj or "edges" not in obj:
         raise ValueError("hypergraph description needs 'nodes' and 'edges'")
-    if not isinstance(obj["nodes"], int):
+    if isinstance(obj["nodes"], bool) or not isinstance(obj["nodes"], int):
         raise ValueError("'nodes' must be an integer")
     edges = obj["edges"]
     if not isinstance(edges, list) or not all(

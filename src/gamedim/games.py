@@ -5,8 +5,10 @@ coalitions.  Weighted games realize the threshold rule
 ``sum(weights[m] for m in C) >= quota``; arbitrary simple games are built as
 unions and intersections of weighted or explicitly listed games.  Weights and
 quota are exact rationals (``fractions.Fraction``); a weighted game scales them
-once, by the least common multiple of their denominators, to integers, so
-membership is an integer sum over the coalition's bits.  Nothing is ever
+once, by the least common multiple of their denominators, to integers.  Its
+first `contains` call then builds one table per byte of the member mask, the
+scaled weight of every subset of those eight members, so membership is one
+integer table lookup per byte of the coalition's mask.  Nothing is ever
 rounded or computed in floating point.
 
 The exhaustive scans (`minimal_winning`, `check_monotone`) never test the 2^n
@@ -25,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Iterator, Sequence
 
 MAX_MEMBERS = 64
@@ -126,6 +128,18 @@ def masked_sum(values: Sequence[int], mask: int) -> int:
     return total
 
 
+def _subset_sums(values: Sequence[int]) -> list[int]:
+    """Entry m is the sum of ``values[i]`` over the set bits i of m.
+
+    Each value doubles the list: the masks with its bit are the masks
+    without it, plus the value.
+    """
+    sums = [0]
+    for v in values:
+        sums += [s + v for s in sums]
+    return sums
+
+
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
@@ -193,7 +207,10 @@ class WeightedGame(SimpleGame):
     Weights must be nonnegative; weights and quota are held as exact
     rationals.  Membership compares integer copies of both, scaled by the
     least common multiple of their denominators, so it never depends on
-    rounding and never touches a `Fraction`.
+    rounding and never touches a `Fraction`.  The scaled weight of a mask is
+    the sum, over its bytes, of the byte's entry in that byte's partial-sum
+    table; the tables are built on the first `contains` call, so a game only
+    ever scanned by `minimal_winning` builds none.
     """
 
     n: int
@@ -213,17 +230,24 @@ class WeightedGame(SimpleGame):
         object.__setattr__(self, "_scaled_weights", tuple(int(w * scale) for w in self.weights))
         object.__setattr__(self, "_scaled_quota", int(self.quota * scale))
 
+    @cached_property
+    def _byte_sums(self) -> tuple[list[int], ...]:
+        # Table b lists the scaled weight of every subset of members
+        # 8b+1..8b+8, indexed by that byte of the mask.  Kept in the instance
+        # __dict__, outside the dataclass fields, so ==, hash and repr do not
+        # see it.
+        w = self._scaled_weights
+        return tuple(_subset_sums(w[low:low + 8]) for low in range(0, self.n, 8))
+
     def contains(self, coalition: Coalition) -> bool:
         self._check_dimension(coalition)
-        return masked_sum(self._scaled_weights, coalition.mask) >= self._scaled_quota
+        tables = self._byte_sums
+        mask_bytes = coalition.mask.to_bytes(len(tables), "little")
+        return sum(map(list.__getitem__, tables, mask_bytes)) >= self._scaled_quota
 
     def _winning_bits(self) -> int:
-        # sums[m] is the scaled weight of mask m: each weight doubles the list.
-        sums = [0]
-        for w in self._scaled_weights:
-            sums += [s + w for s in sums]
         quota = self._scaled_quota
-        return _pack([s >= quota for s in sums])
+        return _pack([s >= quota for s in _subset_sums(self._scaled_weights)])
 
 
 class ExplicitGame(SimpleGame):
@@ -405,7 +429,7 @@ def game_from_json(obj: dict) -> SimpleGame:
     if not isinstance(obj, dict) or "kind" not in obj or "n" not in obj:
         raise ValueError("game description needs 'n' and 'kind'")
     n = obj["n"]
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError("'n' must be an integer")
     kind = obj["kind"]
 

@@ -291,7 +291,7 @@ def instance_from_json(obj: dict) -> SeparationInstance:
         losing = obj["losing_targets"]
     except KeyError as missing:
         raise ValueError(f"instance description misses key {missing}") from None
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError("'n' must be an integer")
     return SeparationInstance(
         n,

@@ -1,4 +1,6 @@
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,16 +12,20 @@ from gamedim.certificates import (
     build_pair_certificate,
     certificate_from_json,
     certificate_to_json,
+    incidence_planes,
     nonseparable_family,
     transfer_split,
     verify_balance,
 )
 from gamedim.eu import (
     LOSING_FAMILY,
+    MEMBERS_2014,
     N_MEMBERS,
     NONSEPARABLE_TRIPLES,
     TRIPLE_WITNESS_LABELS,
     WINNING_FAMILY,
+    MemberTable,
+    build_eu_game,
 )
 from gamedim.games import Coalition, WeightedGame
 
@@ -105,6 +111,143 @@ class TestVerifyBalance:
         # incidences balance member by member, but |W*| < |N|
         assert cert.incidence_balanced()
         assert not verify_balance(cert, g)
+
+
+def member_counts(masks, n):
+    """Per-member incidence counts, one member at a time: the oracle."""
+    return [sum(mask >> i & 1 for mask in masks) for i in range(n)]
+
+
+def counts_of_planes(planes, n):
+    return [sum((plane >> i & 1) << k for k, plane in enumerate(planes)) for i in range(n)]
+
+
+class TestIncidencePlanes:
+    @staticmethod
+    def sides(rng, n, size):
+        """A mask list and one with equal counts: each member's bits reshuffled."""
+        density = rng.choice((0.3, 0.7, 0.95))
+        rows = [[rng.random() < density for _ in range(n)] for _ in range(size)]
+        shuffled = [list(row) for row in rows]
+        for i in range(n):
+            column = [row[i] for row in rows]
+            rng.shuffle(column)
+            for row, bit in zip(shuffled, column):
+                row[i] = bit
+
+        def masks(table):
+            return [sum(bit << i for i, bit in enumerate(row)) for row in table]
+
+        return masks(rows), masks(shuffled)
+
+    @pytest.mark.parametrize("n", [1, 28, 64])
+    def test_planes_against_per_member_counts(self, n):
+        rng = random.Random(n)
+        top = 0
+        for size in range(1, 21):
+            for _ in range(5):
+                left, right = self.sides(rng, n, size)
+                counts = member_counts(left, n)
+                top = max(top, *counts)
+                planes = incidence_planes(left)
+                assert counts_of_planes(planes, n) == counts
+                assert not planes or planes[-1] != 0
+                assert len(planes) == max(counts).bit_length()
+                assert member_counts(right, n) == counts
+                assert incidence_planes(right) == planes
+                # Unbalance by one flipped bit, or one extra coalition.
+                i = rng.randrange(n)
+                flipped = right[:-1] + [right[-1] ^ 1 << i]
+                assert incidence_planes(flipped) != planes
+                assert incidence_planes(right + [1 << i]) != planes
+        assert top >= 16  # the carries reached plane 4
+
+    @pytest.mark.parametrize("n", [28, 64])
+    def test_incidence_balanced_against_counts(self, n):
+        rng = random.Random(100 + n)
+        seen = {True: 0, False: 0}
+        for size in range(1, 21):
+            for _ in range(5):
+                left, right = self.sides(rng, n, size)
+                if rng.random() < 0.5:
+                    right[rng.randrange(size)] ^= 1 << rng.randrange(n)
+                if len(set(left)) < size or len(set(right)) < size:
+                    continue
+                cert = BalanceCertificate(
+                    losing=(Coalition(n, m) for m in left),
+                    winning=(Coalition(n, m) for m in right),
+                )
+                balanced = member_counts(left, n) == member_counts(right, n)
+                assert cert.incidence_balanced() == balanced
+                seen[balanced] += 1
+        assert min(seen.values()) > 20
+
+    def test_empty_and_zero_masks(self):
+        assert incidence_planes([]) == []
+        assert incidence_planes([0, 0]) == []
+        assert incidence_planes([1, 1, 1]) == [1, 1]
+
+
+def sorted_transfer_reference(li, lj, game):
+    """The transfer search as a full sort of all candidates: the oracle.
+
+    Returns (position of the first working transfer in the sorted order,
+    certificate), or (None, None) when none works.
+    """
+    size = max(0, 25 - len(li & lj))
+    pops = game.table.populations
+    ranked = sorted(
+        itertools.combinations(sorted((li ^ lj).members), size),
+        key=lambda ix: (sum(pops[m] for m in ix), ix),
+    )
+    for position, indices in enumerate(ranked):
+        w1, w2 = transfer_split(li, lj, Coalition.from_indices(indices, li.n))
+        if game.is_winning(w1) and game.is_winning(w2):
+            return position, BalanceCertificate(losing=(li, lj), winning=(w1, w2))
+    return None, None
+
+
+class TestTransferOrder:
+    def assert_same_choice(self, li, lj, game, outcomes):
+        position, expected = sorted_transfer_reference(li, lj, game)
+        if expected is None:
+            with pytest.raises(CertificateError, match="no transfer"):
+                build_pair_certificate(li, lj, game)
+            outcomes["none"] += 1
+        else:
+            assert build_pair_certificate(li, lj, game) == expected
+            outcomes["first" if position == 0 else "later"] += 1
+
+    def test_heap_matches_sorted_order(self, eu_game):
+        # The council game always takes the first or no transfer, so other
+        # weighted games over the same losing pairs test the later picks.
+        rng = random.Random(2024)
+        outcomes = {"first": 0, "later": 0, "none": 0}
+        for _ in range(60):
+            game = replace(eu_game, game=WeightedGame(
+                N_MEMBERS, [rng.randint(0, 10) for _ in range(N_MEMBERS)], rng.randint(90, 130)))
+            i, j = rng.sample(range(1, 15), 2)
+            self.assert_same_choice(L(i), L(j), game, outcomes)
+        for _ in range(5):
+            table = MemberTable(tuple(
+                (i, name, int(pop * rng.uniform(0.8, 1.2))) for i, name, pop in MEMBERS_2014))
+            game = build_eu_game(table)
+            for i, j in itertools.combinations(range(1, 15), 2):
+                report_i, report_j = game.classify(L(i)), game.classify(L(j))
+                if all(r.rule55 and not r.rule65 for r in (report_i, report_j)):
+                    self.assert_same_choice(L(i), L(j), game, outcomes)
+        assert min(outcomes.values()) >= 5, outcomes
+
+    def test_bulgaria_failure_message(self):
+        table = MemberTable(tuple(
+            (i, name, 6521109 if i == 16 else pop) for i, name, pop in MEMBERS_2014))
+        with pytest.raises(CertificateError) as err:
+            build_pair_certificate(L(3), L(14), build_eu_game(table))
+        assert str(err.value) == (
+            "no transfer of 4 members makes both halves of "
+            "{2,3,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27}, "
+            "{1,4,6,7,8,9,10,11,12,13,14,15,16,17,18,20,21,22,23,24,25,26,27,28} winning"
+        )
 
 
 class TestPairCertificates:

@@ -208,6 +208,7 @@ class TestMalformedShapes:
         {"n": 3, "winning_constraints": [[1, "a"]], "losing_targets": [[2]]},
         {"n": 3, "winning_constraints": [[1, 2.0]], "losing_targets": [[2]]},
         {"n": 3, "winning_constraints": [[True, 2]], "losing_targets": [[3]]},
+        {"n": True, "winning_constraints": [], "losing_targets": []},
     ])
     def test_separate(self, capsys, tmp_path, payload):
         assert_usage_error(capsys, tmp_path, payload, "separate")
@@ -217,6 +218,7 @@ class TestMalformedShapes:
         {"nodes": 3, "edges": [[1, "x"]]},
         {"nodes": 3, "edges": [[1, 2.0]]},
         {"nodes": 3, "edges": [3]},
+        {"nodes": True, "edges": []},
     ])
     def test_cover_solve(self, capsys, tmp_path, payload):
         assert_usage_error(capsys, tmp_path, payload, "cover", "solve")

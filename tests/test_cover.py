@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,47 @@ class TestHypergraph:
     def test_malformed_json_rejected(self):
         with pytest.raises(ValueError):
             hypergraph_from_json({"edges": [[1, 2]]})
+
+
+def antichain_reference(node_count, edges):
+    """Edges kept and warnings raised, by frozenset comparison of every pair."""
+    canonical = {frozenset(e) for e in edges}
+    kept, dropped = [], []
+    for e in sorted(canonical, key=lambda e: (len(e), tuple(sorted(e)))):
+        if any(other < e for other in canonical if other != e):
+            dropped.append(f"dropping redundant edge {sorted(e)}: it contains a smaller edge")
+        else:
+            kept.append(e)
+    return tuple(kept), dropped
+
+
+class TestAntichainCheck:
+    def test_masks_keep_the_reference_edges_and_warnings(self):
+        rng = random.Random(31)
+        total_dropped = 0
+        for _ in range(150):
+            t = rng.randint(2, 24)
+            edges = [rng.sample(range(1, t + 1), rng.randint(2, min(t, 5)))
+                     for _ in range(rng.randint(0, 3 * t))]
+            expected_edges, expected_warnings = antichain_reference(t, edges)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                h = Hypergraph(t, edges)
+            assert h.edges == expected_edges
+            assert [str(w.message) for w in caught] == expected_warnings
+            total_dropped += len(expected_warnings)
+        assert total_dropped > 100
+
+    def test_edge_containing_only_a_dropped_edge_is_dropped(self):
+        # {1,2,3} is dropped for {1,2}; {1,2,3,4} holds both and is dropped too.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            h = Hypergraph(4, [(1, 2, 3, 4), (1, 2, 3), (1, 2)])
+        assert h.edges == (frozenset({1, 2}),)
+        assert [str(w.message) for w in caught] == [
+            "dropping redundant edge [1, 2, 3]: it contains a smaller edge",
+            "dropping redundant edge [1, 2, 3, 4]: it contains a smaller edge",
+        ]
 
 
 class TestIndependence:
@@ -317,6 +359,70 @@ class TestNoKCover:
     def test_k_must_be_positive(self, council_h):
         with pytest.raises(ValueError):
             no_k_cover(council_h, 0)
+
+
+def bounded_cover_without_memo(cand_masks, full, limit):
+    """The same exhaustive search without the failure memo: the oracle."""
+    if full == 0:
+        return ()
+    max_size = max((m.bit_count() for m in cand_masks), default=0)
+    by_node = {}
+
+    def dfs(covered, chosen):
+        if covered == full:
+            return chosen
+        depth_left = limit - len(chosen)
+        if depth_left <= 0:
+            return None
+        uncovered = (full & ~covered).bit_count()
+        if depth_left * max_size < uncovered:
+            return None
+        lowest = (full & ~covered) & -(full & ~covered)
+        v = lowest.bit_length() - 1
+        if v not in by_node:
+            by_node[v] = [i for i, m in enumerate(cand_masks) if m >> v & 1]
+        for i in by_node[v]:
+            hit = dfs(covered | cand_masks[i], chosen + (i,))
+            if hit is not None:
+                return hit
+        return None
+
+    return dfs(0, ())
+
+
+class TestBoundedCoverMemo:
+    @staticmethod
+    def search_input(h):
+        ordered = sorted(enumerate_maximal_independent(h),
+                         key=lambda c: (-len(c), tuple(sorted(c))))
+        masks = [sum(1 << (v - 1) for v in c) for c in ordered]
+        return masks, (1 << h.node_count) - 1
+
+    def assert_same_at_every_limit(self, masks, full):
+        limit = 0
+        while True:
+            limit += 1
+            hit = cover._bounded_cover(masks, full, limit)
+            assert hit == bounded_cover_without_memo(masks, full, limit), limit
+            if hit is not None:
+                return limit
+
+    def test_same_result_as_without_memo_on_random_hypergraphs(self):
+        rng = random.Random(37)
+        minima = set()
+        for _ in range(60):
+            t = rng.randint(6, 18)
+            h = random_hypergraph(rng, t, rng.randint(t, t * t // 2))
+            masks, full = self.search_input(h)
+            minima.add(self.assert_same_at_every_limit(masks, full))
+            # a shuffled candidate order changes the search tree
+            rng.shuffle(masks)
+            self.assert_same_at_every_limit(masks, full)
+        assert len(minima) >= 4 and max(minima) >= 5
+
+    def test_same_result_on_the_council_family(self, council_h):
+        masks, full = self.search_input(council_h)
+        assert self.assert_same_at_every_limit(masks, full) == 8
 
 
 def tiny_certified_family(game, losing_pair, winning_pair):

@@ -16,6 +16,7 @@ from gamedim.games import (
     check_monotone,
     game_from_json,
     game_to_json,
+    masked_sum,
     minimal_winning,
 )
 
@@ -218,6 +219,63 @@ class TestIntegerScaledMembership:
         for m in tie.members:
             if weights[m - 1]:
                 assert not exact.contains(tie - Coalition.from_indices([m], n))
+
+
+class TestByteTableMembership:
+    """`WeightedGame.contains` reads per-byte partial-sum tables, built lazily."""
+
+    @staticmethod
+    def masked_sum_contains(game, coalition):
+        return masked_sum(game._scaled_weights, coalition.mask) >= game._scaled_quota
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_agrees_with_masked_sum(self, n):
+        rng = random.Random(n)
+        for kind in ("integer", "fraction", "sparse"):
+            if kind == "integer":
+                weights = [rng.randint(0, 30) for _ in range(n)]
+            elif kind == "fraction":
+                weights = [Fraction(rng.randint(0, 40), rng.randint(1, 9)) for _ in range(n)]
+            else:  # mostly zero weights
+                weights = [rng.choice((0, 0, 0, rng.randint(1, 5))) for _ in range(n)]
+            tie = rng.getrandbits(n)
+            tie_weight = sum((weights[i] for i in range(n) if tie >> i & 1), Fraction(0))
+            step = Fraction(1, math.lcm(*(Fraction(w).denominator for w in weights)))
+            masks = [0, (1 << n) - 1, tie] + [rng.getrandbits(n) for _ in range(40)]
+            for quota in (0, tie_weight - step, tie_weight, tie_weight + step):
+                if quota < 0:
+                    continue
+                game = WeightedGame(n, weights, quota)
+                for mask in masks:
+                    c = Coalition(n, mask)
+                    assert game.contains(c) == self.masked_sum_contains(game, c), (kind, mask)
+                assert game.contains(Coalition(n, tie)) == (quota <= tie_weight)
+
+    def test_quota_zero_and_zero_weights(self):
+        for n in (1, 7, 8, 9, 64):
+            assert WeightedGame(n, [0] * n, 0).contains(Coalition(n, 0))
+            full = Coalition(n, (1 << n) - 1)
+            assert not WeightedGame(n, [0] * n, 1).contains(full)
+
+    def test_tables_built_on_first_contains_only(self):
+        g = WeightedGame(20, list(range(20)), 100)
+        twin = WeightedGame(20, list(range(20)), 100)
+        assert "_byte_sums" not in g.__dict__
+        g.contains(Coalition(20, 12345))
+        tables = g.__dict__["_byte_sums"]
+        assert [len(t) for t in tables] == [256, 256, 16]
+        g.contains(Coalition(20, 999))
+        assert g.__dict__["_byte_sums"] is tables
+        assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+
+    def test_minimal_winning_builds_no_table(self):
+        rng = random.Random(5)
+        parts = [WeightedGame(10, [rng.randint(1, 10) for _ in range(10)], 25)
+                 for _ in range(2)]
+        minimal_winning(IntersectionGame(parts))
+        minimal_winning(parts[0])
+        for part in parts:
+            assert "_byte_sums" not in part.__dict__
 
 
 class TestGameExpressions:
@@ -508,6 +566,7 @@ class TestJson:
         ({"n": 2, "kind": "intersection", "parts": 5}, "parts"),
         ({"n": 2, "kind": "union"}, "parts"),
         ({"n": 2, "kind": "intersection"}, "parts"),
+        ({"n": True, "kind": "weighted", "weights": [1], "quota": 1}, "n"),
     ])
     def test_missing_or_scalar_field_names_it(self, obj, field):
         with pytest.raises(ValueError, match=f"'{field}'"):
