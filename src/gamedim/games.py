@@ -113,9 +113,15 @@ class Coalition:
         return "{" + ",".join(str(m) for m in self.members) + "}"
 
 
-def coalition_sort_key(c: Coalition) -> tuple[int, tuple[int, ...]]:
-    """Canonical ordering for coalition lists: by size, then member tuple."""
-    return (len(c), c.members)
+def coalition_sort_key(c: Coalition) -> tuple[int, str]:
+    """Canonical ordering for coalition lists: by size, then member tuple.
+
+    Read from the mask: character i of the second entry is 1 iff member i+1
+    is missing.  At the first member that one of two coalitions of equal size
+    holds and the other lacks, the holder reads 0, as its member tuple is
+    also the smaller.
+    """
+    return (c.mask.bit_count(), format(c.mask ^ ((1 << c.n) - 1), f"0{c.n}b")[::-1])
 
 
 def masked_sum(values: Sequence[int], mask: int) -> int:

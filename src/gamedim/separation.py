@@ -26,18 +26,44 @@ p = T[r][s] is the integer-preserving (Edmonds/Bareiss) update
 
     T'[i][j] = (T[i][j] * p - T[i][s] * T[r][j]) / D,    D' = |p|,
 
-with every entry negated when p < 0.  The division is exact because every
-entry is, up to sign, a minor of the input.  A feasible vertex is re-checked
+with every entry negated when p < 0.  A feasible vertex is re-checked
 by substitution before it is returned.  An infeasible system yields the
 optimal dual multipliers: a nonnegative combination of the listed
 constraints that reads 0 <= total with total < 0, which is likewise
-re-checked by combination.
+re-checked by combination.  Before the solve, winning constraints that
+contain another one and targets inside another target are dropped, by one
+packed zero-field test per coalition (see `_drop_containing`).
+
+Packed columns.  The dictionary is stored by column, one Python int per
+column: row i sits in the W-bit field at bit W*i, as the signed sum
+sum_i T[i][j] * 2**(W*i).  Every entry, and D itself, is up to sign a
+minor of order at most n+3 of the {-1, 0, 1} matrix [r | 1 | -A], so by
+Hadamard's bound its absolute value is at most (n+3)**((n+3)/2).  W is the
+bit length of that bound plus a sign bit, rounded up to whole bytes: 32
+bits at n = 12, 80 at n = 28.  Since the update is linear in each column,
+a pivot is one multiply, subtract and divide per column,
+
+    col_j' = (|p| * col_j - sign(p) * T[r][j] * col_s) / D,
+
+followed by writing the new pivot-row entry into field r, which the
+update leaves at 0.  The products may overflow a field into its
+neighbours, but the sum they form is exact: each field's numerator is a
+multiple of D, so the whole integer is too, and the quotient is again a
+signed sum whose fields lie within the bound.  To read a column, adding
+2**(W-1) to every field makes all of them nonnegative, and one `to_bytes`
+gives the fields as byte slices; the ratio test reads only columns 0 and
+s, and only the rows whose field in column s is negative.  The objective
+row is a short list.  Packing changes where the entries are stored, not
+their exact values, so Bland's rule picks the pivots it would pick on a
+row-by-row tableau, and every witness and refutation follows from them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
 from .games import (
@@ -49,6 +75,9 @@ from .games import (
 )
 
 SEPARATION_GUARD = 14
+
+# bytes.translate table: 1 for the top byte of a negative offset field.
+_NEGATIVE = bytes(b < 0x80 for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -102,90 +131,133 @@ class NotSeparable:
 def _phase_one(rows: list[list[int]], rhs: list[int]) -> tuple[bool, list[int], int]:
     """Chvatal's auxiliary problem for rows . x <= rhs, x >= 0.
 
-    Some rhs must be negative.  Returns (True, x, D) with a feasible vertex
-    x / D, or (False, y, D) with multipliers y / D >= 0 over the rows such
-    that y . rows >= 0 componentwise and y . rhs < 0.  Variable ids: 0 is
-    x0, 1..k the columns of `rows`, k+1+i the slack of row i; dictionary
-    row i reads basic[i] = (T[i][0] + sum_j T[i][j] * cols[j]) / D.
+    Entries of `rows` and `rhs` lie in {-1, 0, 1}, and some rhs is negative.
+    Returns (True, x, D) with a feasible vertex x / D, or (False, y, D) with
+    multipliers y / D >= 0 over the rows such that y . rows >= 0
+    componentwise and y . rhs < 0.  Variable ids: 0 is x0, 1..k the columns
+    of `rows`, k+1+i the slack of row i; dictionary row i reads
+    basic[i] = (T[i][0] + sum_j T[i][j] * cols[j]) / D.  Column j of T is
+    the packed integer table[j] (see the module docstring); the objective
+    row is the list obj.
     """
-    k = len(rows[0])
+    m, k = len(rows), len(rows[0])
+    order = k + 2
+    width = (math.isqrt(order ** order).bit_length() + 8) // 8
+    shift = 8 * width
+    half = 1 << (shift - 1)
+    field = (1 << shift) - 1
+    size = width * m
+    ones = int.from_bytes(b"\x01".ljust(width, b"\0") * m, "little")
+    offsets = half * ones
+
+    codes = {v: (v + half).to_bytes(width, "little") for v in (-1, 0, 1)}
+
+    def pack(values) -> int:
+        return int.from_bytes(b"".join(map(codes.__getitem__, values)), "little") - offsets
+
+    def fields(column: int) -> bytes:
+        return (column + offsets).to_bytes(size, "little")
+
+    def entry(raw: bytes, i: int) -> int:
+        return int.from_bytes(raw[i * width:(i + 1) * width], "little") - half
+
     cols = [-1] + list(range(k + 1))
-    basic = list(range(k + 1, k + 1 + len(rows)))
-    table = [[b, 1] + [-a for a in row] for row, b in zip(rows, rhs)]
+    basic = list(range(k + 1, k + 1 + m))
+    table = [pack(rhs), ones] + [-pack(col) for col in zip(*rows)]
     obj = [0, -1] + [0] * k
     denom = 1
-    r, s = min(range(len(rows)), key=rhs.__getitem__), 1
+    r, s = min(range(m), key=rhs.__getitem__), 1
     while True:
-        prow = table[r]
+        at = shift * r
+        prow = [((c + offsets) >> at & field) - half for c in table]
         p = prow[s]
         sign = 1 if p > 0 else -1
         pa = abs(p)
-        for i, row in enumerate(table + [obj]):
-            if i == r:
+        col_s = table[s]
+        fs = obj[s] * sign
+        for j, y in enumerate(prow):
+            if j == s:
                 continue
-            f = row[s]
-            if f:
-                fs = f * sign
-                new = [(x * pa - fs * y) // denom for x, y in zip(row, prow)]
-                new[s] = fs
-                row[:] = new
+            c = sign * y
+            if c:
+                table[j] = (pa * table[j] - c * col_s) // denom - (c << at)
             elif pa != denom:
-                row[:] = [x * pa // denom for x in row]
-        new = [-sign * y for y in prow]
-        new[s] = sign * denom
-        table[r] = new
+                table[j] = pa * table[j] // denom
+            obj[j] = (obj[j] * pa - fs * y) // denom
+        table[s] = sign * (col_s + ((denom - p) << at))
+        obj[s] = fs
         denom = pa
         basic[r], cols[s] = cols[s], basic[r]
 
         # The auxiliary objective -x0 is never positive, so 0 is optimal.
         if obj[0] == 0:
             x = [0] * k
+            raw = fields(table[0])
             for i, v in enumerate(basic):
                 if 1 <= v <= k:
-                    x[v - 1] = table[i][0]
+                    x[v - 1] = entry(raw, i)
             return True, x, denom
         entering = [(cols[j], j) for j in range(1, k + 2) if obj[j] > 0]
         if not entering:
-            y = [0] * len(rows)
+            y = [0] * m
             for j in range(1, k + 2):
                 if cols[j] > k:
                     y[cols[j] - k - 1] = -obj[j]
             return False, y, denom
         s = min(entering)[1]
+        raw_s, raw_0 = fields(table[s]), fields(table[0])
+        # A field is negative iff its top byte, offset by half, is below 0x80.
         r = -1
-        for i, row in enumerate(table):
-            if row[s] >= 0:
-                continue
+        for i in compress(range(m), raw_s[width - 1::width].translate(_NEGATIVE)):
+            a, b = entry(raw_s, i), entry(raw_0, i)
             if r < 0:
-                r = i
+                r, best_a, best_b = i, a, b
                 continue
-            # ratio row[0] / -row[s] against the best one, cross-multiplied
-            lhs, best = row[0] * -table[r][s], table[r][0] * -row[s]
+            # ratio b / -a against the best one, cross-multiplied
+            lhs, best = b * -best_a, best_b * -a
             if lhs < best or (lhs == best and basic[i] < basic[r]):
-                r = i
+                r, best_a, best_b = i, a, b
         if r < 0:
             raise RuntimeError("auxiliary problem unbounded")
 
 
-def _inclusion_minimal(coalitions: Sequence[Coalition]) -> list[Coalition]:
-    # Bare masks, not Coalition.issubset: this loop is quadratic in the
-    # hundreds of minimal winning coalitions of an n = 12 game.
+def _drop_containing(ordered: Sequence[Coalition], masks: Sequence[int], n: int
+                     ) -> list[Coalition]:
+    """Keep each coalition whose mask contains no mask kept before it.
+
+    The kept masks sit in one packed int, one (n+1)-bit field each, whose
+    top bit is a guard.  Field i of packed & (outside * ones) is zero iff
+    kept mask i lies inside the candidate; with the guards set, subtracting
+    one per field clears exactly those fields' guards and borrows nothing
+    across fields.
+    """
+    full = (1 << n) - 1
+    packed = ones = guards = at = 0
     out: list[Coalition] = []
-    masks: list[int] = []
-    for c in sorted(coalitions, key=len):
-        outside = ~c.mask
-        if not any(o & outside == 0 for o in masks):
+    for c, m in zip(ordered, masks):
+        if (((packed & ((full ^ m) * ones)) | guards) - ones) & guards == guards:
             out.append(c)
-            masks.append(c.mask)
+            packed |= m << at
+            ones |= 1 << at
+            guards |= 1 << (at + n)
+            at += n + 1
     return out
 
 
-def _inclusion_maximal(coalitions: Sequence[Coalition]) -> list[Coalition]:
-    out: list[Coalition] = []
-    for c in sorted(coalitions, key=len, reverse=True):
-        if not any(c.issubset(o) for o in out):
-            out.append(c)
-    return out
+def _inclusion_minimal(coalitions: Sequence[Coalition], n: int) -> list[Coalition]:
+    """Coalitions with no other listed coalition inside, in order of size."""
+    ordered = sorted(coalitions, key=len)
+    return _drop_containing(ordered, [c.mask for c in ordered], n)
+
+
+def _inclusion_maximal(coalitions: Sequence[Coalition], n: int) -> list[Coalition]:
+    """Coalitions inside no other listed coalition, largest first.
+
+    c lies inside o iff the complement of o lies inside that of c.
+    """
+    ordered = sorted(coalitions, key=len, reverse=True)
+    full = (1 << n) - 1
+    return _drop_containing(ordered, [full ^ c.mask for c in ordered], n)
 
 
 def lp_feasible(instance: SeparationInstance) -> Separable | NotSeparable:
@@ -197,8 +269,8 @@ def lp_feasible(instance: SeparationInstance) -> Separable | NotSeparable:
     in another target.
     """
     n = instance.n
-    winning = _inclusion_minimal(instance.winning_constraints)
-    losing = _inclusion_maximal(instance.losing_targets)
+    winning = _inclusion_minimal(instance.winning_constraints, n)
+    losing = _inclusion_maximal(instance.losing_targets, n)
     # Rows sum(coeffs[j] * x_j) <= rhs over x = (weights, quota): first the
     # n bounds weight >= 0, then one row per winning constraint and target.
     constraints: list[tuple[list[int], int]] = []

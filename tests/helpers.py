@@ -99,3 +99,94 @@ def find_balanced_pair_certificate(game, losing, rng: random.Random, max_pairs: 
                 if verify_balance(cert, game):
                     return cert
     return None
+
+
+def brute_inclusion_minimal(coalitions):
+    """Sorted by size; keep each coalition with no kept one inside it."""
+    out = []
+    for c in sorted(coalitions, key=len):
+        if not any(o.issubset(c) for o in out):
+            out.append(c)
+    return out
+
+
+def brute_inclusion_maximal(coalitions):
+    """Sorted by size, largest first; keep each coalition inside no kept one."""
+    out = []
+    for c in sorted(coalitions, key=len, reverse=True):
+        if not any(c.issubset(o) for o in out):
+            out.append(c)
+    return out
+
+
+def reference_phase_one(rows, rhs):
+    """List-of-rows reference for `separation._phase_one`.
+
+    The dictionary is a list of row lists, and a pivot rebuilds every row;
+    the packed-column solver must return the identical triple.
+
+    Chvatal's auxiliary problem for rows . x <= rhs, x >= 0.
+
+    Some rhs must be negative.  Returns (True, x, D) with a feasible vertex
+    x / D, or (False, y, D) with multipliers y / D >= 0 over the rows such
+    that y . rows >= 0 componentwise and y . rhs < 0.  Variable ids: 0 is
+    x0, 1..k the columns of `rows`, k+1+i the slack of row i; dictionary
+    row i reads basic[i] = (T[i][0] + sum_j T[i][j] * cols[j]) / D.
+    """
+    k = len(rows[0])
+    cols = [-1] + list(range(k + 1))
+    basic = list(range(k + 1, k + 1 + len(rows)))
+    table = [[b, 1] + [-a for a in row] for row, b in zip(rows, rhs)]
+    obj = [0, -1] + [0] * k
+    denom = 1
+    r, s = min(range(len(rows)), key=rhs.__getitem__), 1
+    while True:
+        prow = table[r]
+        p = prow[s]
+        sign = 1 if p > 0 else -1
+        pa = abs(p)
+        for i, row in enumerate(table + [obj]):
+            if i == r:
+                continue
+            f = row[s]
+            if f:
+                fs = f * sign
+                new = [(x * pa - fs * y) // denom for x, y in zip(row, prow)]
+                new[s] = fs
+                row[:] = new
+            elif pa != denom:
+                row[:] = [x * pa // denom for x in row]
+        new = [-sign * y for y in prow]
+        new[s] = sign * denom
+        table[r] = new
+        denom = pa
+        basic[r], cols[s] = cols[s], basic[r]
+
+        # The auxiliary objective -x0 is never positive, so 0 is optimal.
+        if obj[0] == 0:
+            x = [0] * k
+            for i, v in enumerate(basic):
+                if 1 <= v <= k:
+                    x[v - 1] = table[i][0]
+            return True, x, denom
+        entering = [(cols[j], j) for j in range(1, k + 2) if obj[j] > 0]
+        if not entering:
+            y = [0] * len(rows)
+            for j in range(1, k + 2):
+                if cols[j] > k:
+                    y[cols[j] - k - 1] = -obj[j]
+            return False, y, denom
+        s = min(entering)[1]
+        r = -1
+        for i, row in enumerate(table):
+            if row[s] >= 0:
+                continue
+            if r < 0:
+                r = i
+                continue
+            # ratio row[0] / -row[s] against the best one, cross-multiplied
+            lhs, best = row[0] * -table[r][s], table[r][0] * -row[s]
+            if lhs < best or (lhs == best and basic[i] < basic[r]):
+                r = i
+        if r < 0:
+            raise RuntimeError("auxiliary problem unbounded")

@@ -14,6 +14,7 @@ from gamedim.games import (
     WeightedGame,
     all_coalitions,
     check_monotone,
+    coalition_sort_key,
     game_from_json,
     game_to_json,
     masked_sum,
@@ -68,6 +69,24 @@ class TestCoalition:
     def test_mixed_ground_sets_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             C([1], 4) | C([1], 5)
+
+    def test_sort_key_orders_as_member_tuples(self):
+        # Masks drawn from a small pool, so that equal sizes and duplicates
+        # occur at every n, plus the empty and the full coalition.
+        rng = random.Random(2718)
+        for n in range(1, 65):
+            pool = [rng.getrandbits(n) for _ in range(6)] + [0, (1 << n) - 1]
+            for _ in range(4):
+                masks = [rng.choice(pool) for _ in range(20)]
+                masks += [m ^ 1 << rng.randrange(n) for m in masks[:5]]
+                coalitions = [Coalition(n, m) for m in masks]
+                by_tuple = sorted(coalitions, key=lambda c: (len(c), c.members))
+                assert sorted(coalitions, key=coalition_sort_key) == by_tuple
+                for a, b in zip(coalitions, coalitions[1:]):
+                    assert ((coalition_sort_key(a) < coalition_sort_key(b))
+                            == ((len(a), a.members) < (len(b), b.members)))
+                    assert ((coalition_sort_key(a) == coalition_sort_key(b))
+                            == (a == b))
 
     @given(st.integers(1, 16).flatmap(
         lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n)))))

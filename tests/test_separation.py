@@ -3,18 +3,34 @@ from fractions import Fraction
 
 import pytest
 
+from gamedim import separation
 from gamedim.certificates import BalanceCertificate, verify_balance
+from gamedim.eu import (
+    LOSING_FAMILY,
+    NONSEPARABLE_TRIPLES,
+    TRIPLE_WITNESS_LABELS,
+    WINNING_FAMILY,
+)
 from gamedim.games import Coalition, IntersectionGame, WeightedGame, minimal_winning
 from gamedim.separation import (
     NotSeparable,
     Separable,
     SeparationInstance,
+    _inclusion_maximal,
+    _inclusion_minimal,
+    _phase_one,
     instance_from_json,
     is_nonseparable_exhaustive,
     lp_feasible,
 )
 
-from helpers import find_balanced_pair_certificate, random_monotone_game
+from helpers import (
+    brute_inclusion_maximal,
+    brute_inclusion_minimal,
+    find_balanced_pair_certificate,
+    random_monotone_game,
+    reference_phase_one,
+)
 
 
 def C(indices, n):
@@ -60,6 +76,19 @@ CROSSING = SeparationInstance(
     winning_constraints=[C([1, 3], 4), C([2, 4], 4)],
     losing_targets=[C([1, 2], 4), C([3, 4], 4)],
 )
+
+# The separable instance that `gamedim separate` is pinned on in test_cli.py.
+FIVE = SeparationInstance(
+    5,
+    winning_constraints=[C([1, 2, 3], 5), C([3, 4, 5], 5), C([1, 4], 5)],
+    losing_targets=[C([1, 2, 5], 5), C([2, 3, 4], 5)],
+)
+
+PLANTED_N8 = ([([2, 3, 8, 10, 1, 4, 3, 7], 16), ([3, 10, 6, 3, 9, 10, 7, 7], 27)],
+              [142, 113], 8)
+DECLARED_N14 = ([([7, 9, 5, 7, 6, 7, 4, 3, 2, 3, 3, 4, 4, 1], 43),
+                 ([10, 3, 5, 5, 1, 3, 7, 9, 6, 10, 10, 6, 3, 9], 47)],
+                [12438, 13611, 893], 14)
 
 
 class TestLpFeasible:
@@ -165,8 +194,7 @@ class TestFormerBlowUps:
     """Instances on which Fourier-Motzkin elimination ran for 28 s to over 120 s."""
 
     def test_planted_pair_n8(self):
-        parts = [([2, 3, 8, 10, 1, 4, 3, 7], 16), ([3, 10, 6, 3, 9, 10, 7, 7], 27)]
-        game, instance = intersection_instance(parts, [142, 113], 8)
+        game, instance = intersection_instance(*PLANTED_N8)
         result = lp_feasible(instance)
         assert isinstance(result, NotSeparable)
         recombine(result, instance)
@@ -175,13 +203,171 @@ class TestFormerBlowUps:
         assert verify_balance(cert, game)
 
     def test_declared_rung_n14(self):
-        parts = [([7, 9, 5, 7, 6, 7, 4, 3, 2, 3, 3, 4, 4, 1], 43),
-                 ([10, 3, 5, 5, 1, 3, 7, 9, 6, 10, 10, 6, 3, 9], 47)]
-        _, instance = intersection_instance(parts, [12438, 13611, 893], 14)
+        _, instance = intersection_instance(*DECLARED_N14)
         assert len(instance.winning_constraints) == 666
         result = lp_feasible(instance)
         assert isinstance(result, Separable)
         substitute(result, instance)
+
+
+def check_phase_one(rows, rhs):
+    """The packed solver returns the reference's triple, and it holds."""
+    result = _phase_one(rows, rhs)
+    assert result == reference_phase_one(rows, rhs)
+    feasible, values, denom = result
+    assert denom > 0 and all(v >= 0 for v in values)
+    if feasible:
+        for row, b in zip(rows, rhs):
+            assert sum(a * x for a, x in zip(row, values)) <= b * denom
+    else:
+        for j in range(len(rows[0])):
+            assert sum(y * row[j] for y, row in zip(values, rows)) >= 0
+        assert sum(y * b for y, b in zip(values, rhs)) < 0
+    return feasible
+
+
+def random_system(rng, n):
+    """Rows over (weights, quota) with entries and rhs in {-1, 0, 1}.
+
+    Half the systems have the rows `lp_feasible` builds; the rest are
+    arbitrary.  Some rows are repeated, which makes Bland's ratio test
+    break ties.
+    """
+    rows, rhs = [], []
+    lp_shaped = rng.random() < 0.5
+    for _ in range(rng.randint(1, 2 * n + 4)):
+        if lp_shaped:
+            winning = rng.random() < 0.6
+            bits = [rng.getrandbits(1) for _ in range(n)]
+            rows.append([-b for b in bits] + [1] if winning else bits + [-1])
+            rhs.append(0 if winning else -1)
+        else:
+            rows.append([rng.choice((-1, 0, 0, 1)) for _ in range(n + 1)])
+            rhs.append(rng.choice((-1, 0, 0, 1)))
+        if rng.random() < 0.2:
+            rows.append(list(rows[-1]))
+            rhs.append(rhs[-1])
+    if min(rhs) >= 0:
+        i = rng.randrange(len(rhs))
+        rows.append(list(rows[i]))
+        rhs.append(-1)
+    return rows, rhs
+
+
+@pytest.fixture
+def phase_one_calls(monkeypatch):
+    """Every (rows, rhs) that `lp_feasible` hands to `_phase_one`."""
+    calls = []
+
+    def record(rows, rhs):
+        calls.append((rows, rhs))
+        return _phase_one(rows, rhs)
+
+    monkeypatch.setattr(separation, "_phase_one", record)
+    return calls
+
+
+class TestPackedPhaseOne:
+    """The packed-column solver against the list-of-rows reference."""
+
+    def test_random_systems_match_reference(self):
+        rng = random.Random(9053)
+        outcomes = {True: 0, False: 0}
+        for i in range(1000):
+            outcomes[check_phase_one(*random_system(rng, 1 + i % 14))] += 1
+        assert outcomes[True] > 100 and outcomes[False] > 100
+
+    def test_lp_feasible_systems_match_reference(self, phase_one_calls):
+        instances = [CROSSING, FIVE,
+                     intersection_instance(*PLANTED_N8)[1],
+                     intersection_instance(*DECLARED_N14)[1]]
+        # Planted pairs: two losing coalitions balanced by two winning ones.
+        rng = random.Random(640)
+        while len(instances) < 24:
+            n = rng.randint(3, 8)
+            game = random_monotone_game(rng, n)
+            winning = minimal_winning(game)
+            losing = [c for mask in range(1 << n)
+                      if not game.contains(c := Coalition(n, mask))]
+            cert = find_balanced_pair_certificate(game, losing, rng, max_pairs=10)
+            if winning and cert is not None:
+                instances.append(SeparationInstance(n, winning, cert.losing))
+        verdicts = [lp_feasible(instance) for instance in instances]
+        assert isinstance(verdicts[0], NotSeparable)
+        assert isinstance(verdicts[1], Separable)
+        assert isinstance(verdicts[2], NotSeparable)
+        assert isinstance(verdicts[3], Separable)
+        assert all(isinstance(v, NotSeparable) for v in verdicts[4:])
+        assert len(phase_one_calls) == len(instances)
+        for rows, rhs in phase_one_calls:
+            check_phase_one(rows, rhs)
+
+    def test_single_row(self):
+        assert check_phase_one([[1]], [-1]) is False
+        assert check_phase_one([[-1]], [-1]) is True
+
+
+class TestCouncilSize:
+    """n = 28, where the dictionary fields are 80 bits wide."""
+
+    @pytest.mark.parametrize("triple", NONSEPARABLE_TRIPLES)
+    def test_triples_refuted_by_their_witnesses(self, triple):
+        instance = SeparationInstance(
+            28, WINNING_FAMILY, [LOSING_FAMILY[i - 1] for i in triple])
+        result = lp_feasible(instance)
+        assert isinstance(result, NotSeparable)
+        recombine(result, instance)
+        on_winning = {label: lam for lam, label in result.terms
+                      if label.endswith(">= quota")}
+        expected = {f"weight({WINNING_FAMILY[w - 1]}) >= quota"
+                    for w in TRIPLE_WITNESS_LABELS[triple]}
+        assert set(on_winning) == expected
+        assert set(on_winning.values()) == {Fraction(1, 6)}
+
+    @pytest.mark.parametrize("pair", [(1, 3), (2, 9), (1, 2), (12, 14)])
+    def test_separable_pairs_substitute(self, pair):
+        instance = SeparationInstance(
+            28, WINNING_FAMILY, [LOSING_FAMILY[i - 1] for i in pair])
+        result = lp_feasible(instance)
+        assert isinstance(result, Separable)
+        substitute(result, instance)
+
+
+def random_family(rng, n):
+    """Masks from a small pool with random sub- and supersets, duplicates,
+    and the empty and the full coalition."""
+    full = (1 << n) - 1
+    pool = [rng.getrandbits(n) for _ in range(rng.randint(1, 6))]
+    masks = []
+    for _ in range(rng.randint(0, 40)):
+        m = rng.choice(pool)
+        roll = rng.random()
+        if roll < 0.3:
+            m |= rng.getrandbits(n)
+        elif roll < 0.6:
+            m &= rng.getrandbits(n)
+        masks.append(m)
+    masks += rng.sample([0, full, 0, full] + masks, rng.randint(0, 4))
+    rng.shuffle(masks)
+    return [Coalition(n, m) for m in masks]
+
+
+class TestInclusionFilters:
+    def test_match_the_quadratic_oracle(self):
+        rng = random.Random(3301)
+        for n in (1, 1, 2, 3, 5, 8, 13, 28, 63, 64, 64):
+            for _ in range(40):
+                family = random_family(rng, n)
+                assert _inclusion_minimal(family, n) == brute_inclusion_minimal(family)
+                assert _inclusion_maximal(family, n) == brute_inclusion_maximal(family)
+
+    def test_empty_and_full_coalitions(self):
+        for n in (1, 64):
+            empty, full = Coalition(n, 0), Coalition(n, (1 << n) - 1)
+            family = [full, empty, full, empty]
+            assert _inclusion_minimal(family, n) == [empty]
+            assert _inclusion_maximal(family, n) == [full]
+            assert _inclusion_minimal([], n) == _inclusion_maximal([], n) == []
 
 
 class TestNonSeparableOracle:
