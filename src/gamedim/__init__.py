@@ -12,6 +12,7 @@ from .certificates import (
     CertifiedFamily,
     build_anchor_certificate,
     build_pair_certificate,
+    lower_bound_dimension,
     nonseparable_family,
     verify_balance,
 )
@@ -22,7 +23,6 @@ from .cover import (
     Refutation,
     enumerate_maximal_independent,
     is_independent,
-    lower_bound_dimension,
     min_cover,
     no_k_cover,
     verify_dual_certificate,

@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .cover import Hypergraph
+from .cover import Hypergraph, enumerate_maximal_independent, min_cover
 from .eu import (
     ANCHOR_LABEL,
     LOSING_FAMILY,
@@ -244,6 +244,16 @@ class CertifiedFamily:
                 )
             if not verify_balance(cert, game):
                 raise CertificateError(f"certificate for edge {sorted(edge)} fails verification")
+
+
+def lower_bound_dimension(game: SimpleGame, family: CertifiedFamily) -> int:
+    """Dimension lower bound: the minimum cover number of a certified family.
+
+    Re-checks every edge certificate against the game first.
+    """
+    family.check(game)
+    h = family.hypergraph
+    return min_cover(h, enumerate_maximal_independent(h)).k
 
 
 def nonseparable_family(game: EuGame) -> CertifiedFamily:

@@ -102,39 +102,35 @@ def run_verification(table: eu.MemberTable | None = None) -> ProofTranscript:
     record("triple certificates", True, f"{len(eu.NONSEPARABLE_TRIPLES)} verified")
 
     # 4: the maximal independent parts are exactly the 21 bundled ones
-    maximal = cover.enumerate_maximal_independent(family.hypergraph)
-    expected = set(cover.COUNCIL_MAXIMAL_PARTS)
+    h = family.hypergraph
+    maximal = cover.enumerate_maximal_independent(h)
+    expected = set(eu.COUNCIL_MAXIMAL_PARTS)
     if not record("maximal independent sets", set(maximal) == expected,
                   f"{len(maximal)} sets match the bundled family"
                   if set(maximal) == expected else
                   f"enumeration differs: got {len(maximal)} sets"):
         return conclude()
 
-    # 5: exhaustive search finds no 7-cover
-    refutation = cover.no_k_cover(family.hypergraph, 7)
-    if not record("exhaustive cover search", refutation.refuted and refutation.exhaustive,
+    # 5: no 7-cover exists.  min_cover deepens from one part, refuting each
+    # limit exhaustively, so a minimum above 7 refutes every 7-cover.
+    solution = cover.min_cover(h, maximal)
+    if not record("exhaustive cover search", solution.k > 7,
                   "no 7-cover exists over the 21 candidate parts"
-                  if refutation.refuted else
-                  f"found a 7-cover: {_labels(refutation.counterexample.parts)}"):
+                  if solution.k > 7 else
+                  f"found a {solution.k}-cover: {_labels(solution.parts)}"):
         return conclude()
 
-    # 6: the two dual weightings refute every 7-cover independently
-    duals_ok = len(refutation.duals) == 2
-    detail = ""
-    if duals_ok:
-        without, within = refutation.duals
-        duals_ok = (without.total > without.bound
-                    and within.total > within.bound - 1)
-        detail = (f"totals {without.total} > {without.bound} (parts avoiding "
-                  f"{_labels([without.excluded_part])}) and {within.total} > "
-                  f"{within.bound - 1} (a part equal to it)")
-    if not record("dual refutation", duals_ok,
-                  detail if duals_ok else "bundled dual certificates failed to verify"):
+    # 6: two derived dual weightings refute every 7-cover independently
+    duals = cover.dual_refutation(h, 7)
+    if not record("dual refutation", len(duals) == 2,
+                  f"totals {duals[0].total} > 7 (parts avoiding "
+                  f"{_labels([duals[0].excluded_part])}) and {duals[1].total} > "
+                  f"6 (a part equal to it)" if len(duals) == 2 else
+                  f"derived {len(duals)} dual weightings, expected 2"):
         return conclude()
 
     # 7: the minimum cover uses exactly 8 parts
-    solution = cover.min_cover(family.hypergraph, maximal)
-    ok = solution.k == 8 and solution.verify(family.hypergraph)
+    ok = solution.k == 8 and solution.verify(h)
     record("minimum cover", ok,
            f"8 parts: {_labels(solution.parts)}" if ok
            else f"minimum cover has {solution.k} parts")
@@ -259,10 +255,9 @@ def cmd_cover_refute(args: argparse.Namespace) -> int:
     refutation = cover.no_k_cover(h, args.k)
     if refutation.refuted:
         sys.stdout.write(f"no {args.k}-cover exists (exhaustive search)\n")
-        if refutation.duals:
-            sys.stdout.write(
-                f"confirmed by {len(refutation.duals)} dual weight certificates\n"
-            )
+        duals = cover.dual_refutation(h, args.k)
+        if duals:
+            sys.stdout.write(f"confirmed by {len(duals)} dual weight certificates\n")
         return EXIT_OK
     sys.stdout.write(f"refutation failed, found a {refutation.counterexample.k}-cover:\n")
     for part in refutation.counterexample.parts:
@@ -272,19 +267,22 @@ def cmd_cover_refute(args: argparse.Namespace) -> int:
 
 def cmd_cover_duals(args: argparse.Namespace) -> int:
     h = cover.hypergraph_from_json(_read_json(args.hypergraph))
-    if not cover.is_council_family(h):
-        sys.stdout.write("no bundled dual certificates for this hypergraph\n")
+    k = cover.min_cover(h, cover.enumerate_maximal_independent(h)).k - 1
+    if k < 1:
+        sys.stdout.write("nothing to refute: one part covers every node\n")
         return EXIT_STEP_FAILED
-    all_ok = True
-    for cert in cover.COUNCIL_DUALS:
-        ok = cover.verify_dual_certificate(cert, h)
-        all_ok = all_ok and ok
+    duals = cover.dual_refutation(h, k)
+    if not duals:
+        sys.stdout.write(f"no dual weight certificates refute a {k}-cover\n")
+        return EXIT_STEP_FAILED
+    for cert in duals:
+        excluded = "none" if cert.excluded_part is None else sorted(cert.excluded_part)
         sys.stdout.write(
             f"weights ({', '.join(str(w) for w in cert.weights)}) "
-            f"bound {cert.bound} excluded {sorted(cert.excluded_part)} "
-            f"total {cert.total}: {'verified' if ok else 'REJECTED'}\n"
+            f"bound {cert.bound} excluded {excluded} "
+            f"total {cert.total}: verified\n"
         )
-    return EXIT_OK if all_ok else EXIT_STEP_FAILED
+    return EXIT_OK
 
 
 def cmd_export(args: argparse.Namespace) -> int:
@@ -355,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("hypergraph", help="JSON hypergraph {nodes, edges}")
     q.add_argument("--k", type=int, required=True)
     q.set_defaults(func=cmd_cover_refute)
-    q = cover_sub.add_parser("duals", help="show bundled dual weight certificates")
+    q = cover_sub.add_parser("duals", help="derive dual weights refuting a cover one part short")
     q.add_argument("hypergraph", help="JSON hypergraph {nodes, edges}")
     q.set_defaults(func=cmd_cover_duals)
 

@@ -13,13 +13,13 @@ condition 2).  Minimum covers therefore need only maximal independent sets
 as candidate parts; `min_cover` relies on this and the test suite checks it.
 
 Covers are refuted two independent ways: exhaustive bounded search over the
-maximal independent sets, and, for the bundled council family, by rational
-node weights that bound every candidate part by 1 while the total weight
-exceeds the number of parts available.
+maximal independent sets, and rational node weights, derived by exact LP,
+that bound every candidate part by 1 while the total weight exceeds the
+number of parts available.
 
 The maximal independent sets of a `Hypergraph` are computed once, on first
 request, and kept on it: the enumeration, the exhaustive search and the dual
-check all read the same tuple.
+derivation and check all read the same tuple.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ import functools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Sequence
 
-from . import eu
-from .games import SimpleGame
+from .simplex import phase_two
 
 NODE_GUARD = 24
 
@@ -235,10 +234,8 @@ class CoverSolution:
         return len(self.parts)
 
     def verify(self, h: Hypergraph) -> bool:
-        union = frozenset().union(*self.parts) if self.parts else frozenset()
-        if union != h.nodes:
-            return False
-        return all(is_independent(p, h) for p in self.parts)
+        return (frozenset().union(*self.parts) == h.nodes
+                and all(is_independent(p, h) for p in self.parts))
 
 
 def _bounded_cover(cand_masks: Sequence[int], full: int, limit: int) -> tuple[int, ...] | None:
@@ -305,10 +302,7 @@ def min_cover(h: Hypergraph, candidates: Sequence[Iterable[int]]) -> CoverSoluti
     cands = [c for c, _ in checked]
     masks = [m for _, m in checked]
     full = _mask_of(h.nodes)
-    joint = 0
-    for m in masks:
-        joint |= m
-    if joint & full != full:
+    if functools.reduce(int.__or__, masks, 0) & full != full:
         raise ValueError("candidates do not jointly cover the nodes; no cover exists")
     limit = 0
     while True:
@@ -376,54 +370,57 @@ def verify_dual_certificate(cert: DualWeightCertificate, h: Hypergraph) -> bool:
     return cert.total > threshold
 
 
-# The 21 maximal independent sets of the council family (nodes are L1..L15),
-# the only candidate parts a cover ever needs.
-COUNCIL_MAXIMAL_PARTS: tuple[frozenset[int], ...] = tuple(
-    frozenset(s)
-    for s in (
-        (1, 2), (1, 3, 6), (1, 4), (1, 7, 12), (2, 9), (2, 12, 14), (2, 13),
-        (3, 8), (3, 11), (4, 5), (4, 7), (4, 10), (5, 6, 10), (5, 6, 12),
-        (5, 9), (5, 10, 13), (6, 10, 12), (7, 8), (8, 13), (11, 14), (15,),
-    )
-)
+def dual_refutation(h: Hypergraph, k: int) -> tuple[DualWeightCertificate, ...]:
+    """Verified dual weightings refuting every k-cover of h, or () if none found.
 
-# Bundled refutation weights for the council family: the first handles covers
-# avoiding {L1, L3, L6}, the second the covers using it.
-COUNCIL_DUALS: tuple[DualWeightCertificate, ...] = (
-    DualWeightCertificate(
-        ["1/2", 0, 1, "1/2", 0, 1, "1/2", 0, 1, 0, 0, 0, 1, 1, 1],
-        bound=7,
-        excluded_part=(1, 3, 6),
-    ),
-    DualWeightCertificate(
-        [0, "1/3", 0, "2/3", "1/3", 0, "1/3", "2/3", "2/3", "1/3", 1, "2/3", "1/3", 0, 1],
-        bound=7,
-        excluded_part=(1, 3, 6),
-    ),
-)
+    The exact LP maximizes the total node weight with every maximal
+    independent set weighing at most 1; its optimum is the fractional cover
+    number.  Above k, that one weighting refutes every k-cover.  Otherwise
+    each maximal set P in the support of the optimal fractional cover is
+    tried in enumeration order: the LP without P's bound must exceed k
+    (covers avoiding P), the LP with P's nodes at weight 0 must exceed k - 1
+    (covers using P).  Other sets cannot pass: the fractional cover avoids a
+    set outside its support, so the first LP stays at most k; and it puts at
+    least 1 on a P holding a node in no other maximal set, so the second
+    stays at most k - 1 (the first would be unbounded).
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    maximal = enumerate_maximal_independent(h)
+    masks = [_mask_of(s) for s in maximal]
+    t = h.node_count
 
+    def weigh(nodes: list[int], bounds: list[int]) -> tuple[list[Fraction], list[int], Fraction]:
+        # nodes are bit positions; every mask in bounds weighs at most 1
+        x, y, denom, value = phase_two([[m >> v & 1 for v in nodes] for m in bounds],
+                                       [1] * len(bounds), [1] * len(nodes))
+        by_node = dict(zip(nodes, x))
+        return ([Fraction(by_node.get(v, 0), denom) for v in range(t)], y,
+                Fraction(value, denom))
 
-def council_hypergraph() -> Hypergraph:
-    """The bundled 15-node, 80-edge non-separable family of the council game."""
-    return Hypergraph(15, eu.nonseparable_edge_labels())
+    def checked(*certs: DualWeightCertificate) -> tuple[DualWeightCertificate, ...]:
+        if not all(verify_dual_certificate(c, h) for c in certs):
+            raise RuntimeError("a derived dual certificate fails verification")
+        return certs
 
-
-def is_council_family(h: Hypergraph) -> bool:
-    return h.node_count == 15 and set(h.edges) == set(eu.nonseparable_edge_labels())
-
-
-def _dual_replay(h: Hypergraph, k: int) -> tuple[DualWeightCertificate, ...]:
-    """Verified dual certificates refuting every k-cover of h, if bundled."""
-    if not is_council_family(h) or k != COUNCIL_DUALS[0].bound:
-        return ()
-    without, within = COUNCIL_DUALS
-    if without.excluded_part != within.excluded_part or within.excluded_part is None:
-        raise RuntimeError("bundled dual certificates do not split on the same part")
-    if within.weight_of(within.excluded_part) != 0:
-        raise RuntimeError("second bundled dual must weigh the excluded part zero")
-    if not (verify_dual_certificate(without, h) and verify_dual_certificate(within, h)):
-        return ()
-    return COUNCIL_DUALS
+    every = list(range(t))
+    weights, support, total = weigh(every, masks)
+    if total > k:
+        return checked(DualWeightCertificate(weights, k))
+    for i, part in enumerate(maximal):
+        if not support[i]:
+            continue
+        others = masks[:i] + masks[i + 1:]
+        if masks[i] & ~functools.reduce(int.__or__, others, 0):
+            continue
+        avoid, _, total = weigh(every, others)
+        if total <= k:
+            continue
+        use, _, total = weigh([v for v in every if not masks[i] >> v & 1], others)
+        if total > k - 1:
+            return checked(DualWeightCertificate(avoid, k, part),
+                           DualWeightCertificate(use, k, part))
+    return ()
 
 
 @dataclass(frozen=True)
@@ -432,7 +429,6 @@ class Refutation:
 
     k: int
     exhaustive: bool
-    duals: tuple[DualWeightCertificate, ...] = ()
     counterexample: CoverSolution | None = None
 
     @property
@@ -441,55 +437,18 @@ class Refutation:
 
 
 def no_k_cover(h: Hypergraph, k: int) -> Refutation:
-    """Prove no k-cover of h exists, or produce one as a counterexample.
-
-    The exhaustive path searches all covers by maximal independent sets (parts
-    may always be enlarged to maximal ones).  For the bundled council family
-    the dual-weight replay runs as an independent second path and must agree,
-    anything else is an internal error.
-    """
+    """Refute every k-cover of h by exhaustive search, or return one it finds."""
     if k < 1:
         raise ValueError("k must be positive")
-    candidates = enumerate_maximal_independent(h)
-    ordered = sorted(candidates, key=lambda c: (-len(c), tuple(sorted(c))))
+    ordered = sorted(enumerate_maximal_independent(h), key=lambda c: (-len(c), tuple(sorted(c))))
     masks = [_mask_of(c) for c in ordered]
     full = _mask_of(h.nodes)
     hit = _bounded_cover(masks, full, k)
-    duals = _dual_replay(h, k)
-    if hit is not None:
-        solution = CoverSolution(ordered[i] for i in hit)
-        assert solution.verify(h)
-        if duals:
-            raise RuntimeError(
-                "dual certificates refute a k-cover the exhaustive search found"
-            )
-        return Refutation(k=k, exhaustive=False, counterexample=solution)
-    if is_council_family(h) and k == COUNCIL_DUALS[0].bound and not duals:
-        raise RuntimeError(
-            "exhaustive search refutes every cover but the dual replay fails"
-        )
-    return Refutation(k=k, exhaustive=True, duals=duals)
-
-
-class CertifiedHypergraph(Protocol):
-    """A hypergraph whose every edge carries a checked non-separability witness."""
-
-    hypergraph: Hypergraph
-
-    def check(self, game: SimpleGame) -> None: ...
-
-
-def lower_bound_dimension(game: SimpleGame, family: CertifiedHypergraph) -> int:
-    """Dimension lower bound from a certified non-separable family.
-
-    Re-checks every edge certificate against the game, then returns the
-    minimum cover number over the maximal independent sets: a game of smaller
-    dimension would admit a smaller cover.
-    """
-    family.check(game)
-    h = family.hypergraph
-    solution = min_cover(h, enumerate_maximal_independent(h))
-    return solution.k
+    if hit is None:
+        return Refutation(k=k, exhaustive=True)
+    solution = CoverSolution(ordered[i] for i in hit)
+    assert solution.verify(h)
+    return Refutation(k=k, exhaustive=False, counterexample=solution)
 
 
 def hypergraph_to_json(h: Hypergraph) -> dict:

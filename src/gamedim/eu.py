@@ -7,7 +7,8 @@ rational arithmetic: the population rule holds iff 20*pop(C) >= 13*T.
 
 The module also bundles a reference family of 15 losing and 12 winning
 coalitions (labels L1..L15 and W1..W12) together with the pair and triple
-label sets used by the certificate and cover machinery.
+label sets used by the certificate and cover machinery, and the 21 maximal
+independent sets the replay expects of their hypergraph.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cover import Hypergraph
 from .games import Coalition, IntersectionGame, SimpleGame, UnionGame, WeightedGame, masked_sum
 
 N_MEMBERS = 28
@@ -81,10 +83,6 @@ class MemberTable:
     @property
     def populations(self) -> dict[int, int]:
         return {index: population for index, _, population in self.entries}
-
-    @property
-    def names(self) -> dict[int, str]:
-        return {index: name for index, name, _ in self.entries}
 
     @property
     def total_population(self) -> int:
@@ -293,3 +291,17 @@ def nonseparable_edge_labels() -> tuple[frozenset[int], ...]:
     return tuple(frozenset(p) for p in NONSEPARABLE_PAIRS) + tuple(
         frozenset(t) for t in NONSEPARABLE_TRIPLES
     )
+
+
+# The 21 maximal independent sets of the council family (nodes are L1..L15),
+# the only candidate parts a cover ever needs.
+COUNCIL_MAXIMAL_PARTS: tuple[frozenset[int], ...] = tuple(map(frozenset, (
+    (1, 2), (1, 3, 6), (1, 4), (1, 7, 12), (2, 9), (2, 12, 14), (2, 13),
+    (3, 8), (3, 11), (4, 5), (4, 7), (4, 10), (5, 6, 10), (5, 6, 12),
+    (5, 9), (5, 10, 13), (6, 10, 12), (7, 8), (8, 13), (11, 14), (15,),
+)))
+
+
+def council_hypergraph() -> Hypergraph:
+    """The bundled 15-node, 80-edge non-separable family of the council game."""
+    return Hypergraph(15, nonseparable_edge_labels())

@@ -284,10 +284,6 @@ class ExplicitGame(SimpleGame):
             sorted((Coalition(self.n, m) for m in self._declared), key=coalition_sort_key)
         )
 
-    def declared_contains(self, coalition: Coalition) -> bool:
-        self._check_dimension(coalition)
-        return coalition.mask in self._declared
-
     def contains(self, coalition: Coalition) -> bool:
         self._check_dimension(coalition)
         return any(m & coalition.mask == m for m in self._minimal)
@@ -409,19 +405,11 @@ def minimal_winning(game: SimpleGame) -> tuple[Coalition, ...]:
 # "13/20") and coalitions as sorted index arrays.
 
 
-def coalition_to_json(c: Coalition) -> list[int]:
-    return list(c.members)
-
-
-def coalition_from_json(indices: Sequence[int], n: int) -> Coalition:
-    return Coalition.from_indices(indices, n)
-
-
 def coalitions_from_json(value: object, n: int, what: str) -> list[Coalition]:
     """Parse a list of index lists; raises ValueError on any other shape."""
     if not isinstance(value, list) or not all(isinstance(ix, list) for ix in value):
         raise ValueError(f"{what!r} must be a list of member index lists")
-    return [coalition_from_json(ix, n) for ix in value]
+    return [Coalition.from_indices(ix, n) for ix in value]
 
 
 def _fraction_from_json(value: int | str) -> Fraction:
@@ -477,7 +465,7 @@ def game_to_json(game: SimpleGame) -> dict:
         return {
             "n": game.n,
             "kind": "explicit",
-            "winning": [coalition_to_json(c) for c in game.declared_winning],
+            "winning": [list(c.members) for c in game.declared_winning],
         }
     if isinstance(game, IntersectionGame):
         return {"n": game.n, "kind": "intersection", "parts": [game_to_json(p) for p in game.parts]}

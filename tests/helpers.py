@@ -2,8 +2,32 @@
 
 import itertools
 import random
+from fractions import Fraction
 
-from gamedim import BalanceCertificate, Coalition, ExplicitGame, Hypergraph, verify_balance
+from gamedim import (
+    BalanceCertificate,
+    Coalition,
+    DualWeightCertificate,
+    ExplicitGame,
+    Hypergraph,
+    verify_balance,
+)
+
+# The two dual weightings of the council family, as written out by hand
+# before `dual_refutation` derived them: the first refutes the 7-covers
+# avoiding {L1, L3, L6}, the second those using it.
+COUNCIL_DUALS = (
+    DualWeightCertificate(
+        ["1/2", 0, 1, "1/2", 0, 1, "1/2", 0, 1, 0, 0, 0, 1, 1, 1],
+        bound=7,
+        excluded_part=(1, 3, 6),
+    ),
+    DualWeightCertificate(
+        [0, "1/3", 0, "2/3", "1/3", 0, "1/3", "2/3", "2/3", "1/3", 1, "2/3", "1/3", 0, 1],
+        bound=7,
+        excluded_part=(1, 3, 6),
+    ),
+)
 
 
 def coalitions_of(n):
@@ -120,7 +144,7 @@ def brute_inclusion_maximal(coalitions):
 
 
 def reference_phase_one(rows, rhs):
-    """List-of-rows reference for `separation._phase_one`.
+    """List-of-rows reference for `simplex.phase_one`.
 
     The dictionary is a list of row lists, and a pivot rebuilds every row;
     the packed-column solver must return the identical triple.
@@ -190,3 +214,61 @@ def reference_phase_one(rows, rhs):
                 r = i
         if r < 0:
             raise RuntimeError("auxiliary problem unbounded")
+
+
+def reference_phase_two(rows, rhs, objective):
+    """Dense `Fraction` tableau reference for `simplex.phase_two`.
+
+    Maximizes objective . x subject to rows . x <= rhs, x >= 0, from the
+    origin (every rhs >= 0).  Ids: 0..k-1 the columns, k+i the slack of row
+    i; Bland's rule enters the smallest id with a positive reduced cost and
+    breaks ratio ties toward the smallest basic id.  Row i of the tableau
+    reads basic[i] = b[i] + sum_j a[i][j] * nonbasic[j], the objective
+    z + sum_j c[j] * nonbasic[j].  Returns (x, y, z) as Fractions, with y
+    the multipliers of the rows; raises RuntimeError when unbounded.
+    """
+    m, k = len(rows), len(objective)
+    a = [[Fraction(-v) for v in row] for row in rows]
+    b = [Fraction(v) for v in rhs]
+    c = [Fraction(v) for v in objective]
+    z = Fraction(0)
+    nonbasic, basic = list(range(k)), list(range(k, k + m))
+    while True:
+        entering = [(nonbasic[j], j) for j in range(k) if c[j] > 0]
+        if not entering:
+            break
+        s = min(entering)[1]
+        r = None
+        for i in range(m):
+            if a[i][s] < 0:
+                ratio = b[i] / -a[i][s]
+                if r is None or ratio < best or (ratio == best and basic[i] < basic[r]):
+                    r, best = i, ratio
+        if r is None:
+            raise RuntimeError("objective unbounded")
+        # Solve row r for the entering variable, then substitute it.
+        p = a[r][s]
+        row_b = -b[r] / p
+        row = [-v / p for v in a[r]]
+        row[s] = 1 / p
+        for i in range(m):
+            f = a[i][s]
+            if i != r and f:
+                b[i] += f * row_b
+                a[i] = [v + f * w for v, w in zip(a[i], row)]
+                a[i][s] = f * row[s]
+        f = c[s]
+        z += f * row_b
+        c = [v + f * w for v, w in zip(c, row)]
+        c[s] = f * row[s]
+        a[r], b[r] = row, row_b
+        basic[r], nonbasic[s] = nonbasic[s], basic[r]
+    x = [Fraction(0)] * k
+    for i, v in enumerate(basic):
+        if v < k:
+            x[v] = b[i]
+    y = [Fraction(0)] * m
+    for j, v in enumerate(nonbasic):
+        if v >= k:
+            y[v - k] = -c[j]
+    return x, y, z

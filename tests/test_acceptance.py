@@ -24,11 +24,11 @@ from gamedim import (
     verify_balance,
 )
 from gamedim.certificates import BalanceCertificate, CertifiedFamily
-from gamedim.cover import COUNCIL_DUALS, COUNCIL_MAXIMAL_PARTS, Hypergraph
+from gamedim.cover import Hypergraph, dual_refutation
 from gamedim.cli import run_verification
-from gamedim.eu import LOSING_FAMILY, WINNING_FAMILY
+from gamedim.eu import COUNCIL_MAXIMAL_PARTS, LOSING_FAMILY, WINNING_FAMILY
 
-from helpers import find_balanced_pair_certificate, random_monotone_game
+from helpers import COUNCIL_DUALS, find_balanced_pair_certificate, random_monotone_game
 
 
 def report(criterion: int, text: str) -> None:
@@ -87,14 +87,15 @@ def test_criterion_5_no_seven_cover_and_minimum_eight(council_h):
 
 
 def test_criterion_6_dual_replay_exact_totals(council_h):
-    without, within = COUNCIL_DUALS
+    without, within = dual_refutation(council_h, 7)
     from gamedim.cover import verify_dual_certificate
 
+    assert (without, within) == COUNCIL_DUALS
     assert verify_dual_certificate(without, council_h)
     assert verify_dual_certificate(within, council_h)
     assert without.total == Fraction(15, 2) and without.total > 7
     assert within.total == Fraction(19, 3) and within.total > 6
-    report(6, "dual totals are exactly 15/2 > 7 and 19/3 > 6")
+    report(6, "derived dual totals are exactly 15/2 > 7 and 19/3 > 6")
 
 
 def test_criterion_7_oracle_agreement_on_random_games():

@@ -282,12 +282,27 @@ class TestCover:
         assert code == 0
         assert out.count("verified") == 2
 
-    def test_duals_unavailable_elsewhere(self, capsys, tmp_path):
+    def test_duals_derived_for_a_single_edge(self, capsys, tmp_path):
         path = tmp_path / "small.json"
         path.write_text(json.dumps({"nodes": 2, "edges": [[1, 2]]}))
         code, out, _ = run(capsys, "cover", "duals", str(path))
+        assert code == 0
+        assert out == "weights (1, 1) bound 1 excluded none total 2: verified\n"
+
+    def test_duals_edgeless_has_nothing_to_refute(self, capsys, tmp_path):
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps({"nodes": 3, "edges": []}))
+        code, out, _ = run(capsys, "cover", "duals", str(path))
         assert code == 1
-        assert "no bundled dual certificates" in out
+        assert out == "nothing to refute: one part covers every node\n"
+
+    def test_refute_confirmed_by_a_derived_dual(self, capsys, tmp_path):
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps({"nodes": 3, "edges": [[1, 2], [2, 3], [1, 3]]}))
+        code, out, _ = run(capsys, "cover", "refute", str(path), "--k", "2")
+        assert code == 0
+        assert out == ("no 2-cover exists (exhaustive search)\n"
+                       "confirmed by 1 dual weight certificates\n")
 
 
 class TestExport:

@@ -5,28 +5,36 @@ from fractions import Fraction
 import pytest
 
 from gamedim import cover
-from gamedim.certificates import BalanceCertificate, CertificateError, CertifiedFamily
+from gamedim.certificates import (
+    BalanceCertificate,
+    CertificateError,
+    CertifiedFamily,
+    lower_bound_dimension,
+)
 from gamedim.cli import run_verification
 from gamedim.cover import (
-    COUNCIL_DUALS,
-    COUNCIL_MAXIMAL_PARTS,
     CoverSolution,
     DualWeightCertificate,
     Hypergraph,
-    council_hypergraph,
+    dual_refutation,
     enumerate_maximal_independent,
     hypergraph_from_json,
     hypergraph_to_json,
-    is_council_family,
     is_independent,
-    lower_bound_dimension,
     min_cover,
     no_k_cover,
     verify_dual_certificate,
 )
+from gamedim.eu import COUNCIL_MAXIMAL_PARTS, council_hypergraph
 from gamedim.games import Coalition, IntersectionGame, WeightedGame
+from gamedim.simplex import phase_two
 
-from helpers import brute_maximal_independent, random_hypergraph
+from helpers import (
+    COUNCIL_DUALS,
+    brute_maximal_independent,
+    random_hypergraph,
+    reference_phase_two,
+)
 
 TRIANGLE = Hypergraph(3, [(1, 2), (2, 3), (1, 3)])
 SINGLE_EDGE = Hypergraph(2, [(1, 2)])
@@ -60,8 +68,7 @@ class TestHypergraph:
     def test_council_family_is_an_antichain(self, council_h):
         # No warning fired and all 80 edges survive: no pair sits in a triple.
         assert len(council_h.edges) == 80
-        assert is_council_family(council_h)
-        assert set(council_h.edges) == set(council_hypergraph().edges)
+        assert council_h == council_hypergraph()
         for triple in (e for e in council_h.edges if len(e) == 3):
             for a in triple:
                 assert frozenset(triple - {a}) not in council_h.edges
@@ -338,7 +345,7 @@ class TestNoKCover:
         refutation = no_k_cover(council_h, 7)
         assert refutation.refuted
         assert refutation.exhaustive
-        assert len(refutation.duals) == 2
+        assert dual_refutation(council_h, 7) == COUNCIL_DUALS
 
     def test_council_eight_has_counterexample(self, council_h):
         refutation = no_k_cover(council_h, 8)
@@ -346,10 +353,11 @@ class TestNoKCover:
         assert refutation.counterexample.k <= 8
         assert refutation.counterexample.verify(council_h)
 
-    def test_council_six_refuted_without_duals(self, council_h):
+    def test_council_six_refuted_by_the_fractional_bound(self, council_h):
         refutation = no_k_cover(council_h, 6)
         assert refutation.refuted and refutation.exhaustive
-        assert refutation.duals == ()
+        (cert,) = dual_refutation(council_h, 6)
+        assert cert.total == 7 and cert.excluded_part is None
 
     def test_edgeless_graph_counterexample(self):
         refutation = no_k_cover(EDGELESS_3, 1)
@@ -359,6 +367,115 @@ class TestNoKCover:
     def test_k_must_be_positive(self, council_h):
         with pytest.raises(ValueError):
             no_k_cover(council_h, 0)
+
+
+def fractional_lp(h, nodes, parts):
+    """phase_two on the cover LP: the given nodes' weights, each part at most 1."""
+    rows = [[int(v in p) for v in nodes] for p in parts]
+    x, y, denom, value = phase_two(rows, [1] * len(rows), [1] * len(nodes))
+    return ([Fraction(w, denom) for w in x], [Fraction(w, denom) for w in y],
+            Fraction(value, denom))
+
+
+class TestDualRefutation:
+    def test_council_derives_the_bundled_duals(self, council_h):
+        assert dual_refutation(council_h, 7) == COUNCIL_DUALS
+
+    def test_random_hypergraphs_are_sound(self):
+        rng = random.Random(4049)
+        outcomes = {0: 0, 1: 0, 2: 0}
+        for _ in range(200):
+            t = rng.randint(2, 12)
+            h = random_hypergraph(rng, t, rng.randint(1, 3 * t))
+            m = min_cover(h, enumerate_maximal_independent(h)).k
+            assert dual_refutation(h, m) == ()
+            for k in range(max(1, m - 2), m):
+                certs = dual_refutation(h, k)
+                outcomes[len(certs)] += 1
+                assert all(verify_dual_certificate(c, h) for c in certs)
+                assert no_k_cover(h, k).refuted
+        assert outcomes[1] > 100
+
+    def test_branch_refutes_what_the_fractional_bound_cannot(self):
+        # The Grotzsch graph has fractional cover number 29/10 and needs 4
+        # parts: the LP leaves k = 3 open, and no single branch closes it.
+        edges = []
+        for i in range(5):
+            u, w = i + 1, i + 6
+            edges += [(u, u % 5 + 1), (w, (i - 1) % 5 + 1), (w, (i + 1) % 5 + 1), (w, 11)]
+        h = Hypergraph(11, edges)
+        assert min_cover(h, enumerate_maximal_independent(h)).k == 4
+        assert fractional_lp(h, range(1, 12), enumerate_maximal_independent(h))[2] == Fraction(29, 10)
+        assert no_k_cover(h, 3).refuted
+        assert dual_refutation(h, 3) == ()
+
+    def test_part_with_a_lone_node_is_skipped(self, council_h):
+        # Swapping L1 and L15 puts {1}, the only maximal set holding node 1,
+        # first in the support of the fractional cover.
+        swap = {1: 15, 15: 1}
+        h = Hypergraph(15, [[swap.get(v, v) for v in e] for e in council_h.edges])
+        maximal = enumerate_maximal_independent(h)
+        lone = maximal[0]
+        assert lone == frozenset({1}) and sum(1 in s for s in maximal) == 1
+        _, support, total = fractional_lp(h, range(1, 16), maximal)
+        assert total == 7 and support[0] > 0
+        # Covering node 1 costs the fractional cover 1 on {1}, so the LP
+        # with {1} weighing 0 cannot exceed 6, and the LP without the bound
+        # on {1} is unbounded: the branch can never refute.
+        assert fractional_lp(h, range(2, 16), maximal[1:])[2] <= 6
+        with pytest.raises(RuntimeError, match="unbounded"):
+            fractional_lp(h, range(1, 16), maximal[1:])
+        without, within = dual_refutation(h, 7)
+        assert without.excluded_part == within.excluded_part == frozenset({3, 6, 15})
+        assert [without.weights[swap.get(v, v) - 1] for v in range(1, 16)] \
+            == list(COUNCIL_DUALS[0].weights)
+        assert [within.weights[swap.get(v, v) - 1] for v in range(1, 16)] \
+            == list(COUNCIL_DUALS[1].weights)
+
+    def test_single_edge_and_edgeless(self):
+        assert dual_refutation(SINGLE_EDGE, 1) == (DualWeightCertificate([1, 1], 1),)
+        assert dual_refutation(EDGELESS_3, 1) == ()
+
+    def test_node_guard(self):
+        with pytest.raises(ValueError, match="24 nodes"):
+            dual_refutation(Hypergraph(25, [(1, 2)]), 1)
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError, match="positive"):
+            dual_refutation(SINGLE_EDGE, 0)
+
+
+class TestPhaseTwo:
+    """The packed Phase II against the dense `Fraction` reference."""
+
+    def test_random_systems_match_reference(self):
+        rng = random.Random(7207)
+        outcomes = {"optimal": 0, "unbounded": 0}
+        for _ in range(400):
+            k, m = rng.randint(1, 10), rng.randint(0, 14)
+            signed = rng.random() < 0.3
+            rows = [[rng.choice((-1, 0, 1, 1) if signed else (0, 0, 1)) for _ in range(k)]
+                    for _ in range(m)]
+            rhs = [rng.choice((0, 1, 1)) for _ in range(m)]
+            objective = [rng.choice((0, 1, 1, 2)) for _ in range(k)]
+            try:
+                expected = reference_phase_two(rows, rhs, objective)
+            except RuntimeError:
+                with pytest.raises(RuntimeError, match="unbounded"):
+                    phase_two(rows, rhs, objective)
+                outcomes["unbounded"] += 1
+                continue
+            x, y, denom, value = phase_two(rows, rhs, objective)
+            assert denom > 0
+            assert ([Fraction(v, denom) for v in x], [Fraction(v, denom) for v in y],
+                    Fraction(value, denom)) == expected
+            # the multipliers are optimal duals
+            assert all(v >= 0 for v in x + y)
+            for j in range(k):
+                assert sum(yi * row[j] for yi, row in zip(y, rows)) >= objective[j] * denom
+            assert sum(yi * b for yi, b in zip(y, rhs)) == value
+            outcomes["optimal"] += 1
+        assert outcomes["optimal"] > 150 and outcomes["unbounded"] > 50
 
 
 def bounded_cover_without_memo(cand_masks, full, limit):

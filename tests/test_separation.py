@@ -18,11 +18,11 @@ from gamedim.separation import (
     SeparationInstance,
     _inclusion_maximal,
     _inclusion_minimal,
-    _phase_one,
     instance_from_json,
     is_nonseparable_exhaustive,
     lp_feasible,
 )
+from gamedim.simplex import phase_one
 
 from helpers import (
     brute_inclusion_maximal,
@@ -212,7 +212,7 @@ class TestFormerBlowUps:
 
 def check_phase_one(rows, rhs):
     """The packed solver returns the reference's triple, and it holds."""
-    result = _phase_one(rows, rhs)
+    result = phase_one(rows, rhs)
     assert result == reference_phase_one(rows, rhs)
     feasible, values, denom = result
     assert denom > 0 and all(v >= 0 for v in values)
@@ -256,14 +256,14 @@ def random_system(rng, n):
 
 @pytest.fixture
 def phase_one_calls(monkeypatch):
-    """Every (rows, rhs) that `lp_feasible` hands to `_phase_one`."""
+    """Every (rows, rhs) that `lp_feasible` hands to `phase_one`."""
     calls = []
 
     def record(rows, rhs):
         calls.append((rows, rhs))
-        return _phase_one(rows, rhs)
+        return phase_one(rows, rhs)
 
-    monkeypatch.setattr(separation, "_phase_one", record)
+    monkeypatch.setattr(separation, "phase_one", record)
     return calls
 
 
