@@ -11,15 +11,15 @@ For the council game the certificates for the bundled pair family are built
 by two constructions:
 
 * transfer pairs: move a minimum-population set A out of the symmetric
-  difference of Li and Lj, giving W1 = A | (Li & Lj) with 25 members
-  (winning outright) and W2 = (Li | Lj) - A (winning on members and
+  difference of Li and Lj, giving W1 = A | (Li & Lj) with `OUTRIGHT_QUOTA`
+  members (winning outright) and W2 = (Li | Lj) - A (winning on members and
   population);
 * anchor pairs with L15: swap the two least-population members of
   Li - L15 against the largest-population member of L15 - Li.
 
 Both splits balance member incidences by construction; the winning status of
-the resulting coalitions is what gets verified.  Triple certificates are
-bundled data.
+the resulting coalitions is what gets verified, by `verify_balance` against
+the `EuGame` itself.  Triple certificates are bundled data.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .eu import (
     LOSING_FAMILY,
     NONSEPARABLE_PAIRS,
     NONSEPARABLE_TRIPLES,
+    OUTRIGHT_QUOTA,
     TRIPLE_WITNESS_LABELS,
     WINNING_FAMILY,
     EuGame,
@@ -143,11 +144,11 @@ def transfer_split(li: Coalition, lj: Coalition, transfer: Coalition
 def build_pair_certificate(li: Coalition, lj: Coalition, game: EuGame) -> BalanceCertificate:
     """Certificate for two losing coalitions that pass the member rule.
 
-    Moves out of the symmetric difference a set of exactly 25 - |li & lj|
-    members of minimum total population (ties broken toward the smallest
-    member indices); if the minimum-population choice leaves a losing half,
-    the remaining minimum-size choices are tried in increasing population
-    order before giving up.
+    Moves out of the symmetric difference a set of exactly OUTRIGHT_QUOTA -
+    |li & lj| members of minimum total population (ties broken toward the
+    smallest member indices); if the minimum-population choice leaves a
+    losing half, the remaining minimum-size choices are tried in increasing
+    population order before giving up.
     """
     if li == lj:
         raise ValueError("pair certificate needs two distinct losing coalitions")
@@ -161,7 +162,7 @@ def build_pair_certificate(li: Coalition, lj: Coalition, game: EuGame) -> Balanc
             )
     inter = li & lj
     sym = li ^ lj
-    size = max(0, 25 - len(inter))
+    size = max(0, OUTRIGHT_QUOTA - len(inter))
     if size > len(sym):
         raise CertificateError(
             f"symmetric difference of {li} and {lj} has only {len(sym)} members, need {size}"
@@ -284,7 +285,7 @@ def nonseparable_family(game: EuGame) -> CertifiedFamily:
             cert = build(edge)
         except (ValueError, CertificateError) as err:
             raise type(err)(f"{label}: {err}") from err
-        if not verify_balance(cert, game.game):
+        if not verify_balance(cert, game):
             raise CertificateError(f"{label}: certificate does not verify")
         certificates[frozenset(edge)] = cert
     return CertifiedFamily(

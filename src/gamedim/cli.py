@@ -63,7 +63,8 @@ def run_verification(table: eu.MemberTable | None = None) -> ProofTranscript:
         f"total population {game.table.total_population}; "
         f"member quota {game.member_quota} of {eu.N_MEMBERS}; "
         f"population quota {game.population_quota}",
-        "the population rule is read as a closed inequality: 20*pop(C) >= 13*total",
+        "the population rule is read as a closed inequality: "
+        f"{eu.POPULATION_DEN}*pop(C) >= {eu.POPULATION_NUM}*total",
     ]
     steps: list[Step] = []
 
@@ -228,7 +229,7 @@ def cmd_separate(args: argparse.Namespace) -> int:
 def cmd_certs_check(args: argparse.Namespace) -> int:
     game = eu.build_eu_game(_load_table(args.members))
     cert = certificates.certificate_from_json(_read_json(args.certificate), eu.N_MEMBERS)
-    if certificates.verify_balance(cert, game.game):
+    if certificates.verify_balance(cert, game):
         sys.stdout.write(
             f"certificate verifies: {len(cert.losing)} losing vs "
             f"{len(cert.winning)} winning, incidences balance\n"
@@ -257,7 +258,8 @@ def cmd_cover_refute(args: argparse.Namespace) -> int:
         sys.stdout.write(f"no {args.k}-cover exists (exhaustive search)\n")
         duals = cover.dual_refutation(h, args.k)
         if duals:
-            sys.stdout.write(f"confirmed by {len(duals)} dual weight certificates\n")
+            plural = "" if len(duals) == 1 else "s"
+            sys.stdout.write(f"confirmed by {len(duals)} dual weight certificate{plural}\n")
         return EXIT_OK
     sys.stdout.write(f"refutation failed, found a {refutation.counterexample.k}-cover:\n")
     for part in refutation.counterexample.parts:

@@ -3,7 +3,8 @@
 A coalition wins if it has at least 55% of the member states (16 of 28) and
 at least 65% of the total population, or outright if it has at least 25
 member states.  Percent thresholds are read as closed inequalities in exact
-rational arithmetic: the population rule holds iff 20*pop(C) >= 13*T.
+integer arithmetic: the population rule holds iff 20*pop(C) >= 13*T.
+`EuGame` is this rule as a simple game, evaluated on the coalition's mask.
 
 The module also bundles a reference family of 15 losing and 12 winning
 coalitions (labels L1..L15 and W1..W12) together with the pair and triple
@@ -17,12 +18,14 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cover import Hypergraph
-from .games import Coalition, IntersectionGame, SimpleGame, UnionGame, WeightedGame, masked_sum
+from .games import Coalition, SimpleGame, WeightedGame
 
 N_MEMBERS = 28
 MEMBER_QUOTA = 16  # smallest integer >= 55% of 28
+POPULATION_NUM, POPULATION_DEN = 13, 20  # 65% of the total population
 OUTRIGHT_QUOTA = 25
 
 # (index, state, population on 01.01.2014)
@@ -76,22 +79,21 @@ class MemberTable:
             seen.add(index)
             if population <= 0:
                 raise ValueError(f"nonpositive population for {name!r}: {population}")
-        # Populations by bit position (member index - 1), for population_of.
-        by_bit = tuple(population for _, _, population in sorted(self.entries))
-        object.__setattr__(self, "_bit_populations", by_bit)
+        # The populations as the weights of a game with quota 0: its scale is
+        # 1, so population_of is its scaled weight, read from its byte tables.
+        by_bit = [population for _, _, population in sorted(self.entries)]
+        object.__setattr__(self, "_weights", WeightedGame(N_MEMBERS, by_bit, 0))
 
     @property
     def populations(self) -> dict[int, int]:
         return {index: population for index, _, population in self.entries}
 
-    @property
+    @cached_property
     def total_population(self) -> int:
         return sum(population for _, _, population in self.entries)
 
     def population_of(self, coalition: Coalition) -> int:
-        if coalition.n != N_MEMBERS:
-            raise ValueError(f"coalition over {coalition.n} members, table has {N_MEMBERS}")
-        return masked_sum(self._bit_populations, coalition.mask)
+        return self._weights.scaled_weight(coalition)
 
 
 def default_members() -> MemberTable:
@@ -136,50 +138,43 @@ class RuleReport:
 
 
 @dataclass(frozen=True)
-class EuGame:
-    """The council game with its composition (members AND population) OR outright."""
+class EuGame(SimpleGame):
+    """The council rule as a simple game over the 28 members of a table.
+
+    `contains` (alias `is_winning`) and `classify` share one evaluation of the
+    mask, `_rules`: its `bit_count`, the table's byte tables, integer compares.
+    """
 
     table: MemberTable
-    game: SimpleGame
-    member_quota: int
-    population_quota: Fraction
+    n = N_MEMBERS
+    member_quota = MEMBER_QUOTA
+
+    @property
+    def population_quota(self) -> Fraction:
+        """The exact population threshold, 13/20 of the total population."""
+        return Fraction(POPULATION_NUM * self.table.total_population, POPULATION_DEN)
+
+    def _rules(self, coalition: Coalition) -> tuple[bool, bool, bool, bool, int]:
+        """(winning, member rule, population rule, outright rule, population)."""
+        population = self.table.population_of(coalition)
+        members = coalition.mask.bit_count()
+        rule55 = members >= MEMBER_QUOTA
+        rule65 = POPULATION_DEN * population >= POPULATION_NUM * self.table.total_population
+        rule25 = members >= OUTRIGHT_QUOTA
+        return (rule55 and rule65) or rule25, rule55, rule65, rule25, population
+
+    def contains(self, coalition: Coalition) -> bool:
+        return self._rules(coalition)[0]
+
+    is_winning = contains
 
     def classify(self, coalition: Coalition) -> RuleReport:
-        if coalition.n != N_MEMBERS:
-            raise ValueError(f"coalition over {coalition.n} members, game over {N_MEMBERS}")
-        population = self.table.population_of(coalition)
-        rule55 = len(coalition) >= self.member_quota
-        rule65 = population >= self.population_quota
-        rule25 = len(coalition) >= OUTRIGHT_QUOTA
-        return RuleReport(
-            winning=(rule55 and rule65) or rule25,
-            rule55=rule55,
-            rule65=rule65,
-            rule25=rule25,
-            population_sum=population,
-        )
-
-    def is_winning(self, coalition: Coalition) -> bool:
-        return self.game.contains(coalition)
+        return RuleReport(*self._rules(coalition))
 
 
 def build_eu_game(table: MemberTable | None = None) -> EuGame:
-    """Assemble the council game from a member table (2014 data by default)."""
-    if table is None:
-        table = default_members()
-    pops = table.populations
-    population_weights = [pops[i] for i in range(1, N_MEMBERS + 1)]
-    population_quota = Fraction(13 * table.total_population, 20)
-    members_55 = WeightedGame(N_MEMBERS, [1] * N_MEMBERS, MEMBER_QUOTA)
-    population_65 = WeightedGame(N_MEMBERS, population_weights, population_quota)
-    outright_25 = WeightedGame(N_MEMBERS, [1] * N_MEMBERS, OUTRIGHT_QUOTA)
-    game = UnionGame([IntersectionGame([members_55, population_65]), outright_25])
-    return EuGame(
-        table=table,
-        game=game,
-        member_quota=MEMBER_QUOTA,
-        population_quota=population_quota,
-    )
+    """The council game on a member table (2014 data by default)."""
+    return EuGame(default_members() if table is None else table)
 
 
 # --- reference coalitions ----------------------------------------------------
@@ -223,9 +218,6 @@ LOSING_FAMILY: tuple[Coalition, ...] = tuple(
 WINNING_FAMILY: tuple[Coalition, ...] = tuple(
     Coalition.from_indices(ix, N_MEMBERS) for ix in _WINNING_INDICES
 )
-
-LOSING_LABELS: tuple[str, ...] = tuple(f"L{i}" for i in range(1, 16))
-WINNING_LABELS: tuple[str, ...] = tuple(f"W{i}" for i in range(1, 13))
 
 
 def reference_coalitions() -> tuple[tuple[Coalition, ...], tuple[Coalition, ...]]:
@@ -285,14 +277,6 @@ TRIPLE_WITNESS_LABELS: dict[tuple[int, int, int], tuple[int, int, int]] = {
 
 ANCHOR_LABEL = 15  # L15, the one reference losing coalition failing the member rule
 
-
-def nonseparable_edge_labels() -> tuple[frozenset[int], ...]:
-    """All 80 non-separable label sets (75 pairs then 5 triples)."""
-    return tuple(frozenset(p) for p in NONSEPARABLE_PAIRS) + tuple(
-        frozenset(t) for t in NONSEPARABLE_TRIPLES
-    )
-
-
 # The 21 maximal independent sets of the council family (nodes are L1..L15),
 # the only candidate parts a cover ever needs.
 COUNCIL_MAXIMAL_PARTS: tuple[frozenset[int], ...] = tuple(map(frozenset, (
@@ -304,4 +288,4 @@ COUNCIL_MAXIMAL_PARTS: tuple[frozenset[int], ...] = tuple(map(frozenset, (
 
 def council_hypergraph() -> Hypergraph:
     """The bundled 15-node, 80-edge non-separable family of the council game."""
-    return Hypergraph(15, nonseparable_edge_labels())
+    return Hypergraph(15, NONSEPARABLE_PAIRS + NONSEPARABLE_TRIPLES)

@@ -6,10 +6,10 @@ coalitions.  Weighted games realize the threshold rule
 unions and intersections of weighted or explicitly listed games.  Weights and
 quota are exact rationals (``fractions.Fraction``); a weighted game scales them
 once, by the least common multiple of their denominators, to integers.  Its
-first `contains` call then builds one table per byte of the member mask, the
-scaled weight of every subset of those eight members, so membership is one
-integer table lookup per byte of the coalition's mask.  Nothing is ever
-rounded or computed in floating point.
+first `contains` or `scaled_weight` call then builds one table per byte of the
+member mask, the scaled weight of every subset of those eight members, so a
+weight sum is one integer table lookup per byte of the coalition's mask.
+Nothing is ever rounded or computed in floating point.
 
 The exhaustive scans (`minimal_winning`, `check_monotone`) never test the 2^n
 coalitions one at a time.  Each game packs its whole winning family into one
@@ -215,8 +215,8 @@ class WeightedGame(SimpleGame):
     least common multiple of their denominators, so it never depends on
     rounding and never touches a `Fraction`.  The scaled weight of a mask is
     the sum, over its bytes, of the byte's entry in that byte's partial-sum
-    table; the tables are built on the first `contains` call, so a game only
-    ever scanned by `minimal_winning` builds none.
+    table; the tables are built on the first `contains` or `scaled_weight`
+    call, so a game only ever scanned by `minimal_winning` builds none.
     """
 
     n: int
@@ -245,11 +245,14 @@ class WeightedGame(SimpleGame):
         w = self._scaled_weights
         return tuple(_subset_sums(w[low:low + 8]) for low in range(0, self.n, 8))
 
-    def contains(self, coalition: Coalition) -> bool:
+    def scaled_weight(self, coalition: Coalition) -> int:
+        """The coalition's weight sum times the game's integer scale."""
         self._check_dimension(coalition)
         tables = self._byte_sums
-        mask_bytes = coalition.mask.to_bytes(len(tables), "little")
-        return sum(map(list.__getitem__, tables, mask_bytes)) >= self._scaled_quota
+        return sum(map(list.__getitem__, tables, coalition.mask.to_bytes(len(tables), "little")))
+
+    def contains(self, coalition: Coalition) -> bool:
+        return self.scaled_weight(coalition) >= self._scaled_quota
 
     def _winning_bits(self) -> int:
         quota = self._scaled_quota

@@ -10,6 +10,9 @@ from gamedim import (
     DualWeightCertificate,
     ExplicitGame,
     Hypergraph,
+    IntersectionGame,
+    UnionGame,
+    WeightedGame,
     verify_balance,
 )
 
@@ -28,6 +31,20 @@ COUNCIL_DUALS = (
         excluded_part=(1, 3, 6),
     ),
 )
+
+
+def composed_council_game(table):
+    """The council rule composed from three weighted games over 28 members.
+
+    (16 members AND 13/20 of the population) OR 25 members, built from the
+    generic game classes: an independent reference for `EuGame`.
+    """
+    pops = table.populations
+    members_55 = WeightedGame(28, [1] * 28, 16)
+    population_65 = WeightedGame(
+        28, [pops[i] for i in range(1, 29)], Fraction(13 * table.total_population, 20))
+    outright_25 = WeightedGame(28, [1] * 28, 25)
+    return UnionGame([IntersectionGame([members_55, population_65]), outright_25])
 
 
 def coalitions_of(n):

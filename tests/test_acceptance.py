@@ -63,7 +63,7 @@ def test_criterion_3_all_eighty_certificates_verify(eu_game, family):
         cert = family.certificates[edge]
         assert len(cert.winning) >= len(cert.losing)
         assert cert.incidence_balanced()
-        assert verify_balance(cert, eu_game.game)
+        assert verify_balance(cert, eu_game)
     report(3, "75 pair and 5 triple certificates verify (exact balance)")
 
 

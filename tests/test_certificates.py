@@ -1,6 +1,6 @@
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,10 +24,11 @@ from gamedim.eu import (
     NONSEPARABLE_TRIPLES,
     TRIPLE_WITNESS_LABELS,
     WINNING_FAMILY,
+    EuGame,
     MemberTable,
     build_eu_game,
 )
-from gamedim.games import Coalition, WeightedGame
+from gamedim.games import Coalition, SimpleGame, WeightedGame
 
 
 def L(i):
@@ -68,11 +69,11 @@ class TestBalanceCertificate:
 class TestVerifyBalance:
     def test_bundled_triple_l1_l2_l12(self, eu_game):
         cert = BalanceCertificate(losing=(L(1), L(2), L(12)), winning=(W(2), W(7), W(11)))
-        assert verify_balance(cert, eu_game.game)
+        assert verify_balance(cert, eu_game)
 
     def test_bundled_triple_l5_l10_l12(self, eu_game):
         cert = BalanceCertificate(losing=(L(5), L(10), L(12)), winning=(W(1), W(2), W(6)))
-        assert verify_balance(cert, eu_game.game)
+        assert verify_balance(cert, eu_game)
 
     def test_all_bundled_triples(self, eu_game):
         for triple in NONSEPARABLE_TRIPLES:
@@ -81,26 +82,26 @@ class TestVerifyBalance:
                 losing=tuple(L(i) for i in triple),
                 winning=tuple(W(w) for w in witnesses),
             )
-            assert verify_balance(cert, eu_game.game), triple
+            assert verify_balance(cert, eu_game), triple
 
     def test_unbalanced_incidences_rejected(self, eu_game):
         assert not verify_balance(
-            BalanceCertificate(losing=(L(1),), winning=(W(1),)), eu_game.game
+            BalanceCertificate(losing=(L(1),), winning=(W(1),)), eu_game
         )
 
     def test_fewer_winning_than_losing_rejected(self, eu_game):
         cert = BalanceCertificate(losing=(L(1), L(5)), winning=(W(1),))
-        assert not verify_balance(cert, eu_game.game)
+        assert not verify_balance(cert, eu_game)
 
     def test_winning_listed_as_losing_rejected(self, eu_game):
         cert = BalanceCertificate(losing=(W(1),), winning=(W(1),))
-        assert not verify_balance(cert, eu_game.game)
+        assert not verify_balance(cert, eu_game)
 
     def test_dimension_mismatch_raises(self, eu_game):
         five = Coalition.from_indices([1, 2], 5)
         cert = BalanceCertificate(losing=(five,), winning=(five,))
         with pytest.raises(ValueError, match="members"):
-            verify_balance(cert, eu_game.game)
+            verify_balance(cert, eu_game)
 
     def test_size_condition_enforced_on_any_game(self):
         g = WeightedGame(4, [2, 1, 1, 2], 3)
@@ -207,6 +208,16 @@ def sorted_transfer_reference(li, lj, game):
     return None, None
 
 
+@dataclass(frozen=True)
+class SwappedMembershipGame(EuGame):
+    """The council's table and `classify`, with another game's membership."""
+
+    membership: SimpleGame
+
+    def is_winning(self, coalition):
+        return self.membership.contains(coalition)
+
+
 class TestTransferOrder:
     def assert_same_choice(self, li, lj, game, outcomes):
         position, expected = sorted_transfer_reference(li, lj, game)
@@ -224,7 +235,7 @@ class TestTransferOrder:
         rng = random.Random(2024)
         outcomes = {"first": 0, "later": 0, "none": 0}
         for _ in range(60):
-            game = replace(eu_game, game=WeightedGame(
+            game = SwappedMembershipGame(eu_game.table, WeightedGame(
                 N_MEMBERS, [rng.randint(0, 10) for _ in range(N_MEMBERS)], rng.randint(90, 130)))
             i, j = rng.sample(range(1, 15), 2)
             self.assert_same_choice(L(i), L(j), game, outcomes)
@@ -253,11 +264,11 @@ class TestTransferOrder:
 class TestPairCertificates:
     def test_l1_l5_verifies(self, eu_game):
         cert = build_pair_certificate(L(1), L(5), eu_game)
-        assert verify_balance(cert, eu_game.game)
+        assert verify_balance(cert, eu_game)
 
     def test_l13_l14_verifies(self, eu_game):
         cert = build_pair_certificate(L(13), L(14), eu_game)
-        assert verify_balance(cert, eu_game.game)
+        assert verify_balance(cert, eu_game)
 
     def test_identical_inputs_rejected(self, eu_game):
         with pytest.raises(ValueError, match="distinct"):
@@ -310,12 +321,12 @@ class TestPairCertificates:
 class TestAnchorCertificates:
     def test_l14_verifies(self, eu_game):
         cert = build_anchor_certificate(L(14), eu_game)
-        assert verify_balance(cert, eu_game.game)
+        assert verify_balance(cert, eu_game)
         assert L(15) in cert.losing
 
     def test_l3_verifies(self, eu_game):
         cert = build_anchor_certificate(L(3), eu_game)
-        assert verify_balance(cert, eu_game.game)
+        assert verify_balance(cert, eu_game)
 
     def test_anchor_itself_rejected(self, eu_game):
         with pytest.raises(ValueError, match="distinct"):
@@ -356,7 +367,7 @@ class TestFamily:
         assert frozenset({1, 5}) in family.hypergraph.edges
 
     def test_every_edge_certified(self, family, eu_game):
-        family.check(eu_game.game)
+        family.check(eu_game)
         for edge, cert in family.certificates.items():
             assert len(cert.winning) >= len(cert.losing)
             assert cert.incidence_balanced()
@@ -370,7 +381,7 @@ class TestFamily:
                 losing=(L(1), L(5)), winning=(W(1), W(2))
             )
             with pytest.raises(CertificateError, match="fails verification"):
-                family.check(eu_game.game)
+                family.check(eu_game)
         finally:
             family.certificates[edge] = good
 
@@ -379,7 +390,7 @@ class TestFamily:
         good = family.certificates.pop(edge)
         try:
             with pytest.raises(CertificateError, match="no certificate"):
-                family.check(eu_game.game)
+                family.check(eu_game)
         finally:
             family.certificates[edge] = good
 
@@ -400,4 +411,4 @@ class TestFamily:
         for edge in rng.sample(list(family.certificates), 10):
             payload = certificate_to_json(family.certificates[edge])
             again = certificate_from_json(payload, N_MEMBERS)
-            assert verify_balance(again, eu_game.game)
+            assert verify_balance(again, eu_game)

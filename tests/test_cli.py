@@ -1,12 +1,17 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gamedim import certificates
 from gamedim.cli import main, parse_coalition, run_verification
 from gamedim.eu import MEMBERS_2014, N_MEMBERS
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -117,6 +122,15 @@ class TestVerify:
         assert run_verification().verified
         assert calls == {"verify_balance": 80, "build_pair_certificate": 61}
 
+    def test_module_stdout_matches_expected_transcript(self):
+        # The transcript the benchmark gate compares against, byte for byte.
+        expected = (REPO / "perfbench" / "expected_verify.txt").read_bytes()
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run([sys.executable, "-m", "gamedim.cli", "verify"],
+                              capture_output=True, env=env)
+        assert proc.returncode == 0
+        assert proc.stdout == expected
+
     def test_console_script(self):
         script = shutil.which("gamedim")
         if script is None:
@@ -145,6 +159,34 @@ class TestClassify:
         obj = json.loads(out)
         assert obj["winning"] is True
         assert obj["members"] == 20
+
+    @pytest.mark.parametrize("label, expected", [
+        ("L1", "coalition: {2,3,5,6,8,9,10,11,12,15,16,17,18,19,20,21,22,23,24,25,26,27,28}\n"
+               "members: 23 of 28\n"
+               "population: 326387433 (quota 6596415891/20)\n"
+               "members rule   (>= 16): yes\n"
+               "population rule (>= 65%): no\n"
+               "outright rule  (>= 25): no\n"
+               "winning: no\n"),
+        ("L15", "coalition: {1,2,3,4,5,6,7,8,9,10,11,12,13,14,15}\n"
+                "members: 15 of 28\n"
+                "population: 464670839 (quota 6596415891/20)\n"
+                "members rule   (>= 16): no\n"
+                "population rule (>= 65%): yes\n"
+                "outright rule  (>= 25): no\n"
+                "winning: no\n"),
+        ("W12", "coalition: {2,3,4,5,6,8,9,12,15,16,19,20,21,22,23,24,25,26,27,28}\n"
+                "members: 20 of 28\n"
+                "population: 354586588 (quota 6596415891/20)\n"
+                "members rule   (>= 16): yes\n"
+                "population rule (>= 65%): yes\n"
+                "outright rule  (>= 25): no\n"
+                "winning: yes\n"),
+    ])
+    def test_text_report_pinned(self, capsys, label, expected):
+        code, out, _ = run(capsys, "classify", label)
+        assert code == 0
+        assert out == expected
 
     def test_mixed_ranges(self):
         c = parse_coalition("1,4-6,28")
@@ -302,7 +344,7 @@ class TestCover:
         code, out, _ = run(capsys, "cover", "refute", str(path), "--k", "2")
         assert code == 0
         assert out == ("no 2-cover exists (exhaustive search)\n"
-                       "confirmed by 1 dual weight certificates\n")
+                       "confirmed by 1 dual weight certificate\n")
 
 
 class TestExport:

@@ -553,7 +553,7 @@ def tiny_certified_family(game, losing_pair, winning_pair):
 
 class TestLowerBoundDimension:
     def test_council_bound_is_eight(self, eu_game, family):
-        assert lower_bound_dimension(eu_game.game, family) == 8
+        assert lower_bound_dimension(eu_game, family) == 8
 
     def test_single_edge_gives_two(self):
         game = IntersectionGame([

@@ -10,6 +10,7 @@ from gamedim.eu import (
     N_MEMBERS,
     NONSEPARABLE_PAIRS,
     WINNING_FAMILY,
+    EuGame,
     MemberTable,
     build_eu_game,
     default_members,
@@ -17,7 +18,9 @@ from gamedim.eu import (
     load_members,
     reference_coalitions,
 )
-from gamedim.games import Coalition
+from gamedim.games import Coalition, SimpleGame, minimal_winning
+
+from helpers import composed_council_game
 
 TOTAL_POPULATION = 507416607
 
@@ -185,3 +188,107 @@ class TestLabels:
     def test_pair_family_count(self):
         assert len(NONSEPARABLE_PAIRS) == 75
         assert len(set(map(frozenset, NONSEPARABLE_PAIRS))) == 75
+
+
+def changed_table(**populations):
+    """The 2014 table with the given members' populations replaced (keys m<index>)."""
+    new = {int(key[1:]): pop for key, pop in populations.items()}
+    return MemberTable(tuple((i, name, new.get(i, pop)) for i, name, pop in MEMBERS_2014))
+
+
+TABLES = {
+    "default": default_members(),
+    # the tables of the CLI failure tests
+    "bulgaria-6521109": changed_table(m16=6521109),
+    "halved-germany": changed_table(m1=80780000 // 2),
+}
+
+
+def tables_at_population_quota(coalition):
+    """Two 2014-based tables on which `coalition` holds exactly 13/20 of the
+    total population, and one person less, at the same total.
+
+    The 2014 total is not a multiple of 20, so no coalition meets the quota
+    with equality there.  The first member of the coalition is trimmed until
+    its population P is a multiple of 13; the first member outside it then
+    takes the population x with 20*P = 13*(P + rest + x).  Moving one person
+    from the first member to that outside member gives the second table.
+    """
+    pops = default_members().populations
+    inside = coalition.members[0]
+    outside = next(m for m in range(1, N_MEMBERS + 1) if m not in coalition)
+    pops[inside] -= sum(pops[m] for m in coalition.members) % 13
+    population = sum(pops[m] for m in coalition.members)
+    rest = sum(pops[m] for m in range(1, N_MEMBERS + 1)
+               if m not in coalition and m != outside)
+    pops[outside] = 7 * population // 13 - rest
+    exact = changed_table(**{f"m{inside}": pops[inside], f"m{outside}": pops[outside]})
+    below = changed_table(**{f"m{inside}": pops[inside] - 1, f"m{outside}": pops[outside] + 1})
+    return exact, below
+
+
+def masks_of_size(rng, k, count):
+    """`count` random masks with k members, plus the k lowest and k highest bits."""
+    masks = [sum(1 << b for b in rng.sample(range(N_MEMBERS), k)) for _ in range(count)]
+    return masks + [(1 << k) - 1, ((1 << k) - 1) << (N_MEMBERS - k)]
+
+
+class TestMaskRuleMatchesComposition:
+    """`EuGame` against the rule composed from three weighted games."""
+
+    @pytest.fixture(params=sorted(TABLES))
+    def table(self, request):
+        return TABLES[request.param]
+
+    def assert_agree(self, table, masks):
+        game, reference = build_eu_game(table), composed_council_game(table)
+        for mask in masks:
+            c = Coalition(N_MEMBERS, mask)
+            expected = reference.contains(c)
+            assert game.contains(c) == expected, c
+            assert game.is_winning(c) == expected, c
+            assert game.classify(c).winning == expected, c
+
+    def test_bundled_coalitions(self, table):
+        self.assert_agree(table, [c.mask for c in LOSING_FAMILY + WINNING_FAMILY])
+
+    def test_random_masks(self, table):
+        rng = random.Random(10)
+        self.assert_agree(table, [rng.randrange(1 << N_MEMBERS) for _ in range(2000)])
+
+    @pytest.mark.parametrize("k", [15, 16, 24, 25])
+    def test_member_count_boundaries(self, table, k):
+        self.assert_agree(table, masks_of_size(random.Random(k), k, 300))
+
+    def test_population_exactly_at_and_one_below_the_quota(self):
+        w1 = WINNING_FAMILY[0]
+        assert 16 <= len(w1) < 25
+        exact, below = tables_at_population_quota(w1)
+        assert exact.total_population == below.total_population
+        for table, at_quota in ((exact, True), (below, False)):
+            report = build_eu_game(table).classify(w1)
+            gap = 20 * report.population_sum - 13 * table.total_population
+            assert gap == (0 if at_quota else -20)
+            assert report.rule55 and report.rule65 == at_quota
+            assert report.winning == at_quota
+            rng = random.Random(7)
+            # w1 and its one-member changes, then random masks
+            masks = [w1.mask] + [w1.mask ^ (1 << b) for b in range(N_MEMBERS)]
+            masks += [rng.randrange(1 << N_MEMBERS) for _ in range(300)]
+            self.assert_agree(table, masks)
+
+    def test_other_ground_sets_rejected(self, eu_game):
+        c = Coalition.from_indices([1], 27)
+        for method in (eu_game.contains, eu_game.is_winning, eu_game.classify):
+            with pytest.raises(ValueError):
+                method(c)
+
+    def test_is_the_game_itself(self, eu_game):
+        assert isinstance(eu_game, SimpleGame) and eu_game.n == N_MEMBERS
+        assert EuGame.is_winning is EuGame.contains
+        assert not hasattr(eu_game, "game")
+
+    def test_minimal_winning_is_guarded(self, eu_game):
+        # the guard stops the scan before any per-mask evaluation at n = 28
+        with pytest.raises(ValueError, match="limited to n <= 20"):
+            minimal_winning(eu_game)
