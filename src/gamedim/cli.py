@@ -240,6 +240,8 @@ def cmd_certs_check(args: argparse.Namespace) -> int:
 
 
 def cmd_cover_solve(args: argparse.Namespace) -> int:
+    if args.k is not None and args.k < 1:
+        raise ValueError("k must be positive")
     h = cover.hypergraph_from_json(_read_json(args.hypergraph))
     solution = cover.min_cover(h, cover.enumerate_maximal_independent(h))
     sys.stdout.write(f"minimum cover: {solution.k} parts\n")
@@ -271,7 +273,8 @@ def cmd_cover_duals(args: argparse.Namespace) -> int:
     h = cover.hypergraph_from_json(_read_json(args.hypergraph))
     k = cover.min_cover(h, cover.enumerate_maximal_independent(h)).k - 1
     if k < 1:
-        sys.stdout.write("nothing to refute: one part covers every node\n")
+        reason = "one part covers every node" if k == 0 else "there are no nodes to cover"
+        sys.stdout.write(f"nothing to refute: {reason}\n")
         return EXIT_STEP_FAILED
     duals = cover.dual_refutation(h, k)
     if not duals:

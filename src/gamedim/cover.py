@@ -392,7 +392,7 @@ def dual_refutation(h: Hypergraph, k: int) -> tuple[DualWeightCertificate, ...]:
 
     def weigh(nodes: list[int], bounds: list[int]) -> tuple[list[Fraction], list[int], Fraction]:
         # nodes are bit positions; every mask in bounds weighs at most 1
-        x, y, denom, value = phase_two([[m >> v & 1 for v in nodes] for m in bounds],
+        x, y, denom, value = phase_two([[m >> v & 1 for m in bounds] for v in nodes],
                                        [1] * len(bounds), [1] * len(nodes))
         by_node = dict(zip(nodes, x))
         return ([Fraction(by_node.get(v, 0), denom) for v in range(t)], y,

@@ -124,16 +124,6 @@ def coalition_sort_key(c: Coalition) -> tuple[int, str]:
     return (c.mask.bit_count(), format(c.mask ^ ((1 << c.n) - 1), f"0{c.n}b")[::-1])
 
 
-def masked_sum(values: Sequence[int], mask: int) -> int:
-    """Sum of ``values[i]`` over the set bits ``i`` of ``mask``."""
-    total = 0
-    while mask:
-        low = mask & -mask
-        total += values[low.bit_length() - 1]
-        mask ^= low
-    return total
-
-
 def _subset_sums(values: Sequence[int]) -> list[int]:
     """Entry m is the sum of ``values[i]`` over the set bits i of m.
 
@@ -230,11 +220,13 @@ class WeightedGame(SimpleGame):
         if len(self.weights) != n:
             raise ValueError(f"expected {n} weights, got {len(self.weights)}")
         for i, w in enumerate(self.weights):
-            if w < 0:
+            if w.numerator < 0:  # a Fraction's denominator is positive
                 raise ValueError(f"weight of member {i + 1} is negative: {w}")
         scale = math.lcm(self.quota.denominator, *(w.denominator for w in self.weights))
-        object.__setattr__(self, "_scaled_weights", tuple(int(w * scale) for w in self.weights))
-        object.__setattr__(self, "_scaled_quota", int(self.quota * scale))
+        object.__setattr__(self, "_scaled_weights", tuple(
+            w.numerator * (scale // w.denominator) for w in self.weights))
+        object.__setattr__(self, "_scaled_quota",
+                           self.quota.numerator * (scale // self.quota.denominator))
 
     @cached_property
     def _byte_sums(self) -> tuple[list[int], ...]:

@@ -14,9 +14,11 @@ solution with gap at least 1; conversely any gap-1 solution is strictly
 feasible.  All closed constraints are invariant under positive scaling.
 
 The solver is `simplex.phase_one` over x = (a, b) >= 0 and the {-1, 0, 1}
-rows b - a(W) <= 0 and a(L) - b <= -1.  (The bound b >= 0 costs nothing:
-any target forces b >= 1.)  A feasible vertex is re-checked by
-substitution; an infeasible system yields the optimal dual multipliers, a
+rows b - a(W) <= 0 and a(L) - b <= -1, whose columns are read off the
+coalition masks (see `_columns`).  (The bound b >= 0 costs nothing: any
+target forces b >= 1.)  A feasible vertex is re-checked by substitution,
+through the byte tables of a weighted game over its numerators; an
+infeasible system yields the optimal dual multipliers, a
 nonnegative combination of the listed constraints that reads
 0 <= total < 0, re-checked by combination.  Winning constraints that
 contain another one and targets inside another target are dropped first,
@@ -25,6 +27,7 @@ by one packed zero-field test per coalition (see `_drop_containing`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -32,8 +35,8 @@ from typing import Sequence
 from .games import (
     Coalition,
     SimpleGame,
+    WeightedGame,
     coalitions_from_json,
-    masked_sum,
     minimal_winning,
 )
 from .simplex import phase_one
@@ -128,6 +131,29 @@ def _inclusion_maximal(coalitions: Sequence[Coalition], n: int) -> list[Coalitio
     return _drop_containing(ordered, [full ^ c.mask for c in ordered], n)
 
 
+# _ENTRY[e][b][x] is the signed byte e if bit b of the byte x is set, else 0:
+# runs of 2**b zeros and 2**b bytes e, alternating.
+_ENTRY = {e: [(bytes(1 << b) + bytes([e & 255]) * (1 << b)) * (128 >> b) for b in range(8)]
+          for e in (-1, 1)}
+
+
+def _columns(winning: Sequence[Coalition], losing: Sequence[Coalition], n: int
+             ) -> list[memoryview]:
+    """The columns of the rows b - a(W) <= 0, then a(L) - b <= -1.
+
+    Over x = (weights, quota), each column holds one signed byte per row.
+    Laid out mask after mask, the byte holding member j is one stepped
+    slice per part, and one `bytes.translate` maps it to the entries.
+    """
+    width = (n + 7) // 8
+    raw = b"".join(c.mask.to_bytes(width, "little") for c in (*winning, *losing))
+    split = width * len(winning)
+    columns = [raw[j >> 3:split:width].translate(_ENTRY[-1][j & 7])
+               + raw[split + (j >> 3)::width].translate(_ENTRY[1][j & 7]) for j in range(n)]
+    columns.append(b"\x01" * len(winning) + b"\xff" * len(losing))
+    return [memoryview(c).cast("b") for c in columns]
+
+
 def lp_feasible(instance: SeparationInstance) -> Separable | NotSeparable:
     """Decide weighted separability of the instance in exact arithmetic.
 
@@ -139,31 +165,22 @@ def lp_feasible(instance: SeparationInstance) -> Separable | NotSeparable:
     n = instance.n
     winning = _inclusion_minimal(instance.winning_constraints, n)
     losing = _inclusion_maximal(instance.losing_targets, n)
-    # Rows sum(coeffs[j] * x_j) <= rhs over x = (weights, quota): first the
-    # n bounds weight >= 0, then one row per winning constraint and target.
-    constraints: list[tuple[list[int], int]] = []
-    for i in range(n):
-        coeffs = [0] * (n + 1)
-        coeffs[i] = -1
-        constraints.append((coeffs, 0))
-    for w in winning:
-        constraints.append(([-(w.mask >> i & 1) for i in range(n)] + [1], 0))
-    for l in losing:
-        constraints.append(([l.mask >> i & 1 for i in range(n)] + [-1], -1))
-
-    rows = constraints[n:]
-    feasible, values, denom = phase_one([c for c, _ in rows], [r for _, r in rows])
+    columns = _columns(winning, losing, n)
+    feasible, values, denom = phase_one(columns, [0] * len(winning) + [-1] * len(losing))
     if feasible:
-        # Substitute the numerators: every value shares the denominator.
+        # Substitute the numerators: every value shares the denominator, and
+        # integer weights give a game of scale 1, whose scaled weights are
+        # their sums.
         weights, quota = values[:n], values[n]
-        for w in instance.winning_constraints:
-            if masked_sum(weights, w.mask) < quota:
-                raise RuntimeError(f"witness violates winning constraint {w}")
-        for l in instance.losing_targets:
-            if masked_sum(weights, l.mask) > quota - denom:
-                raise RuntimeError(f"witness violates losing target {l}")
         if any(x < 0 for x in weights):
             raise RuntimeError("witness has a negative weight")
+        game = WeightedGame(n, weights, 0)
+        for w in instance.winning_constraints:
+            if game.scaled_weight(w) < quota:
+                raise RuntimeError(f"witness violates winning constraint {w}")
+        for l in instance.losing_targets:
+            if game.scaled_weight(l) > quota - denom:
+                raise RuntimeError(f"witness violates losing target {l}")
         return Separable(tuple(Fraction(x, denom) for x in weights),
                          Fraction(quota, denom))
 
@@ -172,22 +189,27 @@ def lp_feasible(instance: SeparationInstance) -> Separable | NotSeparable:
     # (y . A)[i], cancel the weights.  The quota coefficient of y . A is 0
     # there: were it positive, moving multiplier from a winning row to a
     # target would keep y . A >= 0 and improve on the optimum.
-    farkas = [sum(lam * coeffs[i] for lam, (coeffs, _) in zip(values, rows))
-              for i in range(n)] + values
+    farkas = [sum(map(operator.mul, values, columns[i])) for i in range(n)] + values
 
+    # Each listed constraint as (members, their coefficient, the quota's, rhs).
+    constraints = ([(1 << i, -1, 0, 0) for i in range(n)]
+                   + [(w.mask, -1, 1, 0) for w in winning]
+                   + [(l.mask, 1, -1, -1) for l in losing])
     labels = ([f"weight[{i + 1}] >= 0" for i in range(n)]
               + [f"weight({w}) >= quota" for w in winning]
               + [f"weight({l}) <= quota - 1" for l in losing])
     total = 0
     combined = [0] * (n + 1)
     terms = []
-    for lam, (coeffs, rhs), label in zip(farkas, constraints, labels):
+    for lam, (mask, member, on_quota, rhs), label in zip(farkas, constraints, labels):
         if lam < 0:
             raise RuntimeError("negative multiplier in refutation")
         if lam == 0:
             continue
-        for j, c in enumerate(coeffs):
-            combined[j] += lam * c
+        for j in range(n):
+            if mask >> j & 1:
+                combined[j] += lam * member
+        combined[n] += lam * on_quota
         total += lam * rhs
         terms.append((Fraction(lam, denom), label))
     if any(combined) or total >= 0:

@@ -18,9 +18,10 @@ the W-bit field at bit W*i, as the signed sum sum_i T[i][j] * 2**(W*i).
 Every entry, and D, is up to sign a minor of the {-1, 0, 1} matrix
 [rhs | -A] (A holding the x0 column in Phase I) of order at most its
 column count q, so by Hadamard's bound at most q**(q/2) in absolute value.
-W is that bound's bit length plus a sign bit, in whole bytes: 32 bits at
-q = 15, 80 at q = 31.  The update is linear in each column, so a pivot is
-one multiply, subtract and divide per column,
+W is that bound's bit length plus a sign bit, rounded up to 8, 16, 32 or
+64 bits, and above 64 bits to a multiple of 64: 64 bits at q = 16, 128 at
+q = 31.  The update is linear in each column, so a pivot is one multiply,
+subtract and divide per column,
 
     col_j' = (|p| * col_j - sign(p) * T[r][j] * col_s) / D,
 
@@ -28,70 +29,90 @@ then the new pivot-row entry goes into field r, which the update leaves at
 0.  Products may overflow a field into its neighbours, but each field's
 numerator is a multiple of D, so the whole integer is too and the quotient
 is again a signed sum within the bound.  Adding 2**(W-1) to every field
-makes them nonnegative, and one `to_bytes` then reads a column as byte
-slices; the ratio test reads only columns 0 and s, at the rows whose field
-in column s is negative.  The objective row is a plain list.  Packing moves
-entries, not values, so Bland's rule picks a row-by-row tableau's pivots.
+makes them nonnegative, and flipping that bit again leaves each field's
+two's complement, so one `to_bytes` and one `memoryview.cast` to signed
+machine words decode a whole column.  A field wider than 64 bits is its
+top word, signed, shifted over the unsigned words below it.  The ratio test
+decodes columns 0 and s once per pivot and compares them at the rows whose
+field in column s is negative, found from the top bytes alone.  The
+objective row is a plain list.  Packing moves entries, not values, so
+Bland's rule picks a row-by-row tableau's pivots.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from itertools import compress
-from typing import Sequence
+from typing import Callable, Sequence
 
-# bytes.translate table: 1 for the top byte of a negative offset field.
-_NEGATIVE = bytes(b < 0x80 for b in range(256))
+if sys.byteorder != "little":
+    raise ImportError("gamedim.simplex casts little-endian fields to machine words")
+
+# bytes.translate table: 1 for the top byte of a negative field.
+_NEGATIVE = bytes(b >= 0x80 for b in range(256))
+# memoryview.cast formats of signed machine words, by size in bytes
+_SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def _solve(columns: Sequence[Sequence[int]], rhs: Sequence[int], obj: list[int],
-           first: tuple[int, int] | None = None) -> tuple[list[int], list[int], int, int]:
+           auxiliary: bool = False
+           ) -> tuple[Callable[[], list[int]], Callable[[], list[int]], int, int]:
     """Simplex on the dictionary slack_i = rhs[i] - sum_j A[i][j] x_j.
 
     `columns` are the columns of A; obj[0] is the objective's constant and
-    obj[1 + j] the coefficient of x_j.  Dictionary row i reads
-    basic[i] = (T[i][0] + sum_j T[i][j] * cols[j]) / D, with column j of T
-    packed in table[j].  With `first`, that Phase-I pivot comes first and
-    the solve stops once the objective reaches 0.  Returns (x, y, D, value):
-    the vertex x / D, the row multipliers y / D read off the objective row,
-    and the objective value / D.  Raises RuntimeError when unbounded.
+    obj[1 + j] the coefficient of x_j.  With `auxiliary`, A gets Chvatal's
+    x0 column first, the forced pivot brings x0 in on the row with the most
+    negative rhs, and the solve stops once the objective reaches 0.
+    Dictionary row i reads basic[i] = (T[i][0] + sum_j T[i][j] * cols[j]) / D,
+    with column j of T packed in table[j].  Returns (vertex, duals, D, value):
+    readers of the vertex x / D and of the row multipliers y / D, read off
+    the objective row, and the objective value / D.  Raises RuntimeError
+    when unbounded.
     """
-    m, k = len(rhs), len(columns)
-    width = (math.isqrt((k + 1) ** (k + 1)).bit_length() + 8) // 8
+    m, k = len(rhs), len(columns) + auxiliary
+    bits = math.isqrt((k + 1) ** (k + 1)).bit_length() + 1
+    width = 1 << max(0, (bits - 1).bit_length() - 3) if bits <= 64 else 8 * -(-bits // 64)
     shift = 8 * width
     half = 1 << (shift - 1)
     field = (1 << shift) - 1
     size = width * m
-    offsets = half * int.from_bytes(b"\x01".ljust(width, b"\0") * m, "little")
+    ones = int.from_bytes(b"\x01".ljust(width, b"\0") * m, "little")
+    offsets = half * ones
+    word = min(width, 8)
+    words = width // word
 
     codes = {v: (v + half).to_bytes(width, "little") for v in (-1, 0, 1)}
 
     def pack(values) -> int:
         return int.from_bytes(b"".join(map(codes.__getitem__, values)), "little") - offsets
 
-    def fields(column: int) -> bytes:
-        return (column + offsets).to_bytes(size, "little")
-
-    def entry(raw: bytes, i: int) -> int:
-        return int.from_bytes(raw[i * width:(i + 1) * width], "little") - half
+    def decode(column: int) -> tuple[bytes, Sequence[int]]:
+        # The fields as two's complement bytes, and their values.
+        raw = ((column + offsets) ^ offsets).to_bytes(size, "little")
+        view = memoryview(raw)
+        values = view.cast(_SIGNED[word])[words - 1::words]
+        for j in reversed(range(words - 1)):
+            values = [v << 64 | w for v, w in zip(values, view.cast("Q")[j::words])]
+        return raw, values
 
     cols = [-1] + list(range(k))
     basic = list(range(k, k + m))
-    table = [pack(rhs)] + [-pack(col) for col in columns]
+    table = [pack(rhs)] + [ones] * auxiliary + [-pack(col) for col in columns]
     denom = 1
-    r, s = first if first is not None else (-1, 0)
+    r, s = (min(range(m), key=rhs.__getitem__), 1) if auxiliary else (-1, 0)
     while True:
         if r < 0:
-            if first is not None and obj[0] == 0:
+            if auxiliary and obj[0] == 0:
                 break
             entering = [(cols[j], j) for j in range(1, k + 1) if obj[j] > 0]
             if not entering:
                 break
             s = min(entering)[1]
-            raw_s, raw_0 = fields(table[s]), fields(table[0])
-            # A field is negative iff its top byte, offset by half, is below 0x80.
-            for i in compress(range(m), raw_s[width - 1::width].translate(_NEGATIVE)):
-                a, b = entry(raw_s, i), entry(raw_0, i)
+            raw, col_s = decode(table[s])
+            col_0 = decode(table[0])[1]
+            for i in compress(range(m), raw[width - 1::width].translate(_NEGATIVE)):
+                a, b = col_s[i], col_0[i]
                 if r < 0:
                     r, best_a, best_b = i, a, b
                     continue
@@ -124,42 +145,46 @@ def _solve(columns: Sequence[Sequence[int]], rhs: Sequence[int], obj: list[int],
         basic[r], cols[s] = cols[s], basic[r]
         r = -1
 
-    x = [0] * k
-    raw = fields(table[0])
-    for i, v in enumerate(basic):
-        if v < k:
-            x[v] = entry(raw, i)
-    y = [0] * m
-    for j in range(1, k + 1):
-        if cols[j] >= k:
-            y[cols[j] - k] = -obj[j]
-    return x, y, denom, obj[0]
+    def vertex() -> list[int]:
+        values = decode(table[0])[1]
+        nonbasic = set(cols)
+        return [0 if v in nonbasic else values[basic.index(v)] for v in range(k)]
+
+    def duals() -> list[int]:
+        y = [0] * m
+        for j in range(1, k + 1):
+            if cols[j] >= k:
+                y[cols[j] - k] = -obj[j]
+        return y
+
+    return vertex, duals, denom, obj[0]
 
 
-def phase_one(rows: list[list[int]], rhs: list[int]) -> tuple[bool, list[int], int]:
-    """Chvatal's auxiliary problem for rows . x <= rhs, x >= 0; some rhs < 0.
+def phase_one(columns: Sequence[Sequence[int]], rhs: Sequence[int]
+              ) -> tuple[bool, list[int], int]:
+    """Chvatal's auxiliary problem for A x <= rhs, x >= 0; some rhs < 0.
 
-    Returns (True, x, D) with a feasible vertex x / D, or (False, y, D) with
-    multipliers y / D >= 0 over the rows such that y . rows >= 0
-    componentwise and y . rhs < 0.
+    `columns` are the columns of A, with entries in {-1, 0, 1}.  Returns
+    (True, x, D) with a feasible vertex x / D, or (False, y, D) with
+    multipliers y / D >= 0 over the rows such that y . A >= 0 componentwise
+    and y . rhs < 0.
     """
-    m, k = len(rows), len(rows[0])
-    x, y, denom, value = _solve(
-        [(-1,) * m] + list(zip(*rows)), rhs, [0, -1] + [0] * k,
-        first=(min(range(m), key=rhs.__getitem__), 1))
+    vertex, duals, denom, value = _solve(columns, rhs, [0, -1] + [0] * len(columns),
+                                         auxiliary=True)
     if value == 0:
-        return True, x[1:], denom
-    return False, y, denom
+        return True, vertex()[1:], denom
+    return False, duals(), denom
 
 
-def phase_two(rows: list[list[int]], rhs: list[int], objective: list[int]
+def phase_two(columns: Sequence[Sequence[int]], rhs: Sequence[int], objective: Sequence[int]
               ) -> tuple[list[int], list[int], int, int]:
-    """Maximize objective . x subject to rows . x <= rhs, x >= 0; every rhs >= 0.
+    """Maximize objective . x subject to A x <= rhs, x >= 0; every rhs >= 0.
 
-    Returns (x, y, D, value): an optimal vertex x / D, optimal multipliers
-    y / D >= 0 over the rows (y . rows >= objective componentwise and
-    y . rhs = value / D), and the optimum value / D.  Raises RuntimeError
-    when the objective is unbounded.
+    `columns` are the columns of A, with entries in {-1, 0, 1}.  Returns
+    (x, y, D, value): an optimal vertex x / D, optimal multipliers y / D >= 0
+    over the rows (y . A >= objective componentwise and y . rhs = value / D),
+    and the optimum value / D.  Raises RuntimeError when the objective is
+    unbounded.
     """
-    columns = [[row[j] for row in rows] for j in range(len(objective))]
-    return _solve(columns, rhs, [0] + list(objective))
+    vertex, duals, denom, value = _solve(columns, rhs, [0] + list(objective))
+    return vertex(), duals(), denom, value

@@ -63,6 +63,16 @@ def random_monotone_game(rng: random.Random, n: int) -> ExplicitGame:
     return ExplicitGame(n, declared)
 
 
+def masked_sum(values, mask):
+    """Sum of ``values[i]`` over the set bits ``i`` of ``mask``."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += values[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
 def brute_minimal_winning(game):
     """All winning coalitions whose every proper subset loses, by direct scan."""
     out = []
@@ -158,6 +168,20 @@ def brute_inclusion_maximal(coalitions):
         if not any(c.issubset(o) for o in out):
             out.append(c)
     return out
+
+
+def sylvester_minor(order):
+    """Sylvester's Hadamard matrix of the given order, a power of 2, without
+    its first row and column.
+
+    Its determinant is order**(order/2 - 1) in absolute value: 2**75 at
+    order 32 and 2**186 at order 64, so a simplex whose basis takes in the
+    whole matrix holds entries that need two and four 64-bit words.
+    """
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-v for v in row] for row in h]
+    return [row[1:] for row in h[1:]]
 
 
 def reference_phase_one(rows, rhs):

@@ -308,6 +308,13 @@ class TestCover:
         assert code == 1
         assert "no 7-cover exists" in out
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_solve_rejects_nonpositive_k(self, capsys, council_hg_file, k):
+        code, out, err = run(capsys, "cover", "solve", council_hg_file, "--k", k)
+        assert code == 2
+        assert out == ""
+        assert err == "error: k must be positive\n"
+
     def test_refute_seven(self, capsys, council_hg_file):
         code, out, _ = run(capsys, "cover", "refute", council_hg_file, "--k", "7")
         assert code == 0
@@ -337,6 +344,13 @@ class TestCover:
         code, out, _ = run(capsys, "cover", "duals", str(path))
         assert code == 1
         assert out == "nothing to refute: one part covers every node\n"
+
+    def test_duals_without_nodes_needs_no_part(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"nodes": 0, "edges": []}))
+        code, out, _ = run(capsys, "cover", "duals", str(path))
+        assert code == 1
+        assert out == "nothing to refute: there are no nodes to cover\n"
 
     def test_refute_confirmed_by_a_derived_dual(self, capsys, tmp_path):
         path = tmp_path / "triangle.json"

@@ -34,6 +34,7 @@ from helpers import (
     brute_maximal_independent,
     random_hypergraph,
     reference_phase_two,
+    sylvester_minor,
 )
 
 TRIANGLE = Hypergraph(3, [(1, 2), (2, 3), (1, 3)])
@@ -372,7 +373,8 @@ class TestNoKCover:
 def fractional_lp(h, nodes, parts):
     """phase_two on the cover LP: the given nodes' weights, each part at most 1."""
     rows = [[int(v in p) for v in nodes] for p in parts]
-    x, y, denom, value = phase_two(rows, [1] * len(rows), [1] * len(nodes))
+    x, y, denom, value = phase_two([list(c) for c in zip(*rows)], [1] * len(rows),
+                                   [1] * len(nodes))
     return ([Fraction(w, denom) for w in x], [Fraction(w, denom) for w in y],
             Fraction(value, denom))
 
@@ -445,6 +447,36 @@ class TestDualRefutation:
             dual_refutation(SINGLE_EDGE, 0)
 
 
+def random_phase_two_system(rng, k, m):
+    """k columns and m rows, with nonnegative or signed entries."""
+    signed = rng.random() < 0.3
+    rows = [[rng.choice((-1, 0, 1, 1) if signed else (0, 0, 1)) for _ in range(k)]
+            for _ in range(m)]
+    rhs = [rng.choice((0, 1, 1)) for _ in range(m)]
+    return rows, rhs, [rng.choice((0, 1, 1, 2)) for _ in range(k)]
+
+
+def check_phase_two(rows, rhs, objective):
+    """phase_two matches the reference and its multipliers are optimal duals."""
+    k = len(objective)
+    columns = [[row[j] for row in rows] for j in range(k)]
+    try:
+        expected = reference_phase_two(rows, rhs, objective)
+    except RuntimeError:
+        with pytest.raises(RuntimeError, match="unbounded"):
+            phase_two(columns, rhs, objective)
+        return "unbounded"
+    x, y, denom, value = phase_two(columns, rhs, objective)
+    assert denom > 0
+    assert ([Fraction(v, denom) for v in x], [Fraction(v, denom) for v in y],
+            Fraction(value, denom)) == expected
+    assert all(v >= 0 for v in x + y)
+    for j in range(k):
+        assert sum(yi * row[j] for yi, row in zip(y, rows)) >= objective[j] * denom
+    assert sum(yi * b for yi, b in zip(y, rhs)) == value
+    return "optimal"
+
+
 class TestPhaseTwo:
     """The packed Phase II against the dense `Fraction` reference."""
 
@@ -452,30 +484,27 @@ class TestPhaseTwo:
         rng = random.Random(7207)
         outcomes = {"optimal": 0, "unbounded": 0}
         for _ in range(400):
-            k, m = rng.randint(1, 10), rng.randint(0, 14)
-            signed = rng.random() < 0.3
-            rows = [[rng.choice((-1, 0, 1, 1) if signed else (0, 0, 1)) for _ in range(k)]
-                    for _ in range(m)]
-            rhs = [rng.choice((0, 1, 1)) for _ in range(m)]
-            objective = [rng.choice((0, 1, 1, 2)) for _ in range(k)]
-            try:
-                expected = reference_phase_two(rows, rhs, objective)
-            except RuntimeError:
-                with pytest.raises(RuntimeError, match="unbounded"):
-                    phase_two(rows, rhs, objective)
-                outcomes["unbounded"] += 1
-                continue
-            x, y, denom, value = phase_two(rows, rhs, objective)
-            assert denom > 0
-            assert ([Fraction(v, denom) for v in x], [Fraction(v, denom) for v in y],
-                    Fraction(value, denom)) == expected
-            # the multipliers are optimal duals
-            assert all(v >= 0 for v in x + y)
-            for j in range(k):
-                assert sum(yi * row[j] for yi, row in zip(y, rows)) >= objective[j] * denom
-            assert sum(yi * b for yi, b in zip(y, rhs)) == value
-            outcomes["optimal"] += 1
+            system = random_phase_two_system(rng, rng.randint(1, 10), rng.randint(0, 14))
+            outcomes[check_phase_two(*system)] += 1
         assert outcomes["optimal"] > 150 and outcomes["unbounded"] > 50
+
+    @pytest.mark.parametrize("k", range(8, 32))
+    def test_every_field_width(self, k):
+        # The fields round up to 32 bits from k = 9, to 64 from k = 15 and
+        # to two 64-bit words from k = 26.
+        # Every third row repeats, which makes Bland's ratio test break ties.
+        rng = random.Random(6007 + k)
+        for _ in range(4):
+            rows, rhs, objective = random_phase_two_system(rng, k, rng.randint(20, 36))
+            check_phase_two(rows + rows[::3], rhs + rhs[::3], objective)
+
+    @pytest.mark.parametrize("order, bits", [(32, 76), (64, 187)])
+    def test_entries_wider_than_64_bits(self, order, bits):
+        rows = [[-v for v in row] for row in sylvester_minor(order)]
+        ones = [1] * len(rows)
+        assert check_phase_two(rows, ones, ones) == "optimal"
+        columns = [list(column) for column in zip(*rows)]
+        assert phase_two(columns, ones, ones)[2].bit_length() == bits
 
 
 def bounded_cover_without_memo(cand_masks, full, limit):

@@ -17,11 +17,10 @@ from gamedim.games import (
     coalition_sort_key,
     game_from_json,
     game_to_json,
-    masked_sum,
     minimal_winning,
 )
 
-from helpers import brute_minimal_winning, random_monotone_game
+from helpers import brute_minimal_winning, masked_sum, random_monotone_game
 
 
 def C(indices, n):

@@ -30,6 +30,7 @@ from helpers import (
     find_balanced_pair_certificate,
     random_monotone_game,
     reference_phase_one,
+    sylvester_minor,
 )
 
 
@@ -210,9 +211,13 @@ class TestFormerBlowUps:
         substitute(result, instance)
 
 
+def transpose(matrix):
+    return [list(line) for line in zip(*matrix)]
+
+
 def check_phase_one(rows, rhs):
     """The packed solver returns the reference's triple, and it holds."""
-    result = phase_one(rows, rhs)
+    result = phase_one(transpose(rows), rhs)
     assert result == reference_phase_one(rows, rhs)
     feasible, values, denom = result
     assert denom > 0 and all(v >= 0 for v in values)
@@ -256,12 +261,12 @@ def random_system(rng, n):
 
 @pytest.fixture
 def phase_one_calls(monkeypatch):
-    """Every (rows, rhs) that `lp_feasible` hands to `phase_one`."""
+    """Every (rows, rhs) that `lp_feasible` hands to `phase_one` as columns."""
     calls = []
 
-    def record(rows, rhs):
-        calls.append((rows, rhs))
-        return phase_one(rows, rhs)
+    def record(columns, rhs):
+        calls.append((transpose(columns), list(rhs)))
+        return phase_one(columns, rhs)
 
     monkeypatch.setattr(separation, "phase_one", record)
     return calls
@@ -301,6 +306,20 @@ class TestPackedPhaseOne:
         assert len(phase_one_calls) == len(instances)
         for rows, rhs in phase_one_calls:
             check_phase_one(rows, rhs)
+
+    @pytest.mark.parametrize("k", range(8, 32))
+    def test_every_field_width(self, k):
+        # With x0, Phase I has k + 1 columns: the fields round up to 32 bits
+        # from k = 8, to 64 from k = 14 and to two 64-bit words from k = 25.
+        rng = random.Random(4111 + k)
+        for _ in range(6):
+            check_phase_one(*random_system(rng, k - 1))
+
+    @pytest.mark.parametrize("order, bits", [(32, 76), (64, 187)])
+    def test_entries_wider_than_64_bits(self, order, bits):
+        rows = sylvester_minor(order)
+        assert check_phase_one(rows, [-1] * len(rows)) is True
+        assert phase_one(transpose(rows), [-1] * len(rows))[2].bit_length() == bits
 
     def test_single_row(self):
         assert check_phase_one([[1]], [-1]) is False
