@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 
+from ._record import Frozen
 from .cover import Hypergraph, enumerate_maximal_independent, min_cover
 from .eu import (
     ANCHOR_LABEL,
@@ -47,10 +47,10 @@ class CertificateError(RuntimeError):
     """A certificate could not be constructed or failed verification."""
 
 
-@dataclass(frozen=True)
-class BalanceCertificate:
+class BalanceCertificate(Frozen):
     """Losing set N and winning set W* with equal per-member incidence counts."""
 
+    _fields = ("losing", "winning")
     losing: tuple[Coalition, ...]
     winning: tuple[Coalition, ...]
 
@@ -222,13 +222,19 @@ def build_anchor_certificate(li: Coalition, game: EuGame,
     return BalanceCertificate(losing=(li, anchor), winning=(w1, w2))
 
 
-@dataclass(frozen=True)
-class CertifiedFamily:
+class CertifiedFamily(Frozen):
     """A hypergraph over losing-coalition labels with one certificate per edge."""
 
+    _fields = ("nodes", "hypergraph", "certificates")
     nodes: tuple[Coalition, ...]
     hypergraph: Hypergraph
     certificates: Mapping[frozenset[int], BalanceCertificate]
+
+    def __init__(self, nodes: tuple[Coalition, ...], hypergraph: Hypergraph,
+                 certificates: Mapping[frozenset[int], BalanceCertificate]):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "hypergraph", hypergraph)
+        object.__setattr__(self, "certificates", certificates)
 
     def coalition_of(self, label: int) -> Coalition:
         return self.nodes[label - 1]

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
 
 from . import certificates, cover, eu, separation
+from ._record import Record
 from .games import Coalition
 
 EXIT_OK = 0
@@ -15,18 +14,26 @@ EXIT_STEP_FAILED = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class Step:
-    name: str
-    status: str
-    detail: str
+class Step(Record):
+    """One checked step of the replay: its name, PASS or FAIL, and a detail line."""
+
+    _fields = ("name", "status", "detail")
+
+    def __init__(self, name: str, status: str, detail: str):
+        self.name = name
+        self.status = status
+        self.detail = detail
 
 
-@dataclass
-class ProofTranscript:
-    notes: list[str]
-    steps: list[Step]
-    conclusion: str
+class ProofTranscript(Record):
+    """The replay's notes and steps, and the conclusion they support."""
+
+    _fields = ("notes", "steps", "conclusion")
+
+    def __init__(self, notes: list[str], steps: list[Step], conclusion: str):
+        self.notes = notes
+        self.steps = steps
+        self.conclusion = conclusion
 
     @property
     def verified(self) -> bool:
@@ -146,11 +153,18 @@ def _load_table(path: str | None) -> eu.MemberTable:
 
 
 def _read_json(path: str) -> dict:
+    import json  # only the commands that read or write JSON load it
+
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _dump_json(obj: dict) -> str:
+    import json
+
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
@@ -168,6 +182,10 @@ def parse_coalition(text: str, n: int = eu.N_MEMBERS) -> Coalition:
                 lo, hi = int(lo_text), int(hi_text)
                 if lo > hi:
                     raise ValueError(f"empty range {part!r}")
+                # checked before expanding, so a huge range builds no list
+                for bound in (lo, hi):
+                    if not 1 <= bound <= n:
+                        raise ValueError(f"member index {bound} out of range 1..{n}")
                 indices.extend(range(lo, hi + 1))
             elif part:
                 indices.append(int(part))
@@ -376,8 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, json.JSONDecodeError,
-            certificates.CertificateError) as err:
+    except (OSError, ValueError, certificates.CertificateError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
 

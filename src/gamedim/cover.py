@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
+from ._record import Frozen
 from .simplex import phase_two
 
 NODE_GUARD = 24
@@ -46,8 +46,7 @@ def _set_of(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(Frozen):
     """Edges over nodes 1..node_count; an antichain of sets of size >= 2.
 
     Construction canonicalizes: edges are deduplicated, sorted by size then
@@ -55,6 +54,7 @@ class Hypergraph:
     smaller edge already forbids every part that would contain the larger).
     """
 
+    _fields = ("node_count", "edges")
     node_count: int
     edges: tuple[frozenset[int], ...]
 
@@ -103,8 +103,8 @@ class Hypergraph:
 
     @functools.cached_property
     def _maximal_sets(self) -> tuple[frozenset[int], ...]:
-        # Kept in the instance __dict__, outside the dataclass fields, so
-        # ==, hash and repr do not see it; an exception is not cached.
+        # Kept in the instance __dict__, outside `_fields`, so ==, hash and
+        # repr do not see it; an exception is not cached.
         return _maximal_independent(self)
 
 
@@ -216,10 +216,10 @@ def _maximal_independent(h: Hypergraph) -> tuple[frozenset[int], ...]:
     return tuple(_set_of(m) for m in results)
 
 
-@dataclass(frozen=True)
-class CoverSolution:
+class CoverSolution(Frozen):
     """Parts of a cover: node subsets that jointly cover every node."""
 
+    _fields = ("parts",)
     parts: tuple[frozenset[int], ...]
 
     def __init__(self, parts: Iterable[Iterable[int]]):
@@ -314,8 +314,7 @@ def min_cover(h: Hypergraph, candidates: Sequence[Iterable[int]]) -> CoverSoluti
             return solution
 
 
-@dataclass(frozen=True)
-class DualWeightCertificate:
+class DualWeightCertificate(Frozen):
     """Rational node weights refuting any cover with `bound` parts.
 
     Every maximal independent set, the optional excluded part aside, must
@@ -324,9 +323,10 @@ class DualWeightCertificate:
     total need only exceed bound - 1, refuting the covers that use it.
     """
 
+    _fields = ("weights", "bound", "excluded_part")
     weights: tuple[Fraction, ...]
     bound: int
-    excluded_part: frozenset[int] | None = None
+    excluded_part: frozenset[int] | None
 
     def __init__(self, weights: Sequence[Fraction | int | str], bound: int,
                  excluded_part: Iterable[int] | None = None):
@@ -423,13 +423,19 @@ def dual_refutation(h: Hypergraph, k: int) -> tuple[DualWeightCertificate, ...]:
     return ()
 
 
-@dataclass(frozen=True)
-class Refutation:
+class Refutation(Frozen):
     """Outcome of a k-cover search: either refuted or a counterexample cover."""
 
+    _fields = ("k", "exhaustive", "counterexample")
     k: int
     exhaustive: bool
-    counterexample: CoverSolution | None = None
+    counterexample: CoverSolution | None
+
+    def __init__(self, k: int, exhaustive: bool,
+                 counterexample: CoverSolution | None = None):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "exhaustive", exhaustive)
+        object.__setattr__(self, "counterexample", counterexample)
 
     @property
     def refuted(self) -> bool:

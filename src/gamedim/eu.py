@@ -14,12 +14,11 @@ independent sets the replay expects of their hypergraph.
 
 from __future__ import annotations
 
-import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from ._record import Frozen
 from .cover import Hypergraph
 from .games import Coalition, SimpleGame, WeightedGame
 
@@ -61,13 +60,14 @@ MEMBERS_2014: tuple[tuple[int, str, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class MemberTable:
+class MemberTable(Frozen):
     """The 28 member states with their populations, indexed 1..28."""
 
+    _fields = ("entries",)
     entries: tuple[tuple[int, str, int], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: tuple[tuple[int, str, int], ...]):
+        object.__setattr__(self, "entries", entries)
         if len(self.entries) != N_MEMBERS:
             raise ValueError(f"wrong row count: expected {N_MEMBERS}, got {len(self.entries)}")
         seen = set()
@@ -102,6 +102,8 @@ def default_members() -> MemberTable:
 
 def load_members(stream: io.TextIOBase | str) -> MemberTable:
     """Parse a member table from CSV with header ``index,name,population``."""
+    import csv  # only a table given on the command line is CSV
+
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     reader = csv.reader(stream)
@@ -126,28 +128,39 @@ def load_members(stream: io.TextIOBase | str) -> MemberTable:
     return MemberTable(tuple(entries))
 
 
-@dataclass(frozen=True)
-class RuleReport:
+class RuleReport(Frozen):
     """Per-rule evaluation of one coalition."""
 
+    _fields = ("winning", "rule55", "rule65", "rule25", "population_sum")
     winning: bool
     rule55: bool
     rule65: bool
     rule25: bool
     population_sum: int
 
+    def __init__(self, winning: bool, rule55: bool, rule65: bool, rule25: bool,
+                 population_sum: int):
+        object.__setattr__(self, "winning", winning)
+        object.__setattr__(self, "rule55", rule55)
+        object.__setattr__(self, "rule65", rule65)
+        object.__setattr__(self, "rule25", rule25)
+        object.__setattr__(self, "population_sum", population_sum)
 
-@dataclass(frozen=True)
-class EuGame(SimpleGame):
+
+class EuGame(SimpleGame, Frozen):
     """The council rule as a simple game over the 28 members of a table.
 
     `contains` (alias `is_winning`) and `classify` share one evaluation of the
     mask, `_rules`: its `bit_count`, the table's byte tables, integer compares.
     """
 
+    _fields = ("table",)
     table: MemberTable
     n = N_MEMBERS
     member_quota = MEMBER_QUOTA
+
+    def __init__(self, table: MemberTable):
+        object.__setattr__(self, "table", table)
 
     @property
     def population_quota(self) -> Fraction:

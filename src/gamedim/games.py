@@ -25,28 +25,36 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Iterable, Iterator, Sequence
+
+from ._record import Frozen
 
 MAX_MEMBERS = 64
 ENUMERATION_GUARD = 20
 
 
-@dataclass(frozen=True)
-class Coalition:
+class Coalition(Frozen):
     """A subset of the members 1..n, stored as a bitmask (bit i-1 = member i).
 
     Canonical by construction: membership order and duplicates cannot be
     represented, and two coalitions over the same member count are equal
-    iff their member sets are equal.
+    iff their member sets are equal.  The replay builds thousands, so
+    `==`, `hash` and `repr` read the two slots directly.
     """
 
+    __slots__ = _fields = ("n", "mask")
     n: int
     mask: int
 
+    def __init__(self, n: int, mask: int) -> None:
+        _set_n(self, n)
+        _set_mask(self, mask)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
+        """Validate the fields; `__init__` calls it once per coalition."""
         if not 1 <= self.n <= MAX_MEMBERS:
             raise ValueError(f"member count must be in 1..{MAX_MEMBERS}, got {self.n}")
         if not 0 <= self.mask < (1 << self.n):
@@ -111,6 +119,26 @@ class Coalition:
 
     def __str__(self) -> str:
         return "{" + ",".join(str(m) for m in self.members) + "}"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mask == other.mask and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.mask))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(n={self.n!r}, mask={self.mask!r})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, (self.n, self.mask)
+
+
+# The slots' own setters store past the frozen __setattr__, and cost less
+# per call than object.__setattr__.
+_set_n = Coalition.n.__set__
+_set_mask = Coalition.mask.__set__
 
 
 def coalition_sort_key(c: Coalition) -> tuple[int, str]:
@@ -196,8 +224,7 @@ class SimpleGame:
             )
 
 
-@dataclass(frozen=True)
-class WeightedGame(SimpleGame):
+class WeightedGame(SimpleGame, Frozen):
     """Threshold rule: winning iff the members' weight sum meets the quota.
 
     Weights must be nonnegative; weights and quota are held as exact
@@ -209,6 +236,7 @@ class WeightedGame(SimpleGame):
     call, so a game only ever scanned by `minimal_winning` builds none.
     """
 
+    _fields = ("n", "weights", "quota")
     n: int
     weights: tuple[Fraction, ...]
     quota: Fraction
@@ -232,8 +260,7 @@ class WeightedGame(SimpleGame):
     def _byte_sums(self) -> tuple[list[int], ...]:
         # Table b lists the scaled weight of every subset of members
         # 8b+1..8b+8, indexed by that byte of the mask.  Kept in the instance
-        # __dict__, outside the dataclass fields, so ==, hash and repr do not
-        # see it.
+        # __dict__, outside `_fields`, so ==, hash and repr do not see it.
         w = self._scaled_weights
         return tuple(_subset_sums(w[low:low + 8]) for low in range(0, self.n, 8))
 

@@ -28,10 +28,10 @@ by one packed zero-field test per coalition (see `_drop_containing`).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
+from ._record import Frozen
 from .games import (
     Coalition,
     SimpleGame,
@@ -44,10 +44,10 @@ from .simplex import phase_one
 SEPARATION_GUARD = 14
 
 
-@dataclass(frozen=True)
-class SeparationInstance:
+class SeparationInstance(Frozen):
     """Winning coalitions to preserve and losing coalitions to separate."""
 
+    _fields = ("n", "winning_constraints", "losing_targets")
     n: int
     winning_constraints: tuple[Coalition, ...]
     losing_targets: tuple[Coalition, ...]
@@ -66,24 +66,32 @@ class SeparationInstance:
                 raise ValueError(f"coalition over {c.n} members in an instance over {n}")
 
 
-@dataclass(frozen=True)
-class Separable:
+class Separable(Frozen):
     """Witness weighted game: meets every winning constraint, misses every target."""
 
+    _fields = ("weights", "quota")
     weights: tuple[Fraction, ...]
     quota: Fraction
 
+    def __init__(self, weights: tuple[Fraction, ...], quota: Fraction):
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "quota", quota)
 
-@dataclass(frozen=True)
-class NotSeparable:
+
+class NotSeparable(Frozen):
     """No separating weighted game exists.
 
     The nonnegative multipliers of `terms`, each tied to the label of one
     listed constraint, combine those constraints into 0 <= total < 0.
     """
 
+    _fields = ("terms", "total")
     terms: tuple[tuple[Fraction, str], ...]
     total: Fraction
+
+    def __init__(self, terms: tuple[tuple[Fraction, str], ...], total: Fraction):
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "total", total)
 
     @property
     def farkas_note(self) -> str:

@@ -43,8 +43,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable, Sequence
 from itertools import compress
-from typing import Callable, Sequence
 
 if sys.byteorder != "little":
     raise ImportError("gamedim.simplex casts little-endian fields to machine words")

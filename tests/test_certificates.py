@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -208,11 +207,14 @@ def sorted_transfer_reference(li, lj, game):
     return None, None
 
 
-@dataclass(frozen=True)
 class SwappedMembershipGame(EuGame):
     """The council's table and `classify`, with another game's membership."""
 
-    membership: SimpleGame
+    _fields = ("table", "membership")
+
+    def __init__(self, table, membership: SimpleGame):
+        super().__init__(table)
+        object.__setattr__(self, "membership", membership)
 
     def is_winning(self, coalition):
         return self.membership.contains(coalition)

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -131,6 +132,25 @@ class TestVerify:
         assert proc.returncode == 0
         assert proc.stdout == expected
 
+    @pytest.mark.parametrize("argv, may_load", [
+        (["verify"], set()),
+        (["verify", "--format", "json"], {"json"}),
+    ])
+    def test_replay_loads_only_the_stdlib_it_uses(self, argv, may_load):
+        # -S keeps the site directory, whose .pth files may import anything, out.
+        code = ("import sys; from gamedim import cli; status = cli.main(sys.argv[1:]); "
+                "sys.stderr.write(' '.join(sys.modules)); sys.exit(status)")
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run([sys.executable, "-S", "-c", code, *argv],
+                              capture_output=True, env=env)
+        assert proc.returncode == 0
+        if "json" in argv:
+            assert json.loads(proc.stdout)["conclusion"] == "dimension >= 8"
+        else:
+            assert proc.stdout == (REPO / "perfbench" / "expected_verify.txt").read_bytes()
+        unused = {"dataclasses", "inspect", "typing", "csv", "json"} - may_load
+        assert unused.isdisjoint(proc.stderr.decode().split())
+
     def test_console_script(self):
         script = shutil.which("gamedim")
         if script is None:
@@ -198,6 +218,26 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "L99")
         assert code == 2
 
+    @pytest.mark.parametrize("text, index", [
+        ("3-" + "9" * 30, int("9" * 30)),
+        ("0-3", 0),
+    ])
+    def test_range_bounds_checked_before_expansion(self, capsys, text, index):
+        code, out, err = run(capsys, "classify", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: member index {index} out of range 1..28\n"
+
+    def test_huge_range_builds_no_list(self):
+        # 10^8 indices do not fit under a 600 MB address-space limit.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run([sys.executable, "-m", "gamedim.cli", "classify", "1-100000000"],
+                              capture_output=True, env=env, preexec_fn=limit_memory)
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: member index 100000000 out of range 1..28\n"
+
 
 class TestSeparate:
     def test_not_separable_instance(self, capsys, tmp_path):
@@ -232,6 +272,15 @@ class TestSeparate:
         path.write_text("{not json")
         code, _, err = run(capsys, "separate", str(path))
         assert code == 2
+
+
+@pytest.mark.parametrize("command", [("separate",), ("cover", "solve"), ("certs", "check")])
+def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path, command):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, *command, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: JSON nested too deeply\n"
 
 
 def assert_usage_error(capsys, tmp_path, payload, *command):
