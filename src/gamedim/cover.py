@@ -17,33 +17,77 @@ maximal independent sets, and rational node weights, derived by exact LP,
 that bound every candidate part by 1 while the total weight exceeds the
 number of parts available.
 
-The maximal independent sets of a `Hypergraph` are computed once, on first
-request, and kept on it: the enumeration, the exhaustive search and the dual
-derivation and check all read the same tuple.
+The maximal independent sets of a `Hypergraph` are computed once, as node
+masks, on first request, and kept on it with the frozensets derived from
+those masks: the enumeration, the exhaustive search and the dual derivation
+and check all read the same tuples.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import warnings
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
+from itertools import chain, compress
 
 from ._record import Frozen
 from .simplex import phase_two
 
 NODE_GUARD = 24
 
+_BIT = (1).__lshift__  # node v's bit is _BIT(v) >> 1
+_INT = frozenset({int})
 
-def _mask_of(nodes: Iterable[int]) -> int:
-    mask = 0
-    for v in nodes:
-        mask |= 1 << (v - 1)
-    return mask
+
+@functools.cache
+def _byte_nodes() -> tuple[list[tuple[int, ...]], ...]:
+    """Per byte of a mask of up to NODE_GUARD bits, the nodes of each value.
+
+    Built on first use, by doubling: the values with a bit set are those
+    without it, each with that bit's node appended, so every entry is sorted.
+    """
+    tables = []
+    for low in range(1, NODE_GUARD + 1, 8):
+        table: list[tuple[int, ...]] = [()]
+        for v in range(low, low + 8):
+            table += [s + (v,) for s in table]
+        tables.append(table)
+    return tuple(tables)
+
+
+@functools.cache
+def _reversed_bytes() -> bytes:
+    """Entry b is byte b with its bits in reverse order; built by doubling."""
+    table = [0]
+    for i in range(8):
+        table += [r | 0x80 >> i for r in table]
+    return bytes(table)
 
 
 def _set_of(mask: int) -> frozenset[int]:
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+    """The nodes of the mask, inserted in ascending order."""
+    if mask >> NODE_GUARD:
+        return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+    low, mid, high = _byte_nodes()  # NODE_GUARD bits are three bytes
+    return frozenset(low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16])
+
+
+def _bad_node(nodes: Iterable[object], node_count: int, what: str = "node"
+              ) -> ValueError | None:
+    """The error for the first of the nodes that is no int in 1..node_count.
+
+    True and 1.0 equal the node 1, so the type is checked on its own.
+    """
+    for v in nodes:
+        if type(v) is bool:
+            return ValueError(f"{what} {v!r} is a bool, not a node in 1..{node_count}")
+        if type(v) is not int:
+            return ValueError(f"{what} {v!r} is not an integer")
+        if not 1 <= v <= node_count:
+            return ValueError(f"{what} {v} out of range 1..{node_count}")
+    return None
 
 
 class Hypergraph(Frozen):
@@ -52,6 +96,14 @@ class Hypergraph(Frozen):
     Construction canonicalizes: edges are deduplicated, sorted by size then
     members, and an edge containing another is dropped with a warning (the
     smaller edge already forbids every part that would contain the larger).
+    The node count and every node must be `int`s; a bool or any other value
+    raises, so that `hypergraph_to_json` writes only what
+    `hypergraph_from_json` reads back.
+
+    Node v is bit v - 1 of a mask.  The edge masks are kept from
+    construction, and the maximal independent sets are enumerated once, as
+    masks, on first request; their frozensets are derived from those masks.
+    Both live outside `_fields`, so ==, hash and repr do not see them.
     """
 
     _fields = ("node_count", "edges")
@@ -59,6 +111,8 @@ class Hypergraph(Frozen):
     edges: tuple[frozenset[int], ...]
 
     def __init__(self, node_count: int, edges: Iterable[Iterable[int]]):
+        if type(node_count) is not int:
+            raise ValueError(f"node_count must be an int, not {node_count!r}")
         if node_count < 0:
             raise ValueError("node_count must be nonnegative")
         canonical = set()
@@ -66,14 +120,15 @@ class Hypergraph(Frozen):
             e = frozenset(e)
             if len(e) < 2:
                 raise ValueError(f"edge {sorted(e)} has fewer than two nodes")
-            for v in e:
-                if not 1 <= v <= node_count:
-                    raise ValueError(f"edge node {v} out of range 1..{node_count}")
+            error = _bad_node(e, node_count, "edge node")
+            if error is not None:
+                raise error
             canonical.add(e)
         # Only a smaller edge can lie inside e, and m lies inside e iff
         # m & ~e is 0; the edges come in size order, so `smaller` holds the
         # masks of every edge of smaller size, whether kept or dropped.
         kept = []
+        kept_masks = []
         smaller: list[int] = []
         same_size: list[int] = []
         size = 0
@@ -82,7 +137,7 @@ class Hypergraph(Frozen):
                 smaller += same_size
                 same_size = []
                 size = len(e)
-            em = _mask_of(e)
+            em = sum(map(_BIT, e)) >> 1
             same_size.append(em)
             if not all(map((~em).__and__, smaller)):
                 warnings.warn(
@@ -91,37 +146,31 @@ class Hypergraph(Frozen):
                 )
                 continue
             kept.append(e)
+            kept_masks.append(em)
         object.__setattr__(self, "node_count", node_count)
         object.__setattr__(self, "edges", tuple(kept))
+        object.__setattr__(self, "_edge_masks", tuple(kept_masks))
 
     @property
     def nodes(self) -> frozenset[int]:
         return frozenset(range(1, self.node_count + 1))
 
-    def _edge_masks(self) -> tuple[int, ...]:
-        return tuple(_mask_of(e) for e in self.edges)
+    # Cached in the instance __dict__; an exception is not cached.
+    @functools.cached_property
+    def _maximal_masks(self) -> tuple[int, ...]:
+        return _maximal_independent(self)
 
     @functools.cached_property
     def _maximal_sets(self) -> tuple[frozenset[int], ...]:
-        # Kept in the instance __dict__, outside `_fields`, so ==, hash and
-        # repr do not see it; an exception is not cached.
-        return _maximal_independent(self)
-
-
-def _checked_mask(nodes: frozenset[int], h: Hypergraph) -> int:
-    """Mask of the nodes; raises on a node outside 1..node_count."""
-    mask = 0
-    for v in nodes:
-        if not 1 <= v <= h.node_count:
-            raise ValueError(f"node {v} out of range 1..{h.node_count}")
-        mask |= 1 << (v - 1)
-    return mask
+        return tuple(map(_set_of, self._maximal_masks))
 
 
 def is_independent(nodes: Iterable[int], h: Hypergraph) -> bool:
     """True iff no edge of h lies inside the given node set."""
     s = frozenset(nodes)
-    _checked_mask(s, h)
+    error = _bad_node(s, h.node_count)
+    if error is not None:
+        raise error
     return not any(e <= s for e in h.edges)
 
 
@@ -136,20 +185,21 @@ def enumerate_maximal_independent(h: Hypergraph) -> tuple[frozenset[int], ...]:
     return h._maximal_sets
 
 
-def _maximal_independent(h: Hypergraph) -> tuple[frozenset[int], ...]:
-    """Depth-first over the nodes in order, each included first, then excluded.
+def _maximal_independent(h: Hypergraph) -> tuple[int, ...]:
+    """Masks of the maximal independent sets, by depth-first search.
 
-    The room is the chosen nodes plus the undecided nodes that no chosen pair
-    neighbour rules out.  A node is included only if no edge through it has
-    all its other nodes chosen.  An excluded node must keep an edge whose
-    other nodes all lie in the room, or no leaf below can be maximal; so
-    whenever the room shrinks (an inclusion rules out its pair neighbours,
-    an exclusion drops the node itself), the excluded nodes that share an
-    edge with what left are checked again.  A ruled-out node is skipped: its
-    chosen pair neighbour blocks it for good.  At a leaf the room is the
-    chosen set, so every leaf is a maximal independent set, and each one is
-    reached by the branch that includes exactly its nodes.  Two maximal sets
-    first differ at a node one includes and the other excludes; the
+    The search runs over the nodes in order, each included first, then
+    excluded.  The room is the chosen nodes plus the undecided nodes that no
+    chosen pair neighbour rules out.  A node is included only if no edge
+    through it has all its other nodes chosen.  An excluded node must keep an
+    edge whose other nodes all lie in the room, or no leaf below can be
+    maximal; so whenever the room shrinks (an inclusion rules out its pair
+    neighbours, an exclusion drops the node itself), the excluded nodes that
+    share an edge with what left are checked again.  A ruled-out node is
+    skipped: its chosen pair neighbour blocks it for good.  At a leaf the room
+    is the chosen set, so every leaf is a maximal independent set, and each
+    one is reached by the branch that includes exactly its nodes.  Two maximal
+    sets first differ at a node one includes and the other excludes; the
     including one comes first and has the smaller member tuple, since the
     other is no subset of it, so the sets come out sorted.
     """
@@ -161,7 +211,7 @@ def _maximal_independent(h: Hypergraph) -> tuple[frozenset[int], ...]:
     pairs = [0] * t   # pair-edge neighbours of each node
     rests: list[list[int]] = [[] for _ in range(t)]  # e - {v} for larger edges
     touch = [0] * t   # every node sharing an edge with v
-    for em in h._edge_masks():
+    for em in h._edge_masks:
         m = em
         while m:
             low = m & -m
@@ -213,7 +263,7 @@ def _maximal_independent(h: Hypergraph) -> tuple[frozenset[int], ...]:
             dfs(chosen, rest, excluded | bit)
 
     dfs(0, (1 << t) - 1, 0)
-    return tuple(_set_of(m) for m in results)
+    return tuple(results)
 
 
 class CoverSolution(Frozen):
@@ -238,45 +288,84 @@ class CoverSolution(Frozen):
                 and all(is_independent(p, h) for p in self.parts))
 
 
-def _bounded_cover(cand_masks: Sequence[int], full: int, limit: int) -> tuple[int, ...] | None:
-    """First cover of <= limit candidate parts in deterministic search order.
+def _cover_search(cand_masks: Sequence[int], full: int
+                  ) -> Callable[[int], tuple[int, ...] | None]:
+    """Bounded cover search over one candidate list, for any limit.
 
-    Branches on the lowest uncovered node over the candidates containing it;
-    any cover made of candidates survives some branch, so a None result is an
-    exhaustive refutation of covers within the limit.  A branch that fails
-    with d parts left proves that no d candidates cover what its covered
-    mask leaves, and so neither do fewer; `failed` keeps, per covered mask,
-    the most parts known not to suffice, and a node reached again with no
-    more parts left is cut at once.  Only subtrees without a cover are cut,
-    so the cover found is the same as without the memo.
+    search(limit) gives the candidate indices of the first cover of at most
+    limit parts in deterministic search order, or None.  It branches on the
+    lowest uncovered node over the candidates holding it, in list order; any
+    cover made of candidates survives some branch, so None is an exhaustive
+    refutation of covers within the limit.
+
+    A branch is cut when its parts left times the largest candidate size
+    falls short of the nodes it must still cover.  A branch that fails with
+    d parts left proves that no d candidates cover what it leaves, and so
+    neither do fewer; `failed` keeps, per uncovered mask, the most parts
+    known not to suffice, and a node reached again with no more parts left
+    is cut at once.  With one part left, the first holder of the lowest
+    uncovered node that covers the rest is found by one scan of the holders'
+    complemented masks; with two left, the holders of that node are tried
+    in a loop, each finished by that scan.  Only subtrees without a cover
+    are cut, and the candidates are tried in the same order as by one frame
+    per candidate, so the cover found is the same.
+
+    The largest size and each node's holders (indices and complemented
+    masks) are built once, for every limit; the memo is kept per limit.
     """
-    if full == 0:
-        return ()
-    max_size = max((m.bit_count() for m in cand_masks), default=0)
-    by_node: dict[int, list[int]] = {}
-    failed: dict[int, int] = {}
+    max_size = max(map(int.bit_count, cand_masks), default=0)
+    by_node: dict[int, tuple[list[int], list[int]]] = {}
 
-    def dfs(covered: int, chosen: tuple[int, ...]) -> tuple[int, ...] | None:
-        if covered == full:
-            return chosen
-        depth_left = limit - len(chosen)
-        if depth_left <= 0:
-            return None
-        uncovered = (full & ~covered).bit_count()
-        if depth_left * max_size < uncovered or failed.get(covered, 0) >= depth_left:
-            return None
-        lowest = (full & ~covered) & -(full & ~covered)
-        v = lowest.bit_length() - 1
-        if v not in by_node:
-            by_node[v] = [i for i, m in enumerate(cand_masks) if m >> v & 1]
-        for i in by_node[v]:
-            hit = dfs(covered | cand_masks[i], chosen + (i,))
-            if hit is not None:
-                return hit
-        failed[covered] = depth_left
-        return None
+    def holders(need: int) -> tuple[list[int], list[int]]:
+        low = need & -need
+        if low not in by_node:
+            held = list(map(low.__and__, cand_masks))
+            by_node[low] = (list(compress(range(len(cand_masks)), held)),
+                            [full ^ m for m in compress(cand_masks, held)])
+        return by_node[low]
 
-    return dfs(0, ())
+    def last(need: int) -> int | None:
+        index, lacks = holders(need)
+        try:
+            return index[operator.indexOf(map(need.__and__, lacks), 0)]
+        except ValueError:
+            return None
+
+    def search(limit: int) -> tuple[int, ...] | None:
+        if full == 0:
+            return ()
+        if limit <= 1:
+            i = last(full) if limit == 1 else None
+            return None if i is None else (i,)
+        failed: dict[int, int] = {}
+
+        def dfs(need: int, left: int) -> tuple[int, ...] | None:
+            # need: the nodes still uncovered, never 0; left >= 2
+            if left * max_size < need.bit_count() or failed.get(need, 0) >= left:
+                return None
+            for i, lack in zip(*holders(need)):
+                rest = need & lack
+                if not rest:
+                    return (i,)
+                if left > 2:
+                    hit = dfs(rest, left - 1)
+                    if hit is not None:
+                        return (i,) + hit
+                elif rest.bit_count() <= max_size:
+                    j = last(rest)
+                    if j is not None:
+                        return (i, j)
+            failed[need] = left
+            return None
+
+        return dfs(full, limit)
+
+    return search
+
+
+def _bounded_cover(cand_masks: Sequence[int], full: int, limit: int) -> tuple[int, ...] | None:
+    """First cover of <= limit candidate parts in deterministic search order."""
+    return _cover_search(cand_masks, full)(limit)
 
 
 def min_cover(h: Hypergraph, candidates: Sequence[Iterable[int]]) -> CoverSolution:
@@ -286,30 +375,54 @@ def min_cover(h: Hypergraph, candidates: Sequence[Iterable[int]]) -> CoverSoluti
     (ties by members) and the first minimum cover in branch order is
     returned.  Raises if a candidate is dependent or the candidates cannot
     jointly cover the nodes.
+
+    The candidates are checked and ordered on their masks: the nodes of all
+    of them at once, then each one against every edge by one packed test.
+    The search state is built once, and the limit deepens from 1 (see
+    `_cover_search`).
     """
-    # An edge inside a candidate is filed under its lowest node, which the
-    # candidate holds, so each candidate looks only under its own nodes.
-    by_lowest: list[list[int]] = [[] for _ in range(h.node_count + 1)]
-    for em in h._edge_masks():
-        by_lowest[(em & -em).bit_length()].append(em)
-    checked = []
-    for c in map(frozenset, candidates):
-        mask = _checked_mask(c, h)
-        if any(em & mask == em for v in c for em in by_lowest[v]):
+    t = h.node_count
+    nodes = h.nodes
+    full = (1 << t) - 1
+    cands = list(map(frozenset, candidates))
+    # The first bad candidate raises, its nodes checked before its edges:
+    # `stop` is the first with a node that is no int in 1..t, and the
+    # candidates before it are checked against the edges first.
+    stop = len(cands)
+    if not (all(map(nodes.issuperset, cands))
+            and _INT.issuperset(map(type, chain.from_iterable(cands)))):
+        stop = next(i for i, c in enumerate(cands) if _bad_node(c, t))
+    masks = [sum(map(_BIT, c)) >> 1 for c in cands[:stop]]
+    # One (t+1)-bit field per edge, whose top bit is a guard.  Field i of
+    # packed & (~m * ones) is zero iff edge i lies inside mask m; with the
+    # guards set, subtracting one per field clears exactly those fields'
+    # guards and borrows nothing across fields.
+    packed = ones = 0
+    for at, em in enumerate(h._edge_masks):
+        packed |= em << at * (t + 1)
+        ones |= 1 << at * (t + 1)
+    guards = ones << t
+    for c, m in zip(cands, masks):
+        if (((packed & ((full ^ m) * ones)) | guards) - ones) & guards != guards:
             raise ValueError(f"candidate part {sorted(c)} contains an edge")
-        checked.append((c, mask))
-    checked.sort(key=lambda cm: (-len(cm[0]), tuple(sorted(cm[0]))))
-    cands = [c for c, _ in checked]
-    masks = [m for _, m in checked]
-    full = _mask_of(h.nodes)
-    if functools.reduce(int.__or__, masks, 0) & full != full:
+    if stop < len(cands):
+        raise _bad_node(cands[stop], t)
+    if functools.reduce(int.__or__, masks, 0) != full:
         raise ValueError("candidates do not jointly cover the nodes; no cover exists")
+    # Descending (size, bit-reversed little-endian bytes) is ascending
+    # (-size, member tuple): of two sets of one size, the one holding the
+    # first node where they differ has the smaller member tuple and, as
+    # node 1 is the top bit of the first byte, the larger bytes.
+    width, reverse = (t + 7) // 8, _reversed_bytes()
+    checked = sorted(zip(masks, cands), reverse=True, key=lambda mc: (
+        mc[0].bit_count(), mc[0].to_bytes(width, "little").translate(reverse)))
+    search = _cover_search([m for m, _ in checked], full)
     limit = 0
     while True:
         limit += 1
-        hit = _bounded_cover(masks, full, limit)
+        hit = search(limit)
         if hit is not None:
-            solution = CoverSolution(cands[i] for i in hit)
+            solution = CoverSolution(checked[i][1] for i in hit)
             assert solution.verify(h)
             return solution
 
@@ -387,10 +500,10 @@ def dual_refutation(h: Hypergraph, k: int) -> tuple[DualWeightCertificate, ...]:
     if k < 1:
         raise ValueError("k must be positive")
     maximal = enumerate_maximal_independent(h)
-    masks = [_mask_of(s) for s in maximal]
+    masks = h._maximal_masks
     t = h.node_count
 
-    def weigh(nodes: list[int], bounds: list[int]) -> tuple[list[Fraction], list[int], Fraction]:
+    def weigh(nodes: list[int], bounds: Sequence[int]) -> tuple[list[Fraction], list[int], Fraction]:
         # nodes are bit positions; every mask in bounds weighs at most 1
         x, y, denom, value = phase_two([[m >> v & 1 for m in bounds] for v in nodes],
                                        [1] * len(bounds), [1] * len(nodes))
@@ -446,13 +559,16 @@ def no_k_cover(h: Hypergraph, k: int) -> Refutation:
     """Refute every k-cover of h by exhaustive search, or return one it finds."""
     if k < 1:
         raise ValueError("k must be positive")
-    ordered = sorted(enumerate_maximal_independent(h), key=lambda c: (-len(c), tuple(sorted(c))))
-    masks = [_mask_of(c) for c in ordered]
-    full = _mask_of(h.nodes)
-    hit = _bounded_cover(masks, full, k)
+    maximal = enumerate_maximal_independent(h)
+    masks = h._maximal_masks
+    # The sets come sorted by member tuple, so a stable sort by size gives
+    # the (-size, member tuple) order that min_cover searches.
+    order = sorted(range(len(masks)), key=list(map(int.bit_count, masks)).__getitem__,
+                   reverse=True)
+    hit = _bounded_cover([masks[i] for i in order], (1 << h.node_count) - 1, k)
     if hit is None:
         return Refutation(k=k, exhaustive=True)
-    solution = CoverSolution(ordered[i] for i in hit)
+    solution = CoverSolution(maximal[order[i]] for i in hit)
     assert solution.verify(h)
     return Refutation(k=k, exhaustive=False, counterexample=solution)
 

@@ -119,6 +119,24 @@ def random_hypergraph(rng: random.Random, t: int, n_edges: int) -> Hypergraph:
     return Hypergraph(t, minimal)
 
 
+def cycle_antichain(rng: random.Random, t: int) -> Hypergraph:
+    """Pairs from three random Hamiltonian cycles, plus t // 2 random triples.
+
+    Built like the cover-search benchmark's graphs; a triple holding a pair
+    is dropped, so the edges form an antichain.
+    """
+    nodes = range(1, t + 1)
+    edges = set()
+    for _ in range(3):
+        cycle = rng.sample(nodes, t)
+        edges.update(frozenset((cycle[i - 1], cycle[i])) for i in range(t))
+    triples = set()
+    while len(triples) < t // 2:
+        triples.add(frozenset(rng.sample(nodes, 3)))
+    edges.update(e for e in triples if not any(p <= e for p in edges))
+    return Hypergraph(t, edges)
+
+
 def find_balanced_pair_certificate(game, losing, rng: random.Random, max_pairs: int = 40):
     """Search a verified two-vs-two balance certificate among losing pairs.
 

@@ -1,4 +1,6 @@
+import json
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -32,6 +34,7 @@ from gamedim.simplex import phase_two
 from helpers import (
     COUNCIL_DUALS,
     brute_maximal_independent,
+    cycle_antichain,
     random_hypergraph,
     reference_phase_two,
     sylvester_minor,
@@ -84,6 +87,32 @@ class TestHypergraph:
     def test_malformed_json_rejected(self):
         with pytest.raises(ValueError):
             hypergraph_from_json({"edges": [[1, 2]]})
+
+    @pytest.mark.parametrize("node, message", [
+        (True, "edge node True is a bool, not a node in 1..3"),
+        (1.0, "edge node 1.0 is not an integer"),
+        ("1", "edge node '1' is not an integer"),
+    ])
+    def test_non_integer_node_rejected(self, node, message):
+        # True and 1.0 equal the node 1; a bool read as node 1 would be
+        # written back as `[true, 2]`, which hypergraph_from_json rejects.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Hypergraph(3, [(node, 2)])
+        with pytest.raises(ValueError):
+            hypergraph_from_json({"nodes": 3, "edges": [[node, 2]]})
+
+    @pytest.mark.parametrize("node_count", [True, 3.0, "3"])
+    def test_non_integer_node_count_rejected(self, node_count):
+        with pytest.raises(ValueError, match=re.escape(f"not {node_count!r}")):
+            Hypergraph(node_count, [])
+
+    def test_every_graph_round_trips_through_json_text(self):
+        rng = random.Random(83)
+        for _ in range(30):
+            h = random_hypergraph(rng, rng.randint(0, 30), rng.randint(0, 40))
+            text = json.dumps(hypergraph_to_json(h))
+            assert "true" not in text and "." not in text
+            assert hypergraph_from_json(json.loads(text)) == h
 
 
 def antichain_reference(node_count, edges):
@@ -141,6 +170,12 @@ class TestIndependence:
         with pytest.raises(ValueError, match="out of range"):
             is_independent({16}, council_h)
 
+    def test_non_integer_node_rejected(self, council_h):
+        with pytest.raises(ValueError, match="node True is a bool, not a node in 1..15"):
+            is_independent({True}, council_h)
+        with pytest.raises(ValueError, match="node '2' is not an integer"):
+            is_independent({1, "2"}, council_h)
+
 
 class TestEnumerateMaximal:
     def test_council_family_has_exactly_21(self, council_h):
@@ -187,6 +222,14 @@ class TestEnumerateMaximal:
         assert sum(frozenset().union(*h.edges) < h.nodes for h in graphs if h.edges) > 5
         for h in graphs:
             assert list(enumerate_maximal_independent(h)) == brute_maximal_independent(h)
+
+    def test_sorted_by_member_tuple_at_benchmark_sizes(self):
+        # no_k_cover relies on this order; brute force is too slow here.
+        rng = random.Random(4099)
+        for t in [18, 19, 20, 21, 22, 23, 24] * 2:
+            got = enumerate_maximal_independent(cycle_antichain(rng, t))
+            assert list(got) == sorted(got, key=lambda s: tuple(sorted(s)))
+            assert len(set(got)) == len(got) > 20
 
     def test_second_call_returns_the_same_tuple(self, council_h):
         h = Hypergraph(council_h.node_count, council_h.edges)
@@ -254,6 +297,39 @@ class TestMinCover:
                     assert min_cover(h, maximal + [part]).verify(h)
         assert dependent > 50
 
+    @pytest.mark.parametrize("candidates, message", [
+        ([{1, 5}, {16}], "contains an edge"),
+        ([{16}, {1, 5}], "node 16 out of range 1..15"),
+        ([{1, 5}, {2, "3"}], "contains an edge"),
+        ([{2, "3"}, {1, 5}], "node '3' is not an integer"),
+        ([{3}, {1.0}, {1, 5}], "node 1.0 is not an integer"),
+        ([{3}, {True, 2}], "node True is a bool, not a node in 1..15"),
+    ])
+    def test_first_bad_candidate_raises(self, council_h, candidates, message):
+        # In input order, each candidate's nodes before its edges.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            min_cover(council_h, candidates)
+
+    @pytest.mark.parametrize("t", [30, 64])
+    def test_explicit_candidates_above_the_node_guard(self, t):
+        # A cycle over 1..t with a chord triple; the even and odd nodes
+        # cover it with two parts.  Nothing else runs min_cover above 24.
+        edges = [(v, v % t + 1) for v in range(1, t + 1)] + [(1, 3, 5)]
+        h = Hypergraph(t, edges)
+        odd = frozenset(range(1, t + 1, 2)) - {5}
+        even = frozenset(range(2, t + 1, 2))
+        rng = random.Random(t)
+        noise = [frozenset(rng.sample(sorted(even), 5)) for _ in range(8)]
+        solution = min_cover(h, noise + [odd, {5}, even, {t - 1, 5}])
+        # Node 1 is only in `odd`; node 2 is first in `even`, the largest
+        # candidate; node 5 is then first in {t - 1, 5}, larger than {5}.
+        assert solution.parts == (odd, even, frozenset({t - 1, 5}))
+        assert solution.verify(h)
+        with pytest.raises(ValueError, match=re.escape(f"candidate part [{t - 1}, {t}]")):
+            min_cover(h, [odd, even, {t - 1, t}])
+        with pytest.raises(ValueError, match=f"node {t + 1} out of range 1..{t}"):
+            min_cover(h, [odd, even, {t + 1}])
+
     def test_noncovering_candidates_rejected(self):
         with pytest.raises(ValueError, match="jointly cover"):
             min_cover(EDGELESS_3, [{1, 2}])
@@ -282,6 +358,21 @@ class TestMinCover:
             candidates = enumerate_maximal_independent(h)
             solution = min_cover(h, candidates)
             assert solution.verify(h)
+
+
+class TestMaskConversion:
+    def test_set_of_matches_the_comprehension_at_every_width(self):
+        # Up to 24 bits the byte tables answer; above, the comprehension.
+        rng = random.Random(1009)
+        for width in range(1, 65):
+            for _ in range(40):
+                mask = rng.getrandbits(width) | 1 << (width - 1)
+                expected = frozenset(i + 1 for i in range(width) if mask >> i & 1)
+                got = cover._set_of(mask)
+                assert got == expected
+                # inserted in the same order, so the same repr
+                assert repr(got) == repr(expected)
+        assert cover._set_of(0) == frozenset()
 
 
 class TestCoverSolution:
@@ -569,6 +660,74 @@ class TestBoundedCoverMemo:
     def test_same_result_on_the_council_family(self, council_h):
         masks, full = self.search_input(council_h)
         assert self.assert_same_at_every_limit(masks, full) == 8
+
+    def test_same_result_on_benchmark_sized_antichains(self):
+        rng = random.Random(6353)
+        minima = set()
+        for _ in range(20):
+            h = cycle_antichain(rng, rng.randint(18, 24))
+            masks, full = self.search_input(h)
+            minima.add(self.assert_same_at_every_limit(masks, full))
+            rng.shuffle(masks)
+            self.assert_same_at_every_limit(masks, full)
+        assert len(minima) >= 2
+
+    @pytest.mark.parametrize("masks, full, first", [
+        ([0b011, 0b111, 0b100], 0b111, (1,)),              # one covers all
+        ([0b0011, 0b0110, 0b1100], 0b1111, (0, 2)),        # two are needed
+        ([0b0011, 0b0110, 0b1000, 0b1100], 0b1111, (0, 3)),
+        ([0b001, 0b010, 0b100, 0b011], 0b111, (3, 2)),
+        ([0b01, 0b10], 0, ()),                             # nothing to cover
+        ([], 0, ()),
+        ([], 0b1, None),                                   # no candidates
+        ([0b0110, 0b0110, 0b1001, 0b1001], 0b1111, (2, 0)),  # duplicates
+    ])
+    def test_edge_cases_of_the_last_two_levels(self, masks, full, first):
+        hits = [cover._bounded_cover(masks, full, limit) for limit in range(5)]
+        assert hits == [bounded_cover_without_memo(masks, full, limit) for limit in range(5)]
+        assert next((hit for hit in hits if hit is not None), None) == first
+
+
+class TestSearchOrder:
+    """The candidate order both searches use: (-size, member tuple)."""
+
+    @staticmethod
+    def full_sort(sets):
+        return [sum(1 << (v - 1) for v in s)
+                for s in sorted(sets, key=lambda s: (-len(s), tuple(sorted(s))))]
+
+    def test_no_k_cover_searches_the_full_sort(self, monkeypatch):
+        seen = []
+        original = cover._bounded_cover
+
+        def recording(cand_masks, full, limit):
+            seen.append(list(cand_masks))
+            return original(cand_masks, full, limit)
+
+        monkeypatch.setattr(cover, "_bounded_cover", recording)
+        rng = random.Random(2203)
+        for t in range(18, 25):
+            h = cycle_antichain(rng, t)
+            no_k_cover(h, 3)
+            assert seen.pop() == self.full_sort(enumerate_maximal_independent(h))
+
+    def test_min_cover_searches_the_full_sort_of_any_input_order(self, monkeypatch):
+        seen = []
+        original = cover._cover_search
+
+        def recording(cand_masks, full):
+            seen.append(list(cand_masks))
+            return original(cand_masks, full)
+
+        monkeypatch.setattr(cover, "_cover_search", recording)
+        rng = random.Random(2213)
+        for t in range(18, 25):
+            h = cycle_antichain(rng, t)
+            candidates = list(enumerate_maximal_independent(h))
+            rng.shuffle(candidates)
+            first = min_cover(h, candidates)
+            assert seen.pop() == self.full_sort(candidates)
+            assert min_cover(h, sorted(candidates, key=len)) == first
 
 
 def tiny_certified_family(game, losing_pair, winning_pair):
