@@ -30,8 +30,9 @@ import operator
 import warnings
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 
+from ._packed import PackedMasks
 from ._record import Frozen
 from .simplex import phase_two
 
@@ -66,10 +67,25 @@ def _reversed_bytes() -> bytes:
     return bytes(table)
 
 
+def _search_order(masks: Sequence[int], t: int) -> list[int]:
+    """Indices of the t-bit masks in (-size, member tuple) order, stable.
+
+    That order is descending (size, bit-reversed little-endian bytes): of two
+    sets of one size, the one holding the first node where they differ has
+    the smaller member tuple and, as node 1 is the top bit of the first
+    byte, the larger bytes.
+    """
+    width, reverse = (t + 7) // 8, _reversed_bytes()
+    keys = [(m.bit_count(), m.to_bytes(width, "little").translate(reverse)) for m in masks]
+    return sorted(range(len(masks)), key=keys.__getitem__, reverse=True)
+
+
 def _set_of(mask: int) -> frozenset[int]:
-    """The nodes of the mask, inserted in ascending order."""
-    if mask >> NODE_GUARD:
-        return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+    """The nodes of a mask of up to NODE_GUARD bits, inserted in ascending order.
+
+    Only maximal-set masks come here, and their enumeration refuses
+    hypergraphs of more than NODE_GUARD nodes.
+    """
     low, mid, high = _byte_nodes()  # NODE_GUARD bits are three bytes
     return frozenset(low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16])
 
@@ -376,53 +392,36 @@ def min_cover(h: Hypergraph, candidates: Sequence[Iterable[int]]) -> CoverSoluti
     returned.  Raises if a candidate is dependent or the candidates cannot
     jointly cover the nodes.
 
-    The candidates are checked and ordered on their masks: the nodes of all
-    of them at once, then each one against every edge by one packed test.
-    The search state is built once, and the limit deepens from 1 (see
-    `_cover_search`).
+    The candidates are checked in input order, each one's nodes before its
+    edges: its nodes by set and type tests, then its mask against every
+    edge by one packed test (see `PackedMasks`).  They are ordered on their
+    masks, the search state is built once, and the limit deepens from 1
+    (see `_cover_search`).
     """
     t = h.node_count
     nodes = h.nodes
     full = (1 << t) - 1
-    cands = list(map(frozenset, candidates))
-    # The first bad candidate raises, its nodes checked before its edges:
-    # `stop` is the first with a node that is no int in 1..t, and the
-    # candidates before it are checked against the edges first.
-    stop = len(cands)
-    if not (all(map(nodes.issuperset, cands))
-            and _INT.issuperset(map(type, chain.from_iterable(cands)))):
-        stop = next(i for i, c in enumerate(cands) if _bad_node(c, t))
-    masks = [sum(map(_BIT, c)) >> 1 for c in cands[:stop]]
-    # One (t+1)-bit field per edge, whose top bit is a guard.  Field i of
-    # packed & (~m * ones) is zero iff edge i lies inside mask m; with the
-    # guards set, subtracting one per field clears exactly those fields'
-    # guards and borrows nothing across fields.
-    packed = ones = 0
-    for at, em in enumerate(h._edge_masks):
-        packed |= em << at * (t + 1)
-        ones |= 1 << at * (t + 1)
-    guards = ones << t
-    for c, m in zip(cands, masks):
-        if (((packed & ((full ^ m) * ones)) | guards) - ones) & guards != guards:
+    edges = PackedMasks(t, h._edge_masks)
+    cands: list[frozenset[int]] = []
+    masks: list[int] = []
+    for c in map(frozenset, candidates):
+        if not (c <= nodes and _INT.issuperset(map(type, c))):
+            raise _bad_node(c, t)
+        m = sum(map(_BIT, c)) >> 1
+        if edges.any_inside(m):
             raise ValueError(f"candidate part {sorted(c)} contains an edge")
-    if stop < len(cands):
-        raise _bad_node(cands[stop], t)
+        cands.append(c)
+        masks.append(m)
     if functools.reduce(int.__or__, masks, 0) != full:
         raise ValueError("candidates do not jointly cover the nodes; no cover exists")
-    # Descending (size, bit-reversed little-endian bytes) is ascending
-    # (-size, member tuple): of two sets of one size, the one holding the
-    # first node where they differ has the smaller member tuple and, as
-    # node 1 is the top bit of the first byte, the larger bytes.
-    width, reverse = (t + 7) // 8, _reversed_bytes()
-    checked = sorted(zip(masks, cands), reverse=True, key=lambda mc: (
-        mc[0].bit_count(), mc[0].to_bytes(width, "little").translate(reverse)))
-    search = _cover_search([m for m, _ in checked], full)
+    order = _search_order(masks, t)
+    search = _cover_search([masks[i] for i in order], full)
     limit = 0
     while True:
         limit += 1
         hit = search(limit)
         if hit is not None:
-            solution = CoverSolution(checked[i][1] for i in hit)
+            solution = CoverSolution(cands[order[i]] for i in hit)
             assert solution.verify(h)
             return solution
 
@@ -561,10 +560,7 @@ def no_k_cover(h: Hypergraph, k: int) -> Refutation:
         raise ValueError("k must be positive")
     maximal = enumerate_maximal_independent(h)
     masks = h._maximal_masks
-    # The sets come sorted by member tuple, so a stable sort by size gives
-    # the (-size, member tuple) order that min_cover searches.
-    order = sorted(range(len(masks)), key=list(map(int.bit_count, masks)).__getitem__,
-                   reverse=True)
+    order = _search_order(masks, h.node_count)
     hit = _bounded_cover([masks[i] for i in order], (1 << h.node_count) - 1, k)
     if hit is None:
         return Refutation(k=k, exhaustive=True)

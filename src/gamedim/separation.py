@@ -22,7 +22,7 @@ infeasible system yields the optimal dual multipliers, a
 nonnegative combination of the listed constraints that reads
 0 <= total < 0, re-checked by combination.  Winning constraints that
 contain another one and targets inside another target are dropped first,
-by one packed zero-field test per coalition (see `_drop_containing`).
+by one packed zero-field test per coalition (see `_packed`).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import operator
 from collections.abc import Sequence
 from fractions import Fraction
 
+from ._packed import PackedMasks
 from ._record import Frozen
 from .games import (
     Coalition,
@@ -102,24 +103,13 @@ class NotSeparable(Frozen):
 
 def _drop_containing(ordered: Sequence[Coalition], masks: Sequence[int], n: int
                      ) -> list[Coalition]:
-    """Keep each coalition whose mask contains no mask kept before it.
-
-    The kept masks sit in one packed int, one (n+1)-bit field each, whose
-    top bit is a guard.  Field i of packed & (outside * ones) is zero iff
-    kept mask i lies inside the candidate; with the guards set, subtracting
-    one per field clears exactly those fields' guards and borrows nothing
-    across fields.
-    """
-    full = (1 << n) - 1
-    packed = ones = guards = at = 0
+    """Keep each coalition whose mask contains no mask kept before it."""
+    kept = PackedMasks(n)
     out: list[Coalition] = []
     for c, m in zip(ordered, masks):
-        if (((packed & ((full ^ m) * ones)) | guards) - ones) & guards == guards:
+        if not kept.any_inside(m):
             out.append(c)
-            packed |= m << at
-            ones |= 1 << at
-            guards |= 1 << (at + n)
-            at += n + 1
+            kept.add(m)
     return out
 
 

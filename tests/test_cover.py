@@ -304,6 +304,7 @@ class TestMinCover:
         ([{2, "3"}, {1, 5}], "node '3' is not an integer"),
         ([{3}, {1.0}, {1, 5}], "node 1.0 is not an integer"),
         ([{3}, {True, 2}], "node True is a bool, not a node in 1..15"),
+        ([{1, 5}, [[2]]], "contains an edge"),  # before the unhashable member
     ])
     def test_first_bad_candidate_raises(self, council_h, candidates, message):
         # In input order, each candidate's nodes before its edges.
@@ -361,10 +362,10 @@ class TestMinCover:
 
 
 class TestMaskConversion:
-    def test_set_of_matches_the_comprehension_at_every_width(self):
-        # Up to 24 bits the byte tables answer; above, the comprehension.
+    def test_set_of_matches_the_comprehension_up_to_the_node_guard(self):
+        # Maximal-set masks never exceed NODE_GUARD bits.
         rng = random.Random(1009)
-        for width in range(1, 65):
+        for width in range(1, cover.NODE_GUARD + 1):
             for _ in range(40):
                 mask = rng.getrandbits(width) | 1 << (width - 1)
                 expected = frozenset(i + 1 for i in range(width) if mask >> i & 1)
@@ -695,6 +696,16 @@ class TestSearchOrder:
     def full_sort(sets):
         return [sum(1 << (v - 1) for v in s)
                 for s in sorted(sets, key=lambda s: (-len(s), tuple(sorted(s))))]
+
+    def test_search_order_is_the_full_sort_at_any_width(self):
+        rng = random.Random(2221)
+        for t in (1, 7, 8, 9, 24, 30, 64):
+            sets = [frozenset(rng.sample(range(1, t + 1), rng.randint(0, t)))
+                    for _ in range(60)]
+            sets += sets[:10]  # duplicates keep their input order
+            masks = [sum(1 << (v - 1) for v in s) for s in sets]
+            assert cover._search_order(masks, t) == sorted(
+                range(len(sets)), key=lambda i: (-len(sets[i]), tuple(sorted(sets[i]))))
 
     def test_no_k_cover_searches_the_full_sort(self, monkeypatch):
         seen = []
