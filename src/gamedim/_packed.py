@@ -1,16 +1,74 @@
-"""Masks packed into one int, for a containment test against all of them.
+"""Node masks, read and compared in one place.
 
-Masks of n bits sit one per (n+1)-bit field, whose top bit is a guard.
-Field i of packed & (~m * ones) is zero iff mask i lies inside m; with the
-guards set, subtracting one per field clears exactly those fields' guards
-and borrows nothing across fields.  So "does any packed mask lie inside m"
-is one multiplication, one subtraction and a few bitwise operations, with
-no Python frame per mask.
+Member (or node) i is bit i-1 of a mask.  Three readings of a mask live
+here, so that coalitions, hypergraph edges, independent sets and cover
+candidates all read it the same way:
+
+- `members`: its members, ascending, one table lookup per byte.
+- `reversed_bytes`: a byte string that orders masks of one size by member
+  tuple.  Member 1 is the top bit of the first byte, so at the first member
+  where two masks differ, the one holding it has the larger bytes (and the
+  smaller member tuple).  `canonical_key` sorts by size, then these bytes
+  of the complement: the (size, member tuple) order.
+- `PackedMasks`: does any of a set of masks lie inside m?  Masks of n bits
+  sit one per (n+1)-bit field, whose top bit is a guard.  Field i of
+  packed & (~m * ones) is zero iff mask i lies inside m; with the guards
+  set, subtracting one per field clears exactly those fields' guards and
+  borrows nothing across fields.  So the test is one multiplication, one
+  subtraction and a few bitwise operations, with no Python frame per mask.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import functools
+
+MAX_MEMBERS = 64
+
+
+def _reversal() -> bytes:
+    """Entry b is byte b with its bits in reverse order; built by doubling."""
+    table = [0]
+    for i in range(8):
+        table += [r | 0x80 >> i for r in table]
+    return bytes(table)
+
+
+_REVERSED = _reversal()
+
+
+@functools.cache
+def _byte_members() -> tuple[list[tuple[int, ...]], ...]:
+    """Per byte of a mask of up to MAX_MEMBERS bits, the members of each value.
+
+    Built on first use, by doubling, so every entry is sorted.
+    """
+    tables = []
+    for low in range(1, MAX_MEMBERS + 1, 8):
+        table: list[tuple[int, ...]] = [()]
+        for v in range(low, low + 8):
+            table += [s + (v,) for s in table]
+        tables.append(table)
+    return tuple(tables)
+
+
+def members(mask: int) -> tuple[int, ...]:
+    """The members of a mask of up to MAX_MEMBERS bits, ascending."""
+    tables = iter(_byte_members())
+    out: tuple[int, ...] = ()
+    while mask:
+        out += next(tables)[mask & 255]
+        mask >>= 8
+    return out
+
+
+def reversed_bytes(mask: int, n: int) -> bytes:
+    """The n-bit mask's little-endian bytes, each with its bits reversed."""
+    return mask.to_bytes((n + 7) >> 3, "little").translate(_REVERSED)
+
+
+def canonical_key(mask: int, n: int) -> tuple[int, bytes]:
+    """Sort key of the n-bit masks in (size, member tuple) order."""
+    return mask.bit_count(), reversed_bytes(mask ^ ((1 << n) - 1), n)
 
 
 class PackedMasks:
@@ -18,12 +76,10 @@ class PackedMasks:
 
     __slots__ = ("_n", "_full", "_packed", "_ones", "_guards", "_at")
 
-    def __init__(self, n: int, masks: Iterable[int] = ()):
+    def __init__(self, n: int):
         self._n = n
         self._full = (1 << n) - 1
         self._packed = self._ones = self._guards = self._at = 0
-        for m in masks:
-            self.add(m)
 
     def add(self, m: int) -> None:
         at = self._at

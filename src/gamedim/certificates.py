@@ -187,16 +187,14 @@ def build_pair_certificate(li: Coalition, lj: Coalition, game: EuGame) -> Balanc
     )
 
 
-def build_anchor_certificate(li: Coalition, game: EuGame,
-                             anchor: Coalition | None = None) -> BalanceCertificate:
-    """Certificate for a losing coalition paired with the anchor (L15 by default).
+def build_anchor_certificate(li: Coalition, game: EuGame) -> BalanceCertificate:
+    """Certificate for a losing coalition paired with the anchor L15.
 
     Exchanges the two least-population members of li outside the anchor
     against the largest-population member of the anchor outside li; ties are
     broken toward smaller member indices.
     """
-    if anchor is None:
-        anchor = LOSING_FAMILY[ANCHOR_LABEL - 1]
+    anchor = LOSING_FAMILY[ANCHOR_LABEL - 1]
     if li == anchor:
         raise ValueError("anchor certificate needs a coalition distinct from the anchor")
     for c in (li, anchor):

@@ -17,10 +17,12 @@ maximal independent sets, and rational node weights, derived by exact LP,
 that bound every candidate part by 1 while the total weight exceeds the
 number of parts available.
 
-The maximal independent sets of a `Hypergraph` are computed once, as node
-masks, on first request, and kept on it with the frozensets derived from
-those masks: the enumeration, the exhaustive search and the dual derivation
-and check all read the same tuples.
+Masks are read and ordered by `_packed`.  A `Hypergraph` packs its edges
+as it filters them into an antichain; `is_independent` and `min_cover` test
+against that one packed set.  Its maximal independent sets are computed
+once, as node masks, on first request, and kept on it with the frozensets
+derived from those masks: the enumeration, the exhaustive search and the
+dual derivation and check all read the same tuples.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import compress
 
-from ._packed import PackedMasks
+from ._packed import PackedMasks, canonical_key, members, reversed_bytes
 from ._record import Frozen
 from .simplex import phase_two
 
@@ -42,52 +44,13 @@ _BIT = (1).__lshift__  # node v's bit is _BIT(v) >> 1
 _INT = frozenset({int})
 
 
-@functools.cache
-def _byte_nodes() -> tuple[list[tuple[int, ...]], ...]:
-    """Per byte of a mask of up to NODE_GUARD bits, the nodes of each value.
-
-    Built on first use, by doubling: the values with a bit set are those
-    without it, each with that bit's node appended, so every entry is sorted.
-    """
-    tables = []
-    for low in range(1, NODE_GUARD + 1, 8):
-        table: list[tuple[int, ...]] = [()]
-        for v in range(low, low + 8):
-            table += [s + (v,) for s in table]
-        tables.append(table)
-    return tuple(tables)
-
-
-@functools.cache
-def _reversed_bytes() -> bytes:
-    """Entry b is byte b with its bits in reverse order; built by doubling."""
-    table = [0]
-    for i in range(8):
-        table += [r | 0x80 >> i for r in table]
-    return bytes(table)
-
-
 def _search_order(masks: Sequence[int], t: int) -> list[int]:
     """Indices of the t-bit masks in (-size, member tuple) order, stable.
 
-    That order is descending (size, bit-reversed little-endian bytes): of two
-    sets of one size, the one holding the first node where they differ has
-    the smaller member tuple and, as node 1 is the top bit of the first
-    byte, the larger bytes.
+    That order is descending (size, `reversed_bytes`).
     """
-    width, reverse = (t + 7) // 8, _reversed_bytes()
-    keys = [(m.bit_count(), m.to_bytes(width, "little").translate(reverse)) for m in masks]
+    keys = [(m.bit_count(), reversed_bytes(m, t)) for m in masks]
     return sorted(range(len(masks)), key=keys.__getitem__, reverse=True)
-
-
-def _set_of(mask: int) -> frozenset[int]:
-    """The nodes of a mask of up to NODE_GUARD bits, inserted in ascending order.
-
-    Only maximal-set masks come here, and their enumeration refuses
-    hypergraphs of more than NODE_GUARD nodes.
-    """
-    low, mid, high = _byte_nodes()  # NODE_GUARD bits are three bytes
-    return frozenset(low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16])
 
 
 def _bad_node(nodes: Iterable[object], node_count: int, what: str = "node"
@@ -117,9 +80,10 @@ class Hypergraph(Frozen):
     `hypergraph_from_json` reads back.
 
     Node v is bit v - 1 of a mask.  The edge masks are kept from
-    construction, and the maximal independent sets are enumerated once, as
-    masks, on first request; their frozensets are derived from those masks.
-    Both live outside `_fields`, so ==, hash and repr do not see them.
+    construction, as a tuple and packed, and the maximal independent sets
+    are enumerated once, as masks, on first request; their frozensets are
+    derived from those masks.  All live outside `_fields`, so ==, hash and
+    repr do not see them.
     """
 
     _fields = ("node_count", "edges")
@@ -131,7 +95,7 @@ class Hypergraph(Frozen):
             raise ValueError(f"node_count must be an int, not {node_count!r}")
         if node_count < 0:
             raise ValueError("node_count must be nonnegative")
-        canonical = set()
+        canonical: dict[int, frozenset[int]] = {}  # by mask
         for e in edges:
             e = frozenset(e)
             if len(e) < 2:
@@ -139,33 +103,24 @@ class Hypergraph(Frozen):
             error = _bad_node(e, node_count, "edge node")
             if error is not None:
                 raise error
-            canonical.add(e)
-        # Only a smaller edge can lie inside e, and m lies inside e iff
-        # m & ~e is 0; the edges come in size order, so `smaller` holds the
-        # masks of every edge of smaller size, whether kept or dropped.
+            canonical.setdefault(sum(map(_BIT, e)) >> 1, e)
+        # In size order, an edge contains an earlier edge, kept or dropped,
+        # iff it contains a kept one: a dropped edge contains a kept one.
+        packed = PackedMasks(node_count)
         kept = []
-        kept_masks = []
-        smaller: list[int] = []
-        same_size: list[int] = []
-        size = 0
-        for e in sorted(canonical, key=lambda e: (len(e), tuple(sorted(e)))):
-            if len(e) > size:
-                smaller += same_size
-                same_size = []
-                size = len(e)
-            em = sum(map(_BIT, e)) >> 1
-            same_size.append(em)
-            if not all(map((~em).__and__, smaller)):
+        for m in sorted(canonical, key=lambda m: canonical_key(m, node_count)):
+            if packed.any_inside(m):
                 warnings.warn(
-                    f"dropping redundant edge {sorted(e)}: it contains a smaller edge",
+                    f"dropping redundant edge {sorted(canonical[m])}: it contains a smaller edge",
                     stacklevel=2,
                 )
                 continue
-            kept.append(e)
-            kept_masks.append(em)
+            packed.add(m)
+            kept.append(m)
         object.__setattr__(self, "node_count", node_count)
-        object.__setattr__(self, "edges", tuple(kept))
-        object.__setattr__(self, "_edge_masks", tuple(kept_masks))
+        object.__setattr__(self, "edges", tuple(map(canonical.__getitem__, kept)))
+        object.__setattr__(self, "_edge_masks", tuple(kept))
+        object.__setattr__(self, "_packed_edges", packed)
 
     @property
     def nodes(self) -> frozenset[int]:
@@ -178,7 +133,7 @@ class Hypergraph(Frozen):
 
     @functools.cached_property
     def _maximal_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(map(_set_of, self._maximal_masks))
+        return tuple(map(frozenset, map(members, self._maximal_masks)))
 
 
 def is_independent(nodes: Iterable[int], h: Hypergraph) -> bool:
@@ -187,7 +142,7 @@ def is_independent(nodes: Iterable[int], h: Hypergraph) -> bool:
     error = _bad_node(s, h.node_count)
     if error is not None:
         raise error
-    return not any(e <= s for e in h.edges)
+    return not h._packed_edges.any_inside(sum(map(_BIT, s)) >> 1)
 
 
 def enumerate_maximal_independent(h: Hypergraph) -> tuple[frozenset[int], ...]:
@@ -379,11 +334,6 @@ def _cover_search(cand_masks: Sequence[int], full: int
     return search
 
 
-def _bounded_cover(cand_masks: Sequence[int], full: int, limit: int) -> tuple[int, ...] | None:
-    """First cover of <= limit candidate parts in deterministic search order."""
-    return _cover_search(cand_masks, full)(limit)
-
-
 def min_cover(h: Hypergraph, candidates: Sequence[Iterable[int]]) -> CoverSolution:
     """Smallest cover of all nodes by the given independent candidate parts.
 
@@ -393,15 +343,15 @@ def min_cover(h: Hypergraph, candidates: Sequence[Iterable[int]]) -> CoverSoluti
     jointly cover the nodes.
 
     The candidates are checked in input order, each one's nodes before its
-    edges: its nodes by set and type tests, then its mask against every
-    edge by one packed test (see `PackedMasks`).  They are ordered on their
+    edges: its nodes by set and type tests, then its mask against the
+    hypergraph's packed edges by one test.  They are ordered on their
     masks, the search state is built once, and the limit deepens from 1
     (see `_cover_search`).
     """
     t = h.node_count
     nodes = h.nodes
     full = (1 << t) - 1
-    edges = PackedMasks(t, h._edge_masks)
+    edges = h._packed_edges
     cands: list[frozenset[int]] = []
     masks: list[int] = []
     for c in map(frozenset, candidates):
@@ -561,7 +511,7 @@ def no_k_cover(h: Hypergraph, k: int) -> Refutation:
     maximal = enumerate_maximal_independent(h)
     masks = h._maximal_masks
     order = _search_order(masks, h.node_count)
-    hit = _bounded_cover([masks[i] for i in order], (1 << h.node_count) - 1, k)
+    hit = _cover_search([masks[i] for i in order], (1 << h.node_count) - 1)(k)
     if hit is None:
         return Refutation(k=k, exhaustive=True)
     solution = CoverSolution(maximal[order[i]] for i in hit)

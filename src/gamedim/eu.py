@@ -19,7 +19,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from ._record import Frozen
-from .cover import Hypergraph
 from .games import Coalition, SimpleGame, WeightedGame
 
 N_MEMBERS = 28
@@ -297,8 +296,3 @@ COUNCIL_MAXIMAL_PARTS: tuple[frozenset[int], ...] = tuple(map(frozenset, (
     (3, 8), (3, 11), (4, 5), (4, 7), (4, 10), (5, 6, 10), (5, 6, 12),
     (5, 9), (5, 10, 13), (6, 10, 12), (7, 8), (8, 13), (11, 14), (15,),
 )))
-
-
-def council_hypergraph() -> Hypergraph:
-    """The bundled 15-node, 80-edge non-separable family of the council game."""
-    return Hypergraph(15, NONSEPARABLE_PAIRS + NONSEPARABLE_TRIPLES)

@@ -29,9 +29,9 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property, reduce
 
+from ._packed import MAX_MEMBERS, canonical_key, members
 from ._record import Frozen
 
-MAX_MEMBERS = 64
 ENUMERATION_GUARD = 20
 
 
@@ -76,7 +76,7 @@ class Coalition(Frozen):
 
     @property
     def members(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.n) if self.mask >> i & 1)
+        return members(self.mask)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -141,15 +141,9 @@ _set_n = Coalition.n.__set__
 _set_mask = Coalition.mask.__set__
 
 
-def coalition_sort_key(c: Coalition) -> tuple[int, str]:
-    """Canonical ordering for coalition lists: by size, then member tuple.
-
-    Read from the mask: character i of the second entry is 1 iff member i+1
-    is missing.  At the first member that one of two coalitions of equal size
-    holds and the other lacks, the holder reads 0, as its member tuple is
-    also the smaller.
-    """
-    return (c.mask.bit_count(), format(c.mask ^ ((1 << c.n) - 1), f"0{c.n}b")[::-1])
+def coalition_sort_key(c: Coalition) -> tuple[int, bytes]:
+    """Canonical ordering for coalition lists: by size, then member tuple."""
+    return canonical_key(c.mask, c.n)
 
 
 def _subset_sums(values: Sequence[int]) -> list[int]:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gamedim import cover
+from gamedim import _packed, cover
 from gamedim.certificates import (
     BalanceCertificate,
     CertificateError,
@@ -27,8 +27,8 @@ from gamedim.cover import (
     no_k_cover,
     verify_dual_certificate,
 )
-from gamedim.eu import COUNCIL_MAXIMAL_PARTS, council_hypergraph
-from gamedim.games import Coalition, IntersectionGame, WeightedGame
+from gamedim.eu import COUNCIL_MAXIMAL_PARTS, NONSEPARABLE_PAIRS, NONSEPARABLE_TRIPLES
+from gamedim.games import Coalition, IntersectionGame, WeightedGame, coalition_sort_key
 from gamedim.simplex import phase_two
 
 from helpers import (
@@ -72,7 +72,7 @@ class TestHypergraph:
     def test_council_family_is_an_antichain(self, council_h):
         # No warning fired and all 80 edges survive: no pair sits in a triple.
         assert len(council_h.edges) == 80
-        assert council_h == council_hypergraph()
+        assert council_h == Hypergraph(15, NONSEPARABLE_PAIRS + NONSEPARABLE_TRIPLES)
         for triple in (e for e in council_h.edges if len(e) == 3):
             for a in triple:
                 assert frozenset(triple - {a}) not in council_h.edges
@@ -144,6 +144,23 @@ class TestAntichainCheck:
             total_dropped += len(expected_warnings)
         assert total_dropped > 100
 
+    def test_redundant_supersets_dropped_at_any_width(self):
+        # Each graph gets supersets of its own edges, so some must go.
+        rng = random.Random(41)
+        for t in (25, 30, 40, 64):
+            for _ in range(10):
+                edges = [rng.sample(range(1, t + 1), rng.randint(2, 4)) for _ in range(t)]
+                edges += [e + rng.sample(sorted(set(range(1, t + 1)) - set(e)), 2)
+                          for e in rng.sample(edges, 5)]
+                rng.shuffle(edges)
+                expected_edges, expected_warnings = antichain_reference(t, edges)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    h = Hypergraph(t, edges)
+                assert h.edges == expected_edges
+                assert [str(w.message) for w in caught] == expected_warnings
+                assert len(expected_warnings) >= 5
+
     def test_edge_containing_only_a_dropped_edge_is_dropped(self):
         # {1,2,3} is dropped for {1,2}; {1,2,3,4} holds both and is dropped too.
         with warnings.catch_warnings(record=True) as caught:
@@ -175,6 +192,19 @@ class TestIndependence:
             is_independent({True}, council_h)
         with pytest.raises(ValueError, match="node '2' is not an integer"):
             is_independent({1, "2"}, council_h)
+
+    def test_matches_the_frozenset_reference(self):
+        rng = random.Random(47)
+        verdicts = set()
+        for _ in range(60):
+            t = rng.randint(2, 40)
+            h = random_hypergraph(rng, t, rng.randint(0, 2 * t))
+            for _ in range(20):
+                s = frozenset(rng.sample(range(1, t + 1), rng.randint(0, t)))
+                expected = not any(e <= s for e in h.edges)
+                assert is_independent(s, h) == expected
+                verdicts.add(expected)
+        assert verdicts == {True, False}
 
 
 class TestEnumerateMaximal:
@@ -362,18 +392,22 @@ class TestMinCover:
 
 
 class TestMaskConversion:
-    def test_set_of_matches_the_comprehension_up_to_the_node_guard(self):
-        # Maximal-set masks never exceed NODE_GUARD bits.
+    def test_members_matches_the_comprehension_at_every_width(self):
         rng = random.Random(1009)
-        for width in range(1, cover.NODE_GUARD + 1):
+        for width in range(1, _packed.MAX_MEMBERS + 1):
             for _ in range(40):
                 mask = rng.getrandbits(width) | 1 << (width - 1)
-                expected = frozenset(i + 1 for i in range(width) if mask >> i & 1)
-                got = cover._set_of(mask)
-                assert got == expected
-                # inserted in the same order, so the same repr
-                assert repr(got) == repr(expected)
-        assert cover._set_of(0) == frozenset()
+                assert _packed.members(mask) == tuple(
+                    i + 1 for i in range(width) if mask >> i & 1)
+        assert _packed.members(0) == ()
+
+    def test_maximal_sets_are_inserted_in_ascending_order(self):
+        # inserted in the same order as the sorted members, so the same repr
+        rng = random.Random(1013)
+        for _ in range(20):
+            h = random_hypergraph(rng, rng.randint(1, cover.NODE_GUARD), 30)
+            for s in enumerate_maximal_independent(h):
+                assert repr(s) == repr(frozenset(sorted(s)))
 
 
 class TestCoverSolution:
@@ -640,7 +674,7 @@ class TestBoundedCoverMemo:
         limit = 0
         while True:
             limit += 1
-            hit = cover._bounded_cover(masks, full, limit)
+            hit = cover._cover_search(masks, full)(limit)
             assert hit == bounded_cover_without_memo(masks, full, limit), limit
             if hit is not None:
                 return limit
@@ -684,7 +718,8 @@ class TestBoundedCoverMemo:
         ([0b0110, 0b0110, 0b1001, 0b1001], 0b1111, (2, 0)),  # duplicates
     ])
     def test_edge_cases_of_the_last_two_levels(self, masks, full, first):
-        hits = [cover._bounded_cover(masks, full, limit) for limit in range(5)]
+        search = cover._cover_search(masks, full)
+        hits = [search(limit) for limit in range(5)]
         assert hits == [bounded_cover_without_memo(masks, full, limit) for limit in range(5)]
         assert next((hit for hit in hits if hit is not None), None) == first
 
@@ -707,15 +742,34 @@ class TestSearchOrder:
             assert cover._search_order(masks, t) == sorted(
                 range(len(sets)), key=lambda i: (-len(sets[i]), tuple(sorted(sets[i]))))
 
+    def test_member_tuple_order_is_shared_at_any_width(self):
+        # coalition_sort_key, Hypergraph edges and _search_order all sort by
+        # the (size, member tuple) of the comprehension
+        rng = random.Random(2237)
+        for t in (1, 7, 8, 9, 24, 30, 64):
+            masks = list({rng.getrandbits(t) for _ in range(80)} | {0, (1 << t) - 1})
+            tuples = {m: tuple(i + 1 for i in range(t) if m >> i & 1) for m in masks}
+            ascending = sorted(masks, key=lambda m: (len(tuples[m]), tuples[m]))
+            coalitions = sorted((Coalition(t, m) for m in masks), key=coalition_sort_key)
+            assert [c.mask for c in coalitions] == ascending
+            # edges of one size form an antichain, so none is dropped; at
+            # t=1 there is no edge of two nodes
+            edges = {frozenset(rng.sample(range(1, t + 1), max(t // 2, 2)))
+                     for _ in range(40 if t > 1 else 0)}
+            assert Hypergraph(t, edges).edges == tuple(
+                sorted(edges, key=lambda e: tuple(sorted(e))))
+            descending = sorted(masks, key=lambda m: (-len(tuples[m]), tuples[m]))
+            assert [masks[i] for i in cover._search_order(masks, t)] == descending
+
     def test_no_k_cover_searches_the_full_sort(self, monkeypatch):
         seen = []
-        original = cover._bounded_cover
+        original = cover._cover_search
 
-        def recording(cand_masks, full, limit):
+        def recording(cand_masks, full):
             seen.append(list(cand_masks))
-            return original(cand_masks, full, limit)
+            return original(cand_masks, full)
 
-        monkeypatch.setattr(cover, "_bounded_cover", recording)
+        monkeypatch.setattr(cover, "_cover_search", recording)
         rng = random.Random(2203)
         for t in range(18, 25):
             h = cycle_antichain(rng, t)

@@ -1,0 +1,38 @@
+"""The benchmark's tracer still finds every function it wraps.
+
+`perfbench/tracing.py` patches gamedim functions by name; a refactor that
+renames or deletes one would otherwise fail only in a traced bench run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from gamedim import cover, games
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves_and_is_restored():
+    tracing = load_tracing()
+    recorder = tracing.Recorder()  # resolves every name in SPANS and COUNTED
+    originals = [(owner, attr, getattr(owner, attr)) for owner, attr, _, _ in recorder._patches]
+    assert len(originals) == len(tracing.SPANS) + len(tracing.COUNTED)
+    recorder.install()
+    try:
+        h = cover.Hypergraph(3, [(1, 2)])
+        assert cover.no_k_cover(h, 2).counterexample is not None
+        games.Coalition(3, 0b101)
+    finally:
+        recorder.uninstall()
+    counts = recorder.snapshot()
+    assert counts["cover.no_k_cover.calls"] == 1
+    assert counts["cover.is_independent.calls"] == 2  # CoverSolution.verify
+    assert counts["games.coalition.constructed"] == 1
+    assert all(getattr(owner, attr) is fn for owner, attr, fn in originals)
