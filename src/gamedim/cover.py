@@ -22,12 +22,16 @@ as it filters them into an antichain; `is_independent` and `min_cover` test
 against that one packed set.  Its maximal independent sets are computed
 once, as node masks, on first request, and kept on it with the frozensets
 derived from those masks: the enumeration, the exhaustive search and the
-dual derivation and check all read the same tuples.
+dual derivation and check all read the same tuples.  So is one cover search
+over those sets, with the answer it gave for each limit: `no_k_cover`
+always reads it, and `min_cover` does when its candidates are the tuple
+`enumerate_maximal_independent` returned.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import warnings
 from collections.abc import Callable, Iterable, Sequence
@@ -82,8 +86,9 @@ class Hypergraph(Frozen):
     Node v is bit v - 1 of a mask.  The edge masks are kept from
     construction, as a tuple and packed, and the maximal independent sets
     are enumerated once, as masks, on first request; their frozensets are
-    derived from those masks.  All live outside `_fields`, so ==, hash and
-    repr do not see them.
+    derived from those masks, and the cover search over them is built on
+    first use.  All live outside `_fields`, so ==, hash and repr do not see
+    them.
     """
 
     _fields = ("node_count", "edges")
@@ -134,6 +139,10 @@ class Hypergraph(Frozen):
     @functools.cached_property
     def _maximal_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(map(frozenset, map(members, self._maximal_masks)))
+
+    @functools.cached_property
+    def _cover(self) -> Callable[[int], tuple[int, ...] | None]:
+        return _ordered_search(self._maximal_masks, self.node_count)
 
 
 def is_independent(nodes: Iterable[int], h: Hypergraph) -> bool:
@@ -283,6 +292,9 @@ def _cover_search(cand_masks: Sequence[int], full: int
 
     The largest size and each node's holders (indices and complemented
     masks) are built once, for every limit; the memo is kept per limit.
+    `_ordered_search` runs it over candidates in `_search_order`, and each
+    `Hypergraph` keeps one of those over its maximal sets, so `min_cover`
+    and `no_k_cover` on it share the holders and every answer.
     """
     max_size = max(map(int.bit_count, cand_masks), default=0)
     by_node: dict[int, tuple[list[int], list[int]]] = {}
@@ -334,6 +346,26 @@ def _cover_search(cand_masks: Sequence[int], full: int
     return search
 
 
+def _ordered_search(masks: Sequence[int], t: int
+                    ) -> Callable[[int], tuple[int, ...] | None]:
+    """`_cover_search` over the t-bit masks in `_search_order`, answered in input indices.
+
+    Each limit is searched once; its answer, None for a refuted limit or
+    the indices of the cover found, is kept for the next call.
+    """
+    order = _search_order(masks, t)
+    search = _cover_search([masks[i] for i in order], (1 << t) - 1)
+    answers: dict[int, tuple[int, ...] | None] = {}
+
+    def answer(limit: int) -> tuple[int, ...] | None:
+        if limit not in answers:
+            hit = search(limit)
+            answers[limit] = None if hit is None else tuple(map(order.__getitem__, hit))
+        return answers[limit]
+
+    return answer
+
+
 def min_cover(h: Hypergraph, candidates: Sequence[Iterable[int]]) -> CoverSolution:
     """Smallest cover of all nodes by the given independent candidate parts.
 
@@ -342,36 +374,43 @@ def min_cover(h: Hypergraph, candidates: Sequence[Iterable[int]]) -> CoverSoluti
     returned.  Raises if a candidate is dependent or the candidates cannot
     jointly cover the nodes.
 
-    The candidates are checked in input order, each one's nodes before its
-    edges: its nodes by set and type tests, then its mask against the
-    hypergraph's packed edges by one test.  They are ordered on their
-    masks, the search state is built once, and the limit deepens from 1
-    (see `_cover_search`).
+    When the candidates are the very tuple `enumerate_maximal_independent(h)`
+    returned, already cached on h, they are independent and cover the nodes
+    by construction: h's own cover search answers, and the limits it has
+    already searched are not searched again.  Any other candidates are
+    checked in input order, each one's nodes before its edges: its nodes by
+    set and type tests, then its mask against the hypergraph's packed edges
+    by one test.  They are ordered on their masks and searched by a fresh
+    `_ordered_search`.  Either way the limit deepens from 1 (see
+    `_cover_search`), and the enumeration is never started here, so
+    explicit candidates above its node guard still run.
     """
-    t = h.node_count
-    nodes = h.nodes
-    full = (1 << t) - 1
-    edges = h._packed_edges
-    cands: list[frozenset[int]] = []
-    masks: list[int] = []
-    for c in map(frozenset, candidates):
-        if not (c <= nodes and _INT.issuperset(map(type, c))):
-            raise _bad_node(c, t)
-        m = sum(map(_BIT, c)) >> 1
-        if edges.any_inside(m):
-            raise ValueError(f"candidate part {sorted(c)} contains an edge")
-        cands.append(c)
-        masks.append(m)
-    if functools.reduce(int.__or__, masks, 0) != full:
-        raise ValueError("candidates do not jointly cover the nodes; no cover exists")
-    order = _search_order(masks, t)
-    search = _cover_search([masks[i] for i in order], full)
+    if "_maximal_sets" in h.__dict__ and candidates is h._maximal_sets:
+        cands = candidates
+        search = h._cover
+    else:
+        t = h.node_count
+        nodes = h.nodes
+        edges = h._packed_edges
+        cands = []
+        masks = []
+        for c in map(frozenset, candidates):
+            if not (c <= nodes and _INT.issuperset(map(type, c))):
+                raise _bad_node(c, t)
+            m = sum(map(_BIT, c)) >> 1
+            if edges.any_inside(m):
+                raise ValueError(f"candidate part {sorted(c)} contains an edge")
+            cands.append(c)
+            masks.append(m)
+        if functools.reduce(int.__or__, masks, 0) != (1 << t) - 1:
+            raise ValueError("candidates do not jointly cover the nodes; no cover exists")
+        search = _ordered_search(masks, t)
     limit = 0
     while True:
         limit += 1
         hit = search(limit)
         if hit is not None:
-            solution = CoverSolution(cands[order[i]] for i in hit)
+            solution = CoverSolution(map(cands.__getitem__, hit))
             assert solution.verify(h)
             return solution
 
@@ -400,6 +439,10 @@ class DualWeightCertificate(Frozen):
         )
 
     def weight_of(self, nodes: Iterable[int]) -> Fraction:
+        nodes = list(nodes)
+        error = _bad_node(nodes, len(self.weights))
+        if error is not None:
+            raise error
         return sum((self.weights[v - 1] for v in nodes), Fraction(0))
 
     @property
@@ -408,28 +451,37 @@ class DualWeightCertificate(Frozen):
 
 
 def verify_dual_certificate(cert: DualWeightCertificate, h: Hypergraph) -> bool:
-    """Check a dual weighting against the hypergraph's maximal independent sets."""
-    if len(cert.weights) != h.node_count:
-        raise ValueError(f"expected {h.node_count} weights, got {len(cert.weights)}")
-    for i, w in enumerate(cert.weights):
+    """Check a dual weighting against the hypergraph's maximal independent sets.
+
+    The weights are scaled once to integer numerators over the least common
+    multiple of their denominators, so each set's weight is an integer sum
+    compared with that scale, and no `Fraction` is added per set.
+    """
+    weights = cert.weights
+    if len(weights) != h.node_count:
+        raise ValueError(f"expected {h.node_count} weights, got {len(weights)}")
+    for i, w in enumerate(weights):
         if w < 0:
             raise ValueError(f"negative weight {w} at node {i + 1}")
     maximal = enumerate_maximal_independent(h)
-    if cert.excluded_part is not None and cert.excluded_part not in maximal:
+    excluded = cert.excluded_part
+    if excluded is not None and excluded not in maximal:
         raise ValueError(
-            f"excluded part {sorted(cert.excluded_part)} is not a maximal independent set"
+            f"excluded part {sorted(excluded)} is not a maximal independent set"
         )
+    scale = math.lcm(*(w.denominator for w in weights))
+    # node v's numerator is scaled[v]
+    scaled = [0] + [w.numerator * (scale // w.denominator) for w in weights]
+    at = scaled.__getitem__
     for s in maximal:
-        if s == cert.excluded_part:
-            continue
-        if cert.weight_of(s) > 1:
+        if sum(map(at, s)) > scale and s != excluded:
             return False
     threshold = cert.bound
-    if cert.excluded_part is not None and cert.weight_of(cert.excluded_part) == 0:
+    if excluded is not None and not any(map(at, excluded)):
         # A cover using the excluded part spends one of its parts for free,
         # so the remaining bound - 1 parts must carry the whole weight.
         threshold = cert.bound - 1
-    return cert.total > threshold
+    return sum(scaled) > threshold * scale
 
 
 def dual_refutation(h: Hypergraph, k: int) -> tuple[DualWeightCertificate, ...]:
@@ -505,16 +557,19 @@ class Refutation(Frozen):
 
 
 def no_k_cover(h: Hypergraph, k: int) -> Refutation:
-    """Refute every k-cover of h by exhaustive search, or return one it finds."""
+    """Refute every k-cover of h by exhaustive search, or return one it finds.
+
+    The search is h's own, over its maximal sets, and keeps its answer for
+    each limit: a limit that `min_cover` or an earlier call already
+    searched is not searched again.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     maximal = enumerate_maximal_independent(h)
-    masks = h._maximal_masks
-    order = _search_order(masks, h.node_count)
-    hit = _cover_search([masks[i] for i in order], (1 << h.node_count) - 1)(k)
+    hit = h._cover(k)
     if hit is None:
         return Refutation(k=k, exhaustive=True)
-    solution = CoverSolution(maximal[order[i]] for i in hit)
+    solution = CoverSolution(map(maximal.__getitem__, hit))
     assert solution.verify(h)
     return Refutation(k=k, exhaustive=False, counterexample=solution)
 

@@ -391,6 +391,114 @@ class TestMinCover:
             assert solution.verify(h)
 
 
+def shared_search_graphs(council_h):
+    """The council hypergraph and 20 seeded benchmark-sized antichains, each fresh."""
+    rng = random.Random(7151)
+    graphs = [Hypergraph(council_h.node_count, council_h.edges)]
+    graphs += [cycle_antichain(rng, rng.randint(18, 24)) for _ in range(20)]
+    return graphs
+
+
+class TestSharedSearch:
+    """min_cover over h's own maximal sets and no_k_cover share h's search."""
+
+    def test_min_cover_is_the_same_over_own_list_and_shuffled(self, council_h):
+        rng = random.Random(7159)
+        for h in shared_search_graphs(council_h):
+            own = enumerate_maximal_independent(h)
+            first = min_cover(h, own)
+            shuffled = list(own)
+            rng.shuffle(shuffled)
+            assert min_cover(h, list(own)) == first
+            assert min_cover(h, shuffled) == first
+            assert min_cover(h, own) == first
+            fresh = Hypergraph(h.node_count, h.edges)
+            assert min_cover(fresh, list(enumerate_maximal_independent(fresh))) == first
+            assert first.verify(h)
+
+    def test_no_k_cover_is_the_same_before_and_after_min_cover(self, council_h):
+        minima = set()
+        for h in shared_search_graphs(council_h):
+            twin = Hypergraph(h.node_count, h.edges)
+            k_min = min_cover(twin, list(enumerate_maximal_independent(twin))).k
+            minima.add(k_min)
+            before = [no_k_cover(h, k) for k in range(1, k_min + 1)]
+            own = min_cover(h, enumerate_maximal_independent(h))
+            assert own.k == k_min
+            after = [no_k_cover(h, k) for k in range(k_min, 0, -1)][::-1]
+            fresh = [no_k_cover(Hypergraph(h.node_count, h.edges), k)
+                     for k in range(1, k_min + 1)]
+            assert before == after == fresh
+            assert all(r.refuted and r.exhaustive for r in before[:-1])
+            assert not before[-1].refuted
+        assert 8 in minima and len(minima) >= 2
+
+    def test_one_search_per_hypergraph_and_each_limit_once(self, monkeypatch):
+        built, searched = [], []
+        original = cover._cover_search
+
+        def recording(cand_masks, full):
+            built.append(full)
+            search = original(cand_masks, full)
+
+            def counted(limit):
+                searched.append(limit)
+                return search(limit)
+
+            return counted
+
+        monkeypatch.setattr(cover, "_cover_search", recording)
+        rng = random.Random(7177)
+        for t in range(18, 25):
+            h = cycle_antichain(rng, t)
+            solution = min_cover(h, enumerate_maximal_independent(h))
+            assert searched == list(range(1, solution.k + 1))
+            for k in range(1, solution.k + 1):
+                assert no_k_cover(h, k).refuted == (k < solution.k)
+            assert len(built) == 1 and searched == list(range(1, solution.k + 1))
+            # a limit above the minimum is new and is searched once
+            no_k_cover(h, solution.k + 1)
+            no_k_cover(h, solution.k + 1)
+            assert searched[solution.k:] == [solution.k + 1]
+            # a limit no_k_cover searched first is not searched by min_cover
+            twin = Hypergraph(t, h.edges)
+            assert no_k_cover(twin, solution.k - 1).refuted
+            assert min_cover(twin, enumerate_maximal_independent(twin)) == solution
+            # min_cover deepens over 1..k and finds k - 1 already refuted
+            assert searched[solution.k + 1:] == [solution.k - 1] + list(
+                range(1, solution.k - 1)) + [solution.k]
+            assert len(built) == 2
+            built.clear()
+            searched.clear()
+
+    def test_bad_candidates_raise_as_before_once_the_sets_are_cached(self, council_h):
+        for h in shared_search_graphs(council_h)[:6]:
+            own = enumerate_maximal_independent(h)
+            min_cover(h, own)
+            t = h.node_count
+            edge = sorted(h.edges[0])
+            with pytest.raises(ValueError, match=re.escape(f"candidate part {edge}")):
+                min_cover(h, own + (frozenset(edge),))
+            with pytest.raises(ValueError, match=f"node {t + 1} out of range 1..{t}"):
+                min_cover(h, list(own) + [{t + 1}])
+            with pytest.raises(ValueError, match="node 0 out of range"):
+                min_cover(h, [{0}] + list(own))
+            with pytest.raises(ValueError, match="jointly cover"):
+                min_cover(h, own[:1])
+
+    @pytest.mark.parametrize("t", [30, 64])
+    def test_explicit_candidates_above_the_node_guard_never_enumerate(self, t):
+        h = Hypergraph(t, [(v, v % t + 1) for v in range(1, t + 1)])
+        parts = (frozenset(range(1, t + 1, 2)), frozenset(range(2, t + 1, 2)))
+        assert min_cover(h, parts).parts == parts
+        assert min_cover(h, parts).parts == parts
+        with pytest.raises(ValueError, match="24 nodes"):
+            enumerate_maximal_independent(h)
+        with pytest.raises(ValueError, match="24 nodes"):
+            no_k_cover(h, 2)
+        assert min_cover(h, list(parts)).parts == parts
+
+
 class TestMaskConversion:
     def test_members_matches_the_comprehension_at_every_width(self):
         rng = random.Random(1009)
@@ -455,6 +563,80 @@ class TestDualCertificates:
         weights = COUNCIL_DUALS[0].weights
         cert = DualWeightCertificate(weights, bound=7)  # {1,3,6} weighs 5/2
         assert not verify_dual_certificate(cert, council_h)
+
+    def test_weight_of_rejects_nodes_out_of_range(self):
+        cert = DualWeightCertificate([1, 2, 3], bound=1)
+        assert cert.weight_of([1, 3]) == 4
+        assert cert.weight_of(v for v in (2, 3)) == 5
+        assert cert.weight_of([]) == 0
+        for node in (0, -1, 4):
+            with pytest.raises(ValueError, match=f"node {node} out of range 1..3"):
+                cert.weight_of([1, node])
+        with pytest.raises(ValueError, match="node True is a bool"):
+            cert.weight_of([True])
+        with pytest.raises(ValueError, match="node 1.0 is not an integer"):
+            cert.weight_of([1.0])
+
+    @staticmethod
+    def fraction_reference(cert, h):
+        maximal = enumerate_maximal_independent(h)
+        excluded = cert.excluded_part
+
+        def weight(nodes):
+            return sum((cert.weights[v - 1] for v in nodes), Fraction(0))
+
+        if any(weight(s) > 1 for s in maximal if s != excluded):
+            return False
+        threshold = cert.bound
+        if excluded is not None and weight(excluded) == 0:
+            threshold -= 1
+        return cert.total > threshold
+
+    def test_integer_check_matches_the_fraction_sums(self):
+        rng = random.Random(6971)
+        verdicts = []
+        for _ in range(150):
+            h = random_hypergraph(rng, rng.randint(2, 9), rng.randint(1, 12))
+            maximal = enumerate_maximal_independent(h)
+            denominators = rng.choice([(1,), (2, 3), (2, 3, 4, 6, 7), (10**9 + 7, 6)])
+            weights = [Fraction(rng.randint(0, 3), rng.choice(denominators))
+                       for _ in range(h.node_count)]
+            excluded = rng.choice([None, rng.choice(maximal)])
+            if excluded is not None and rng.random() < 0.5:
+                weights = [Fraction(0) if v in excluded else w
+                           for v, w in enumerate(weights, 1)]
+            # put the heaviest set at, just below or just above weight 1
+            heaviest = max(sum(weights[v - 1] for v in s) for s in maximal if s != excluded)
+            if heaviest:
+                factor = rng.choice([Fraction(1), Fraction(99, 100), Fraction(101, 100)])
+                weights = [w * factor / heaviest for w in weights]
+            for bound in (1, 2, 3):
+                cert = DualWeightCertificate(weights, bound, excluded)
+                verdict = verify_dual_certificate(cert, h)
+                assert verdict == self.fraction_reference(cert, h)
+                verdicts.append(verdict)
+        assert 50 < sum(verdicts) < len(verdicts) - 50
+
+    def test_sums_at_exactly_one_and_at_the_bound(self):
+        # the two singletons of one edge weigh exactly 1: allowed; a total of
+        # exactly the bound refutes nothing
+        assert verify_dual_certificate(DualWeightCertificate([1, Fraction(2, 2)], 1), SINGLE_EDGE)
+        assert not verify_dual_certificate(DualWeightCertificate([1, 1], 2), SINGLE_EDGE)
+        third = Fraction(1, 3)
+        assert not verify_dual_certificate(
+            DualWeightCertificate([third, third, 1 + third], 2), TRIANGLE)
+        assert verify_dual_certificate(
+            DualWeightCertificate([1, 1, 0], 1, excluded_part={3}), TRIANGLE)
+        assert not verify_dual_certificate(
+            DualWeightCertificate([1, 1, 0], 3, excluded_part={3}), TRIANGLE)
+
+    def test_errors_keep_their_order(self, council_h):
+        # wrong length before a negative weight before a non-maximal exclusion
+        with pytest.raises(ValueError, match="expected 15 weights"):
+            verify_dual_certificate(DualWeightCertificate([-1] * 14, 1, (1, 5)), council_h)
+        with pytest.raises(ValueError, match="negative weight -1 at node 2"):
+            verify_dual_certificate(DualWeightCertificate([0, -1] + [0] * 13, 1, (1, 5)),
+                                    council_h)
 
     def test_hand_built_duals_agree_with_search(self):
         # single edge: both singletons weigh 1, total 2 > 1, so no 1-cover

@@ -36,3 +36,25 @@ def test_every_traced_name_resolves_and_is_restored():
     assert counts["cover.is_independent.calls"] == 2  # CoverSolution.verify
     assert counts["games.coalition.constructed"] == 1
     assert all(getattr(owner, attr) is fn for owner, attr, fn in originals)
+
+
+def test_traced_enumeration_returns_the_cached_tuple():
+    # min_cover takes the shared search only for the identical tuple, so the
+    # wrapper must hand back the hypergraph's own, as the bench's op passes it.
+    tracing = load_tracing()
+    recorder = tracing.Recorder()
+    h = cover.Hypergraph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    recorder.install()
+    try:
+        maximal = cover.enumerate_maximal_independent(h)
+        assert maximal is h._maximal_sets
+        assert cover.enumerate_maximal_independent(h) is maximal
+        solution = cover.min_cover(h, maximal)
+        assert "_cover" in h.__dict__
+        assert cover.no_k_cover(h, solution.k - 1).refuted
+    finally:
+        recorder.uninstall()
+    counts = recorder.snapshot()
+    assert solution.k == 3
+    assert counts["cover.enumerate_maximal_independent.calls"] == 3
+    assert counts["cover.maximal_sets.found"] == 15
