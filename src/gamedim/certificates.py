@@ -8,14 +8,18 @@ N meets the quota: no single weighted game extending the target game can
 declare all of N losing.
 
 For the council game the certificates for the bundled pair family are built
-by two constructions:
+by two constructions, both of them one `transfer_split`:
 
-* transfer pairs: move a minimum-population set A out of the symmetric
-  difference of Li and Lj, giving W1 = A | (Li & Lj) with `OUTRIGHT_QUOTA`
-  members (winning outright) and W2 = (Li | Lj) - A (winning on members and
-  population);
+* transfer pairs: the transfer A is the OUTRIGHT_QUOTA - |Li & Lj|
+  least-population members of the symmetric difference of Li and Lj,
+  giving W1 = A | (Li & Lj) with `OUTRIGHT_QUOTA` members (winning
+  outright) and W2 = (Li | Lj) - A (winning on members and population).
+  No other transfer can do better: W2's member count is fixed, and the
+  cheapest transfer leaves it the most population;
 * anchor pairs with L15: swap the two least-population members of
-  Li - L15 against the largest-population member of L15 - Li.
+  Li - L15 against the largest-population member of L15 - Li.  That is the
+  transfer split of Li and L15 whose transfer is the rest of Li - L15 plus
+  the incoming member.
 
 Both splits balance member incidences by construction; the winning status of
 the resulting coalitions is what gets verified, by `verify_balance` against
@@ -24,8 +28,6 @@ the `EuGame` itself.  Triple certificates are bundled data.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections.abc import Iterable, Mapping
 
 from ._record import Frozen
@@ -144,11 +146,12 @@ def transfer_split(li: Coalition, lj: Coalition, transfer: Coalition
 def build_pair_certificate(li: Coalition, lj: Coalition, game: EuGame) -> BalanceCertificate:
     """Certificate for two losing coalitions that pass the member rule.
 
-    Moves out of the symmetric difference a set of exactly OUTRIGHT_QUOTA -
-    |li & lj| members of minimum total population (ties broken toward the
-    smallest member indices); if the minimum-population choice leaves a
-    losing half, the remaining minimum-size choices are tried in increasing
-    population order before giving up.
+    Transfers the OUTRIGHT_QUOTA - |li & lj| least-population members of the
+    symmetric difference, ties broken toward smaller member indices.  That
+    one transfer decides: W1 always has OUTRIGHT_QUOTA members and wins, and
+    W2 has a fixed member count, so its population, the only thing a
+    transfer choice changes, is largest for the cheapest transfer.  If that
+    W2 loses, every other transfer's W2 loses too.
     """
     if li == lj:
         raise ValueError("pair certificate needs two distinct losing coalitions")
@@ -168,23 +171,13 @@ def build_pair_certificate(li: Coalition, lj: Coalition, game: EuGame) -> Balanc
             f"symmetric difference of {li} and {lj} has only {len(sym)} members, need {size}"
         )
     pops = game.table.populations
-    members = sym.members
-    # (population, indices) for every transfer; popped from a heap in sorted
-    # order, since the first few almost always work.
-    ranked = list(zip(
-        map(sum, itertools.combinations([pops[m] for m in members], size)),
-        itertools.combinations(members, size),
-    ))
-    heapq.heapify(ranked)
-    while ranked:
-        _, indices = heapq.heappop(ranked)
-        transfer = Coalition.from_indices(indices, li.n)
-        w1, w2 = transfer_split(li, lj, transfer)
-        if game.is_winning(w1) and game.is_winning(w2):
-            return BalanceCertificate(losing=(li, lj), winning=(w1, w2))
-    raise CertificateError(
-        f"no transfer of {size} members makes both halves of {li}, {lj} winning"
-    )
+    cheapest = sorted(sym.members, key=lambda m: (pops[m], m))[:size]
+    w1, w2 = transfer_split(li, lj, Coalition.from_indices(cheapest, li.n))
+    if not (game.is_winning(w1) and game.is_winning(w2)):
+        raise CertificateError(
+            f"no transfer of {size} members makes both halves of {li}, {lj} winning"
+        )
+    return BalanceCertificate(losing=(li, lj), winning=(w1, w2))
 
 
 def build_anchor_certificate(li: Coalition, game: EuGame) -> BalanceCertificate:
@@ -192,7 +185,9 @@ def build_anchor_certificate(li: Coalition, game: EuGame) -> BalanceCertificate:
 
     Exchanges the two least-population members of li outside the anchor
     against the largest-population member of the anchor outside li; ties are
-    broken toward smaller member indices.
+    broken toward smaller member indices.  The exchange is the transfer split
+    of li and the anchor that moves everything else of li - anchor, plus the
+    incoming member, into W1.
     """
     anchor = LOSING_FAMILY[ANCHOR_LABEL - 1]
     if li == anchor:
@@ -207,12 +202,9 @@ def build_anchor_certificate(li: Coalition, game: EuGame) -> BalanceCertificate:
     incoming = (anchor - li).members
     if not incoming:
         raise ValueError(f"the anchor {anchor} has no member outside {li}")
-    two_out = sorted(outside, key=lambda m: (pops[m], m))[:2]
+    kept = sorted(outside, key=lambda m: (pops[m], m))[2:]
     one_in = min(incoming, key=lambda m: (-pops[m], m))
-    swap_out = Coalition.from_indices(two_out, li.n)
-    swap_in = Coalition.from_indices([one_in], li.n)
-    w1 = (li - swap_out) | swap_in
-    w2 = (anchor - swap_in) | swap_out
+    w1, w2 = transfer_split(li, anchor, Coalition.from_indices(kept + [one_in], li.n))
     if not (game.is_winning(w1) and game.is_winning(w2)):
         raise CertificateError(
             f"exchange between {li} and the anchor leaves a losing coalition"

@@ -23,11 +23,10 @@ from gamedim.eu import (
     NONSEPARABLE_TRIPLES,
     TRIPLE_WITNESS_LABELS,
     WINNING_FAMILY,
-    EuGame,
     MemberTable,
     build_eu_game,
 )
-from gamedim.games import Coalition, SimpleGame, WeightedGame
+from gamedim.games import Coalition, WeightedGame
 
 
 def L(i):
@@ -207,48 +206,50 @@ def sorted_transfer_reference(li, lj, game):
     return None, None
 
 
-class SwappedMembershipGame(EuGame):
-    """The council's table and `classify`, with another game's membership."""
-
-    _fields = ("table", "membership")
-
-    def __init__(self, table, membership: SimpleGame):
-        super().__init__(table)
-        object.__setattr__(self, "membership", membership)
-
-    def is_winning(self, coalition):
-        return self.membership.contains(coalition)
+def cutoff_tie(li, lj, pops):
+    """Whether the last member in and the first member out of the cheapest
+    transfer share a population, so that the index rule picks between them."""
+    size = 25 - len(li & lj)
+    ranked = sorted((li ^ lj).members, key=lambda m: (pops[m], m))
+    return 0 < size < len(ranked) and pops[ranked[size - 1]] == pops[ranked[size]]
 
 
 class TestTransferOrder:
-    def assert_same_choice(self, li, lj, game, outcomes):
-        position, expected = sorted_transfer_reference(li, lj, game)
-        if expected is None:
-            with pytest.raises(CertificateError, match="no transfer"):
-                build_pair_certificate(li, lj, game)
-            outcomes["none"] += 1
-        else:
-            assert build_pair_certificate(li, lj, game) == expected
-            outcomes["first" if position == 0 else "later"] += 1
+    def check_table(self, entries, outcomes):
+        """Compare every eligible pair of L1..L14 against the sorted search;
+        returns how many of them tie at the cut-off."""
+        game = build_eu_game(MemberTable(entries))
+        ties = 0
+        for i, j in itertools.combinations(range(1, 15), 2):
+            if not all(r.rule55 and not r.rule65 for r in map(game.classify, (L(i), L(j)))):
+                continue
+            ties += cutoff_tie(L(i), L(j), game.table.populations)
+            position, expected = sorted_transfer_reference(L(i), L(j), game)
+            if expected is None:
+                with pytest.raises(CertificateError, match="no transfer"):
+                    build_pair_certificate(L(i), L(j), game)
+                outcomes["none"] += 1
+            else:
+                assert position == 0, (i, j)
+                assert build_pair_certificate(L(i), L(j), game) == expected
+                outcomes["first"] += 1
+        return ties
 
-    def test_heap_matches_sorted_order(self, eu_game):
-        # The council game always takes the first or no transfer, so other
-        # weighted games over the same losing pairs test the later picks.
+    def test_council_tables_take_the_first_transfer_or_none(self):
+        # W1 always has 25 members and W2 a fixed member count, so on a
+        # council game the cheapest transfer decides: if it fails, the full
+        # sorted search finds nothing later either.
         rng = random.Random(2024)
-        outcomes = {"first": 0, "later": 0, "none": 0}
-        for _ in range(60):
-            game = SwappedMembershipGame(eu_game.table, WeightedGame(
-                N_MEMBERS, [rng.randint(0, 10) for _ in range(N_MEMBERS)], rng.randint(90, 130)))
-            i, j = rng.sample(range(1, 15), 2)
-            self.assert_same_choice(L(i), L(j), game, outcomes)
+        outcomes = {"first": 0, "none": 0}
+        self.check_table(MEMBERS_2014, outcomes)
         for _ in range(5):
-            table = MemberTable(tuple(
-                (i, name, int(pop * rng.uniform(0.8, 1.2))) for i, name, pop in MEMBERS_2014))
-            game = build_eu_game(table)
-            for i, j in itertools.combinations(range(1, 15), 2):
-                report_i, report_j = game.classify(L(i)), game.classify(L(j))
-                if all(r.rule55 and not r.rule65 for r in (report_i, report_j)):
-                    self.assert_same_choice(L(i), L(j), game, outcomes)
+            self.check_table(tuple(
+                (i, name, int(pop * rng.uniform(0.8, 1.2))) for i, name, pop in MEMBERS_2014
+            ), outcomes)
+        # France at Italy's population ties them at the cut-off of several
+        # pairs, where France's smaller index now puts it in the transfer.
+        tied = tuple((i, name, 60782668 if i == 3 else pop) for i, name, pop in MEMBERS_2014)
+        assert self.check_table(tied, outcomes) > 0
         assert min(outcomes.values()) >= 5, outcomes
 
     def test_bulgaria_failure_message(self):

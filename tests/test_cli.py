@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import json
 import os
 import resource
@@ -158,6 +160,13 @@ class TestVerify:
         proc = subprocess.run([script, "verify"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "dimension >= 8" in proc.stdout
+
+    def test_console_script_entry_point(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(REPO / "pyproject.toml", "rb") as f:
+            target = tomllib.load(f)["project"]["scripts"]["gamedim"]
+        module, _, attr = target.partition(":")
+        assert getattr(importlib.import_module(module), attr) is main
 
 
 class TestClassify:
@@ -439,6 +448,33 @@ class TestExport:
         run(capsys, "export", "certs", str(a))
         run(capsys, "export", "certs", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("table", ["bundled", "--members"])
+    @pytest.mark.parametrize("argv, digest", [
+        (("export", "certs"),
+         "39a07a50e5fcc4517ea949f194b2cc7cb4b64557263d0e661ee319f204504eee"),
+        (("export", "hypergraph"),
+         "669098709bd920991710bb78a3c825d3ed3f636e03f3cb3c5aca5825da8c464c"),
+        (("export", "maximal-sets"),
+         "48909535b217b42c740546fa19cd321b7ba1c4698c3c083246cbe9b938edb24e"),
+        (("verify", "--format", "json"),
+         "90a7e48bba5efad667c24050c23dbeaae8c2b5c491e4dcf4efa7f7131077ac65"),
+    ])
+    def test_output_bytes_pinned(self, capsys, tmp_path, argv, digest, table):
+        # A refactor of the constructions must leave every exported byte as
+        # it is, whether the 2014 table is bundled or read from a file.
+        extra = []
+        if table == "--members":
+            extra = ["--members", write_members(tmp_path / "2014.csv", MEMBERS_2014)]
+        if argv[0] == "export":
+            path = tmp_path / "out.json"
+            code, _, _ = run(capsys, *argv, str(path), *extra)
+            data = path.read_bytes()
+        else:
+            code, out, _ = run(capsys, *argv, *extra)
+            data = out.encode()
+        assert code == 0
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_unwritable_path(self, capsys, tmp_path):
         code, _, err = run(capsys, "export", "hypergraph", str(tmp_path / "no" / "dir.json"))

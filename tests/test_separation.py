@@ -327,7 +327,7 @@ class TestPackedPhaseOne:
 
 
 class TestCouncilSize:
-    """n = 28, where the dictionary fields are 80 bits wide."""
+    """n = 28, where the dictionary fields are 128 bits wide (two 64-bit words)."""
 
     @pytest.mark.parametrize("triple", NONSEPARABLE_TRIPLES)
     def test_triples_refuted_by_their_witnesses(self, triple):
