@@ -12,6 +12,7 @@ from .certificates import (
     CertifiedFamily,
     build_anchor_certificate,
     build_pair_certificate,
+    build_triple_certificate,
     lower_bound_dimension,
     nonseparable_family,
     verify_balance,
@@ -70,6 +71,7 @@ __all__ = [
     "build_anchor_certificate",
     "build_eu_game",
     "build_pair_certificate",
+    "build_triple_certificate",
     "check_monotone",
     "enumerate_maximal_independent",
     "is_independent",

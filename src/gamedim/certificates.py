@@ -21,14 +21,15 @@ by two constructions, both of them one `transfer_split`:
   transfer split of Li and L15 whose transfer is the rest of Li - L15 plus
   the incoming member.
 
-Both splits balance member incidences by construction; the winning status of
-the resulting coalitions is what gets verified, by `verify_balance` against
-the `EuGame` itself.  Triple certificates are bundled data.
+The 5 triple certificates take as witnesses the three of W1..W12 whose
+per-member counts equal the triple's.  Every builder ends in one
+`verify_balance` of the certificate it returns, against the game itself.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from itertools import combinations
 
 from ._record import Frozen
 from .cover import Hypergraph, enumerate_maximal_independent, min_cover
@@ -38,7 +39,6 @@ from .eu import (
     NONSEPARABLE_PAIRS,
     NONSEPARABLE_TRIPLES,
     OUTRIGHT_QUOTA,
-    TRIPLE_WITNESS_LABELS,
     WINNING_FAMILY,
     EuGame,
 )
@@ -118,15 +118,9 @@ def verify_balance(cert: BalanceCertificate, game: SimpleGame) -> bool:
     """
     if cert.n != game.n:
         raise ValueError(f"certificate over {cert.n} members, game over {game.n}")
-    if len(cert.winning) < len(cert.losing):
-        return False
-    if not cert.incidence_balanced():
-        return False
-    if any(game.contains(c) for c in cert.losing):
-        return False
-    if any(not game.contains(c) for c in cert.winning):
-        return False
-    return True
+    return (len(cert.winning) >= len(cert.losing) and cert.incidence_balanced()
+            and not any(map(game.contains, cert.losing))
+            and all(map(game.contains, cert.winning)))
 
 
 def transfer_split(li: Coalition, lj: Coalition, transfer: Coalition
@@ -161,23 +155,20 @@ def build_pair_certificate(li: Coalition, lj: Coalition, game: EuGame) -> Balanc
             raise ValueError(f"{name} coalition {c} is winning")
         if not report.rule55 or report.rule65:
             raise ValueError(
-                f"{name} coalition {c} must pass the member rule and fail the population rule"
-            )
-    inter = li & lj
+                f"{name} coalition {c} must pass the member rule and fail the population rule")
     sym = li ^ lj
-    size = max(0, OUTRIGHT_QUOTA - len(inter))
+    size = max(0, OUTRIGHT_QUOTA - len(li & lj))
     if size > len(sym):
         raise CertificateError(
-            f"symmetric difference of {li} and {lj} has only {len(sym)} members, need {size}"
-        )
+            f"symmetric difference of {li} and {lj} has only {len(sym)} members, need {size}")
     pops = game.table.populations
     cheapest = sorted(sym.members, key=lambda m: (pops[m], m))[:size]
-    w1, w2 = transfer_split(li, lj, Coalition.from_indices(cheapest, li.n))
-    if not (game.is_winning(w1) and game.is_winning(w2)):
+    cert = BalanceCertificate(
+        (li, lj), transfer_split(li, lj, Coalition.from_indices(cheapest, li.n)))
+    if not verify_balance(cert, game):
         raise CertificateError(
-            f"no transfer of {size} members makes both halves of {li}, {lj} winning"
-        )
-    return BalanceCertificate(losing=(li, lj), winning=(w1, w2))
+            f"no transfer of {size} members makes both halves of {li}, {lj} winning")
+    return cert
 
 
 def build_anchor_certificate(li: Coalition, game: EuGame) -> BalanceCertificate:
@@ -204,12 +195,35 @@ def build_anchor_certificate(li: Coalition, game: EuGame) -> BalanceCertificate:
         raise ValueError(f"the anchor {anchor} has no member outside {li}")
     kept = sorted(outside, key=lambda m: (pops[m], m))[2:]
     one_in = min(incoming, key=lambda m: (-pops[m], m))
-    w1, w2 = transfer_split(li, anchor, Coalition.from_indices(kept + [one_in], li.n))
-    if not (game.is_winning(w1) and game.is_winning(w2)):
-        raise CertificateError(
-            f"exchange between {li} and the anchor leaves a losing coalition"
-        )
-    return BalanceCertificate(losing=(li, anchor), winning=(w1, w2))
+    cert = BalanceCertificate(
+        (li, anchor), transfer_split(li, anchor, Coalition.from_indices(kept + [one_in], li.n)))
+    if not verify_balance(cert, game):
+        raise CertificateError(f"exchange between {li} and the anchor leaves a losing coalition")
+    return cert
+
+
+def build_triple_certificate(losing: Iterable[Coalition], game: SimpleGame) -> BalanceCertificate:
+    """Certificate for three losing coalitions, witnessed by three of W1..W12.
+
+    A mask's binary digits read in base 4 give each member a 2-bit count
+    field, so three masks sum to their per-member counts without a carry.
+    The witnesses are the first three winners in label order whose fields
+    sum to the triple's: one dict lookup per pair of winners.
+    """
+    losing = tuple(losing)
+    if len(losing) != 3:
+        raise ValueError(f"triple certificate needs three losing coalitions, got {len(losing)}")
+    quad = [int(f"{c.mask:b}", 4) for c in WINNING_FAMILY + losing]
+    target = sum(quad[-3:])
+    label = {q: k for k, q in enumerate(quad[:-3])}
+    for a, b in combinations(range(len(WINNING_FAMILY)), 2):
+        c = label.get(target - quad[a] - quad[b], -1)
+        if c > b:
+            cert = BalanceCertificate(losing, (WINNING_FAMILY[k] for k in (a, b, c)))
+            if not verify_balance(cert, game):
+                raise CertificateError("certificate does not verify")
+            return cert
+    raise CertificateError(f"no three of W1..W12 balance {', '.join(map(str, losing))}")
 
 
 class CertifiedFamily(Frozen):
@@ -257,18 +271,15 @@ def nonseparable_family(game: EuGame) -> CertifiedFamily:
     """Construct and verify all 80 bundled certificates of the council family.
 
     The 75 pairs are built by the transfer and anchor constructions, the 5
-    triples come from the bundled witness data.  Each certificate is verified
-    once, right after it is built.  The first failure aborts the construction
+    triples by matching witnesses from W1..W12.  Each builder verifies the
+    certificate it returns, once.  The first failure aborts the construction
     with a ValueError or CertificateError whose message names the edge, as in
     ``{L3,L14}: <reason>``.
     """
 
     def build(edge: tuple[int, ...]) -> BalanceCertificate:
         if len(edge) == 3:
-            return BalanceCertificate(
-                losing=(LOSING_FAMILY[i - 1] for i in edge),
-                winning=(WINNING_FAMILY[w - 1] for w in TRIPLE_WITNESS_LABELS[edge]),
-            )
+            return build_triple_certificate((LOSING_FAMILY[i - 1] for i in edge), game)
         i, j = edge
         if j == ANCHOR_LABEL:
             return build_anchor_certificate(LOSING_FAMILY[i - 1], game)
@@ -278,12 +289,9 @@ def nonseparable_family(game: EuGame) -> CertifiedFamily:
     for edge in NONSEPARABLE_PAIRS + NONSEPARABLE_TRIPLES:
         label = "{" + ",".join(f"L{v}" for v in edge) + "}"
         try:
-            cert = build(edge)
+            certificates[frozenset(edge)] = build(edge)
         except (ValueError, CertificateError) as err:
             raise type(err)(f"{label}: {err}") from err
-        if not verify_balance(cert, game):
-            raise CertificateError(f"{label}: certificate does not verify")
-        certificates[frozenset(edge)] = cert
     return CertifiedFamily(
         nodes=LOSING_FAMILY,
         hypergraph=Hypergraph(len(LOSING_FAMILY), certificates.keys()),

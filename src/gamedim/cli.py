@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from . import certificates, cover, eu, separation
 from ._record import Record
@@ -96,8 +97,9 @@ def run_verification(table: eu.MemberTable | None = None) -> ProofTranscript:
         return conclude()
 
     # 2-3: the 75 pair and 5 triple certificates, each built and verified
-    # once.  A triple's coalitions were classified in step 1 and its balance
-    # is bundled data, so any failure here belongs to a pair.
+    # once.  A triple's witnesses are matched from W1..W12 on member counts
+    # alone, which no member table changes, and all six of its coalitions
+    # were classified in step 1, so any failure here belongs to a pair.
     try:
         family = certificates.nonseparable_family(game)
     except (ValueError, certificates.CertificateError) as err:
@@ -178,8 +180,10 @@ def parse_coalition(text: str, n: int = eu.N_MEMBERS) -> Coalition:
         for part in text.split(","):
             part = part.strip()
             if "-" in part:
-                lo_text, hi_text = part.split("-", 1)
-                lo, hi = int(lo_text), int(hi_text)
+                try:
+                    lo, hi = map(int, part.split("-", 1))
+                except ValueError:
+                    raise ValueError(f"bad member range {part!r}") from None
                 if lo > hi:
                     raise ValueError(f"empty range {part!r}")
                 # checked before expanding, so a huge range builds no list
@@ -188,7 +192,10 @@ def parse_coalition(text: str, n: int = eu.N_MEMBERS) -> Coalition:
                         raise ValueError(f"member index {bound} out of range 1..{n}")
                 indices.extend(range(lo, hi + 1))
             elif part:
-                indices.append(int(part))
+                try:
+                    indices.append(int(part))
+                except ValueError:
+                    raise ValueError(f"bad member index {part!r}") from None
     return Coalition.from_indices(indices, n)
 
 
@@ -389,14 +396,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A library warning as one stderr line, without its source location."""
+    sys.stderr.write(f"warning: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (OSError, ValueError, certificates.CertificateError) as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_USAGE
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (OSError, ValueError, certificates.CertificateError) as err:
+            sys.stderr.write(f"error: {err}\n")
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

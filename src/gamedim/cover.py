@@ -281,23 +281,24 @@ def _cover_search(cand_masks: Sequence[int], full: int
     A branch is cut when its parts left times the largest candidate size
     falls short of the nodes it must still cover.  A branch that fails with
     d parts left proves that no d candidates cover what it leaves, and so
-    neither do fewer; `failed` keeps, per uncovered mask, the most parts
-    known not to suffice, and a node reached again with no more parts left
-    is cut at once.  With one part left, the first holder of the lowest
-    uncovered node that covers the rest is found by one scan of the holders'
-    complemented masks; with two left, the holders of that node are tried
-    in a loop, each finished by that scan.  Only subtrees without a cover
+    neither do fewer, under any limit; `failed` keeps, per uncovered mask,
+    the most parts known not to suffice, and a node reached again with no
+    more parts left is cut at once.  With one part left, the first holder
+    of the lowest uncovered node that covers the rest is found by one scan
+    of the holders' complemented masks; with two left, the holders of that
+    node are tried in a loop, each finished by that scan.  Only subtrees without a cover
     are cut, and the candidates are tried in the same order as by one frame
     per candidate, so the cover found is the same.
 
-    The largest size and each node's holders (indices and complemented
-    masks) are built once, for every limit; the memo is kept per limit.
+    The largest size, each node's holders (indices and complemented masks)
+    and the memo are built once, for every limit.
     `_ordered_search` runs it over candidates in `_search_order`, and each
     `Hypergraph` keeps one of those over its maximal sets, so `min_cover`
     and `no_k_cover` on it share the holders and every answer.
     """
     max_size = max(map(int.bit_count, cand_masks), default=0)
     by_node: dict[int, tuple[list[int], list[int]]] = {}
+    failed: dict[int, int] = {}
 
     def holders(need: int) -> tuple[list[int], list[int]]:
         low = need & -need
@@ -320,7 +321,6 @@ def _cover_search(cand_masks: Sequence[int], full: int
         if limit <= 1:
             i = last(full) if limit == 1 else None
             return None if i is None else (i,)
-        failed: dict[int, int] = {}
 
         def dfs(need: int, left: int) -> tuple[int, ...] | None:
             # need: the nodes still uncovered, never 0; left >= 2
@@ -348,12 +348,16 @@ def _cover_search(cand_masks: Sequence[int], full: int
 
 def _ordered_search(masks: Sequence[int], t: int
                     ) -> Callable[[int], tuple[int, ...] | None]:
-    """`_cover_search` over the t-bit masks in `_search_order`, answered in input indices.
+    """`_cover_search` over the t-bit masks by descending size, answered in input indices.
 
-    Each limit is searched once; its answer, None for a refuted limit or
-    the indices of the cover found, is kept for the next call.
+    The masks of each size must come in member-tuple order, as a
+    hypergraph's maximal masks are enumerated, so a stable sort on size
+    alone gives the `_search_order`.  Each limit is searched once; its
+    answer, None for a refuted limit or the indices of the cover found, is
+    kept for the next call.
     """
-    order = _search_order(masks, t)
+    sizes = list(map(int.bit_count, masks))
+    order = sorted(range(len(masks)), key=sizes.__getitem__, reverse=True)
     search = _cover_search([masks[i] for i in order], (1 << t) - 1)
     answers: dict[int, tuple[int, ...] | None] = {}
 
@@ -380,10 +384,10 @@ def min_cover(h: Hypergraph, candidates: Sequence[Iterable[int]]) -> CoverSoluti
     already searched are not searched again.  Any other candidates are
     checked in input order, each one's nodes before its edges: its nodes by
     set and type tests, then its mask against the hypergraph's packed edges
-    by one test.  They are ordered on their masks and searched by a fresh
-    `_ordered_search`.  Either way the limit deepens from 1 (see
-    `_cover_search`), and the enumeration is never started here, so
-    explicit candidates above its node guard still run.
+    by one test.  They are then put in `_search_order` once, on their
+    masks, and searched by a fresh `_ordered_search`.  Either way the limit
+    deepens from 1 (see `_cover_search`), and the enumeration is never
+    started here, so explicit candidates above its node guard still run.
     """
     if "_maximal_sets" in h.__dict__ and candidates is h._maximal_sets:
         cands = candidates
@@ -404,7 +408,9 @@ def min_cover(h: Hypergraph, candidates: Sequence[Iterable[int]]) -> CoverSoluti
             masks.append(m)
         if functools.reduce(int.__or__, masks, 0) != (1 << t) - 1:
             raise ValueError("candidates do not jointly cover the nodes; no cover exists")
-        search = _ordered_search(masks, t)
+        order = _search_order(masks, t)
+        cands = [cands[i] for i in order]
+        search = _ordered_search([masks[i] for i in order], t)
     limit = 0
     while True:
         limit += 1

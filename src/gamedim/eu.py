@@ -7,9 +7,9 @@ integer arithmetic: the population rule holds iff 20*pop(C) >= 13*T.
 `EuGame` is this rule as a simple game, evaluated on the coalition's mask.
 
 The module also bundles a reference family of 15 losing and 12 winning
-coalitions (labels L1..L15 and W1..W12) together with the pair and triple
-label sets used by the certificate and cover machinery, and the 21 maximal
-independent sets the replay expects of their hypergraph.
+coalitions (labels L1..L15 and W1..W12), the pair and triple label sets
+claimed non-separable, whose certificates `certificates` derives, and the
+21 maximal independent sets the replay expects of their hypergraph.
 """
 
 from __future__ import annotations
@@ -277,15 +277,6 @@ NONSEPARABLE_TRIPLES: tuple[tuple[int, int, int], ...] = (
     (4, 5, 10),
     (5, 10, 12),
 )
-
-# Witnessing winning triples (labels into W1..W12) for each losing triple.
-TRIPLE_WITNESS_LABELS: dict[tuple[int, int, int], tuple[int, int, int]] = {
-    (1, 2, 12): (2, 7, 11),
-    (1, 4, 7): (3, 10, 12),
-    (1, 6, 12): (4, 8, 10),
-    (4, 5, 10): (2, 5, 9),
-    (5, 10, 12): (1, 2, 6),
-}
 
 ANCHOR_LABEL = 15  # L15, the one reference losing coalition failing the member rule
 

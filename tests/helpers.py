@@ -32,6 +32,16 @@ COUNCIL_DUALS = (
     ),
 )
 
+# Witnessing winners (labels into W1..W12) for each bundled losing triple, as
+# written out by hand before `build_triple_certificate` matched them.
+TRIPLE_WITNESSES = {
+    (1, 2, 12): (2, 7, 11),
+    (1, 4, 7): (3, 10, 12),
+    (1, 6, 12): (4, 8, 10),
+    (4, 5, 10): (2, 5, 9),
+    (5, 10, 12): (1, 2, 6),
+}
+
 
 def composed_council_game(table):
     """The council rule composed from three weighted games over 28 members.

@@ -9,6 +9,7 @@ from gamedim.certificates import (
     CertificateError,
     build_anchor_certificate,
     build_pair_certificate,
+    build_triple_certificate,
     certificate_from_json,
     certificate_to_json,
     incidence_planes,
@@ -21,12 +22,14 @@ from gamedim.eu import (
     MEMBERS_2014,
     N_MEMBERS,
     NONSEPARABLE_TRIPLES,
-    TRIPLE_WITNESS_LABELS,
     WINNING_FAMILY,
+    EuGame,
     MemberTable,
     build_eu_game,
 )
 from gamedim.games import Coalition, WeightedGame
+
+from helpers import TRIPLE_WITNESSES
 
 
 def L(i):
@@ -75,7 +78,7 @@ class TestVerifyBalance:
 
     def test_all_bundled_triples(self, eu_game):
         for triple in NONSEPARABLE_TRIPLES:
-            witnesses = TRIPLE_WITNESS_LABELS[triple]
+            witnesses = TRIPLE_WITNESSES[triple]
             cert = BalanceCertificate(
                 losing=tuple(L(i) for i in triple),
                 winning=tuple(W(w) for w in witnesses),
@@ -346,6 +349,54 @@ class TestAnchorCertificates:
             largest = max(small.members, key=lambda m: pops[m])
             shrunk = small - Coalition.from_indices([largest], N_MEMBERS)
             assert not eu_game.is_winning(shrunk)
+
+
+class WitnessLosesGame(EuGame):
+    """The council game with one listed coalition declared losing."""
+
+    def __init__(self, dropped):
+        super().__init__(build_eu_game().table)
+        object.__setattr__(self, "dropped", dropped)
+
+    def contains(self, coalition):
+        return coalition != self.dropped and super().contains(coalition)
+
+
+class TestTripleCertificates:
+    def test_matches_exactly_the_bundled_witnesses(self, eu_game):
+        # The oracle: per-member counts of every three of W1..W12, one
+        # member at a time, against those of every triple of L1..L15.
+        by_counts = {}
+        for ws in itertools.combinations(range(1, 13), 3):
+            counts = tuple(member_counts([W(w).mask for w in ws], N_MEMBERS))
+            by_counts.setdefault(counts, []).append(ws)
+        found = {}
+        for triple in itertools.combinations(range(1, 16), 3):
+            counts = tuple(member_counts([L(i).mask for i in triple], N_MEMBERS))
+            if counts in by_counts:
+                found[triple] = by_counts[counts]
+            losing = [L(i) for i in triple]
+            if triple in TRIPLE_WITNESSES:
+                assert build_triple_certificate(losing, eu_game) == BalanceCertificate(
+                    losing=losing, winning=(W(w) for w in TRIPLE_WITNESSES[triple]))
+            else:
+                with pytest.raises(CertificateError, match="no three of W1..W12"):
+                    build_triple_certificate(losing, eu_game)
+        assert found == {t: [w] for t, w in TRIPLE_WITNESSES.items()}
+        assert sorted(found) == sorted(NONSEPARABLE_TRIPLES)
+
+    def test_losing_witness_fails_verification(self):
+        # W7 witnesses {L1,L2,L12} and appears in no pair certificate.
+        game = WitnessLosesGame(W(7))
+        with pytest.raises(CertificateError, match="^certificate does not verify$"):
+            build_triple_certificate((L(1), L(2), L(12)), game)
+        with pytest.raises(CertificateError) as err:
+            nonseparable_family(game)
+        assert str(err.value) == "{L1,L2,L12}: certificate does not verify"
+
+    def test_three_losing_coalitions_required(self, eu_game):
+        with pytest.raises(ValueError, match="three losing coalitions, got 2"):
+            build_triple_certificate((L(1), L(2)), eu_game)
 
 
 class TestFamily:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gamedim import certificates
+from gamedim import certificates, cover, eu
 from gamedim.cli import main, parse_coalition, run_verification
 from gamedim.eu import MEMBERS_2014, N_MEMBERS
 
@@ -113,17 +113,21 @@ class TestVerify:
         assert transcript.conclusion == "dimension >= 8"
 
     def test_each_certificate_built_and_verified_once(self, monkeypatch):
-        calls = {"verify_balance": 0, "build_pair_certificate": 0}
-        for name in calls:
-            original = getattr(certificates, name)
+        # `_rules` is the one evaluation behind `contains`, `is_winning` and
+        # `classify`: 27 in step 1, then 2 classify and 4 verify per transfer
+        # pair, 2 input checks and 4 verify per anchor pair, 6 per triple.
+        calls = {"verify_balance": 0, "build_pair_certificate": 0, "_rules": 0}
+        for owner, name in ((certificates, "verify_balance"),
+                            (certificates, "build_pair_certificate"), (eu.EuGame, "_rules")):
+            original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(certificates, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         assert run_verification().verified
-        assert calls == {"verify_balance": 80, "build_pair_certificate": 61}
+        assert calls == {"verify_balance": 80, "build_pair_certificate": 61, "_rules": 507}
 
     def test_module_stdout_matches_expected_transcript(self):
         # The transcript the benchmark gate compares against, byte for byte.
@@ -226,6 +230,16 @@ class TestClassify:
         assert code == 2
         code, _, err = run(capsys, "classify", "L99")
         assert code == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("1-", "bad member range '1-'"),
+        ("2,-4", "bad member range '-4'"),
+        ("1-2-3", "bad member range '1-2-3'"),
+        ("x", "bad member index 'x'"),
+        ("1, 2x ,3", "bad member index '2x'"),
+    ])
+    def test_malformed_part_is_named(self, capsys, text, message):
+        assert run(capsys, "classify", text) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("text, index", [
         ("3-" + "9" * 30, int("9" * 30)),
@@ -356,6 +370,16 @@ class TestCerts:
 
 
 class TestCover:
+    def test_library_warning_is_one_stderr_line(self, capsys, tmp_path):
+        path = tmp_path / "redundant.json"
+        path.write_text(json.dumps({"nodes": 3, "edges": [[1, 2], [1, 2, 3]]}))
+        assert run(capsys, "cover", "solve", str(path)) == (
+            0, "minimum cover: 2 parts\n  1 3\n  2 3\n",
+            "warning: dropping redundant edge [1, 2, 3]: it contains a smaller edge\n")
+        # the library still raises its UserWarning
+        with pytest.warns(UserWarning, match=r"^dropping redundant edge \[1, 2, 3\]"):
+            cover.hypergraph_from_json(json.loads(path.read_text()))
+
     def test_solve_reports_eight(self, capsys, council_hg_file):
         code, out, _ = run(capsys, "cover", "solve", council_hg_file)
         assert code == 0

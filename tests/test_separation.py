@@ -8,7 +8,6 @@ from gamedim.certificates import BalanceCertificate, verify_balance
 from gamedim.eu import (
     LOSING_FAMILY,
     NONSEPARABLE_TRIPLES,
-    TRIPLE_WITNESS_LABELS,
     WINNING_FAMILY,
 )
 from gamedim.games import Coalition, IntersectionGame, WeightedGame, minimal_winning
@@ -25,6 +24,7 @@ from gamedim.separation import (
 from gamedim.simplex import phase_one
 
 from helpers import (
+    TRIPLE_WITNESSES,
     brute_inclusion_maximal,
     brute_inclusion_minimal,
     find_balanced_pair_certificate,
@@ -339,7 +339,7 @@ class TestCouncilSize:
         on_winning = {label: lam for lam, label in result.terms
                       if label.endswith(">= quota")}
         expected = {f"weight({WINNING_FAMILY[w - 1]}) >= quota"
-                    for w in TRIPLE_WITNESS_LABELS[triple]}
+                    for w in TRIPLE_WITNESSES[triple]}
         assert set(on_winning) == expected
         assert set(on_winning.values()) == {Fraction(1, 6)}
 
