@@ -21,6 +21,11 @@ by two constructions, both of them one `transfer_split`:
   transfer split of Li and L15 whose transfer is the rest of Li - L15 plus
   the incoming member.
 
+Both constructions pick members from one order per member table,
+`MemberTable.cheapest_first` (by population, then index), so population
+ties always go toward the smaller index, and they build the transfer and
+the two halves on the coalition masks.
+
 The 5 triple certificates take as witnesses the three of W1..W12 whose
 per-member counts equal the triple's.  Every builder ends in one
 `verify_balance` of the certificate it returns, against the game itself.
@@ -131,21 +136,24 @@ def transfer_split(li: Coalition, lj: Coalition, transfer: Coalition
     symmetric difference: shared members land in both halves, each member of
     the symmetric difference in exactly one.
     """
-    sym = li ^ lj
-    if not transfer.issubset(sym):
+    li._check_same_ground(lj)
+    transfer._check_same_ground(li)
+    a, b, moved = li.mask, lj.mask, transfer.mask
+    if moved & ~(a ^ b):
         raise ValueError("transfer set must lie in the symmetric difference")
-    return transfer | (li & lj), (li | lj) - transfer
+    return Coalition(li.n, moved | (a & b)), Coalition(li.n, (a | b) ^ moved)
 
 
 def build_pair_certificate(li: Coalition, lj: Coalition, game: EuGame) -> BalanceCertificate:
     """Certificate for two losing coalitions that pass the member rule.
 
     Transfers the OUTRIGHT_QUOTA - |li & lj| least-population members of the
-    symmetric difference, ties broken toward smaller member indices.  That
-    one transfer decides: W1 always has OUTRIGHT_QUOTA members and wins, and
-    W2 has a fixed member count, so its population, the only thing a
-    transfer choice changes, is largest for the cheapest transfer.  If that
-    W2 loses, every other transfer's W2 loses too.
+    symmetric difference, ties broken toward smaller member indices: the
+    first ones in the table's `cheapest_first` order.  That one transfer
+    decides: W1 always has OUTRIGHT_QUOTA members and wins, and W2 has a
+    fixed member count, so its population, the only thing a transfer choice
+    changes, is largest for the cheapest transfer.  If that W2 loses, every
+    other transfer's W2 loses too.
     """
     if li == lj:
         raise ValueError("pair certificate needs two distinct losing coalitions")
@@ -156,15 +164,13 @@ def build_pair_certificate(li: Coalition, lj: Coalition, game: EuGame) -> Balanc
         if not report.rule55 or report.rule65:
             raise ValueError(
                 f"{name} coalition {c} must pass the member rule and fail the population rule")
-    sym = li ^ lj
-    size = max(0, OUTRIGHT_QUOTA - len(li & lj))
-    if size > len(sym):
-        raise CertificateError(
-            f"symmetric difference of {li} and {lj} has only {len(sym)} members, need {size}")
-    pops = game.table.populations
-    cheapest = sorted(sym.members, key=lambda m: (pops[m], m))[:size]
-    cert = BalanceCertificate(
-        (li, lj), transfer_split(li, lj, Coalition.from_indices(cheapest, li.n)))
+    sym = li.mask ^ lj.mask
+    size = max(0, OUTRIGHT_QUOTA - (li.mask & lj.mask).bit_count())
+    if size > sym.bit_count():
+        raise CertificateError(f"symmetric difference of {li} and {lj} has only "
+                               f"{sym.bit_count()} members, need {size}")
+    cheapest = sum([bit for _, bit in game.table.cheapest_first if bit & sym][:size])
+    cert = BalanceCertificate((li, lj), transfer_split(li, lj, Coalition(li.n, cheapest)))
     if not verify_balance(cert, game):
         raise CertificateError(
             f"no transfer of {size} members makes both halves of {li}, {lj} winning")
@@ -176,9 +182,11 @@ def build_anchor_certificate(li: Coalition, game: EuGame) -> BalanceCertificate:
 
     Exchanges the two least-population members of li outside the anchor
     against the largest-population member of the anchor outside li; ties are
-    broken toward smaller member indices.  The exchange is the transfer split
-    of li and the anchor that moves everything else of li - anchor, plus the
-    incoming member, into W1.
+    broken toward smaller member indices.  Both are read off the table's
+    `cheapest_first` order: the first two members of li - anchor, and the
+    first member of the last population run in anchor - li.  The exchange is
+    the transfer split of li and the anchor that moves everything else of
+    li - anchor, plus the incoming member, into W1.
     """
     anchor = LOSING_FAMILY[ANCHOR_LABEL - 1]
     if li == anchor:
@@ -186,20 +194,32 @@ def build_anchor_certificate(li: Coalition, game: EuGame) -> BalanceCertificate:
     for c in (li, anchor):
         if game.is_winning(c):
             raise ValueError(f"coalition {c} is winning")
-    pops = game.table.populations
-    outside = (li - anchor).members
-    if len(outside) < 2:
+    outside = li.mask & ~anchor.mask
+    if outside.bit_count() < 2:
         raise ValueError(f"{li} has fewer than two members outside the anchor {anchor}")
-    incoming = (anchor - li).members
+    incoming = anchor.mask & ~li.mask
     if not incoming:
         raise ValueError(f"the anchor {anchor} has no member outside {li}")
-    kept = sorted(outside, key=lambda m: (pops[m], m))[2:]
-    one_in = min(incoming, key=lambda m: (-pops[m], m))
+    order = game.table.cheapest_first
+    dropped = sum([bit for _, bit in order if bit & outside][:2])
+    candidates = [(pop, bit) for pop, bit in order if bit & incoming]
+    top = candidates[-1][0]
+    one_in = next(bit for pop, bit in candidates if pop == top)
     cert = BalanceCertificate(
-        (li, anchor), transfer_split(li, anchor, Coalition.from_indices(kept + [one_in], li.n)))
+        (li, anchor), transfer_split(li, anchor, Coalition(li.n, (outside ^ dropped) | one_in)))
     if not verify_balance(cert, game):
         raise CertificateError(f"exchange between {li} and the anchor leaves a losing coalition")
     return cert
+
+
+def _base4(c: Coalition) -> int:
+    """The mask's binary digits read in base 4: one 2-bit field per member."""
+    return int(f"{c.mask:b}", 4)
+
+
+# W1..W12 in base 4, and the label index of each.
+_WINNING_QUADS = tuple(map(_base4, WINNING_FAMILY))
+_WINNER_OF_QUAD = {q: k for k, q in enumerate(_WINNING_QUADS)}
 
 
 def build_triple_certificate(losing: Iterable[Coalition], game: SimpleGame) -> BalanceCertificate:
@@ -213,11 +233,9 @@ def build_triple_certificate(losing: Iterable[Coalition], game: SimpleGame) -> B
     losing = tuple(losing)
     if len(losing) != 3:
         raise ValueError(f"triple certificate needs three losing coalitions, got {len(losing)}")
-    quad = [int(f"{c.mask:b}", 4) for c in WINNING_FAMILY + losing]
-    target = sum(quad[-3:])
-    label = {q: k for k, q in enumerate(quad[:-3])}
-    for a, b in combinations(range(len(WINNING_FAMILY)), 2):
-        c = label.get(target - quad[a] - quad[b], -1)
+    target = sum(map(_base4, losing))
+    for a, b in combinations(range(len(_WINNING_QUADS)), 2):
+        c = _WINNER_OF_QUAD.get(target - _WINNING_QUADS[a] - _WINNING_QUADS[b], -1)
         if c > b:
             cert = BalanceCertificate(losing, (WINNING_FAMILY[k] for k in (a, b, c)))
             if not verify_balance(cert, game):
@@ -287,10 +305,10 @@ def nonseparable_family(game: EuGame) -> CertifiedFamily:
 
     certificates: dict[frozenset[int], BalanceCertificate] = {}
     for edge in NONSEPARABLE_PAIRS + NONSEPARABLE_TRIPLES:
-        label = "{" + ",".join(f"L{v}" for v in edge) + "}"
         try:
             certificates[frozenset(edge)] = build(edge)
         except (ValueError, CertificateError) as err:
+            label = "{" + ",".join(f"L{v}" for v in edge) + "}"
             raise type(err)(f"{label}: {err}") from err
     return CertifiedFamily(
         nodes=LOSING_FAMILY,

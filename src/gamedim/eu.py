@@ -91,6 +91,12 @@ class MemberTable(Frozen):
     def total_population(self) -> int:
         return sum(population for _, _, population in self.entries)
 
+    @cached_property
+    def cheapest_first(self) -> tuple[tuple[int, int], ...]:
+        """(population, member bit) of every member, by population, then index."""
+        return tuple((population, 1 << (index - 1))
+                     for index, _, population in sorted(self.entries, key=lambda e: (e[2], e[0])))
+
     def population_of(self, coalition: Coalition) -> int:
         return self._weights.scaled_weight(coalition)
 
@@ -240,14 +246,17 @@ def reference_coalitions() -> tuple[tuple[Coalition, ...], tuple[Coalition, ...]
 def labeled_coalition(label: str) -> Coalition:
     """Look up a bundled coalition by its label, e.g. ``L15`` or ``W3``."""
     label = label.strip().upper()
-    try:
-        kind, num = label[0], int(label[1:])
+    kind, digits = label[:1], label[1:]
+    # ASCII digits only: `int` would also take a sign, '_' or other scripts' digits.
+    if digits.isascii() and digits.isdigit():
+        try:
+            num = int(digits)
+        except ValueError:  # more digits than `int` converts
+            num = 0
         if kind == "L" and 1 <= num <= len(LOSING_FAMILY):
             return LOSING_FAMILY[num - 1]
         if kind == "W" and 1 <= num <= len(WINNING_FAMILY):
             return WINNING_FAMILY[num - 1]
-    except (IndexError, ValueError):
-        pass
     raise ValueError(f"unknown coalition label {label!r}")
 
 

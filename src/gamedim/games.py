@@ -158,6 +158,20 @@ def _subset_sums(values: Sequence[int]) -> list[int]:
     return sums
 
 
+def byte_tables(values: Sequence[int]) -> tuple[list[int], ...]:
+    """Table b lists the sum of every subset of ``values[8b:8b+8]``.
+
+    Indexed by byte b of a mask, so `table_sum` adds a mask's values with
+    one lookup per byte.
+    """
+    return tuple(_subset_sums(values[low:low + 8]) for low in range(0, len(values), 8))
+
+
+def table_sum(tables: Sequence[list[int]], mask: int) -> int:
+    """The sum of the values over the set bits of the mask, by `byte_tables`."""
+    return sum(map(list.__getitem__, tables, mask.to_bytes(len(tables), "little")))
+
+
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
@@ -255,14 +269,12 @@ class WeightedGame(SimpleGame, Frozen):
         # Table b lists the scaled weight of every subset of members
         # 8b+1..8b+8, indexed by that byte of the mask.  Kept in the instance
         # __dict__, outside `_fields`, so ==, hash and repr do not see it.
-        w = self._scaled_weights
-        return tuple(_subset_sums(w[low:low + 8]) for low in range(0, self.n, 8))
+        return byte_tables(self._scaled_weights)
 
     def scaled_weight(self, coalition: Coalition) -> int:
         """The coalition's weight sum times the game's integer scale."""
         self._check_dimension(coalition)
-        tables = self._byte_sums
-        return sum(map(list.__getitem__, tables, coalition.mask.to_bytes(len(tables), "little")))
+        return table_sum(self._byte_sums, coalition.mask)
 
     def contains(self, coalition: Coalition) -> bool:
         return self.scaled_weight(coalition) >= self._scaled_quota

@@ -17,12 +17,12 @@ The solver is `simplex.phase_one` over x = (a, b) >= 0 and the {-1, 0, 1}
 rows b - a(W) <= 0 and a(L) - b <= -1, whose columns are read off the
 coalition masks (see `_columns`).  (The bound b >= 0 costs nothing: any
 target forces b >= 1.)  A feasible vertex is re-checked by substitution,
-through the byte tables of a weighted game over its numerators; an
-infeasible system yields the optimal dual multipliers, a
-nonnegative combination of the listed constraints that reads
-0 <= total < 0, re-checked by combination.  Winning constraints that
-contain another one and targets inside another target are dropped first,
-by one packed zero-field test per coalition (see `_packed`).
+through byte tables of its integer numerators (`games.byte_tables`); an
+infeasible system yields the optimal dual multipliers, a nonnegative
+combination of the listed constraints that reads 0 <= total < 0,
+re-checked by combination.  Winning constraints that contain another one
+and targets inside another target are dropped first, by one packed
+zero-field test per coalition (see `_packed`).
 """
 
 from __future__ import annotations
@@ -36,9 +36,10 @@ from ._record import Frozen
 from .games import (
     Coalition,
     SimpleGame,
-    WeightedGame,
+    byte_tables,
     coalitions_from_json,
     minimal_winning,
+    table_sum,
 )
 from .simplex import phase_one
 
@@ -166,18 +167,17 @@ def lp_feasible(instance: SeparationInstance) -> Separable | NotSeparable:
     columns = _columns(winning, losing, n)
     feasible, values, denom = phase_one(columns, [0] * len(winning) + [-1] * len(losing))
     if feasible:
-        # Substitute the numerators: every value shares the denominator, and
-        # integer weights give a game of scale 1, whose scaled weights are
-        # their sums.
+        # Substitute the numerators: every value shares the denominator, so
+        # the checks compare integer weight sums, read off byte tables.
         weights, quota = values[:n], values[n]
         if any(x < 0 for x in weights):
             raise RuntimeError("witness has a negative weight")
-        game = WeightedGame(n, weights, 0)
+        tables = byte_tables(weights)
         for w in instance.winning_constraints:
-            if game.scaled_weight(w) < quota:
+            if table_sum(tables, w.mask) < quota:
                 raise RuntimeError(f"witness violates winning constraint {w}")
         for l in instance.losing_targets:
-            if game.scaled_weight(l) > quota - denom:
+            if table_sum(tables, l.mask) > quota - denom:
                 raise RuntimeError(f"witness violates losing target {l}")
         return Separable(tuple(Fraction(x, denom) for x in weights),
                          Fraction(quota, denom))

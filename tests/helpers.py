@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from gamedim import (
     BalanceCertificate,
+    CertificateError,
     Coalition,
     DualWeightCertificate,
     ExplicitGame,
@@ -178,6 +179,26 @@ def find_balanced_pair_certificate(game, losing, rng: random.Random, max_pairs: 
                 if verify_balance(cert, game):
                     return cert
     return None
+
+
+def reference_anchor_certificate(li, anchor, game):
+    """The anchor exchange by a sort and a min over the members: the oracle.
+
+    Drops the two members of li - anchor that come first by (population,
+    index) and takes in the member of anchor - li that comes first by
+    (-population, index).  Returns the certificate, or raises the builder's
+    error when it does not verify.
+    """
+    pops = game.table.populations
+    kept = sorted((li - anchor).members, key=lambda m: (pops[m], m))[2:]
+    one_in = min((anchor - li).members, key=lambda m: (-pops[m], m))
+    moved = Coalition.from_indices(kept + [one_in], li.n)
+    w1 = moved | (li & anchor)
+    w2 = (li | anchor) - moved
+    cert = BalanceCertificate(losing=(li, anchor), winning=(w1, w2))
+    if not verify_balance(cert, game):
+        raise CertificateError(f"exchange between {li} and the anchor leaves a losing coalition")
+    return cert
 
 
 def brute_inclusion_minimal(coalitions):

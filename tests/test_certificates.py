@@ -29,7 +29,7 @@ from gamedim.eu import (
 )
 from gamedim.games import Coalition, WeightedGame
 
-from helpers import TRIPLE_WITNESSES
+from helpers import TRIPLE_WITNESSES, reference_anchor_certificate
 
 
 def L(i):
@@ -317,6 +317,13 @@ class TestPairCertificates:
         for m in range(1, n + 1):
             assert (m in li) + (m in lj) == (m in w1) + (m in w2)
 
+    @pytest.mark.parametrize("li_n, lj_n, transfer_n", [(4, 5, 4), (4, 4, 5)])
+    def test_transfer_split_mixed_member_counts_rejected(self, li_n, lj_n, transfer_n):
+        li = Coalition.from_indices([1, 2], li_n)
+        lj = Coalition.from_indices([2, 3], lj_n)
+        with pytest.raises(ValueError, match="^member count mismatch: [45] vs [45]$"):
+            transfer_split(li, lj, Coalition.from_indices([1], transfer_n))
+
     def test_transfer_outside_symmetric_difference_rejected(self):
         li = Coalition.from_indices([1, 2], 4)
         lj = Coalition.from_indices([2, 3], 4)
@@ -349,6 +356,69 @@ class TestAnchorCertificates:
             largest = max(small.members, key=lambda m: pops[m])
             shrunk = small - Coalition.from_indices([largest], N_MEMBERS)
             assert not eu_game.is_winning(shrunk)
+
+
+def anchor_ties(li, pops):
+    """Whether a population tie sits where the index rule decides: between
+    the second and third cheapest members of li - L15, or between the two
+    most populous members of L15 - li."""
+    outside = sorted((li - L(15)).members, key=lambda m: (pops[m], m))
+    incoming = sorted((pops[m] for m in (L(15) - li).members), reverse=True)
+    return (len(outside) > 2 and pops[outside[1]] == pops[outside[2]],
+            len(incoming) > 1 and incoming[0] == incoming[1])
+
+
+def tied_tables():
+    """Member tables whose population ties reach the anchor exchange."""
+    pops = {i: pop for i, _, pop in MEMBERS_2014}
+
+    def table(changed):
+        return MemberTable(tuple((i, name, changed.get(i, pops[i]))
+                                 for i, name, _ in MEMBERS_2014))
+
+    def tie(*members):
+        mean = sum(pops[m] for m in members) // len(members)
+        return dict.fromkeys(members, mean)
+
+    # Estonia, Cyprus and Luxembourg tie just above Malta, the cheapest.
+    bottom = tie(25, 26, 27)
+    yield table(bottom)
+    # Germany ties Italy, France the UK and Spain Poland: the most populous
+    # member outside some Li ties another.
+    yield table({**tie(1, 4), **tie(2, 3), **tie(5, 6), **bottom})
+    # Three Germanys: an exchange that takes Germany out of the anchor's
+    # half leaves it losing, so these pairs are refused.
+    yield table({**tie(2, 3), **tie(5, 6), **bottom, 1: 3 * pops[1]})
+
+
+class TestAnchorTieRules:
+    def test_matches_the_sorted_reference_on_tied_tables(self):
+        seen = {"cut tie": 0, "top tie": 0, "built": 0, "refused": 0}
+        for table in tied_tables():
+            game = build_eu_game(table)
+            for i in range(1, 15):
+                if game.is_winning(L(i)) or game.is_winning(L(15)):
+                    continue  # refused by the input checks, before any exchange
+                cut, top = anchor_ties(L(i), table.populations)
+                seen["cut tie"] += cut
+                seen["top tie"] += top
+                try:
+                    expected = reference_anchor_certificate(L(i), L(15), game)
+                except CertificateError as err:
+                    with pytest.raises(CertificateError) as got:
+                        build_anchor_certificate(L(i), game)
+                    assert str(got.value) == str(err)
+                    seen["refused"] += 1
+                else:
+                    assert build_anchor_certificate(L(i), game) == expected, i
+                    seen["built"] += 1
+        assert min(seen.values()) >= 5, seen
+
+    def test_cheapest_first_orders_ties_by_index(self):
+        table = next(tied_tables())
+        bits = [bit for _, bit in table.cheapest_first]
+        assert bits[:4] == [1 << 27, 1 << 24, 1 << 25, 1 << 26]
+        assert sorted(bits) == [1 << i for i in range(N_MEMBERS)]
 
 
 class WitnessLosesGame(EuGame):

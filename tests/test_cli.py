@@ -116,9 +116,12 @@ class TestVerify:
         # `_rules` is the one evaluation behind `contains`, `is_winning` and
         # `classify`: 27 in step 1, then 2 classify and 4 verify per transfer
         # pair, 2 input checks and 4 verify per anchor pair, 6 per triple.
-        calls = {"verify_balance": 0, "build_pair_certificate": 0, "_rules": 0}
+        # Each of the 75 pairs makes one transfer split.
+        calls = {"verify_balance": 0, "build_pair_certificate": 0, "transfer_split": 0,
+                 "_rules": 0}
         for owner, name in ((certificates, "verify_balance"),
-                            (certificates, "build_pair_certificate"), (eu.EuGame, "_rules")):
+                            (certificates, "build_pair_certificate"),
+                            (certificates, "transfer_split"), (eu.EuGame, "_rules")):
             original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -127,7 +130,8 @@ class TestVerify:
 
             monkeypatch.setattr(owner, name, counted)
         assert run_verification().verified
-        assert calls == {"verify_balance": 80, "build_pair_certificate": 61, "_rules": 507}
+        assert calls == {"verify_balance": 80, "build_pair_certificate": 61,
+                         "transfer_split": 75, "_rules": 507}
 
     def test_module_stdout_matches_expected_transcript(self):
         # The transcript the benchmark gate compares against, byte for byte.
@@ -237,6 +241,13 @@ class TestClassify:
         ("1-2-3", "bad member range '1-2-3'"),
         ("x", "bad member index 'x'"),
         ("1, 2x ,3", "bad member index '2x'"),
+        # `int` takes these; a member index is ASCII digits only.
+        ("1_0", "bad member index '1_0'"),
+        ("+3", "bad member index '+3'"),
+        ("\u0661", "bad member index '\u0661'"),
+        ("\u0661-3", "bad member range '\u0661-3'"),
+        ("1-+3", "bad member range '1-+3'"),
+        ("L\u0661", "unknown coalition label 'L\u0661'"),
     ])
     def test_malformed_part_is_named(self, capsys, text, message):
         assert run(capsys, "classify", text) == (2, "", f"error: {message}\n")

@@ -185,6 +185,16 @@ class TestLabels:
             with pytest.raises(ValueError):
                 labeled_coalition(bad)
 
+    @pytest.mark.parametrize("bad", ["L\u0661", "W\u0663", "L+3", "L-3", "L1_0", "L 3",
+                                     "L" + "9" * 5000])
+    def test_label_number_is_ascii_digits(self, bad):
+        # `int` would read each of these as a number (the last one raises).
+        with pytest.raises(ValueError, match="^unknown coalition label"):
+            labeled_coalition(bad)
+
+    def test_label_with_leading_zero(self):
+        assert labeled_coalition("L03") == LOSING_FAMILY[2]
+
     def test_pair_family_count(self):
         assert len(NONSEPARABLE_PAIRS) == 75
         assert len(set(map(frozenset, NONSEPARABLE_PAIRS))) == 75

@@ -13,11 +13,13 @@ from gamedim.games import (
     UnionGame,
     WeightedGame,
     all_coalitions,
+    byte_tables,
     check_monotone,
     coalition_sort_key,
     game_from_json,
     game_to_json,
     minimal_winning,
+    table_sum,
 )
 
 from helpers import brute_minimal_winning, masked_sum, random_monotone_game
@@ -274,6 +276,15 @@ class TestByteTableMembership:
             assert WeightedGame(n, [0] * n, 0).contains(Coalition(n, 0))
             full = Coalition(n, (1 << n) - 1)
             assert not WeightedGame(n, [0] * n, 1).contains(full)
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 28, 64])
+    def test_byte_tables_sum_against_masked_sum(self, n):
+        rng = random.Random(n)
+        values = [rng.randrange(-10**12, 10**12) for _ in range(n)]
+        tables = byte_tables(values)
+        assert [len(t) for t in tables] == [1 << min(8, n - low) for low in range(0, n, 8)]
+        for mask in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(200)]:
+            assert table_sum(tables, mask) == masked_sum(values, mask)
 
     def test_tables_built_on_first_contains_only(self):
         g = WeightedGame(20, list(range(20)), 100)

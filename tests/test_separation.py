@@ -99,6 +99,21 @@ class TestLpFeasible:
         assert isinstance(result, Separable)
         substitute(result, instance)
 
+    @pytest.mark.parametrize("weights, quota, message", [
+        ([-1, 5, 3], 3, "^witness has a negative weight$"),
+        ([0, 0, 0], 1, r"^witness violates winning constraint \{1,2,3\}$"),
+        # {1} lies inside the target {1,2}, so the LP never sees it; the
+        # check runs over the instance as given and names it first.
+        ([1, 1, 0], 1, r"^witness violates losing target \{1\}$"),
+    ])
+    def test_witness_recheck_rejects_a_wrong_vertex(self, monkeypatch, weights, quota,
+                                                    message):
+        instance = SeparationInstance(3, [C([1, 2, 3], 3)], [C([1], 3), C([1, 2], 3)])
+        monkeypatch.setattr(separation, "phase_one",
+                            lambda columns, rhs: (True, weights + [quota], 1))
+        with pytest.raises(RuntimeError, match=message):
+            lp_feasible(instance)
+
     def test_crossing_pairs_not_separable(self):
         # Summing the two winning and two losing constraints forces
         # 2*quota <= total weight <= 2*quota - 2.
