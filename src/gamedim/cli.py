@@ -170,17 +170,6 @@ def _dump_json(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _index(text: str) -> int:
-    """A member index, in ASCII digits only.
-
-    `int` alone also takes a sign, '_' and other scripts' digits.
-    """
-    text = text.strip()
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"not a member index: {text!r}")
-    return int(text)
-
-
 def parse_coalition(text: str, n: int = eu.N_MEMBERS) -> Coalition:
     """Parse '1,4-7,12' style index lists or bundled labels like 'L15'."""
     text = text.strip()
@@ -192,7 +181,7 @@ def parse_coalition(text: str, n: int = eu.N_MEMBERS) -> Coalition:
             part = part.strip()
             if "-" in part:
                 try:
-                    lo, hi = map(_index, part.split("-", 1))
+                    lo, hi = (eu.ascii_int(half.strip()) for half in part.split("-", 1))
                 except ValueError:
                     raise ValueError(f"bad member range {part!r}") from None
                 if lo > hi:
@@ -204,7 +193,7 @@ def parse_coalition(text: str, n: int = eu.N_MEMBERS) -> Coalition:
                 indices.extend(range(lo, hi + 1))
             elif part:
                 try:
-                    indices.append(_index(part))
+                    indices.append(eu.ascii_int(part))
                 except ValueError:
                     raise ValueError(f"bad member index {part!r}") from None
     return Coalition.from_indices(indices, n)

@@ -243,20 +243,29 @@ def reference_coalitions() -> tuple[tuple[Coalition, ...], tuple[Coalition, ...]
     return LOSING_FAMILY, WINNING_FAMILY
 
 
+def ascii_int(text: str) -> int:
+    """The number written in ``text``, which must be ASCII digits only.
+
+    `int` alone also takes a sign, '_', surrounding spaces and other
+    scripts' digits.  Raises ValueError otherwise, and, like `int`, for
+    more digits than it converts.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not ASCII digits: {text!r}")
+    return int(text)
+
+
 def labeled_coalition(label: str) -> Coalition:
     """Look up a bundled coalition by its label, e.g. ``L15`` or ``W3``."""
     label = label.strip().upper()
-    kind, digits = label[:1], label[1:]
-    # ASCII digits only: `int` would also take a sign, '_' or other scripts' digits.
-    if digits.isascii() and digits.isdigit():
-        try:
-            num = int(digits)
-        except ValueError:  # more digits than `int` converts
-            num = 0
+    try:
+        kind, num = label[:1], ascii_int(label[1:])
         if kind == "L" and 1 <= num <= len(LOSING_FAMILY):
             return LOSING_FAMILY[num - 1]
         if kind == "W" and 1 <= num <= len(WINNING_FAMILY):
             return WINNING_FAMILY[num - 1]
+    except ValueError:
+        pass
     raise ValueError(f"unknown coalition label {label!r}")
 
 

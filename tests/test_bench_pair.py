@@ -53,24 +53,55 @@ def test_summary_rejects_unpaired_runs_and_unknown_directions(parent, change, be
         bench_pair.summarize("ms", better, parent, change)
 
 
+def report_of(summary, failed=(0, 0), correct=(True, True)):
+    """A one-metric workload report around `summary`."""
+    return {"metrics": {"op_ms.p50": summary},
+            "failed": dict(zip(bench_pair.SIDES, failed)),
+            "correct": dict(zip(bench_pair.SIDES, correct))}
+
+
+def verdict(parent, change, **report):
+    summary = bench_pair.summarize("ms", "lower", parent, change)
+    return bench_pair.claim_verdict(report_of(summary, **report), "op_ms.p50", "lower")
+
+
 def test_claim_verdict_needs_nine_in_ten_and_a_gap_beyond_the_spread():
     parent = [8.5, 8.4, 8.6, 8.5, 8.3, 8.7, 8.5, 8.4, 8.6, 8.5]
     change = [7.2, 7.3, 7.1, 7.2, 7.4, 7.2, 7.3, 7.1, 7.2, 8.9]
-    verdict = bench_pair.claim_verdict(bench_pair.summarize("ms", "lower", parent, change),
-                                       "lower")
-    assert verdict == ("met: the change wins 9 of 10 pairs; median 8.500 -> 7.200 ms "
-                       "(-15.3 %), a gap of 1.300 ms against a parent quartile spread "
-                       "of 0.150 ms")
+    assert verdict(parent, change) == (
+        "met: the change wins 9 of 10 pairs; median 8.500 -> 7.200 ms "
+        "(-15.3 %), a gap of 1.300 ms against a parent quartile spread of 0.150 ms")
     # Eight wins of ten are too few, however large the gap.
-    change[0] = 9.0
-    verdict = bench_pair.claim_verdict(bench_pair.summarize("ms", "lower", parent, change),
-                                       "lower")
-    assert verdict.startswith("not met: the change wins 8 of 10 pairs")
+    assert verdict(parent, [9.0] + change[1:]).startswith(
+        "not met: the change wins 8 of 10 pairs")
     # Ten wins by less than the parent's quartile spread are not enough either.
     wide = [8.0, 9.0, 8.0, 9.0, 8.0, 9.0, 8.0, 9.0, 8.0, 9.0]
-    close = [x - 0.1 for x in wide]
-    verdict = bench_pair.claim_verdict(bench_pair.summarize("ms", "lower", wide, close), "lower")
-    assert verdict.startswith("not met: the change wins 10 of 10 pairs")
+    assert verdict(wide, [x - 0.1 for x in wide]).startswith(
+        "not met: the change wins 10 of 10 pairs")
+
+
+def test_claim_verdict_needs_ten_pairs_and_no_more_failures():
+    parent = [8.5, 8.4, 8.6, 8.5, 8.3, 8.7, 8.5, 8.4, 8.6, 8.5]
+    change = [x - 1.3 for x in parent]
+    assert verdict(parent[:1], change[:1]) == (
+        "not met: the change wins 1 of 1 pairs; median 8.500 -> 7.200 ms (-15.3 %), "
+        "a gap of 1.300 ms against a parent quartile spread of 0.000 ms; "
+        "fewer than 10 pairs")
+    assert verdict(parent[:9], change[:9]).endswith("; fewer than 10 pairs")
+    assert verdict(parent, change, failed=(2, 3)).endswith(
+        "; the change failed 3 operations, the parent 2")
+    assert verdict(parent, change, failed=(3, 2)).startswith("met: ")
+    assert verdict(parent, change, correct=(True, False)).endswith(
+        "; a change run failed its correctness gate")
+    assert verdict(parent, change, correct=(False, True)).endswith(
+        "; a parent run failed its correctness gate")
+
+
+def test_claim_verdict_of_a_zero_parent_median():
+    parent, change = [0.0] * 10, [1.0] * 10
+    assert verdict(parent, change) == (
+        "not met: the change wins 0 of 10 pairs; median 0.000 -> 1.000 ms (n/a), "
+        "a gap of -1.000 ms against a parent quartile spread of 0.000 ms")
 
 
 def test_workload_report_layout():

@@ -12,6 +12,7 @@ from gamedim.eu import (
     WINNING_FAMILY,
     EuGame,
     MemberTable,
+    ascii_int,
     build_eu_game,
     default_members,
     labeled_coalition,
@@ -191,6 +192,15 @@ class TestLabels:
         # `int` would read each of these as a number (the last one raises).
         with pytest.raises(ValueError, match="^unknown coalition label"):
             labeled_coalition(bad)
+
+    @pytest.mark.parametrize("text, value", [("0", 0), ("007", 7), ("28", 28)])
+    def test_ascii_int(self, text, value):
+        assert ascii_int(text) == value
+
+    @pytest.mark.parametrize("bad", ["", " 3", "3 ", "+3", "-3", "1_0", "\u0661", "9" * 5000])
+    def test_ascii_int_rejects(self, bad):
+        with pytest.raises(ValueError):
+            ascii_int(bad)
 
     def test_label_with_leading_zero(self):
         assert labeled_coalition("L03") == LOSING_FAMILY[2]

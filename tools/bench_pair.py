@@ -4,8 +4,8 @@
         --claim council-replay:op_ms.p50 --description "what the change does"
 
 For every workload in BENCHMARK.json, it runs `perfbench/run.py --trace 0`
-on a copy of the parent revision and on the working tree, N pairs in
-alternating order: even-numbered pairs (from 0) run the parent first, odd
+on a copy of the parent revision and on the working tree, for
+BENCHMARK.json's `run_seconds` a run, N pairs in alternating order: even-numbered pairs (from 0) run the parent first, odd
 ones the change first.  Before the pairs, one short discarded run per side
 and workload fills `.perfbench_cache`.
 
@@ -38,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 WARMUP_S = 3.0  # the discarded run per side and workload
+MIN_PAIRS = 10  # a claim needs at least this many pairs
 
 
 def quartiles(runs: list[float]) -> dict:
@@ -73,20 +74,35 @@ def summarize(unit: str, better: str, parent: list[float], change: list[float]) 
             "change_better_in_pairs": wins, "median_change_pct": pct}
 
 
-def claim_verdict(summary: dict, better: str) -> str:
-    """Met when the change wins at least 9 in 10 of the pairs and its median
-    beats the parent's by more than the parent's quartile spread."""
+def claim_verdict(report: dict, metric: str, better: str) -> str:
+    """Met when at least MIN_PAIRS pairs ran, both sides passed their
+    correctness gates, the change failed no more operations than the parent,
+    and on `metric` the change wins at least 9 in 10 of the pairs with a
+    median that beats the parent's by more than the parent's quartile spread."""
+    summary = report["metrics"][metric]
     pairs = len(summary["parent"]["runs"])
     wins = summary["change_better_in_pairs"]
     before, after = summary["parent"]["median"], summary["change"]["median"]
     gap = (before - after) if better == "lower" else (after - before)
     spread = summary["parent"]["q3"] - summary["parent"]["q1"]
-    met = wins >= math.ceil(0.9 * pairs) and gap > spread
+    faults = []
+    if pairs < MIN_PAIRS:
+        faults.append(f"fewer than {MIN_PAIRS} pairs")
+    failed = report["failed"]
+    if failed["change"] > failed["parent"]:
+        faults.append(f"the change failed {failed['change']} operations, "
+                      f"the parent {failed['parent']}")
+    for side in SIDES:
+        if not report["correct"][side]:
+            faults.append(f"a {side} run failed its correctness gate")
+    met = not faults and wins >= math.ceil(0.9 * pairs) and gap > spread
     pct = summary["median_change_pct"]
     unit = summary["unit"]
     return (f"{'met' if met else 'not met'}: the change wins {wins} of {pairs} pairs; "
-            f"median {before:.3f} -> {after:.3f} {unit} ({pct:+.1f} %), a gap of "
-            f"{gap:.3f} {unit} against a parent quartile spread of {spread:.3f} {unit}")
+            f"median {before:.3f} -> {after:.3f} {unit} "
+            f"({'n/a' if pct is None else f'{pct:+.1f} %'}), a gap of "
+            f"{gap:.3f} {unit} against a parent quartile spread of {spread:.3f} {unit}"
+            + "".join(f"; {fault}" for fault in faults))
 
 
 def parse_run(stdout: str) -> dict:
@@ -143,15 +159,14 @@ def main() -> int:
     parser.add_argument("--pr", required=True, help="names the output, BENCH_<pr>.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=6029)
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--claim", help="WORKLOAD:METRIC whose verdict the output states")
     parser.add_argument("--description", default="")
-    parser.add_argument("--scratch", help="directory for the parent copy (default: a temp dir)")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = declared["run_seconds"]
     workloads = [w["name"] for w in declared["workloads"]]
     metrics = declared["end_to_end"]
     claim = None
@@ -162,7 +177,7 @@ def main() -> int:
             parser.error(f"--claim {args.claim}: unknown workload or metric")
         claim = (workload, metric, by_name[metric]["better"])
 
-    work = Path(tempfile.mkdtemp(prefix="bench_pair_", dir=args.scratch))
+    work = Path(tempfile.mkdtemp(prefix="bench_pair_"))
     try:
         parent_tree = work / "parent"
         sha = extract(args.parent, parent_tree)
@@ -174,7 +189,7 @@ def main() -> int:
             runs: dict[str, list[dict]] = {side: [] for side in SIDES}
             for k in range(args.pairs):
                 for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-                    runs[side].append(run_once(trees[side], workload, args.seed, args.seconds))
+                    runs[side].append(run_once(trees[side], workload, args.seed, seconds))
                     print(f"{workload} pair {k} {side}: op_ms.p50 "
                           f"{runs[side][-1]['metrics'].get('op_ms.p50', float('nan')):.3f}",
                           flush=True)
@@ -188,7 +203,7 @@ def main() -> int:
                     f"{platform.python_implementation()} {platform.python_version()}",
         "parent": sha,
         "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "seed": args.seed,
         "pair_order": "alternating: even-numbered pairs (from 0) run the parent first, odd "
                       "ones the change first; the parent runs from its committed files "
@@ -200,7 +215,7 @@ def main() -> int:
     if claim:
         workload, metric, better = claim
         out["claim"] = {"workload": workload, "metric": metric,
-                        "result": claim_verdict(report[workload]["metrics"][metric], better)}
+                        "result": claim_verdict(report[workload], metric, better)}
         print(out["claim"]["result"])
     out["workloads"] = report
     path = ROOT / f"BENCH_{args.pr}.json"
