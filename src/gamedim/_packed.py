@@ -5,17 +5,21 @@ here, so that coalitions, hypergraph edges, independent sets and cover
 candidates all read it the same way:
 
 - `members`: its members, ascending, one table lookup per byte.
-- `reversed_bytes`: a byte string that orders masks of one size by member
-  tuple.  Member 1 is the top bit of the first byte, so at the first member
-  where two masks differ, the one holding it has the larger bytes (and the
-  smaller member tuple).  `canonical_key` sorts by size, then these bytes
-  of the complement: the (size, member tuple) order.
+- `canonical_key`: the (size, member tuple) order.  It sorts by size, then
+  by the complement's bytes, each with its bits reversed.  Member 1 is then
+  the top bit of the first byte, so at the first member where two masks
+  differ, the one holding it has the larger bytes (and the smaller member
+  tuple), and its complement the smaller bytes.
 - `PackedMasks`: does any of a set of masks lie inside m?  Masks of n bits
   sit one per (n+1)-bit field, whose top bit is a guard.  Field i of
   packed & (~m * ones) is zero iff mask i lies inside m; with the guards
   set, subtracting one per field clears exactly those fields' guards and
   borrows nothing across fields.  So the test is one multiplication, one
   subtraction and a few bitwise operations, with no Python frame per mask.
+  `add_minimal` adds m only if the test fails.  Fed masks in order of size,
+  it keeps exactly those that contain no earlier one: the one
+  inclusion-minimal filter of separation constraints, hypergraph edges and
+  an explicit game's declared winners.
 """
 
 from __future__ import annotations
@@ -61,14 +65,10 @@ def members(mask: int) -> tuple[int, ...]:
     return out
 
 
-def reversed_bytes(mask: int, n: int) -> bytes:
-    """The n-bit mask's little-endian bytes, each with its bits reversed."""
-    return mask.to_bytes((n + 7) >> 3, "little").translate(_REVERSED)
-
-
 def canonical_key(mask: int, n: int) -> tuple[int, bytes]:
     """Sort key of the n-bit masks in (size, member tuple) order."""
-    return mask.bit_count(), reversed_bytes(mask ^ ((1 << n) - 1), n)
+    complement = mask ^ ((1 << n) - 1)
+    return mask.bit_count(), complement.to_bytes((n + 7) >> 3, "little").translate(_REVERSED)
 
 
 class PackedMasks:
@@ -81,12 +81,16 @@ class PackedMasks:
         self._full = (1 << n) - 1
         self._packed = self._ones = self._guards = self._at = 0
 
-    def add(self, m: int) -> None:
+    def add_minimal(self, m: int) -> bool:
+        """Add m unless an added mask lies inside it; True iff m was added."""
+        if self.any_inside(m):
+            return False
         at = self._at
         self._packed |= m << at
         self._ones |= 1 << at
         self._guards |= 1 << (at + self._n)
         self._at = at + self._n + 1
+        return True
 
     def any_inside(self, m: int) -> bool:
         ones, guards = self._ones, self._guards

@@ -162,6 +162,8 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except ValueError as err:  # the JSON or the UTF-8 decoder's message
+            raise ValueError(f"{path}: {err}") from None
 
 
 def _dump_json(obj: dict) -> str:

@@ -38,7 +38,7 @@ from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import compress
 
-from ._packed import PackedMasks, canonical_key, members, reversed_bytes
+from ._packed import PackedMasks, canonical_key, members
 from ._record import Frozen
 from .simplex import phase_two
 
@@ -46,15 +46,6 @@ NODE_GUARD = 24
 
 _BIT = (1).__lshift__  # node v's bit is _BIT(v) >> 1
 _INT = frozenset({int})
-
-
-def _search_order(masks: Sequence[int], t: int) -> list[int]:
-    """Indices of the t-bit masks in (-size, member tuple) order, stable.
-
-    That order is descending (size, `reversed_bytes`).
-    """
-    keys = [(m.bit_count(), reversed_bytes(m, t)) for m in masks]
-    return sorted(range(len(masks)), key=keys.__getitem__, reverse=True)
 
 
 def _bad_node(nodes: Iterable[object], node_count: int, what: str = "node"
@@ -114,14 +105,13 @@ class Hypergraph(Frozen):
         packed = PackedMasks(node_count)
         kept = []
         for m in sorted(canonical, key=lambda m: canonical_key(m, node_count)):
-            if packed.any_inside(m):
+            if packed.add_minimal(m):
+                kept.append(m)
+            else:
                 warnings.warn(
                     f"dropping redundant edge {sorted(canonical[m])}: it contains a smaller edge",
                     stacklevel=2,
                 )
-                continue
-            packed.add(m)
-            kept.append(m)
         object.__setattr__(self, "node_count", node_count)
         object.__setattr__(self, "edges", tuple(map(canonical.__getitem__, kept)))
         object.__setattr__(self, "_edge_masks", tuple(kept))
@@ -292,9 +282,10 @@ def _cover_search(cand_masks: Sequence[int], full: int
 
     The largest size, each node's holders (indices and complemented masks)
     and the memo are built once, for every limit.
-    `_ordered_search` runs it over candidates in `_search_order`, and each
-    `Hypergraph` keeps one of those over its maximal sets, so `min_cover`
-    and `no_k_cover` on it share the holders and every answer.
+    `_ordered_search` runs it over candidates in (-size, member tuple)
+    order, and each `Hypergraph` keeps one of those over its maximal sets,
+    so `min_cover` and `no_k_cover` on it share the holders and every
+    answer.
     """
     max_size = max(map(int.bit_count, cand_masks), default=0)
     by_node: dict[int, tuple[list[int], list[int]]] = {}
@@ -352,9 +343,9 @@ def _ordered_search(masks: Sequence[int], t: int
 
     The masks of each size must come in member-tuple order, as a
     hypergraph's maximal masks are enumerated, so a stable sort on size
-    alone gives the `_search_order`.  Each limit is searched once; its
-    answer, None for a refuted limit or the indices of the cover found, is
-    kept for the next call.
+    alone gives the (-size, member tuple) order.  Each limit is searched
+    once; its answer, None for a refuted limit or the indices of the cover
+    found, is kept for the next call.
     """
     sizes = list(map(int.bit_count, masks))
     order = sorted(range(len(masks)), key=sizes.__getitem__, reverse=True)
@@ -384,7 +375,7 @@ def min_cover(h: Hypergraph, candidates: Sequence[Iterable[int]]) -> CoverSoluti
     already searched are not searched again.  Any other candidates are
     checked in input order, each one's nodes before its edges: its nodes by
     set and type tests, then its mask against the hypergraph's packed edges
-    by one test.  They are then put in `_search_order` once, on their
+    by one test.  They are then sorted by `canonical_key` once, on their
     masks, and searched by a fresh `_ordered_search`.  Either way the limit
     deepens from 1 (see `_cover_search`), and the enumeration is never
     started here, so explicit candidates above its node guard still run.
@@ -408,7 +399,7 @@ def min_cover(h: Hypergraph, candidates: Sequence[Iterable[int]]) -> CoverSoluti
             masks.append(m)
         if functools.reduce(int.__or__, masks, 0) != (1 << t) - 1:
             raise ValueError("candidates do not jointly cover the nodes; no cover exists")
-        order = _search_order(masks, t)
+        order = sorted(range(len(masks)), key=lambda i: canonical_key(masks[i], t))
         cands = [cands[i] for i in order]
         search = _ordered_search([masks[i] for i in order], t)
     limit = 0
@@ -511,9 +502,13 @@ def dual_refutation(h: Hypergraph, k: int) -> tuple[DualWeightCertificate, ...]:
     t = h.node_count
 
     def weigh(nodes: list[int], bounds: Sequence[int]) -> tuple[list[Fraction], list[int], Fraction]:
-        # nodes are bit positions; every mask in bounds weighs at most 1
-        x, y, denom, value = phase_two([[m >> v & 1 for m in bounds] for v in nodes],
-                                       [1] * len(bounds), [1] * len(nodes))
+        # nodes are bit positions; every mask in bounds weighs at most 1.
+        # The LP weighs only the given nodes, so when some are left out the
+        # masks are read over those nodes' positions in the list.
+        if len(nodes) < t:
+            bounds = [sum(1 << i for i, v in enumerate(nodes) if m >> v & 1) for m in bounds]
+        x, y, denom, value = phase_two([(m, 0) for m in bounds], [1] * len(bounds),
+                                       [1] * len(nodes))
         by_node = dict(zip(nodes, x))
         return ([Fraction(by_node.get(v, 0), denom) for v in range(t)], y,
                 Fraction(value, denom))

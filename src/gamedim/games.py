@@ -29,7 +29,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from ._packed import MAX_MEMBERS, canonical_key, members
+from ._packed import MAX_MEMBERS, PackedMasks, canonical_key, members
 from ._record import Frozen
 
 ENUMERATION_GUARD = 20
@@ -300,11 +300,8 @@ class ExplicitGame(SimpleGame):
                 raise ValueError(f"coalition over {c.n} members in a game over {n}")
             masks.add(c.mask)
         self._declared = frozenset(masks)
-        minimal = []
-        for m in sorted(masks, key=int.bit_count):
-            if not any(mm & m == mm for mm in minimal):
-                minimal.append(m)
-        self._minimal = tuple(minimal)
+        kept = PackedMasks(n)
+        self._minimal = tuple(m for m in sorted(masks, key=int.bit_count) if kept.add_minimal(m))
 
     @property
     def declared_winning(self) -> tuple[Coalition, ...]:

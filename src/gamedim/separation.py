@@ -14,20 +14,22 @@ solution with gap at least 1; conversely any gap-1 solution is strictly
 feasible.  All closed constraints are invariant under positive scaling.
 
 The solver is `simplex.phase_one` over x = (a, b) >= 0 and the {-1, 0, 1}
-rows b - a(W) <= 0 and a(L) - b <= -1, whose columns are read off the
-coalition masks (see `_columns`).  (The bound b >= 0 costs nothing: any
-target forces b >= 1.)  A feasible vertex is re-checked by substitution,
-through byte tables of its integer numerators (`games.byte_tables`); an
-infeasible system yields the optimal dual multipliers, a nonnegative
-combination of the listed constraints that reads 0 <= total < 0,
-re-checked by combination.  Winning constraints that contain another one
-and targets inside another target are dropped first, by one packed
-zero-field test per coalition (see `_packed`).
+rows b - a(W) <= 0 and a(L) - b <= -1.  Member i is bit i - 1 and the
+quota is bit n, so the rows go to the solver as the mask pairs
+(1 << n, W) and (L, 1 << n).  (The bound b >= 0 costs nothing: any target
+forces b >= 1.)  A feasible vertex is re-checked by substitution, through
+byte tables of its integer numerators (`games.byte_tables`).  An
+infeasible system yields Phase I's Farkas certificate: multipliers of the
+bounds x >= 0, then of the rows, a nonnegative combination of the listed
+constraints that reads 0 <= total < 0.  Every constraint, bound or row, is
+one (plus, minus, rhs, label), and the combination is re-checked over
+that one list.  Winning constraints that contain another one and targets
+inside another target are dropped first, by one packed zero-field test
+per coalition (`PackedMasks.add_minimal`).
 """
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -102,22 +104,10 @@ class NotSeparable(Frozen):
                 + f" gives the contradiction 0 <= {self.total}")
 
 
-def _drop_containing(ordered: Sequence[Coalition], masks: Sequence[int], n: int
-                     ) -> list[Coalition]:
-    """Keep each coalition whose mask contains no mask kept before it."""
-    kept = PackedMasks(n)
-    out: list[Coalition] = []
-    for c, m in zip(ordered, masks):
-        if not kept.any_inside(m):
-            out.append(c)
-            kept.add(m)
-    return out
-
-
 def _inclusion_minimal(coalitions: Sequence[Coalition], n: int) -> list[Coalition]:
     """Coalitions with no other listed coalition inside, in order of size."""
-    ordered = sorted(coalitions, key=len)
-    return _drop_containing(ordered, [c.mask for c in ordered], n)
+    kept = PackedMasks(n)
+    return [c for c in sorted(coalitions, key=len) if kept.add_minimal(c.mask)]
 
 
 def _inclusion_maximal(coalitions: Sequence[Coalition], n: int) -> list[Coalition]:
@@ -125,32 +115,10 @@ def _inclusion_maximal(coalitions: Sequence[Coalition], n: int) -> list[Coalitio
 
     c lies inside o iff the complement of o lies inside that of c.
     """
-    ordered = sorted(coalitions, key=len, reverse=True)
+    kept = PackedMasks(n)
     full = (1 << n) - 1
-    return _drop_containing(ordered, [full ^ c.mask for c in ordered], n)
-
-
-# _ENTRY[e][b][x] is the signed byte e if bit b of the byte x is set, else 0:
-# runs of 2**b zeros and 2**b bytes e, alternating.
-_ENTRY = {e: [(bytes(1 << b) + bytes([e & 255]) * (1 << b)) * (128 >> b) for b in range(8)]
-          for e in (-1, 1)}
-
-
-def _columns(winning: Sequence[Coalition], losing: Sequence[Coalition], n: int
-             ) -> list[memoryview]:
-    """The columns of the rows b - a(W) <= 0, then a(L) - b <= -1.
-
-    Over x = (weights, quota), each column holds one signed byte per row.
-    Laid out mask after mask, the byte holding member j is one stepped
-    slice per part, and one `bytes.translate` maps it to the entries.
-    """
-    width = (n + 7) // 8
-    raw = b"".join(c.mask.to_bytes(width, "little") for c in (*winning, *losing))
-    split = width * len(winning)
-    columns = [raw[j >> 3:split:width].translate(_ENTRY[-1][j & 7])
-               + raw[split + (j >> 3)::width].translate(_ENTRY[1][j & 7]) for j in range(n)]
-    columns.append(b"\x01" * len(winning) + b"\xff" * len(losing))
-    return [memoryview(c).cast("b") for c in columns]
+    return [c for c in sorted(coalitions, key=len, reverse=True)
+            if kept.add_minimal(full ^ c.mask)]
 
 
 def lp_feasible(instance: SeparationInstance) -> Separable | NotSeparable:
@@ -162,52 +130,43 @@ def lp_feasible(instance: SeparationInstance) -> Separable | NotSeparable:
     in another target.
     """
     n = instance.n
+    quota = 1 << n  # the quota's bit; member i is bit i - 1
     winning = _inclusion_minimal(instance.winning_constraints, n)
     losing = _inclusion_maximal(instance.losing_targets, n)
-    columns = _columns(winning, losing, n)
-    feasible, values, denom = phase_one(columns, [0] * len(winning) + [-1] * len(losing))
+    rows = [(quota, w.mask) for w in winning] + [(l.mask, quota) for l in losing]
+    feasible, values, denom = phase_one(rows, [0] * len(winning) + [-1] * len(losing), n + 1)
     if feasible:
         # Substitute the numerators: every value shares the denominator, so
         # the checks compare integer weight sums, read off byte tables.
-        weights, quota = values[:n], values[n]
+        weights, b = values[:n], values[n]
         if any(x < 0 for x in weights):
             raise RuntimeError("witness has a negative weight")
         tables = byte_tables(weights)
         for w in instance.winning_constraints:
-            if table_sum(tables, w.mask) < quota:
+            if table_sum(tables, w.mask) < b:
                 raise RuntimeError(f"witness violates winning constraint {w}")
         for l in instance.losing_targets:
-            if table_sum(tables, l.mask) > quota - denom:
+            if table_sum(tables, l.mask) > b - denom:
                 raise RuntimeError(f"witness violates losing target {l}")
-        return Separable(tuple(Fraction(x, denom) for x in weights),
-                         Fraction(quota, denom))
+        return Separable(tuple(Fraction(x, denom) for x in weights), Fraction(b, denom))
 
-    # The simplex bounds x >= 0 are not listed constraints.  At the auxiliary
-    # optimum y . A >= 0, so the rows weight >= 0, with multipliers
-    # (y . A)[i], cancel the weights.  The quota coefficient of y . A is 0
-    # there: were it positive, moving multiplier from a winning row to a
-    # target would keep y . A >= 0 and improve on the optimum.
-    farkas = [sum(map(operator.mul, values, columns[i])) for i in range(n)] + values
-
-    # Each listed constraint as (members, their coefficient, the quota's, rhs).
-    constraints = ([(1 << i, -1, 0, 0) for i in range(n)]
-                   + [(w.mask, -1, 1, 0) for w in winning]
-                   + [(l.mask, 1, -1, -1) for l in losing])
-    labels = ([f"weight[{i + 1}] >= 0" for i in range(n)]
-              + [f"weight({w}) >= quota" for w in winning]
-              + [f"weight({l}) <= quota - 1" for l in losing])
+    # Each listed constraint as (plus, minus, rhs, label): the masks of the
+    # variables with coefficient +1 and -1 in plus . x - minus . x <= rhs.
+    # The certificate weighs the bounds x >= 0 first, then the rows.
+    constraints = ([(0, 1 << i, 0, f"weight[{i + 1}] >= 0") for i in range(n)]
+                   + [(0, quota, 0, "quota >= 0")]
+                   + [(quota, w.mask, 0, f"weight({w}) >= quota") for w in winning]
+                   + [(l.mask, quota, -1, f"weight({l}) <= quota - 1") for l in losing])
     total = 0
     combined = [0] * (n + 1)
     terms = []
-    for lam, (mask, member, on_quota, rhs), label in zip(farkas, constraints, labels):
+    for lam, (plus, minus, rhs, label) in zip(values, constraints):
         if lam < 0:
             raise RuntimeError("negative multiplier in refutation")
         if lam == 0:
             continue
-        for j in range(n):
-            if mask >> j & 1:
-                combined[j] += lam * member
-        combined[n] += lam * on_quota
+        for j in range(n + 1):
+            combined[j] += lam * ((plus >> j & 1) - (minus >> j & 1))
         total += lam * rhs
         terms.append((Fraction(lam, denom), label))
     if any(combined) or total >= 0:

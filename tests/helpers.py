@@ -233,6 +233,17 @@ def sylvester_minor(order):
     return [row[1:] for row in h[1:]]
 
 
+def as_masks(rows):
+    """Each row of {-1, 0, 1} entries as the (plus, minus) masks `simplex` reads."""
+    return [(sum(1 << j for j, a in enumerate(row) if a == 1),
+             sum(1 << j for j, a in enumerate(row) if a == -1)) for row in rows]
+
+
+def as_entries(rows, k):
+    """The rows of (plus, minus) masks over k columns as lists of entries."""
+    return [[(plus >> j & 1) - (minus >> j & 1) for j in range(k)] for plus, minus in rows]
+
+
 def reference_phase_one(rows, rhs):
     """List-of-rows reference for `simplex.phase_one`.
 

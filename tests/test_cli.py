@@ -302,10 +302,17 @@ class TestSeparate:
         assert out == "SEPARABLE\nweights: 3 0 2 2 1\nquota: 5\n"
 
     def test_malformed_instance(self, capsys, tmp_path):
+        # The decoder's message, after the file it is about.
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        code, _, err = run(capsys, "separate", str(path))
-        assert code == 2
+        for data, message in [
+            (b"{not json", "Expecting property name enclosed in double quotes: "
+                           "line 1 column 2 (char 1)"),
+            (b"", "Expecting value: line 1 column 1 (char 0)"),
+            (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: "
+                      "invalid start byte"),
+        ]:
+            path.write_bytes(data)
+            assert run(capsys, "separate", str(path)) == (2, "", f"error: {path}: {message}\n")
 
 
 @pytest.mark.parametrize("command", [("separate",), ("cover", "solve"), ("certs", "check")])

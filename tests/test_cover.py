@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -33,6 +34,7 @@ from gamedim.simplex import phase_two
 
 from helpers import (
     COUNCIL_DUALS,
+    as_masks,
     brute_maximal_independent,
     cycle_antichain,
     random_hypergraph,
@@ -680,9 +682,8 @@ class TestNoKCover:
 
 def fractional_lp(h, nodes, parts):
     """phase_two on the cover LP: the given nodes' weights, each part at most 1."""
-    rows = [[int(v in p) for v in nodes] for p in parts]
-    x, y, denom, value = phase_two([list(c) for c in zip(*rows)], [1] * len(rows),
-                                   [1] * len(nodes))
+    rows = [(sum(1 << i for i, v in enumerate(nodes) if v in p), 0) for p in parts]
+    x, y, denom, value = phase_two(rows, [1] * len(rows), [1] * len(nodes))
     return ([Fraction(w, denom) for w in x], [Fraction(w, denom) for w in y],
             Fraction(value, denom))
 
@@ -694,6 +695,7 @@ class TestDualRefutation:
     def test_random_hypergraphs_are_sound(self):
         rng = random.Random(4049)
         outcomes = {0: 0, 1: 0, 2: 0}
+        derived = hashlib.sha256()
         for _ in range(200):
             t = rng.randint(2, 12)
             h = random_hypergraph(rng, t, rng.randint(1, 3 * t))
@@ -701,10 +703,14 @@ class TestDualRefutation:
             assert dual_refutation(h, m) == ()
             for k in range(max(1, m - 2), m):
                 certs = dual_refutation(h, k)
+                derived.update(f"{certs!r}\n".encode())
                 outcomes[len(certs)] += 1
                 assert all(verify_dual_certificate(c, h) for c in certs)
                 assert no_k_cover(h, k).refuted
         assert outcomes[1] > 100
+        # the derived weightings themselves, not only their soundness
+        assert derived.hexdigest() == (
+            "f09cfdc7d52000866f91c286ea3a59ea8b2367ea6a811021fb164659774d6c00")
 
     def test_branch_refutes_what_the_fractional_bound_cannot(self):
         # The Grotzsch graph has fractional cover number 29/10 and needs 4
@@ -767,14 +773,14 @@ def random_phase_two_system(rng, k, m):
 def check_phase_two(rows, rhs, objective):
     """phase_two matches the reference and its multipliers are optimal duals."""
     k = len(objective)
-    columns = [[row[j] for row in rows] for j in range(k)]
+    masks = as_masks(rows)
     try:
         expected = reference_phase_two(rows, rhs, objective)
     except RuntimeError:
         with pytest.raises(RuntimeError, match="unbounded"):
-            phase_two(columns, rhs, objective)
+            phase_two(masks, rhs, objective)
         return "unbounded"
-    x, y, denom, value = phase_two(columns, rhs, objective)
+    x, y, denom, value = phase_two(masks, rhs, objective)
     assert denom > 0
     assert ([Fraction(v, denom) for v in x], [Fraction(v, denom) for v in y],
             Fraction(value, denom)) == expected
@@ -811,8 +817,7 @@ class TestPhaseTwo:
         rows = [[-v for v in row] for row in sylvester_minor(order)]
         ones = [1] * len(rows)
         assert check_phase_two(rows, ones, ones) == "optimal"
-        columns = [list(column) for column in zip(*rows)]
-        assert phase_two(columns, ones, ones)[2].bit_length() == bits
+        assert phase_two(as_masks(rows), ones, ones)[2].bit_length() == bits
 
 
 def bounded_cover_without_memo(cand_masks, full, limit):
@@ -906,6 +911,20 @@ class TestBoundedCoverMemo:
         assert next((hit for hit in hits if hit is not None), None) == first
 
 
+@pytest.fixture
+def searched(monkeypatch):
+    """The candidate masks of every `_cover_search` built, in its order."""
+    seen = []
+    original = cover._cover_search
+
+    def recording(cand_masks, full):
+        seen.append(list(cand_masks))
+        return original(cand_masks, full)
+
+    monkeypatch.setattr(cover, "_cover_search", recording)
+    return seen
+
+
 class TestSearchOrder:
     """The candidate order both searches use: (-size, member tuple)."""
 
@@ -914,19 +933,19 @@ class TestSearchOrder:
         return [sum(1 << (v - 1) for v in s)
                 for s in sorted(sets, key=lambda s: (-len(s), tuple(sorted(s))))]
 
-    def test_search_order_is_the_full_sort_at_any_width(self):
+    def test_search_order_is_the_full_sort_at_any_width(self, searched):
+        # explicit candidates, searched in the order min_cover gives them
         rng = random.Random(2221)
         for t in (1, 7, 8, 9, 24, 30, 64):
             sets = [frozenset(rng.sample(range(1, t + 1), rng.randint(0, t)))
                     for _ in range(60)]
-            sets += sets[:10]  # duplicates keep their input order
-            masks = [sum(1 << (v - 1) for v in s) for s in sets]
-            assert cover._search_order(masks, t) == sorted(
-                range(len(sets)), key=lambda i: (-len(sets[i]), tuple(sorted(sets[i]))))
+            sets += sets[:10] + [frozenset(range(1, t + 1))]  # duplicates; a cover
+            min_cover(Hypergraph(t, []), sets)
+            assert searched.pop() == self.full_sort(sets)
 
-    def test_member_tuple_order_is_shared_at_any_width(self):
-        # coalition_sort_key, Hypergraph edges and _search_order all sort by
-        # the (size, member tuple) of the comprehension
+    def test_member_tuple_order_is_shared_at_any_width(self, searched):
+        # coalition_sort_key, Hypergraph edges and min_cover's search all
+        # sort by the (size, member tuple) of the comprehension
         rng = random.Random(2237)
         for t in (1, 7, 8, 9, 24, 30, 64):
             masks = list({rng.getrandbits(t) for _ in range(80)} | {0, (1 << t) - 1})
@@ -941,22 +960,15 @@ class TestSearchOrder:
             assert Hypergraph(t, edges).edges == tuple(
                 sorted(edges, key=lambda e: tuple(sorted(e))))
             descending = sorted(masks, key=lambda m: (-len(tuples[m]), tuples[m]))
-            assert [masks[i] for i in cover._search_order(masks, t)] == descending
+            min_cover(Hypergraph(t, []), [tuples[m] for m in masks])
+            assert searched.pop() == descending
 
-    def test_no_k_cover_searches_the_full_sort(self, monkeypatch):
-        seen = []
-        original = cover._cover_search
-
-        def recording(cand_masks, full):
-            seen.append(list(cand_masks))
-            return original(cand_masks, full)
-
-        monkeypatch.setattr(cover, "_cover_search", recording)
+    def test_no_k_cover_searches_the_full_sort(self, searched):
         rng = random.Random(2203)
         for t in range(18, 25):
             h = cycle_antichain(rng, t)
             no_k_cover(h, 3)
-            assert seen.pop() == self.full_sort(enumerate_maximal_independent(h))
+            assert searched.pop() == self.full_sort(enumerate_maximal_independent(h))
 
     def test_min_cover_searches_the_full_sort_of_any_input_order(self, monkeypatch):
         seen = []

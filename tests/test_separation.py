@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,6 +27,8 @@ from gamedim.simplex import phase_one
 
 from helpers import (
     TRIPLE_WITNESSES,
+    as_entries,
+    as_masks,
     brute_inclusion_maximal,
     brute_inclusion_minimal,
     find_balanced_pair_certificate,
@@ -63,6 +67,19 @@ def recombine(result: NotSeparable, instance: SeparationInstance) -> None:
         total += lam * rhs
     assert not any(combined.values())
     assert total == result.total < 0
+
+
+def verdict_digest(verdicts) -> str:
+    """sha256 over the verdicts' reprs, one a line.
+
+    No refutation here has a term on the quota's bound, `quota >= 0`.  One
+    would be valid, but would change the printed terms, so it is looked for
+    first.
+    """
+    for verdict in verdicts:
+        if isinstance(verdict, NotSeparable):
+            assert "quota >= 0" not in [label for _, label in verdict.terms]
+    return hashlib.sha256("\n".join(map(repr, verdicts)).encode()).hexdigest()
 
 
 def intersection_instance(parts, targets, n):
@@ -110,7 +127,7 @@ class TestLpFeasible:
                                                     message):
         instance = SeparationInstance(3, [C([1, 2, 3], 3)], [C([1], 3), C([1, 2], 3)])
         monkeypatch.setattr(separation, "phase_one",
-                            lambda columns, rhs: (True, weights + [quota], 1))
+                            lambda rows, rhs, k: (True, weights + [quota], 1))
         with pytest.raises(RuntimeError, match=message):
             lp_feasible(instance)
 
@@ -226,23 +243,23 @@ class TestFormerBlowUps:
         substitute(result, instance)
 
 
-def transpose(matrix):
-    return [list(line) for line in zip(*matrix)]
-
-
 def check_phase_one(rows, rhs):
-    """The packed solver returns the reference's triple, and it holds."""
-    result = phase_one(transpose(rows), rhs)
-    assert result == reference_phase_one(rows, rhs)
-    feasible, values, denom = result
+    """The packed solver returns the reference's verdict, vertex or row
+    multipliers y, and D; a refutation's bound multipliers are y . rows;
+    and the result holds."""
+    k = len(rows[0])
+    feasible, values, denom = phase_one(as_masks(rows), rhs, k)
+    expected = reference_phase_one(rows, rhs)
     assert denom > 0 and all(v >= 0 for v in values)
     if feasible:
+        assert (feasible, values, denom) == expected
         for row, b in zip(rows, rhs):
             assert sum(a * x for a, x in zip(row, values)) <= b * denom
     else:
-        for j in range(len(rows[0])):
-            assert sum(y * row[j] for y, row in zip(values, rows)) >= 0
-        assert sum(y * b for y, b in zip(values, rhs)) < 0
+        bounds, y = values[:k], values[k:]
+        assert (feasible, y, denom) == expected
+        assert bounds == [sum(yi * row[j] for yi, row in zip(y, rows)) for j in range(k)]
+        assert sum(yi * b for yi, b in zip(y, rhs)) < 0
     return feasible
 
 
@@ -276,12 +293,12 @@ def random_system(rng, n):
 
 @pytest.fixture
 def phase_one_calls(monkeypatch):
-    """Every (rows, rhs) that `lp_feasible` hands to `phase_one` as columns."""
+    """Every (rows, rhs) that `lp_feasible` hands to `phase_one`, as entries."""
     calls = []
 
-    def record(columns, rhs):
-        calls.append((transpose(columns), list(rhs)))
-        return phase_one(columns, rhs)
+    def record(rows, rhs, k):
+        calls.append((as_entries(rows, k), list(rhs)))
+        return phase_one(rows, rhs, k)
 
     monkeypatch.setattr(separation, "phase_one", record)
     return calls
@@ -318,6 +335,8 @@ class TestPackedPhaseOne:
         assert isinstance(verdicts[2], NotSeparable)
         assert isinstance(verdicts[3], Separable)
         assert all(isinstance(v, NotSeparable) for v in verdicts[4:])
+        assert verdict_digest(verdicts) == (
+            "cae2d023903c52a72101836765adbf6d5a390dd3757ce3480fe5b52387943de1")
         assert len(phase_one_calls) == len(instances)
         for rows, rhs in phase_one_calls:
             check_phase_one(rows, rhs)
@@ -334,7 +353,7 @@ class TestPackedPhaseOne:
     def test_entries_wider_than_64_bits(self, order, bits):
         rows = sylvester_minor(order)
         assert check_phase_one(rows, [-1] * len(rows)) is True
-        assert phase_one(transpose(rows), [-1] * len(rows))[2].bit_length() == bits
+        assert phase_one(as_masks(rows), [-1] * len(rows), len(rows[0]))[2].bit_length() == bits
 
     def test_single_row(self):
         assert check_phase_one([[1]], [-1]) is False
@@ -357,6 +376,16 @@ class TestCouncilSize:
                     for w in TRIPLE_WITNESSES[triple]}
         assert set(on_winning) == expected
         assert set(on_winning.values()) == {Fraction(1, 6)}
+
+    def test_every_pair_pinned(self):
+        # The witnesses and refutations of all 105 pairs over W1..W12, as
+        # `gamedim separate` would print them.  These rows alone refute only
+        # {L4, L6}; the other pairs need further winning coalitions.
+        verdicts = [lp_feasible(SeparationInstance(28, WINNING_FAMILY, [li, lj]))
+                    for li, lj in itertools.combinations(LOSING_FAMILY, 2)]
+        assert sum(isinstance(v, NotSeparable) for v in verdicts) == 1
+        assert verdict_digest(verdicts) == (
+            "4f714f44e83d481b557dff43114ec012f5680d2655ce78f4db978274da4b8f5d")
 
     @pytest.mark.parametrize("pair", [(1, 3), (2, 9), (1, 2), (12, 14)])
     def test_separable_pairs_substitute(self, pair):
