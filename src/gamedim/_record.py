@@ -1,11 +1,12 @@
-"""Value classes that name their fields: `repr`, `==` and `hash` from one tuple.
+"""Value classes that declare their fields once: `__init__`, `repr`, `==`, `hash`.
 
-A class lists its field names in `_fields` and sets them in its own
-`__init__`.  `Record` gives it ``Name(field=value, ...)`` as its `repr` and
-compares two instances of the same class by their field tuples.  `Frozen`
-also hashes that tuple and refuses every assignment and deletion, so its
-`__init__` sets fields with ``object.__setattr__``.  These are the `repr`,
-`==` and `hash` a dataclass would write, with no code generated at import.
+A class's fields are its parent's, then the names its body annotates (a
+class constant stays unannotated).  `Record.__init__` binds values to them by
+position or by name into the instance `__dict__`; a class that checks or
+converts its arguments calls it from its own `__init__`.  The `repr` is
+``Name(field=value, ...)`` and `==` compares field tuples.  `Frozen` also
+hashes the field tuple and refuses every assignment and deletion.  This is
+what a dataclass would write, with no code generated at import.
 """
 
 from __future__ import annotations
@@ -16,6 +17,15 @@ class Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # The class's own annotations only (Python >= 3.10), as strings.
+        cls._fields += tuple(name for name in cls.__annotations__ if name not in cls._fields)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = _bind(self.__class__, args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -30,6 +40,20 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
+
+
+def _bind(cls: type[Record], args: tuple, kwargs: dict[str, object]) -> list:
+    """The field values in order, by position, then by name, or TypeError."""
+    names = cls._fields
+    given = dict(zip(names, args))
+    faults = [f"{len(args)} values for {len(names)} fields"] if len(args) > len(names) else []
+    faults += [f"field {name!r} given twice" if name in given else f"unknown field {name!r}"
+               for name in kwargs if name in given or name not in names]
+    given.update(kwargs)
+    faults += [f"missing field {name!r}" for name in names if name not in given]
+    if faults:
+        raise TypeError(f"{cls.__qualname__}(): {'; '.join(faults)}")
+    return [given[name] for name in names]
 
 
 class Frozen(Record):

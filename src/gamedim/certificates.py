@@ -57,7 +57,6 @@ class CertificateError(RuntimeError):
 class BalanceCertificate(Frozen):
     """Losing set N and winning set W* with equal per-member incidence counts."""
 
-    _fields = ("losing", "winning")
     losing: tuple[Coalition, ...]
     winning: tuple[Coalition, ...]
 
@@ -74,8 +73,7 @@ class BalanceCertificate(Frozen):
                 raise ValueError(f"coalition over {c.n} members in a certificate over {n}")
         if len(set(losing)) != len(losing) or len(set(winning)) != len(winning):
             raise ValueError("certificate lists a coalition twice")
-        object.__setattr__(self, "losing", losing)
-        object.__setattr__(self, "winning", winning)
+        super().__init__(losing, winning)
 
     @property
     def n(self) -> int:
@@ -247,16 +245,9 @@ def build_triple_certificate(losing: Iterable[Coalition], game: SimpleGame) -> B
 class CertifiedFamily(Frozen):
     """A hypergraph over losing-coalition labels with one certificate per edge."""
 
-    _fields = ("nodes", "hypergraph", "certificates")
     nodes: tuple[Coalition, ...]
     hypergraph: Hypergraph
     certificates: Mapping[frozenset[int], BalanceCertificate]
-
-    def __init__(self, nodes: tuple[Coalition, ...], hypergraph: Hypergraph,
-                 certificates: Mapping[frozenset[int], BalanceCertificate]):
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "hypergraph", hypergraph)
-        object.__setattr__(self, "certificates", certificates)
 
     def coalition_of(self, label: int) -> Coalition:
         return self.nodes[label - 1]

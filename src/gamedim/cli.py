@@ -18,23 +18,17 @@ EXIT_USAGE = 2
 class Step(Record):
     """One checked step of the replay: its name, PASS or FAIL, and a detail line."""
 
-    _fields = ("name", "status", "detail")
-
-    def __init__(self, name: str, status: str, detail: str):
-        self.name = name
-        self.status = status
-        self.detail = detail
+    name: str
+    status: str
+    detail: str
 
 
 class ProofTranscript(Record):
     """The replay's notes and steps, and the conclusion they support."""
 
-    _fields = ("notes", "steps", "conclusion")
-
-    def __init__(self, notes: list[str], steps: list[Step], conclusion: str):
-        self.notes = notes
-        self.steps = steps
-        self.conclusion = conclusion
+    notes: list[str]
+    steps: list[Step]
+    conclusion: str
 
     @property
     def verified(self) -> bool:
@@ -60,8 +54,8 @@ class ProofTranscript(Record):
         }
 
 
-def _labels(parts, sep=" ") -> str:
-    return sep.join("{" + ",".join(f"L{v}" for v in sorted(p)) + "}" for p in parts)
+def _labels(parts) -> str:
+    return " ".join("{" + ",".join(f"L{v}" for v in sorted(p)) + "}" for p in parts)
 
 
 def run_verification(table: eu.MemberTable | None = None) -> ProofTranscript:

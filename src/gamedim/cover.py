@@ -78,11 +78,10 @@ class Hypergraph(Frozen):
     construction, as a tuple and packed, and the maximal independent sets
     are enumerated once, as masks, on first request; their frozensets are
     derived from those masks, and the cover search over them is built on
-    first use.  All live outside `_fields`, so ==, hash and repr do not see
-    them.
+    first use.  All live in the instance `__dict__` but are no fields, so
+    ==, hash and repr do not see them.
     """
 
-    _fields = ("node_count", "edges")
     node_count: int
     edges: tuple[frozenset[int], ...]
 
@@ -112,10 +111,8 @@ class Hypergraph(Frozen):
                     f"dropping redundant edge {sorted(canonical[m])}: it contains a smaller edge",
                     stacklevel=2,
                 )
-        object.__setattr__(self, "node_count", node_count)
-        object.__setattr__(self, "edges", tuple(map(canonical.__getitem__, kept)))
-        object.__setattr__(self, "_edge_masks", tuple(kept))
-        object.__setattr__(self, "_packed_edges", packed)
+        super().__init__(node_count, tuple(map(canonical.__getitem__, kept)))
+        vars(self).update(_edge_masks=tuple(kept), _packed_edges=packed)
 
     @property
     def nodes(self) -> frozenset[int]:
@@ -239,15 +236,11 @@ def _maximal_independent(h: Hypergraph) -> tuple[int, ...]:
 class CoverSolution(Frozen):
     """Parts of a cover: node subsets that jointly cover every node."""
 
-    _fields = ("parts",)
     parts: tuple[frozenset[int], ...]
 
     def __init__(self, parts: Iterable[Iterable[int]]):
-        object.__setattr__(
-            self,
-            "parts",
-            tuple(sorted((frozenset(p) for p in parts), key=lambda p: tuple(sorted(p)))),
-        )
+        super().__init__(
+            tuple(sorted((frozenset(p) for p in parts), key=lambda p: tuple(sorted(p)))))
 
     @property
     def k(self) -> int:
@@ -421,19 +414,14 @@ class DualWeightCertificate(Frozen):
     total need only exceed bound - 1, refuting the covers that use it.
     """
 
-    _fields = ("weights", "bound", "excluded_part")
     weights: tuple[Fraction, ...]
     bound: int
     excluded_part: frozenset[int] | None
 
     def __init__(self, weights: Sequence[Fraction | int | str], bound: int,
                  excluded_part: Iterable[int] | None = None):
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in weights))
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(
-            self, "excluded_part",
-            None if excluded_part is None else frozenset(excluded_part),
-        )
+        super().__init__(tuple(Fraction(w) for w in weights), bound,
+                         None if excluded_part is None else frozenset(excluded_part))
 
     def weight_of(self, nodes: Iterable[int]) -> Fraction:
         nodes = list(nodes)
@@ -541,16 +529,9 @@ def dual_refutation(h: Hypergraph, k: int) -> tuple[DualWeightCertificate, ...]:
 class Refutation(Frozen):
     """Outcome of a k-cover search: either refuted or a counterexample cover."""
 
-    _fields = ("k", "exhaustive", "counterexample")
     k: int
     exhaustive: bool
     counterexample: CoverSolution | None
-
-    def __init__(self, k: int, exhaustive: bool,
-                 counterexample: CoverSolution | None = None):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "exhaustive", exhaustive)
-        object.__setattr__(self, "counterexample", counterexample)
 
     @property
     def refuted(self) -> bool:
@@ -569,7 +550,7 @@ def no_k_cover(h: Hypergraph, k: int) -> Refutation:
     maximal = enumerate_maximal_independent(h)
     hit = h._cover(k)
     if hit is None:
-        return Refutation(k=k, exhaustive=True)
+        return Refutation(k=k, exhaustive=True, counterexample=None)
     solution = CoverSolution(map(maximal.__getitem__, hit))
     assert solution.verify(h)
     return Refutation(k=k, exhaustive=False, counterexample=solution)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from ._record import Frozen
-from .games import Coalition, SimpleGame, WeightedGame
+from .games import Coalition, SimpleGame, byte_tables, table_sum
 
 N_MEMBERS = 28
 MEMBER_QUOTA = 16  # smallest integer >= 55% of 28
@@ -62,11 +62,10 @@ MEMBERS_2014: tuple[tuple[int, str, int], ...] = (
 class MemberTable(Frozen):
     """The 28 member states with their populations, indexed 1..28."""
 
-    _fields = ("entries",)
     entries: tuple[tuple[int, str, int], ...]
 
     def __init__(self, entries: tuple[tuple[int, str, int], ...]):
-        object.__setattr__(self, "entries", entries)
+        super().__init__(entries)
         if len(self.entries) != N_MEMBERS:
             raise ValueError(f"wrong row count: expected {N_MEMBERS}, got {len(self.entries)}")
         seen = set()
@@ -78,10 +77,10 @@ class MemberTable(Frozen):
             seen.add(index)
             if population <= 0:
                 raise ValueError(f"nonpositive population for {name!r}: {population}")
-        # The populations as the weights of a game with quota 0: its scale is
-        # 1, so population_of is its scaled weight, read from its byte tables.
-        by_bit = [population for _, _, population in sorted(self.entries)]
-        object.__setattr__(self, "_weights", WeightedGame(N_MEMBERS, by_bit, 0))
+        # The populations by member bit, summed over a mask's bytes by
+        # population_of.  Kept in the instance __dict__; no field.
+        vars(self)["_byte_sums"] = byte_tables(
+            [population for _, _, population in sorted(self.entries)])
 
     @property
     def populations(self) -> dict[int, int]:
@@ -98,7 +97,9 @@ class MemberTable(Frozen):
                      for index, _, population in sorted(self.entries, key=lambda e: (e[2], e[0])))
 
     def population_of(self, coalition: Coalition) -> int:
-        return self._weights.scaled_weight(coalition)
+        if coalition.n != N_MEMBERS:
+            raise ValueError(f"coalition over {coalition.n} members, table over {N_MEMBERS}")
+        return table_sum(self._byte_sums, coalition.mask)
 
 
 def default_members() -> MemberTable:
@@ -125,8 +126,8 @@ def load_members(stream: io.TextIOBase | str) -> MemberTable:
         if len(row) != 3:
             raise ValueError(f"malformed row {row!r}")
         try:
-            index = int(row[0])
-            population = int(row[2])
+            index = ascii_int(row[0].strip())
+            population = ascii_int(row[2].strip())
         except ValueError:
             raise ValueError(f"malformed row {row!r}") from None
         entries.append((index, row[1].strip(), population))
@@ -136,20 +137,11 @@ def load_members(stream: io.TextIOBase | str) -> MemberTable:
 class RuleReport(Frozen):
     """Per-rule evaluation of one coalition."""
 
-    _fields = ("winning", "rule55", "rule65", "rule25", "population_sum")
     winning: bool
     rule55: bool
     rule65: bool
     rule25: bool
     population_sum: int
-
-    def __init__(self, winning: bool, rule55: bool, rule65: bool, rule25: bool,
-                 population_sum: int):
-        object.__setattr__(self, "winning", winning)
-        object.__setattr__(self, "rule55", rule55)
-        object.__setattr__(self, "rule65", rule65)
-        object.__setattr__(self, "rule25", rule25)
-        object.__setattr__(self, "population_sum", population_sum)
 
 
 class EuGame(SimpleGame, Frozen):
@@ -159,13 +151,9 @@ class EuGame(SimpleGame, Frozen):
     mask, `_rules`: its `bit_count`, the table's byte tables, integer compares.
     """
 
-    _fields = ("table",)
     table: MemberTable
     n = N_MEMBERS
     member_quota = MEMBER_QUOTA
-
-    def __init__(self, table: MemberTable):
-        object.__setattr__(self, "table", table)
 
     @property
     def population_quota(self) -> Fraction:

@@ -44,7 +44,7 @@ class Coalition(Frozen):
     `==`, `hash` and `repr` read the two slots directly.
     """
 
-    __slots__ = _fields = ("n", "mask")
+    __slots__ = ("n", "mask")
     n: int
     mask: int
 
@@ -135,8 +135,8 @@ class Coalition(Frozen):
         return self.__class__, (self.n, self.mask)
 
 
-# The slots' own setters store past the frozen __setattr__, and cost less
-# per call than object.__setattr__.
+# A coalition has no __dict__ for `Record.__init__` to fill: the slots' own
+# setters store its fields past the frozen __setattr__.
 _set_n = Coalition.n.__set__
 _set_mask = Coalition.mask.__set__
 
@@ -244,31 +244,28 @@ class WeightedGame(SimpleGame, Frozen):
     call, so a game only ever scanned by `minimal_winning` builds none.
     """
 
-    _fields = ("n", "weights", "quota")
     n: int
     weights: tuple[Fraction, ...]
     quota: Fraction
 
     def __init__(self, n: int, weights: Sequence[Fraction | int | str], quota: Fraction | int | str):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in weights))
-        object.__setattr__(self, "quota", Fraction(quota))
+        super().__init__(n, tuple(Fraction(w) for w in weights), Fraction(quota))
         if len(self.weights) != n:
             raise ValueError(f"expected {n} weights, got {len(self.weights)}")
         for i, w in enumerate(self.weights):
             if w.numerator < 0:  # a Fraction's denominator is positive
                 raise ValueError(f"weight of member {i + 1} is negative: {w}")
         scale = math.lcm(self.quota.denominator, *(w.denominator for w in self.weights))
-        object.__setattr__(self, "_scaled_weights", tuple(
-            w.numerator * (scale // w.denominator) for w in self.weights))
-        object.__setattr__(self, "_scaled_quota",
-                           self.quota.numerator * (scale // self.quota.denominator))
+        vars(self).update(
+            _scaled_weights=tuple(w.numerator * (scale // w.denominator) for w in self.weights),
+            _scaled_quota=self.quota.numerator * (scale // self.quota.denominator),
+        )
 
     @cached_property
     def _byte_sums(self) -> tuple[list[int], ...]:
         # Table b lists the scaled weight of every subset of members
         # 8b+1..8b+8, indexed by that byte of the mask.  Kept in the instance
-        # __dict__, outside `_fields`, so ==, hash and repr do not see it.
+        # __dict__ but no field, so ==, hash and repr do not see it.
         return byte_tables(self._scaled_weights)
 
     def scaled_weight(self, coalition: Coalition) -> int:

@@ -51,16 +51,13 @@ SEPARATION_GUARD = 14
 class SeparationInstance(Frozen):
     """Winning coalitions to preserve and losing coalitions to separate."""
 
-    _fields = ("n", "winning_constraints", "losing_targets")
     n: int
     winning_constraints: tuple[Coalition, ...]
     losing_targets: tuple[Coalition, ...]
 
     def __init__(self, n: int, winning_constraints: Sequence[Coalition],
                  losing_targets: Sequence[Coalition]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "winning_constraints", tuple(winning_constraints))
-        object.__setattr__(self, "losing_targets", tuple(losing_targets))
+        super().__init__(n, tuple(winning_constraints), tuple(losing_targets))
         if not self.winning_constraints:
             raise ValueError("winning_constraints must be non-empty")
         if not self.losing_targets:
@@ -73,13 +70,8 @@ class SeparationInstance(Frozen):
 class Separable(Frozen):
     """Witness weighted game: meets every winning constraint, misses every target."""
 
-    _fields = ("weights", "quota")
     weights: tuple[Fraction, ...]
     quota: Fraction
-
-    def __init__(self, weights: tuple[Fraction, ...], quota: Fraction):
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "quota", quota)
 
 
 class NotSeparable(Frozen):
@@ -89,13 +81,8 @@ class NotSeparable(Frozen):
     listed constraint, combine those constraints into 0 <= total < 0.
     """
 
-    _fields = ("terms", "total")
     terms: tuple[tuple[Fraction, str], ...]
     total: Fraction
-
-    def __init__(self, terms: tuple[tuple[Fraction, str], ...], total: Fraction):
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "total", total)
 
     @property
     def farkas_note(self) -> str:

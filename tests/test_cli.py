@@ -102,6 +102,15 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("index, population", [("1", "80_780_000"), ("\u0661", "80780000")])
+    def test_members_numbers_take_ascii_digits_only(self, capsys, tmp_path, index, population):
+        entries = [(index, name, population) if i == 1 else (i, name, pop)
+                   for i, name, pop in MEMBERS_2014]
+        path = write_members(tmp_path / "digits.csv", entries)
+        code, out, err = run(capsys, "verify", "--members", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "malformed row" in err and err.count("\n") == 1
+
     def test_missing_members_file(self, capsys):
         code, _, err = run(capsys, "verify", "--members", "/does/not/exist.csv")
         assert code == 2

@@ -72,6 +72,22 @@ class TestMemberTable:
         with pytest.raises(ValueError, match="malformed"):
             load_members("index,name,population\n1,Germany,eighty\n")
 
+    @pytest.mark.parametrize("index, population", [
+        ("1", "80_780_000"), ("1", "+80780000"), ("1", "-80780000"), ("1", "8.078e7"),
+        ("+1", "80780000"), ("1_0", "80780000"), ("\u0661", "80780000"), ("", "80780000"),
+    ])
+    def test_number_cells_take_ascii_digits_only(self, index, population):
+        # Germany's row of an otherwise valid table, with one cell changed.
+        rows = to_csv(MEMBERS_2014).splitlines()
+        rows[1] = f"{index},Germany,{population}"
+        with pytest.raises(ValueError, match="^malformed row "):
+            load_members("\n".join(rows) + "\n")
+
+    def test_number_cells_may_be_padded(self):
+        rows = to_csv(MEMBERS_2014).splitlines()
+        rows[1] = " 1 ,Germany, 80780000 "
+        assert load_members("\n".join(rows) + "\n") == default_members()
+
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
             load_members("state,people\n")

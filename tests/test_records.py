@@ -4,14 +4,18 @@ Each case builds an instance, an equal twin built separately and a different
 instance of the same class, and pins the ``Name(field=value, ...)`` repr.
 """
 
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import gamedim
 from gamedim import Coalition, DualWeightCertificate, Hypergraph, WeightedGame
 from gamedim.certificates import BalanceCertificate, CertifiedFamily
 from gamedim.cli import ProofTranscript, Step
+from gamedim._record import Frozen, Record
 from gamedim.cover import CoverSolution, Refutation
 from gamedim.eu import MEMBERS_2014, EuGame, MemberTable, RuleReport
 from gamedim.separation import NotSeparable, Separable, SeparationInstance
@@ -94,6 +98,74 @@ CASES = {
 def case(request):
     make, fields, frozen, expected = CASES[request.param]
     return make(0), make(0), make(1), fields, frozen, expected
+
+
+def test_fields_are_the_annotated_names(case):
+    obj, _, _, fields, _, _ = case
+    assert obj.__class__._fields == fields
+
+
+def test_every_value_class_has_a_case():
+    found = set()
+    for info in pkgutil.iter_modules(gamedim.__path__):
+        module = importlib.import_module(f"gamedim.{info.name}")
+        found |= {name for name, value in vars(module).items()
+                  if isinstance(value, type) and issubclass(value, Record)
+                  and value.__module__ == module.__name__ and value not in (Record, Frozen)}
+    assert found == set(CASES)
+
+
+SHARED = sorted(name for name, (make, *_) in CASES.items()
+                if make(0).__class__.__init__ is Record.__init__)
+
+
+def test_shared_constructor_serves_the_classes_that_only_store():
+    assert SHARED == ["CertifiedFamily", "EuGame", "NotSeparable", "ProofTranscript",
+                      "Refutation", "RuleReport", "Separable", "Step"]
+
+
+@pytest.mark.parametrize("name", SHARED)
+def test_shared_constructor_binds_by_position_and_by_name(name):
+    make, fields, _, _ = CASES[name]
+    obj = make(0)
+    values = [getattr(obj, field) for field in fields]
+    cls = obj.__class__
+    by_position = cls(*values)
+    by_name = cls(**dict(zip(fields, values)))
+    mixed = cls(values[0], **dict(zip(fields[1:], values[1:])))
+    assert by_position == by_name == mixed == obj
+    assert repr(by_position) == repr(by_name) == repr(obj)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((False, True, False, False), {}, "missing field 'population_sum'"),
+    ((), {"winning": False}, "missing field 'rule55'; missing field 'rule65'"),
+    ((False, True, False, False, 1, 2), {}, "6 values for 5 fields"),
+    ((False, True, False, False, 1), {"quota": 1}, "unknown field 'quota'"),
+    ((False, True, False, False, 1), {"winning": True}, "field 'winning' given twice"),
+])
+def test_shared_constructor_rejects_a_bad_binding(args, kwargs, message):
+    with pytest.raises(TypeError, match=f"^RuleReport\\(\\): .*{message}"):
+        RuleReport(*args, **kwargs)
+
+
+def test_subclass_fields_extend_the_parents():
+    class Pair(Frozen):
+        first: int
+        second: int
+
+    class SamePair(Pair):
+        """Annotates nothing, so its fields are Pair's."""
+
+    class Triple(Pair):
+        second: int  # already a field: keeps its place
+        third: int
+
+    assert SamePair._fields == ("first", "second")
+    assert repr(SamePair(1, second=2)).endswith(".SamePair(first=1, second=2)")
+    assert Triple._fields == ("first", "second", "third")
+    assert Triple(1, 2, 3)._values() == (1, 2, 3)
+    assert Pair._fields == ("first", "second")
 
 
 def test_repr(case):
