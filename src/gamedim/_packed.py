@@ -1,8 +1,10 @@
-"""Node masks, read and compared in one place.
+"""Node masks, written, read and compared in one place.
 
-Member (or node) i is bit i-1 of a mask.  Three readings of a mask live
-here, so that coalitions, hypergraph edges, independent sets and cover
-candidates all read it the same way:
+Member (or node) i is bit i-1 of a mask.  `mask_of` is the one writing of
+a mask from outside input: every list of member indices or nodes that a
+caller hands in passes through it.  Three readings of a mask live here, so
+that coalitions, hypergraph edges, independent sets and cover candidates
+all read it the same way:
 
 - `members`: its members, ascending, one table lookup per byte.
 - `canonical_key`: the (size, member tuple) order.  It sorts by size, then
@@ -25,6 +27,7 @@ candidates all read it the same way:
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 
 MAX_MEMBERS = 64
 
@@ -53,6 +56,31 @@ def _byte_members() -> tuple[list[tuple[int, ...]], ...]:
             table += [s + (v,) for s in table]
         tables.append(table)
     return tuple(tables)
+
+
+def mask_of(indices: Iterable[object], n: int, what: str) -> int:
+    """The mask of the 1-based indices, each a plain int in 1..n, given once.
+
+    Raises ValueError naming ``what`` (say ``"node"``) otherwise.  The type
+    is checked on its own: True and 1.0 equal 1, and an int subclass such as
+    an `IntEnum` member prints as something else, so none of them is an
+    index.
+    """
+    mask = 0
+    for i in indices:
+        if type(i) is not int:
+            if type(i) is bool:  # "not a node", "not an index"
+                noun = what.split()[-1]
+                article = "an" if noun[0] in "aeiou" else "a"
+                raise ValueError(f"{what} {i!r} is a bool, not {article} {noun} in 1..{n}")
+            raise ValueError(f"{what} {i!r} is not an integer")
+        if not 0 < i <= n:
+            raise ValueError(f"{what} {i} out of range 1..{n}")
+        bit = 1 << (i - 1)
+        if mask & bit:
+            raise ValueError(f"duplicate {what} {i}")
+        mask |= bit
+    return mask
 
 
 def members(mask: int) -> tuple[int, ...]:

@@ -401,6 +401,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     with warnings.catch_warnings():
+        # Shown as a line even where the environment turns warnings into errors.
+        warnings.simplefilter("always")
         warnings.showwarning = _show_warning
         try:
             return args.func(args)

@@ -17,14 +17,15 @@ maximal independent sets, and rational node weights, derived by exact LP,
 that bound every candidate part by 1 while the total weight exceeds the
 number of parts available.
 
-Masks are read and ordered by `_packed`.  A `Hypergraph` packs its edges
-as it filters them into an antichain; `is_independent` and `min_cover` test
-against that one packed set.  Its maximal independent sets are computed
-once, as node masks, on first request, and kept on it with the frozensets
-derived from those masks: the enumeration, the exhaustive search and the
-dual derivation and check all read the same tuples.  So is one cover search
-over those sets, with the answer it gave for each limit: `no_k_cover`
-always reads it, and `min_cover` does when its candidates are the tuple
+Masks are written from node lists, read and ordered by `_packed`.  A
+`Hypergraph` packs its edges as it filters them into an antichain;
+`is_independent` and `min_cover` test against that one packed set.  Its
+maximal independent sets are computed once, as node masks, on first
+request, and kept on it with the frozensets derived from those masks: the
+enumeration, the exhaustive search and the dual derivation and check all
+read the same tuples.  So is one cover search over those sets, with the
+answer it gave for each limit: `no_k_cover` always reads it, and
+`min_cover` does when its candidates are the tuple
 `enumerate_maximal_independent` returned.
 """
 
@@ -38,30 +39,11 @@ from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import compress
 
-from ._packed import PackedMasks, canonical_key, members
+from ._packed import PackedMasks, canonical_key, mask_of, members
 from ._record import Frozen
 from .simplex import phase_two
 
 NODE_GUARD = 24
-
-_BIT = (1).__lshift__  # node v's bit is _BIT(v) >> 1
-_INT = frozenset({int})
-
-
-def _bad_node(nodes: Iterable[object], node_count: int, what: str = "node"
-              ) -> ValueError | None:
-    """The error for the first of the nodes that is no int in 1..node_count.
-
-    True and 1.0 equal the node 1, so the type is checked on its own.
-    """
-    for v in nodes:
-        if type(v) is bool:
-            return ValueError(f"{what} {v!r} is a bool, not a node in 1..{node_count}")
-        if type(v) is not int:
-            return ValueError(f"{what} {v!r} is not an integer")
-        if not 1 <= v <= node_count:
-            return ValueError(f"{what} {v} out of range 1..{node_count}")
-    return None
 
 
 class Hypergraph(Frozen):
@@ -72,7 +54,8 @@ class Hypergraph(Frozen):
     smaller edge already forbids every part that would contain the larger).
     The node count and every node must be `int`s; a bool or any other value
     raises, so that `hypergraph_to_json` writes only what
-    `hypergraph_from_json` reads back.
+    `hypergraph_from_json` reads back.  So does a node given twice in one
+    edge.
 
     Node v is bit v - 1 of a mask.  The edge masks are kept from
     construction, as a tuple and packed, and the maximal independent sets
@@ -90,15 +73,12 @@ class Hypergraph(Frozen):
             raise ValueError(f"node_count must be an int, not {node_count!r}")
         if node_count < 0:
             raise ValueError("node_count must be nonnegative")
-        canonical: dict[int, frozenset[int]] = {}  # by mask
+        canonical: dict[int, tuple[int, ...]] = {}  # by mask
         for e in edges:
-            e = frozenset(e)
+            e = tuple(e)
             if len(e) < 2:
                 raise ValueError(f"edge {sorted(e)} has fewer than two nodes")
-            error = _bad_node(e, node_count, "edge node")
-            if error is not None:
-                raise error
-            canonical.setdefault(sum(map(_BIT, e)) >> 1, e)
+            canonical.setdefault(mask_of(e, node_count, "edge node"), e)
         # In size order, an edge contains an earlier edge, kept or dropped,
         # iff it contains a kept one: a dropped edge contains a kept one.
         packed = PackedMasks(node_count)
@@ -111,7 +91,7 @@ class Hypergraph(Frozen):
                     f"dropping redundant edge {sorted(canonical[m])}: it contains a smaller edge",
                     stacklevel=2,
                 )
-        super().__init__(node_count, tuple(map(canonical.__getitem__, kept)))
+        super().__init__(node_count, tuple(frozenset(canonical[m]) for m in kept))
         vars(self).update(_edge_masks=tuple(kept), _packed_edges=packed)
 
     @property
@@ -134,11 +114,7 @@ class Hypergraph(Frozen):
 
 def is_independent(nodes: Iterable[int], h: Hypergraph) -> bool:
     """True iff no edge of h lies inside the given node set."""
-    s = frozenset(nodes)
-    error = _bad_node(s, h.node_count)
-    if error is not None:
-        raise error
-    return not h._packed_edges.any_inside(sum(map(_BIT, s)) >> 1)
+    return not h._packed_edges.any_inside(mask_of(nodes, h.node_count, "node"))
 
 
 def enumerate_maximal_independent(h: Hypergraph) -> tuple[frozenset[int], ...]:
@@ -367,9 +343,9 @@ def min_cover(h: Hypergraph, candidates: Sequence[Iterable[int]]) -> CoverSoluti
     by construction: h's own cover search answers, and the limits it has
     already searched are not searched again.  Any other candidates are
     checked in input order, each one's nodes before its edges: its nodes by
-    set and type tests, then its mask against the hypergraph's packed edges
-    by one test.  They are then sorted by `canonical_key` once, on their
-    masks, and searched by a fresh `_ordered_search`.  Either way the limit
+    `mask_of`, then its mask against the hypergraph's packed edges by one
+    test.  They are then sorted by `canonical_key` once, on their masks,
+    and searched by a fresh `_ordered_search`.  Either way the limit
     deepens from 1 (see `_cover_search`), and the enumeration is never
     started here, so explicit candidates above its node guard still run.
     """
@@ -378,17 +354,14 @@ def min_cover(h: Hypergraph, candidates: Sequence[Iterable[int]]) -> CoverSoluti
         search = h._cover
     else:
         t = h.node_count
-        nodes = h.nodes
         edges = h._packed_edges
         cands = []
         masks = []
-        for c in map(frozenset, candidates):
-            if not (c <= nodes and _INT.issuperset(map(type, c))):
-                raise _bad_node(c, t)
-            m = sum(map(_BIT, c)) >> 1
+        for c in map(tuple, candidates):
+            m = mask_of(c, t, "node")
             if edges.any_inside(m):
                 raise ValueError(f"candidate part {sorted(c)} contains an edge")
-            cands.append(c)
+            cands.append(frozenset(c))
             masks.append(m)
         if functools.reduce(int.__or__, masks, 0) != (1 << t) - 1:
             raise ValueError("candidates do not jointly cover the nodes; no cover exists")
@@ -424,10 +397,8 @@ class DualWeightCertificate(Frozen):
                          None if excluded_part is None else frozenset(excluded_part))
 
     def weight_of(self, nodes: Iterable[int]) -> Fraction:
-        nodes = list(nodes)
-        error = _bad_node(nodes, len(self.weights))
-        if error is not None:
-            raise error
+        nodes = tuple(nodes)
+        mask_of(nodes, len(self.weights), "node")
         return sum((self.weights[v - 1] for v in nodes), Fraction(0))
 
     @property

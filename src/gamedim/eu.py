@@ -18,6 +18,7 @@ import io
 from fractions import Fraction
 from functools import cached_property
 
+from ._packed import mask_of
 from ._record import Frozen
 from .games import Coalition, SimpleGame, byte_tables, table_sum
 
@@ -60,7 +61,11 @@ MEMBERS_2014: tuple[tuple[int, str, int], ...] = (
 
 
 class MemberTable(Frozen):
-    """The 28 member states with their populations, indexed 1..28."""
+    """The 28 member states with their populations, indexed 1..28.
+
+    Each index in 1..28 appears once (read by `mask_of`), and each
+    population is a positive plain `int`.
+    """
 
     entries: tuple[tuple[int, str, int], ...]
 
@@ -68,13 +73,10 @@ class MemberTable(Frozen):
         super().__init__(entries)
         if len(self.entries) != N_MEMBERS:
             raise ValueError(f"wrong row count: expected {N_MEMBERS}, got {len(self.entries)}")
-        seen = set()
-        for index, name, population in self.entries:
-            if not 1 <= index <= N_MEMBERS:
-                raise ValueError(f"member index {index} out of range 1..{N_MEMBERS}")
-            if index in seen:
-                raise ValueError(f"duplicate member index {index}")
-            seen.add(index)
+        mask_of((index for index, _, _ in self.entries), N_MEMBERS, "member index")
+        for _, name, population in self.entries:
+            if type(population) is not int:
+                raise ValueError(f"population for {name!r} is not an integer: {population!r}")
             if population <= 0:
                 raise ValueError(f"nonpositive population for {name!r}: {population}")
         # The populations by member bit, summed over a mask's bytes by
@@ -112,15 +114,17 @@ def load_members(stream: io.TextIOBase | str) -> MemberTable:
 
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    reader = csv.reader(stream)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty member table") from None
+        rows = list(csv.reader(stream))
+    except csv.Error as err:  # say, a cell over the csv module's field limit
+        raise ValueError(f"member table: {err}") from None
+    if not rows:
+        raise ValueError("empty member table")
+    header = rows[0]
     if [h.strip().lower() for h in header] != ["index", "name", "population"]:
         raise ValueError(f"bad header {header!r}, expected index,name,population")
     entries = []
-    for row in reader:
+    for row in rows[1:]:
         if not row:
             continue
         if len(row) != 3:

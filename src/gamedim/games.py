@@ -29,7 +29,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from ._packed import MAX_MEMBERS, PackedMasks, canonical_key, members
+from ._packed import MAX_MEMBERS, PackedMasks, canonical_key, mask_of, members
 from ._record import Frozen
 
 ENUMERATION_GUARD = 20
@@ -62,17 +62,7 @@ class Coalition(Frozen):
 
     @classmethod
     def from_indices(cls, indices: Iterable[int], n: int) -> "Coalition":
-        mask = 0
-        for i in indices:
-            if isinstance(i, bool) or not isinstance(i, int):
-                raise ValueError(f"member index {i!r} is not an integer")
-            if not 1 <= i <= n:
-                raise ValueError(f"member index {i} out of range 1..{n}")
-            bit = 1 << (i - 1)
-            if mask & bit:
-                raise ValueError(f"duplicate member index {i}")
-            mask |= bit
-        return cls(n, mask)
+        return cls(n, mask_of(indices, n, "member index"))
 
     @property
     def members(self) -> tuple[int, ...]:

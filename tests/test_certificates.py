@@ -50,6 +50,10 @@ class TestBalanceCertificate:
         with pytest.raises(ValueError, match="losing"):
             BalanceCertificate(losing=(), winning=(W(1),))
 
+    def test_empty_winning_rejected(self):
+        with pytest.raises(ValueError, match="at least one winning"):
+            BalanceCertificate(losing=(L(1),), winning=())
+
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="twice"):
             BalanceCertificate(losing=(L(1), L(1)), winning=(W(1), W(2)))
@@ -345,6 +349,26 @@ class TestAnchorCertificates:
         with pytest.raises(ValueError, match="distinct"):
             build_anchor_certificate(L(15), eu_game)
 
+    def test_winning_coalition_rejected(self, eu_game):
+        with pytest.raises(ValueError, match=r"^coalition \{.*\} is winning$"):
+            build_anchor_certificate(W(1), eu_game)
+
+    def test_one_member_outside_the_anchor_rejected(self, eu_game):
+        li = Coalition.from_indices([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16], N_MEMBERS)
+        with pytest.raises(ValueError, match="fewer than two members outside the anchor"):
+            build_anchor_certificate(li, eu_game)
+
+    def test_superset_of_the_anchor_rejected(self):
+        # Under 2014 populations L15 plus two members wins; with members
+        # 18..28 holding nearly everyone, 17 members lose.
+        table = MemberTable(tuple((i, name, 1 if i <= 17 else 10**6)
+                                  for i, name, _ in MEMBERS_2014))
+        game = build_eu_game(table)
+        li = L(15) | Coalition.from_indices([16, 17], N_MEMBERS)
+        assert not game.is_winning(li)
+        with pytest.raises(ValueError, match="has no member outside"):
+            build_anchor_certificate(li, game)
+
     def test_exchange_produces_a_16_member_winner(self, eu_game):
         # The anchor side swaps one member out and two in: 15 - 1 + 2 = 16,
         # the smallest coalition that can pass the member rule.
@@ -505,6 +529,16 @@ class TestFamily:
                 losing=(L(1), L(5)), winning=(W(1), W(2))
             )
             with pytest.raises(CertificateError, match="fails verification"):
+                family.check(eu_game)
+        finally:
+            family.certificates[edge] = good
+
+    def test_certificate_of_another_edge_detected(self, family, eu_game):
+        edge = frozenset({1, 5})
+        good = family.certificates[edge]
+        try:
+            family.certificates[edge] = family.certificates[frozenset({1, 8})]
+            with pytest.raises(CertificateError, match=r"edge \[1, 5\] lists different losing"):
                 family.check(eu_game)
         finally:
             family.certificates[edge] = good

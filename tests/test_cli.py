@@ -111,6 +111,19 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "malformed row" in err and err.count("\n") == 1
 
+    def test_empty_members_file_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        assert run(capsys, "verify", "--members", str(path)) == (
+            2, "", "error: empty member table\n")
+
+    def test_oversized_members_cell_is_a_usage_error(self, capsys, tmp_path):
+        # One name past the csv module's default field limit of 131,072.
+        entries = [(i, "M" * 131073 if i == 28 else name, pop) for i, name, pop in MEMBERS_2014]
+        path = write_members(tmp_path / "long.csv", entries)
+        assert run(capsys, "verify", "--members", path) == (
+            2, "", "error: member table: field larger than field limit (131072)\n")
+
     def test_missing_members_file(self, capsys):
         code, _, err = run(capsys, "verify", "--members", "/does/not/exist.csv")
         assert code == 2
@@ -257,6 +270,7 @@ class TestClassify:
         ("\u0661-3", "bad member range '\u0661-3'"),
         ("1-+3", "bad member range '1-+3'"),
         ("L\u0661", "unknown coalition label 'L\u0661'"),
+        ("5-3", "empty range '5-3'"),
     ])
     def test_malformed_part_is_named(self, capsys, text, message):
         assert run(capsys, "classify", text) == (2, "", f"error: {message}\n")
@@ -406,6 +420,16 @@ class TestCover:
         # the library still raises its UserWarning
         with pytest.warns(UserWarning, match=r"^dropping redundant edge \[1, 2, 3\]"):
             cover.hypergraph_from_json(json.loads(path.read_text()))
+
+    def test_warning_stays_one_line_when_warnings_are_errors(self, tmp_path):
+        path = tmp_path / "redundant.json"
+        path.write_text(json.dumps({"nodes": 3, "edges": [[1, 2], [1, 2, 3]]}))
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONWARNINGS="error")
+        proc = subprocess.run([sys.executable, "-m", "gamedim.cli", "cover", "solve", str(path)],
+                              capture_output=True, env=env)
+        assert (proc.returncode, proc.stdout) == (0, b"minimum cover: 2 parts\n  1 3\n  2 3\n")
+        assert proc.stderr == (
+            b"warning: dropping redundant edge [1, 2, 3]: it contains a smaller edge\n")
 
     def test_solve_reports_eight(self, capsys, council_hg_file):
         code, out, _ = run(capsys, "cover", "solve", council_hg_file)

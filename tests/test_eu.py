@@ -92,6 +92,17 @@ class TestMemberTable:
         with pytest.raises(ValueError, match="header"):
             load_members("state,people\n")
 
+    def test_blank_lines_between_rows_are_skipped(self):
+        rows = to_csv(MEMBERS_2014).splitlines()
+        text = "\n\n".join(rows[:5]) + "\n\n\n" + "\n".join(rows[5:]) + "\n\n"
+        assert load_members(text) == default_members()
+
+    @pytest.mark.parametrize("index", [0, 29])
+    def test_index_out_of_range_rejected(self, index):
+        entries = list(MEMBERS_2014[:27]) + [(index, "Malta", 425384)]
+        with pytest.raises(ValueError, match=f"^member index {index} out of range 1..28$"):
+            load_members(to_csv(entries))
+
     def test_population_of_checks_ground_set(self):
         with pytest.raises(ValueError):
             default_members().population_of(Coalition.from_indices([1], 5))

@@ -450,6 +450,15 @@ class TestNonSeparableOracle:
         with pytest.raises(ValueError, match="n <= 14"):
             is_nonseparable_exhaustive(g, [C([1], 28)])
 
+    def test_no_targets_rejected(self):
+        g = WeightedGame(3, [1, 1, 1], 2)
+        with pytest.raises(ValueError, match="no losing targets"):
+            is_nonseparable_exhaustive(g, [])
+
+    def test_game_without_winners_separates_every_target(self):
+        g = WeightedGame(3, [0, 0, 0], 1)  # no coalition reaches the quota
+        assert not is_nonseparable_exhaustive(g, [C([1, 2], 3), C([3], 3)])
+
     def test_winning_target_rejected(self):
         g = WeightedGame(3, [1, 1, 1], 2)
         with pytest.raises(ValueError, match="winning"):
