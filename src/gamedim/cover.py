@@ -210,21 +210,27 @@ def _maximal_independent(h: Hypergraph) -> tuple[int, ...]:
 
 
 class CoverSolution(Frozen):
-    """Parts of a cover: node subsets that jointly cover every node."""
+    """Parts of a cover: node subsets that jointly cover every node.
+
+    Each part holds distinct ints >= 1; `verify` range-checks them against h.
+    """
 
     parts: tuple[frozenset[int], ...]
 
     def __init__(self, parts: Iterable[Iterable[int]]):
-        super().__init__(
-            tuple(sorted((frozenset(p) for p in parts), key=lambda p: tuple(sorted(p)))))
+        parts = [tuple(p) for p in parts]
+        for part in parts:
+            if not all(type(v) is int and v >= 1 for v in part) or len(set(part)) < len(part):
+                raise ValueError(f"cover part {part} must hold distinct ints >= 1")
+        super().__init__(tuple(sorted(map(frozenset, parts), key=lambda p: tuple(sorted(p)))))
 
     @property
     def k(self) -> int:
         return len(self.parts)
 
     def verify(self, h: Hypergraph) -> bool:
-        return (frozenset().union(*self.parts) == h.nodes
-                and all(is_independent(p, h) for p in self.parts))
+        return (all(is_independent(p, h) for p in self.parts)
+                and frozenset().union(*self.parts) == h.nodes)
 
 
 def _cover_search(cand_masks: Sequence[int], full: int
@@ -393,8 +399,11 @@ class DualWeightCertificate(Frozen):
 
     def __init__(self, weights: Sequence[Fraction | int | str], bound: int,
                  excluded_part: Iterable[int] | None = None):
-        super().__init__(tuple(Fraction(w) for w in weights), bound,
-                         None if excluded_part is None else frozenset(excluded_part))
+        weights = tuple(Fraction(w) for w in weights)
+        if excluded_part is not None:
+            excluded_part = frozenset(members(
+                mask_of(excluded_part, len(weights), "excluded node")))
+        super().__init__(weights, bound, excluded_part)
 
     def weight_of(self, nodes: Iterable[int]) -> Fraction:
         nodes = tuple(nodes)

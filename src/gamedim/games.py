@@ -3,13 +3,17 @@
 A simple game over members 1..n is an upward-closed family of winning
 coalitions.  Weighted games realize the threshold rule
 ``sum(weights[m] for m in C) >= quota``; arbitrary simple games are built as
-unions and intersections of weighted or explicitly listed games.  Weights and
-quota are exact rationals (``fractions.Fraction``); a weighted game scales them
-once, by the least common multiple of their denominators, to integers.  Its
-first `contains` or `scaled_weight` call then builds one table per byte of the
-member mask, the scaled weight of every subset of those eight members, so a
-weight sum is one integer table lookup per byte of the coalition's mask.
-Nothing is ever rounded or computed in floating point.
+unions and intersections of weighted or explicitly listed games.  Every game
+class here but the plain base `SimpleGame` is a frozen value record
+(`gamedim._record`): no game changes once built, and two games are equal iff
+they are of one class with equal fields, so a combination compares by its
+parts.  Weights and quota are exact rationals (``fractions.Fraction``); a
+weighted game scales them once, by the least common multiple of their
+denominators, to integers.  Its first `contains` or `scaled_weight` call then
+builds one table per byte of the member mask, the scaled weight of every
+subset of those eight members, so a weight sum is one integer table lookup
+per byte of the coalition's mask.  Nothing is ever rounded or computed in
+floating point.
 
 The exhaustive scans (`minimal_winning`, `check_monotone`) never test the 2^n
 coalitions one at a time.  Each game packs its whole winning family into one
@@ -55,10 +59,13 @@ class Coalition(Frozen):
 
     def __post_init__(self) -> None:
         """Validate the fields; `__init__` calls it once per coalition."""
-        if not 1 <= self.n <= MAX_MEMBERS:
-            raise ValueError(f"member count must be in 1..{MAX_MEMBERS}, got {self.n}")
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError(f"coalition mask {self.mask:#x} out of range for n={self.n}")
+        n, mask = self.n, self.mask
+        if type(n) is not int or type(mask) is not int:  # True and 1.0 equal 1
+            raise ValueError(f"coalition fields must be ints, got n={n!r}, mask={mask!r}")
+        if not 1 <= n <= MAX_MEMBERS:
+            raise ValueError(f"member count must be in 1..{MAX_MEMBERS}, got {n}")
+        if not 0 <= mask < (1 << n):
+            raise ValueError(f"coalition mask {mask:#x} out of range for n={n}")
 
     @classmethod
     def from_indices(cls, indices: Iterable[int], n: int) -> "Coalition":
@@ -271,30 +278,28 @@ class WeightedGame(SimpleGame, Frozen):
         return _pack([s >= quota for s in _subset_sums(self._scaled_weights)])
 
 
-class ExplicitGame(SimpleGame):
+class ExplicitGame(SimpleGame, Frozen):
     """Game given by a listed winning family, evaluated under upward closure.
 
-    The declared family is kept verbatim so `check_monotone` can detect a
-    listing that is not upward closed; membership queries use only the
-    minimal declared coalitions (any superset of one is winning).
+    The declared family is kept, deduplicated and canonically sorted, so
+    `check_monotone` can detect a listing that is not upward closed;
+    membership queries use only the minimal declared coalitions (any superset
+    of one is winning), kept in the instance `__dict__` but no field.
     """
 
+    n: int
+    declared_winning: tuple[Coalition, ...]
+
     def __init__(self, n: int, winning: Iterable[Coalition]):
-        self.n = n
-        masks = set()
+        winning = set(winning)
         for c in winning:
             if c.n != n:
                 raise ValueError(f"coalition over {c.n} members in a game over {n}")
-            masks.add(c.mask)
-        self._declared = frozenset(masks)
+        super().__init__(n, tuple(sorted(winning, key=coalition_sort_key)))
+        # Sorted by size first, so each kept mask contains no other.
         kept = PackedMasks(n)
-        self._minimal = tuple(m for m in sorted(masks, key=int.bit_count) if kept.add_minimal(m))
-
-    @property
-    def declared_winning(self) -> tuple[Coalition, ...]:
-        return tuple(
-            sorted((Coalition(self.n, m) for m in self._declared), key=coalition_sort_key)
-        )
+        vars(self)["_minimal"] = tuple(
+            c.mask for c in self.declared_winning if kept.add_minimal(c.mask))
 
     def contains(self, coalition: Coalition) -> bool:
         self._check_dimension(coalition)
@@ -306,56 +311,47 @@ class ExplicitGame(SimpleGame):
             bits |= (bits & lacking) << step
         return bits
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExplicitGame):
-            return NotImplemented
-        return self.n == other.n and self._declared == other._declared
 
-    def __hash__(self) -> int:
-        return hash((self.n, self._declared))
+class _Combination(SimpleGame):
+    """Parts over one member count, which `n` reads from the first part.
 
-    def __repr__(self) -> str:
-        return f"ExplicitGame(n={self.n}, winning={len(self._declared)} listed)"
+    A subclass joins the parts' verdicts by `_quantifier` and their winning
+    bitsets by `_bit_join`.
+    """
+
+    def __init__(self, parts: Sequence[SimpleGame]):
+        parts = tuple(parts)
+        if not parts:
+            raise ValueError("combination over an empty list of games")
+        for g in parts[1:]:
+            if g.n != parts[0].n:
+                raise ValueError(f"member count mismatch among parts: {g.n} vs {parts[0].n}")
+        super().__init__(parts)
+
+    @property
+    def n(self) -> int:
+        return self.parts[0].n
+
+    def contains(self, coalition: Coalition) -> bool:
+        self._check_dimension(coalition)
+        return self._quantifier(g.contains(coalition) for g in self.parts)
+
+    def _winning_bits(self) -> int:
+        return reduce(self._bit_join, (g._winning_bits() for g in self.parts))
 
 
-def _common_n(parts: Sequence[SimpleGame]) -> int:
-    if not parts:
-        raise ValueError("combination over an empty list of games")
-    n = parts[0].n
-    for g in parts[1:]:
-        if g.n != n:
-            raise ValueError(f"member count mismatch among parts: {g.n} vs {n}")
-    return n
-
-
-class IntersectionGame(SimpleGame):
+class IntersectionGame(_Combination, Frozen):
     """Winning iff winning in every part."""
 
-    def __init__(self, parts: Sequence[SimpleGame]):
-        self.parts = tuple(parts)
-        self.n = _common_n(self.parts)
-
-    def contains(self, coalition: Coalition) -> bool:
-        self._check_dimension(coalition)
-        return all(g.contains(coalition) for g in self.parts)
-
-    def _winning_bits(self) -> int:
-        return reduce(operator.and_, (g._winning_bits() for g in self.parts))
+    parts: tuple[SimpleGame, ...]
+    _quantifier, _bit_join = all, operator.and_
 
 
-class UnionGame(SimpleGame):
+class UnionGame(_Combination, Frozen):
     """Winning iff winning in at least one part."""
 
-    def __init__(self, parts: Sequence[SimpleGame]):
-        self.parts = tuple(parts)
-        self.n = _common_n(self.parts)
-
-    def contains(self, coalition: Coalition) -> bool:
-        self._check_dimension(coalition)
-        return any(g.contains(coalition) for g in self.parts)
-
-    def _winning_bits(self) -> int:
-        return reduce(operator.or_, (g._winning_bits() for g in self.parts))
+    parts: tuple[SimpleGame, ...]
+    _quantifier, _bit_join = any, operator.or_
 
 
 def all_coalitions(n: int) -> Iterator[Coalition]:
@@ -386,7 +382,7 @@ def check_monotone(game: ExplicitGame) -> bool:
     if not isinstance(game, ExplicitGame):
         raise ValueError("check_monotone requires an explicitly listed game")
     _guard(game.n, "check_monotone")
-    return _bitset(game._declared, game.n) == game._winning_bits()
+    return _bitset((c.mask for c in game.declared_winning), game.n) == game._winning_bits()
 
 
 def minimal_winning(game: SimpleGame) -> tuple[Coalition, ...]:
@@ -399,15 +395,14 @@ def minimal_winning(game: SimpleGame) -> tuple[Coalition, ...]:
     minimal winning masks, and a `Coalition` is built only for each of them.
     The bitsets span all 2^n masks, so it is guarded at n <= 20.
     """
-    _guard(game.n, "minimal_winning")
+    n = game.n
+    _guard(n, "minimal_winning")
     winning = game._winning_bits()
     reducible = 0
-    for step, lacking in _lacking(game.n):
+    for step, lacking in _lacking(n):
         reducible |= (winning & lacking) << step
     return tuple(sorted(
-        (Coalition(game.n, m) for m in _set_bits(winning & ~reducible)),
-        key=coalition_sort_key,
-    ))
+        (Coalition(n, m) for m in _set_bits(winning & ~reducible)), key=coalition_sort_key))
 
 
 # --- JSON descriptions -------------------------------------------------------
@@ -451,36 +446,27 @@ def game_from_json(obj: dict) -> SimpleGame:
         return value
 
     if kind == "weighted":
-        return WeightedGame(
-            n,
-            [_fraction_from_json(w) for w in listed("weights")],
-            _fraction_from_json(field("quota")),
-        )
+        weights = [_fraction_from_json(w) for w in listed("weights")]
+        return WeightedGame(n, weights, _fraction_from_json(field("quota")))
     if kind == "explicit":
         return ExplicitGame(n, coalitions_from_json(field("winning"), n, "winning"))
     if kind in ("intersection", "union"):
         parts = [game_from_json(p) for p in listed("parts")]
-        cls = IntersectionGame if kind == "intersection" else UnionGame
-        return cls(parts)
+        game = (IntersectionGame if kind == "intersection" else UnionGame)(parts)
+        if game.n != n:
+            raise ValueError(f"{kind} game declares n = {n}, but its parts are over {game.n}")
+        return game
     raise ValueError(f"unknown game kind {kind!r}")
 
 
 def game_to_json(game: SimpleGame) -> dict:
     if isinstance(game, WeightedGame):
-        return {
-            "n": game.n,
-            "kind": "weighted",
-            "weights": [str(w) for w in game.weights],
-            "quota": str(game.quota),
-        }
+        return {"n": game.n, "kind": "weighted", "weights": [str(w) for w in game.weights],
+                "quota": str(game.quota)}
     if isinstance(game, ExplicitGame):
-        return {
-            "n": game.n,
-            "kind": "explicit",
-            "winning": [list(c.members) for c in game.declared_winning],
-        }
-    if isinstance(game, IntersectionGame):
-        return {"n": game.n, "kind": "intersection", "parts": [game_to_json(p) for p in game.parts]}
-    if isinstance(game, UnionGame):
-        return {"n": game.n, "kind": "union", "parts": [game_to_json(p) for p in game.parts]}
+        return {"n": game.n, "kind": "explicit",
+                "winning": [list(c.members) for c in game.declared_winning]}
+    if isinstance(game, _Combination):
+        kind = "intersection" if isinstance(game, IntersectionGame) else "union"
+        return {"n": game.n, "kind": kind, "parts": [game_to_json(p) for p in game.parts]}
     raise ValueError(f"cannot serialize game of type {type(game).__name__}")

@@ -53,6 +53,12 @@ class TestCoalition:
             Coalition(65, 0)
         assert len(Coalition(64, (1 << 64) - 1)) == 64
 
+    @pytest.mark.parametrize("n, mask", [(3, 1.0), (3, True), (True, 1), (3.0, 1), (3, "1")],
+                             ids=repr)
+    def test_fields_must_be_ints(self, n, mask):
+        with pytest.raises(ValueError, match="coalition fields must be ints"):
+            Coalition(n, mask)
+
     def test_membership_and_iteration(self):
         c = C([2, 5, 7], 8)
         assert 5 in c and 3 not in c
@@ -330,6 +336,16 @@ class TestGameExpressions:
         with pytest.raises(ValueError, match="mismatch"):
             IntersectionGame([WeightedGame(2, [1, 1], 1), WeightedGame(3, [1, 1, 1], 1)])
 
+    def test_combinations_compare_by_value(self):
+        a = WeightedGame(3, [1, 0, 0], 1)
+        b = WeightedGame(3, [0, 0, 1], 1)
+        both = IntersectionGame([a, b])
+        assert both == IntersectionGame((a, WeightedGame(3, [0, 0, 1], 1)))
+        assert hash(both) == hash(IntersectionGame([a, b]))
+        assert both != UnionGame([a, b]) and UnionGame([a, b]) != both
+        assert both != IntersectionGame([b, a])
+        assert UnionGame([a, b]) == UnionGame([a, b]) and both.n == 3
+
     def test_explicit_closure_evaluation(self):
         g = ExplicitGame(3, [C([1, 2], 3)])
         assert g.contains(C([1, 2, 3], 3))
@@ -571,12 +587,21 @@ class TestJson:
             ExplicitGame(3, [C([1, 2, 3], 3)]),
         ])
         back = game_from_json(game_to_json(g))
+        assert back == g
         for c in all_coalitions(3):
             assert back.contains(c) == g.contains(c)
 
     def test_coalitions_serialize_sorted(self):
         g = ExplicitGame(3, [C([3, 1], 3)])
         assert game_to_json(g)["winning"] == [[1, 3]]
+
+    @pytest.mark.parametrize("kind", ["union", "intersection"])
+    def test_combination_member_count_must_match_its_parts(self, kind):
+        part = {"n": 2, "kind": "weighted", "weights": [1, 1], "quota": 1}
+        assert game_from_json({"n": 2, "kind": kind, "parts": [part]}).n == 2
+        with pytest.raises(ValueError, match=f"^{kind} game declares n = 3, but its parts "
+                                             "are over 2$"):
+            game_from_json({"n": 3, "kind": kind, "parts": [part]})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):

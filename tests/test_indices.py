@@ -5,7 +5,9 @@ import enum
 import pytest
 
 from gamedim._packed import mask_of
-from gamedim.cover import DualWeightCertificate, Hypergraph, is_independent, min_cover
+from gamedim.cover import (
+    CoverSolution, DualWeightCertificate, Hypergraph, is_independent, min_cover,
+)
 from gamedim.eu import MEMBERS_2014, N_MEMBERS, MemberTable
 from gamedim.games import Coalition, coalitions_from_json
 
@@ -40,6 +42,9 @@ ENTRY_POINTS = {
     "is_independent": (4, lambda ix: is_independent(ix, Hypergraph(4, [(3, 4)]))),
     "min_cover": (4, lambda ix: min_cover(Hypergraph(4, [(3, 4)]), [(2, 3), ix, (4,)])),
     "weight_of": (4, lambda ix: DualWeightCertificate([1, 2, 3, 4], 1).weight_of(ix)),
+    "excluded_part": (4, lambda ix: DualWeightCertificate([1, 2, 3, 4], 1, excluded_part=ix)),
+    "CoverSolution": (4, lambda ix: CoverSolution([(3,), ix, (4,)])
+                      .verify(Hypergraph(4, [(3, 4)]))),
     "MemberTable": (N_MEMBERS, member_table),
 }
 

@@ -12,7 +12,10 @@ from fractions import Fraction
 import pytest
 
 import gamedim
-from gamedim import Coalition, DualWeightCertificate, Hypergraph, WeightedGame
+from gamedim import (
+    Coalition, DualWeightCertificate, ExplicitGame, Hypergraph, IntersectionGame, UnionGame,
+    WeightedGame,
+)
 from gamedim.certificates import BalanceCertificate, CertifiedFamily
 from gamedim.cli import ProofTranscript, Step
 from gamedim._record import Frozen, Record
@@ -37,6 +40,13 @@ def family(node_mask=1):
                            {frozenset({1, 2}): balance()})
 
 
+def one_member(quota=1):
+    return WeightedGame(1, [1], quota)
+
+
+ONE_MEMBER_REPR = "WeightedGame(n=1, weights=(Fraction(1, 1),), quota=Fraction(1, 1))"
+
+
 # (make(variant) -> instance, field names, frozen, expected repr of make(0))
 CASES = {
     "Coalition": (lambda v: C(4, 10 + v), ("n", "mask"), True,
@@ -45,6 +55,17 @@ CASES = {
                      True,
                      "WeightedGame(n=3, weights=(Fraction(1, 1), Fraction(1, 2), "
                      "Fraction(2, 1)), quota=Fraction(3, 1))"),
+    "ExplicitGame": (lambda v: ExplicitGame(2, [C(2, 3), C(2, 1 + v), C(2, 3)]),
+                     ("n", "declared_winning"), True,
+                     "ExplicitGame(n=2, declared_winning=(Coalition(n=2, mask=1), "
+                     "Coalition(n=2, mask=3)))"),
+    "IntersectionGame": (lambda v: IntersectionGame([one_member(), one_member(1 + v)]),
+                         ("parts",), True,
+                         f"IntersectionGame(parts=({ONE_MEMBER_REPR}, {ONE_MEMBER_REPR}))"),
+    "UnionGame": (lambda v: UnionGame([one_member(1 + v), ExplicitGame(1, [C(1, 1)])]),
+                  ("parts",), True,
+                  f"UnionGame(parts=({ONE_MEMBER_REPR}, "
+                  "ExplicitGame(n=1, declared_winning=(Coalition(n=1, mask=1),))))"),
     "Hypergraph": (lambda v: Hypergraph(3 + v, [(1, 2), (2, 3)]), ("node_count", "edges"), True,
                    "Hypergraph(node_count=3, edges=(frozenset({1, 2}), frozenset({2, 3})))"),
     "CoverSolution": (lambda v: CoverSolution([(2,), (1, 3 + v)]), ("parts",), True,
@@ -105,14 +126,28 @@ def test_fields_are_the_annotated_names(case):
     assert obj.__class__._fields == fields
 
 
-def test_every_value_class_has_a_case():
-    found = set()
+def gamedim_classes():
+    """Every class defined at the top level of a `gamedim` module."""
     for info in pkgutil.iter_modules(gamedim.__path__):
         module = importlib.import_module(f"gamedim.{info.name}")
-        found |= {name for name, value in vars(module).items()
-                  if isinstance(value, type) and issubclass(value, Record)
-                  and value.__module__ == module.__name__ and value not in (Record, Frozen)}
+        yield from (value for value in vars(module).values()
+                    if isinstance(value, type) and value.__module__ == module.__name__)
+
+
+def test_every_value_class_has_a_case():
+    found = {cls.__qualname__ for cls in gamedim_classes()
+             if issubclass(cls, Record) and cls not in (Record, Frozen)}
     assert found == set(CASES)
+
+
+def test_only_record_and_coalition_write_value_methods():
+    # `_record` writes the one generic version of each.  Coalition reads its
+    # two slots directly: the replay hashes coalitions inside every
+    # BalanceCertificate, and the generic hash, == and construction took 4
+    # to 10 times as long per coalition.
+    writers = {cls.__qualname__ for cls in gamedim_classes()
+               if {"__eq__", "__hash__", "__repr__"} & vars(cls).keys()}
+    assert writers == {"Record", "Frozen", "Coalition"}
 
 
 SHARED = sorted(name for name, (make, *_) in CASES.items()
@@ -204,10 +239,22 @@ def test_assignment(case):
         assert getattr(obj, fields[0]) == "changed"
 
 
-@pytest.mark.parametrize("obj", [C(28, 0b1011), WeightedGame(3, [1, "1/2", 2], "3/2")])
+GAMES = [WeightedGame(3, [1, "1/2", 2], "3/2"), ExplicitGame(3, [C(3, 0b011), C(3, 0b110)]),
+         IntersectionGame([WeightedGame(3, [1, 1, 1], 2), ExplicitGame(3, [C(3, 0b100)])]),
+         UnionGame([WeightedGame(3, [1, 1, 0], 2), ExplicitGame(3, [C(3, 0b100)])])]
+
+
+@pytest.mark.parametrize("obj", [C(28, 0b1011)] + GAMES)
 def test_pickle_round_trip(obj):
     copy = pickle.loads(pickle.dumps(obj))
     assert copy == obj and repr(copy) == repr(obj) and hash(copy) == hash(obj)
+
+
+@pytest.mark.parametrize("game", GAMES[1:], ids=lambda game: game.__class__.__name__)
+def test_unpickled_game_still_evaluates(game):
+    copy = pickle.loads(pickle.dumps(game))
+    assert copy.n == 3
+    assert [copy.contains(C(3, m)) for m in range(8)] == [game.contains(C(3, m)) for m in range(8)]
 
 
 def test_unpickled_weighted_game_still_evaluates():
