@@ -20,12 +20,13 @@ number of parts available.
 Masks are written from node lists, read and ordered by `_packed`.  A
 `Hypergraph` packs its edges as it filters them into an antichain;
 `is_independent` and `min_cover` test against that one packed set.  Its
-maximal independent sets are computed once, as node masks, on first
-request, and kept on it with the frozensets derived from those masks: the
-enumeration, the exhaustive search and the dual derivation and check all
-read the same tuples.  So is one cover search over those sets, with the
-answer it gave for each limit: `no_k_cover` always reads it, and
-`min_cover` does when its candidates are the tuple
+maximal independent sets are enumerated once, as node masks, on first
+request, by a pivoted branching search in the manner of Bron and Kerbosch,
+then sorted by member tuple.  They are kept on it with the frozensets
+derived from those masks: the exhaustive search and the dual derivation
+and check all read the same tuples.  So is one cover search over those
+sets, with the answer it gave for each limit: `no_k_cover` always reads
+it, and `min_cover` does when its candidates are the tuple
 `enumerate_maximal_independent` returned.
 """
 
@@ -59,10 +60,11 @@ class Hypergraph(Frozen):
 
     Node v is bit v - 1 of a mask.  The edge masks are kept from
     construction, as a tuple and packed, and the maximal independent sets
-    are enumerated once, as masks, on first request; their frozensets are
-    derived from those masks, and the cover search over them is built on
-    first use.  All live in the instance `__dict__` but are no fields, so
-    ==, hash and repr do not see them.
+    are enumerated once, as masks in member-tuple order, on first request
+    (`_maximal_independent`); their frozensets are derived from those
+    masks, and the cover search over them is built on first use.  All live
+    in the instance `__dict__` but are no fields, so ==, hash and repr do
+    not see them.
     """
 
     node_count: int
@@ -121,39 +123,41 @@ def enumerate_maximal_independent(h: Hypergraph) -> tuple[frozenset[int], ...]:
     """All inclusion-wise maximal independent sets, sorted by member tuple.
 
     Computed once per hypergraph and cached on it, so later calls return the
-    identical tuple.  The depth-first search in `_maximal_independent` prunes
-    a branch as soon as it cannot end in a maximal set, so every leaf it
-    reaches is one.  Guarded at 24 nodes.
+    identical tuple.  The pivoted search in `_maximal_independent` reaches
+    each maximal set once; a branch may also end in a dead end, where an
+    excluded node can no longer be blocked, and reports nothing there.
+    Guarded at 24 nodes.
     """
     return h._maximal_sets
 
 
 def _maximal_independent(h: Hypergraph) -> tuple[int, ...]:
-    """Masks of the maximal independent sets, by depth-first search.
+    """Masks of the maximal independent sets, by pivoted branching.
 
-    The search runs over the nodes in order, each included first, then
-    excluded.  The room is the chosen nodes plus the undecided nodes that no
-    chosen pair neighbour rules out.  A node is included only if no edge
-    through it has all its other nodes chosen.  An excluded node must keep an
-    edge whose other nodes all lie in the room, or no leaf below can be
-    maximal; so whenever the room shrinks (an inclusion rules out its pair
-    neighbours, an exclusion drops the node itself), the excluded nodes that
-    share an edge with what left are checked again.  A ruled-out node is
-    skipped: its chosen pair neighbour blocks it for good.  At a leaf the room
-    is the chosen set, so every leaf is a maximal independent set, and each
-    one is reached by the branch that includes exactly its nodes.  Two maximal
-    sets first differ at a node one includes and the other excludes; the
-    including one comes first and has the smaller member tuple, since the
-    other is no subset of it, so the sets come out sorted.
+    `extend(chosen, free, excluded)` finds every maximal set that holds the
+    chosen nodes, lies inside chosen | free and avoids the excluded ones.
+    A node is blocked when some edge through it has all its other nodes
+    chosen; free holds the unchosen nodes that are not, and excluded the
+    nodes left out by an earlier branch that are not yet.  The chosen set is
+    maximal once both are empty.  Otherwise the pivot u, in free | excluded,
+    is the node whose branch set, the free nodes among u and the nodes
+    sharing an edge with it, is smallest.  Every maximal set below holds u,
+    or some edge e through u with e - u inside it; u is not blocked, so a
+    node of e - u is free.  Either way it holds a node of the branch set,
+    and the branches take each in ascending order, leaving it out of those
+    after: each maximal set is found once.  An empty branch set is a dead
+    end, an excluded node that nothing left can block.  Choosing v blocks
+    its pair neighbours and, for each larger edge through v, the one node
+    of the edge left outside chosen | v, if only one is.  The sets come out
+    in no useful order; they form an antichain, so one sort by the member
+    tuple part of `canonical_key` orders them.
     """
     t = h.node_count
     if t > NODE_GUARD:
-        raise ValueError(
-            f"maximal-set enumeration limited to {NODE_GUARD} nodes; got {t}"
-        )
+        raise ValueError(f"maximal-set enumeration limited to {NODE_GUARD} nodes; got {t}")
     pairs = [0] * t   # pair-edge neighbours of each node
     rests: list[list[int]] = [[] for _ in range(t)]  # e - {v} for larger edges
-    touch = [0] * t   # every node sharing an edge with v
+    closed = [0] + [1 << v for v in range(t)]  # by node: it and its edge neighbours
     for em in h._edge_masks:
         m = em
         while m:
@@ -161,52 +165,35 @@ def _maximal_independent(h: Hypergraph) -> tuple[int, ...]:
             m ^= low
             v = low.bit_length() - 1
             rest = em ^ low
-            touch[v] |= rest
+            closed[v + 1] |= rest
             if rest & (rest - 1):
                 rests[v].append(rest)
             else:
                 pairs[v] |= rest
-    near = [0] * t    # nodes sharing an edge with a pair neighbour of v
-    for v in range(t):
-        m = pairs[v]
-        while m:
-            low = m & -m
-            m ^= low
-            near[v] |= touch[low.bit_length() - 1]
-
-    # A remainder r lies inside a set s iff r & ~s is 0, so "no remainder
-    # fits" is all(map((~s).__and__, ...)), with no Python frame per edge.
-    def blockable(nodes: int, room: int) -> bool:
-        # each node has an edge whose other nodes all lie in `room`
-        outside = ~room
-        while nodes:
-            low = nodes & -nodes
-            nodes ^= low
-            v = low.bit_length() - 1
-            if not pairs[v] & room and all(map(outside.__and__, rests[v])):
-                return False
-        return True
-
     results: list[int] = []
 
-    def dfs(chosen: int, free: int, excluded: int) -> None:
-        # free: the undecided nodes that no chosen pair neighbour rules out
-        if not free:
+    def extend(chosen: int, free: int, excluded: int) -> None:
+        if not free | excluded:
             results.append(chosen)
             return
-        bit = free & -free
-        i = bit.bit_length() - 1
-        rest = free ^ bit
-        # i is free, so only a larger edge through i can complete in chosen
-        if all(map((~chosen).__and__, rests[i])):
-            lost = pairs[i] & rest
-            if not lost or blockable(excluded & near[i], chosen | bit | (rest ^ lost)):
-                dfs(chosen | bit, rest ^ lost, excluded)
-        if blockable((excluded & touch[i]) | bit, chosen | rest):
-            dfs(chosen, rest, excluded | bit)
+        branch = min(map(free.__and__, map(closed.__getitem__, members(free | excluded))),
+                     key=int.bit_count)
+        unchosen = ~chosen
+        while branch:
+            bit = branch & -branch
+            branch ^= bit
+            v = bit.bit_length() - 1
+            blocked = pairs[v]
+            for rest in rests[v]:
+                left = rest & unchosen  # never 0: v is free
+                if not left & (left - 1):
+                    blocked |= left
+            extend(chosen | bit, free & ~(bit | blocked), excluded & ~blocked)
+            free ^= bit
+            excluded |= bit
 
-    dfs(0, (1 << t) - 1, 0)
-    return tuple(results)
+    extend(0, (1 << t) - 1, 0)
+    return tuple(sorted(results, key=lambda m: canonical_key(m, t)[1]))
 
 
 class CoverSolution(Frozen):

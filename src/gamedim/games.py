@@ -232,7 +232,7 @@ class SimpleGame:
 class WeightedGame(SimpleGame, Frozen):
     """Threshold rule: winning iff the members' weight sum meets the quota.
 
-    Weights must be nonnegative; weights and quota are held as exact
+    Weights must be nonnegative, not bools; weights and quota are exact
     rationals.  Membership compares integer copies of both, scaled by the
     least common multiple of their denominators, so it never depends on
     rounding and never touches a `Fraction`.  The scaled weight of a mask is
@@ -246,7 +246,13 @@ class WeightedGame(SimpleGame, Frozen):
     quota: Fraction
 
     def __init__(self, n: int, weights: Sequence[Fraction | int | str], quota: Fraction | int | str):
-        super().__init__(n, tuple(Fraction(w) for w in weights), Fraction(quota))
+        if type(n) is not int:  # True and 2.0 equal ints
+            raise ValueError(f"member count must be an int, got {n!r}")
+        weights = tuple(weights)
+        for i, w in enumerate(weights):
+            if type(w) is bool:  # Fraction(True) is 1
+                raise ValueError(f"weight of member {i + 1} is a bool: {w!r}")
+        super().__init__(n, tuple(map(Fraction, weights)), Fraction(quota))
         if len(self.weights) != n:
             raise ValueError(f"expected {n} weights, got {len(self.weights)}")
         for i, w in enumerate(self.weights):
@@ -291,11 +297,15 @@ class ExplicitGame(SimpleGame, Frozen):
     declared_winning: tuple[Coalition, ...]
 
     def __init__(self, n: int, winning: Iterable[Coalition]):
-        winning = set(winning)
+        if type(n) is not int:
+            raise ValueError(f"member count must be an int, got {n!r}")
+        winning = tuple(winning)
         for c in winning:
+            if not isinstance(c, Coalition):
+                raise ValueError(f"declared winner {c!r} is not a Coalition")
             if c.n != n:
                 raise ValueError(f"coalition over {c.n} members in a game over {n}")
-        super().__init__(n, tuple(sorted(winning, key=coalition_sort_key)))
+        super().__init__(n, tuple(sorted(set(winning), key=coalition_sort_key)))
         # Sorted by size first, so each kept mask contains no other.
         kept = PackedMasks(n)
         vars(self)["_minimal"] = tuple(
@@ -323,7 +333,9 @@ class _Combination(SimpleGame):
         parts = tuple(parts)
         if not parts:
             raise ValueError("combination over an empty list of games")
-        for g in parts[1:]:
+        for i, g in enumerate(parts):
+            if not isinstance(g, SimpleGame):
+                raise ValueError(f"part {i + 1} of the combination is not a SimpleGame: {g!r}")
             if g.n != parts[0].n:
                 raise ValueError(f"member count mismatch among parts: {g.n} vs {parts[0].n}")
         super().__init__(parts)

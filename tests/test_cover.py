@@ -37,6 +37,7 @@ from helpers import (
     as_masks,
     brute_maximal_independent,
     cycle_antichain,
+    grown_maximal_independent,
     random_hypergraph,
     reference_phase_two,
     sylvester_minor,
@@ -255,13 +256,62 @@ class TestEnumerateMaximal:
         for h in graphs:
             assert list(enumerate_maximal_independent(h)) == brute_maximal_independent(h)
 
-    def test_sorted_by_member_tuple_at_benchmark_sizes(self):
-        # no_k_cover relies on this order; brute force is too slow here.
+    def test_matches_grown_oracle_at_benchmark_sizes(self):
+        # The cover-search graphs: sets and member-tuple order, which
+        # no_k_cover relies on, against an oracle that needs no 2^t loop.
         rng = random.Random(4099)
         for t in [18, 19, 20, 21, 22, 23, 24] * 2:
-            got = enumerate_maximal_independent(cycle_antichain(rng, t))
-            assert list(got) == sorted(got, key=lambda s: tuple(sorted(s)))
+            h = cycle_antichain(rng, t)
+            got = list(enumerate_maximal_independent(h))
+            assert got == grown_maximal_independent(h)
             assert len(set(got)) == len(got) > 20
+
+    def test_grown_oracle_matches_naive_double_loop(self):
+        rng = random.Random(83)
+        for _ in range(30):
+            h = random_hypergraph(rng, rng.randint(0, 10), rng.randint(0, 14))
+            assert grown_maximal_independent(h) == brute_maximal_independent(h)
+
+    @pytest.mark.parametrize("t, edges", [
+        (5, [(1, 2, 3, 4, 5)]),
+        (6, [(1, 2, 3, 4), (3, 4, 5, 6)]),
+        (7, [(1, 2, 3, 4, 5), (1, 6), (5, 6, 7)]),
+        (8, [(1, 2, 3, 4), (2, 3, 4, 5, 6), (5, 7, 8), (1, 8)]),
+    ], ids=["one 5-edge", "two 4-edges", "5-edge and pair", "mixed"])
+    def test_large_edges_block_only_when_the_rest_is_chosen(self, t, edges):
+        # A node of a 4- or 5-node edge is blocked only once all the other
+        # nodes of that edge are chosen, so choosing one node blocks nothing.
+        h = Hypergraph(t, edges)
+        assert list(enumerate_maximal_independent(h)) == grown_maximal_independent(h)
+
+    def test_large_edges_on_random_graphs(self):
+        rng = random.Random(101)
+        for _ in range(40):
+            t = rng.randint(5, 16)
+            edges = {frozenset(rng.sample(range(1, t + 1), size))
+                     for size in rng.choices((2, 4, 5), weights=(1, 3, 3), k=rng.randint(1, 2 * t))}
+            h = Hypergraph(t, [e for e in edges if not any(o < e for o in edges)])
+            assert list(enumerate_maximal_independent(h)) == grown_maximal_independent(h)
+
+    def test_isolated_nodes_at_24(self):
+        # Nodes 19..24 lie in no edge: each is its own smallest branch set
+        # and nothing blocks it, so every maximal set holds all six.
+        rng = random.Random(7)
+        base = cycle_antichain(rng, 18)
+        h = Hypergraph(24, base.edges)
+        got = enumerate_maximal_independent(h)
+        assert list(got) == grown_maximal_independent(h)
+        assert len(got) == len(enumerate_maximal_independent(base))
+        assert all(s >= set(range(19, 25)) for s in got)
+        lone = Hypergraph(24, [(1, 2)])
+        assert list(enumerate_maximal_independent(lone)) == grown_maximal_independent(lone) == [
+            frozenset(range(1, 25)) - {2}, frozenset(range(2, 25))]
+
+    def test_empty_and_edgeless_graphs(self):
+        for h, only in [(Hypergraph(0, []), frozenset()),
+                        (Hypergraph(24, []), frozenset(range(1, 25)))]:
+            assert enumerate_maximal_independent(h) == (only,)
+            assert grown_maximal_independent(h) == [only]
 
     def test_second_call_returns_the_same_tuple(self, council_h):
         h = Hypergraph(council_h.node_count, council_h.edges)

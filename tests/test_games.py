@@ -126,6 +126,16 @@ class TestWeightedGame:
         with pytest.raises(ValueError, match="weights"):
             WeightedGame(3, [1, 1], 1)
 
+    def test_bool_weight_rejected(self):
+        # Fraction(True) is 1, so the bool would be read as weight 1.
+        with pytest.raises(ValueError, match="weight of member 2 is a bool: True"):
+            WeightedGame(2, [1, True], 1)
+
+    @pytest.mark.parametrize("n", [2.0, True], ids=repr)
+    def test_member_count_must_be_an_int(self, n):
+        with pytest.raises(ValueError, match=f"member count must be an int, got {n!r}"):
+            WeightedGame(n, [1, 1], 1)
+
     def test_exact_fraction_quota(self):
         g = WeightedGame(2, [Fraction(1, 3), Fraction(1, 3)], Fraction(2, 3))
         assert g.contains(C([1, 2], 2))
@@ -331,6 +341,26 @@ class TestGameExpressions:
     def test_empty_combination_rejected(self):
         with pytest.raises(ValueError):
             UnionGame([])
+
+    def test_intersection_of_a_coalition_rejected(self):
+        with pytest.raises(ValueError, match=r"part 1 of the combination is not a SimpleGame: "
+                                             r"Coalition\(n=3, mask=1\)"):
+            IntersectionGame([Coalition(3, 1)])
+
+    def test_union_with_a_string_part_rejected(self):
+        g = WeightedGame(2, [1, 1], 1)
+        with pytest.raises(ValueError, match="part 2 of the combination is not a SimpleGame: 'xx'"):
+            UnionGame([g, "xx"])
+
+    def test_explicit_winner_must_be_a_coalition(self):
+        with pytest.raises(ValueError, match="declared winner 1 is not a Coalition"):
+            ExplicitGame(3, [1, 2])
+        with pytest.raises(ValueError, match=r"declared winner \[1, 2\] is not a Coalition"):
+            ExplicitGame(3, [[1, 2]])
+
+    def test_explicit_member_count_must_be_an_int(self):
+        with pytest.raises(ValueError, match="member count must be an int, got 2.0"):
+            ExplicitGame(2.0, [])
 
     def test_mismatched_parts_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
