@@ -2,9 +2,10 @@
 
 Member (or node) i is bit i-1 of a mask.  `mask_of` is the one writing of
 a mask from outside input: every list of member indices or nodes that a
-caller hands in passes through it.  Three readings of a mask live here, so
-that coalitions, hypergraph edges, independent sets and cover candidates
-all read it the same way:
+caller hands in passes through it, as every weight or quota passes
+through `exact`.  Three readings of a mask live here, so that coalitions,
+hypergraph edges, independent sets and cover candidates all read it the
+same way:
 
 - `members`: its members, ascending, one table lookup per byte.
 - `canonical_key`: the (size, member tuple) order.  It sorts by size, then
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterable
+from fractions import Fraction
 
 MAX_MEMBERS = 64
 
@@ -81,6 +83,21 @@ def mask_of(indices: Iterable[object], n: int, what: str) -> int:
             raise ValueError(f"duplicate {what} {i}")
         mask |= bit
     return mask
+
+
+def exact(value: object, what: str) -> Fraction:
+    """The exact rational of an int, a `Fraction` or a string such as "13/20".
+
+    Raises ValueError naming ``what`` and the value for anything else (a
+    bool reads as 0 or 1, a float as its binary value) and for a zero
+    denominator.
+    """
+    if type(value) is bool or not isinstance(value, (int, Fraction, str)):
+        raise ValueError(f"{what} is a {type(value).__name__}: {value!r}")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} {value!r} has denominator zero") from None
 
 
 def members(mask: int) -> tuple[int, ...]:

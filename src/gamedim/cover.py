@@ -25,9 +25,8 @@ request, by a pivoted branching search in the manner of Bron and Kerbosch,
 then sorted by member tuple.  They are kept on it with the frozensets
 derived from those masks: the exhaustive search and the dual derivation
 and check all read the same tuples.  So is one cover search over those
-sets, with the answer it gave for each limit: `no_k_cover` always reads
-it, and `min_cover` does when its candidates are the tuple
-`enumerate_maximal_independent` returned.
+sets, which `no_k_cover` always reads and `min_cover` reads when given the
+tuple `enumerate_maximal_independent` returned.
 """
 
 from __future__ import annotations
@@ -38,9 +37,9 @@ import operator
 import warnings
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, count
 
-from ._packed import PackedMasks, canonical_key, mask_of, members
+from ._packed import PackedMasks, canonical_key, exact, mask_of, members
 from ._record import Frozen
 from .simplex import phase_two
 
@@ -53,18 +52,18 @@ class Hypergraph(Frozen):
     Construction canonicalizes: edges are deduplicated, sorted by size then
     members, and an edge containing another is dropped with a warning (the
     smaller edge already forbids every part that would contain the larger).
-    The node count and every node must be `int`s; a bool or any other value
-    raises, so that `hypergraph_to_json` writes only what
-    `hypergraph_from_json` reads back.  So does a node given twice in one
-    edge.
+    The node count and every node must be plain `int`s, and no node may
+    repeat in an edge, so that `hypergraph_to_json` writes only what
+    `hypergraph_from_json`, which reads its nodes through these checks,
+    reads back.
 
     Node v is bit v - 1 of a mask.  The edge masks are kept from
-    construction, as a tuple and packed, and the maximal independent sets
-    are enumerated once, as masks in member-tuple order, on first request
-    (`_maximal_independent`); their frozensets are derived from those
-    masks, and the cover search over them is built on first use.  All live
-    in the instance `__dict__` but are no fields, so ==, hash and repr do
-    not see them.
+    construction, as a tuple and packed; the maximal independent sets are
+    enumerated once, as masks in member-tuple order, on first request
+    (`_maximal_independent`), and their frozensets and the one cover search
+    over them are built from those masks on first use.  All live in the
+    instance `__dict__` but are no fields, so ==, hash and repr do not see
+    them.
     """
 
     node_count: int
@@ -89,10 +88,8 @@ class Hypergraph(Frozen):
             if packed.add_minimal(m):
                 kept.append(m)
             else:
-                warnings.warn(
-                    f"dropping redundant edge {sorted(canonical[m])}: it contains a smaller edge",
-                    stacklevel=2,
-                )
+                warnings.warn(f"dropping redundant edge {sorted(canonical[m])}: "
+                              "it contains a smaller edge", stacklevel=2)
         super().__init__(node_count, tuple(frozenset(canonical[m]) for m in kept))
         vars(self).update(_edge_masks=tuple(kept), _packed_edges=packed)
 
@@ -111,7 +108,7 @@ class Hypergraph(Frozen):
 
     @functools.cached_property
     def _cover(self) -> Callable[[int], tuple[int, ...] | None]:
-        return _ordered_search(self._maximal_masks, self.node_count)
+        return _cover_search(self._maximal_masks, (1 << self.node_count) - 1)
 
 
 def is_independent(nodes: Iterable[int], h: Hypergraph) -> bool:
@@ -220,14 +217,16 @@ class CoverSolution(Frozen):
                 and frozenset().union(*self.parts) == h.nodes)
 
 
-def _cover_search(cand_masks: Sequence[int], full: int
+def _cover_search(masks: Sequence[int], full: int
                   ) -> Callable[[int], tuple[int, ...] | None]:
     """Bounded cover search over one candidate list, for any limit.
 
-    search(limit) gives the candidate indices of the first cover of at most
-    limit parts in deterministic search order, or None.  It branches on the
-    lowest uncovered node over the candidates holding it, in list order; any
-    cover made of candidates survives some branch, so None is an exhaustive
+    search(limit) gives the input indices of the first cover of at most
+    limit parts, or None.  It branches on the lowest uncovered node over
+    the candidates holding it, by descending size and, within a size, in
+    input order, so masks given in member-tuple order, as a hypergraph's
+    maximal masks are, are tried in (-size, member tuple) order.  Any cover
+    made of candidates survives some branch, so None is an exhaustive
     refutation of covers within the limit.
 
     A branch is cut when its parts left times the largest candidate size
@@ -238,27 +237,27 @@ def _cover_search(cand_masks: Sequence[int], full: int
     more parts left is cut at once.  With one part left, the first holder
     of the lowest uncovered node that covers the rest is found by one scan
     of the holders' complemented masks; with two left, the holders of that
-    node are tried in a loop, each finished by that scan.  Only subtrees without a cover
-    are cut, and the candidates are tried in the same order as by one frame
-    per candidate, so the cover found is the same.
+    node are tried in a loop, each finished by that scan.  Only subtrees
+    without a cover are cut, and the candidates are tried in the same order
+    as by one frame per candidate, so the cover found is the same.
 
-    The largest size, each node's holders (indices and complemented masks)
-    and the memo are built once, for every limit.
-    `_ordered_search` runs it over candidates in (-size, member tuple)
-    order, and each `Hypergraph` keeps one of those over its maximal sets,
-    so `min_cover` and `no_k_cover` on it share the holders and every
-    answer.
+    The order, each node's holders (input indices and complemented masks)
+    and the memo are built once, for every limit; a refuted limit asked
+    again is cut at the root, by the memo or the size cut.
     """
-    max_size = max(map(int.bit_count, cand_masks), default=0)
+    sizes = list(map(int.bit_count, masks))
+    order = sorted(range(len(masks)), key=sizes.__getitem__, reverse=True)
+    ordered = [masks[i] for i in order]
+    max_size = max(sizes, default=0)
     by_node: dict[int, tuple[list[int], list[int]]] = {}
     failed: dict[int, int] = {}
 
     def holders(need: int) -> tuple[list[int], list[int]]:
         low = need & -need
         if low not in by_node:
-            held = list(map(low.__and__, cand_masks))
-            by_node[low] = (list(compress(range(len(cand_masks)), held)),
-                            [full ^ m for m in compress(cand_masks, held)])
+            held = list(map(low.__and__, ordered))
+            by_node[low] = (list(compress(order, held)),
+                            [full ^ m for m in compress(ordered, held)])
         return by_node[low]
 
     def last(need: int) -> int | None:
@@ -299,48 +298,29 @@ def _cover_search(cand_masks: Sequence[int], full: int
     return search
 
 
-def _ordered_search(masks: Sequence[int], t: int
-                    ) -> Callable[[int], tuple[int, ...] | None]:
-    """`_cover_search` over the t-bit masks by descending size, answered in input indices.
-
-    The masks of each size must come in member-tuple order, as a
-    hypergraph's maximal masks are enumerated, so a stable sort on size
-    alone gives the (-size, member tuple) order.  Each limit is searched
-    once; its answer, None for a refuted limit or the indices of the cover
-    found, is kept for the next call.
-    """
-    sizes = list(map(int.bit_count, masks))
-    order = sorted(range(len(masks)), key=sizes.__getitem__, reverse=True)
-    search = _cover_search([masks[i] for i in order], (1 << t) - 1)
-    answers: dict[int, tuple[int, ...] | None] = {}
-
-    def answer(limit: int) -> tuple[int, ...] | None:
-        if limit not in answers:
-            hit = search(limit)
-            answers[limit] = None if hit is None else tuple(map(order.__getitem__, hit))
-        return answers[limit]
-
-    return answer
+def _solution(h: Hypergraph, cands: Sequence, hit: tuple[int, ...]) -> CoverSolution:
+    """The cover of h by the candidates a search hit names, checked."""
+    solution = CoverSolution(map(cands.__getitem__, hit))
+    assert solution.verify(h)
+    return solution
 
 
 def min_cover(h: Hypergraph, candidates: Sequence[Iterable[int]]) -> CoverSolution:
     """Smallest cover of all nodes by the given independent candidate parts.
 
     Exhaustive and deterministic: candidates are ordered by descending size
-    (ties by members) and the first minimum cover in branch order is
-    returned.  Raises if a candidate is dependent or the candidates cannot
-    jointly cover the nodes.
+    (ties by members), the limit deepens from 1 and the first minimum cover
+    in branch order is returned.  Raises if a candidate is dependent or the
+    candidates cannot jointly cover the nodes.
 
     When the candidates are the very tuple `enumerate_maximal_independent(h)`
     returned, already cached on h, they are independent and cover the nodes
-    by construction: h's own cover search answers, and the limits it has
-    already searched are not searched again.  Any other candidates are
-    checked in input order, each one's nodes before its edges: its nodes by
-    `mask_of`, then its mask against the hypergraph's packed edges by one
-    test.  They are then sorted by `canonical_key` once, on their masks,
-    and searched by a fresh `_ordered_search`.  Either way the limit
-    deepens from 1 (see `_cover_search`), and the enumeration is never
-    started here, so explicit candidates above its node guard still run.
+    by construction, and h's own cover search answers.  Any other
+    candidates are checked in input order, each one's nodes by `mask_of`
+    before its mask against h's packed edges, then sorted by
+    `canonical_key` once and searched by a fresh `_cover_search`.  The
+    enumeration is never started here, so explicit candidates above its
+    node guard still run.
     """
     if "_maximal_sets" in h.__dict__ and candidates is h._maximal_sets:
         cands = candidates
@@ -348,8 +328,7 @@ def min_cover(h: Hypergraph, candidates: Sequence[Iterable[int]]) -> CoverSoluti
     else:
         t = h.node_count
         edges = h._packed_edges
-        cands = []
-        masks = []
+        cands, masks = [], []
         for c in map(tuple, candidates):
             m = mask_of(c, t, "node")
             if edges.any_inside(m):
@@ -360,15 +339,11 @@ def min_cover(h: Hypergraph, candidates: Sequence[Iterable[int]]) -> CoverSoluti
             raise ValueError("candidates do not jointly cover the nodes; no cover exists")
         order = sorted(range(len(masks)), key=lambda i: canonical_key(masks[i], t))
         cands = [cands[i] for i in order]
-        search = _ordered_search([masks[i] for i in order], t)
-    limit = 0
-    while True:
-        limit += 1
+        search = _cover_search([masks[i] for i in order], (1 << t) - 1)
+    for limit in count(1):
         hit = search(limit)
         if hit is not None:
-            solution = CoverSolution(map(cands.__getitem__, hit))
-            assert solution.verify(h)
-            return solution
+            return _solution(h, cands, hit)
 
 
 class DualWeightCertificate(Frozen):
@@ -378,6 +353,7 @@ class DualWeightCertificate(Frozen):
     weigh at most 1.  If the total weight exceeds the bound, no cover avoiding
     the excluded part can exist; with an excluded part of weight zero the
     total need only exceed bound - 1, refuting the covers that use it.
+    The weights are read by `_packed.exact`; the bound is a plain int.
     """
 
     weights: tuple[Fraction, ...]
@@ -386,7 +362,9 @@ class DualWeightCertificate(Frozen):
 
     def __init__(self, weights: Sequence[Fraction | int | str], bound: int,
                  excluded_part: Iterable[int] | None = None):
-        weights = tuple(Fraction(w) for w in weights)
+        weights = tuple(exact(w, f"weight of node {v}") for v, w in enumerate(weights, 1))
+        if type(bound) is not int:
+            raise ValueError(f"bound must be an int, not {bound!r}")
         if excluded_part is not None:
             excluded_part = frozenset(members(
                 mask_of(excluded_part, len(weights), "excluded node")))
@@ -418,9 +396,7 @@ def verify_dual_certificate(cert: DualWeightCertificate, h: Hypergraph) -> bool:
     maximal = enumerate_maximal_independent(h)
     excluded = cert.excluded_part
     if excluded is not None and excluded not in maximal:
-        raise ValueError(
-            f"excluded part {sorted(excluded)} is not a maximal independent set"
-        )
+        raise ValueError(f"excluded part {sorted(excluded)} is not a maximal independent set")
     scale = math.lcm(*(w.denominator for w in weights))
     # node v's numerator is scaled[v]
     scaled = [0] + [w.numerator * (scale // w.denominator) for w in weights]
@@ -450,8 +426,7 @@ def dual_refutation(h: Hypergraph, k: int) -> tuple[DualWeightCertificate, ...]:
     least 1 on a P holding a node in no other maximal set, so the second
     stays at most k - 1 (the first would be unbounded).
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_k(k)
     maximal = enumerate_maximal_independent(h)
     masks = h._maximal_masks
     t = h.node_count
@@ -493,6 +468,13 @@ def dual_refutation(h: Hypergraph, k: int) -> tuple[DualWeightCertificate, ...]:
     return ()
 
 
+def _check_k(k: int) -> None:
+    if type(k) is not int:  # True and 2.0 equal ints
+        raise ValueError(f"k must be an int, not {k!r}")
+    if k < 1:
+        raise ValueError("k must be positive")
+
+
 class Refutation(Frozen):
     """Outcome of a k-cover search: either refuted or a counterexample cover."""
 
@@ -508,19 +490,16 @@ class Refutation(Frozen):
 def no_k_cover(h: Hypergraph, k: int) -> Refutation:
     """Refute every k-cover of h by exhaustive search, or return one it finds.
 
-    The search is h's own, over its maximal sets, and keeps its answer for
-    each limit: a limit that `min_cover` or an earlier call already
-    searched is not searched again.
+    The search is h's own, over its maximal sets: a limit that `min_cover`
+    or an earlier call refuted is cut at the root by its failure memo.
+    k must be a plain positive int.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_k(k)
     maximal = enumerate_maximal_independent(h)
     hit = h._cover(k)
     if hit is None:
         return Refutation(k=k, exhaustive=True, counterexample=None)
-    solution = CoverSolution(map(maximal.__getitem__, hit))
-    assert solution.verify(h)
-    return Refutation(k=k, exhaustive=False, counterexample=solution)
+    return Refutation(k=k, exhaustive=False, counterexample=_solution(h, maximal, hit))
 
 
 def hypergraph_to_json(h: Hypergraph) -> dict:
@@ -530,11 +509,7 @@ def hypergraph_to_json(h: Hypergraph) -> dict:
 def hypergraph_from_json(obj: dict) -> Hypergraph:
     if not isinstance(obj, dict) or "nodes" not in obj or "edges" not in obj:
         raise ValueError("hypergraph description needs 'nodes' and 'edges'")
-    if isinstance(obj["nodes"], bool) or not isinstance(obj["nodes"], int):
-        raise ValueError("'nodes' must be an integer")
     edges = obj["edges"]
-    if not isinstance(edges, list) or not all(
-        isinstance(e, list) and all(type(v) is int for v in e) for e in edges
-    ):
+    if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
         raise ValueError("'edges' must be a list of node index lists")
     return Hypergraph(obj["nodes"], edges)

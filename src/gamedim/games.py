@@ -33,7 +33,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from ._packed import MAX_MEMBERS, PackedMasks, canonical_key, mask_of, members
+from ._packed import MAX_MEMBERS, PackedMasks, canonical_key, exact, mask_of, members
 from ._record import Frozen
 
 ENUMERATION_GUARD = 20
@@ -232,10 +232,10 @@ class SimpleGame:
 class WeightedGame(SimpleGame, Frozen):
     """Threshold rule: winning iff the members' weight sum meets the quota.
 
-    Weights must be nonnegative, not bools; weights and quota are exact
-    rationals.  Membership compares integer copies of both, scaled by the
-    least common multiple of their denominators, so it never depends on
-    rounding and never touches a `Fraction`.  The scaled weight of a mask is
+    Weights must be nonnegative; weights and quota are exact rationals, read
+    by `_packed.exact`.  Membership compares integer copies of both, scaled
+    by the least common multiple of their denominators, so it never depends
+    on rounding and never touches a `Fraction`.  The scaled weight of a mask is
     the sum, over its bytes, of the byte's entry in that byte's partial-sum
     table; the tables are built on the first `contains` or `scaled_weight`
     call, so a game only ever scanned by `minimal_winning` builds none.
@@ -248,11 +248,8 @@ class WeightedGame(SimpleGame, Frozen):
     def __init__(self, n: int, weights: Sequence[Fraction | int | str], quota: Fraction | int | str):
         if type(n) is not int:  # True and 2.0 equal ints
             raise ValueError(f"member count must be an int, got {n!r}")
-        weights = tuple(weights)
-        for i, w in enumerate(weights):
-            if type(w) is bool:  # Fraction(True) is 1
-                raise ValueError(f"weight of member {i + 1} is a bool: {w!r}")
-        super().__init__(n, tuple(map(Fraction, weights)), Fraction(quota))
+        weights = tuple(exact(w, f"weight of member {i}") for i, w in enumerate(weights, 1))
+        super().__init__(n, weights, exact(quota, "quota"))
         if len(self.weights) != n:
             raise ValueError(f"expected {n} weights, got {len(self.weights)}")
         for i, w in enumerate(self.weights):
@@ -431,12 +428,6 @@ def coalitions_from_json(value: object, n: int, what: str) -> list[Coalition]:
     return [Coalition.from_indices(ix, n) for ix in value]
 
 
-def _fraction_from_json(value: int | str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"expected an integer or exact string, got {value!r}")
-    return Fraction(value)
-
-
 def game_from_json(obj: dict) -> SimpleGame:
     """Parse the JSON game description; raises ValueError on malformed input."""
     if not isinstance(obj, dict) or "kind" not in obj or "n" not in obj:
@@ -458,8 +449,7 @@ def game_from_json(obj: dict) -> SimpleGame:
         return value
 
     if kind == "weighted":
-        weights = [_fraction_from_json(w) for w in listed("weights")]
-        return WeightedGame(n, weights, _fraction_from_json(field("quota")))
+        return WeightedGame(n, listed("weights"), field("quota"))
     if kind == "explicit":
         return ExplicitGame(n, coalitions_from_json(field("winning"), n, "winning"))
     if kind in ("intersection", "union"):

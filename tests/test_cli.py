@@ -378,6 +378,15 @@ class TestMalformedShapes:
     def test_cover_solve(self, capsys, tmp_path, payload):
         assert_usage_error(capsys, tmp_path, payload, "cover", "solve")
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"nodes": True, "edges": []}, "node_count must be an int, not True"),
+        ({"nodes": 3, "edges": [[1, 2.0]]}, "edge node 2.0 is not an integer"),
+    ])
+    def test_cover_solve_names_the_bad_node(self, capsys, tmp_path, payload, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(payload))
+        assert run(capsys, "cover", "solve", str(path)) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("payload", [
         {"losing": [[1]], "winning": 7},
         {"losing": [[1, "2"]], "winning": [[1, 2]]},

@@ -1,7 +1,10 @@
+import functools
 import hashlib
 import json
+import operator
 import random
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -485,43 +488,47 @@ class TestSharedSearch:
             assert not before[-1].refuted
         assert 8 in minima and len(minima) >= 2
 
-    def test_one_search_per_hypergraph_and_each_limit_once(self, monkeypatch):
-        built, searched = [], []
+    def test_one_search_per_hypergraph_and_a_refuted_limit_ends_at_the_root(
+            self, monkeypatch):
+        built, frames = [], []
         original = cover._cover_search
 
         def recording(cand_masks, full):
             built.append(full)
-            search = original(cand_masks, full)
+            return original(cand_masks, full)
 
-            def counted(limit):
-                searched.append(limit)
-                return search(limit)
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if (event == "call" and code.co_filename == cover.__file__
+                    and code.co_name in ("dfs", "last")):
+                frames.append(code.co_name)
 
-            return counted
+        def frames_of(h, k):
+            frames.clear()
+            sys.setprofile(profile)
+            try:
+                refutation = no_k_cover(h, k)
+            finally:
+                sys.setprofile(None)
+            assert refutation.refuted and refutation.exhaustive
+            return frames
 
         monkeypatch.setattr(cover, "_cover_search", recording)
         rng = random.Random(7177)
         for t in range(18, 25):
             h = cycle_antichain(rng, t)
             solution = min_cover(h, enumerate_maximal_independent(h))
-            assert searched == list(range(1, solution.k + 1))
-            for k in range(1, solution.k + 1):
-                assert no_k_cover(h, k).refuted == (k < solution.k)
-            assert len(built) == 1 and searched == list(range(1, solution.k + 1))
-            # a limit above the minimum is new and is searched once
-            no_k_cover(h, solution.k + 1)
-            no_k_cover(h, solution.k + 1)
-            assert searched[solution.k:] == [solution.k + 1]
-            # a limit no_k_cover searched first is not searched by min_cover
+            assert solution.k >= 3
+            # each refuted limit asked again is cut at the root: by the
+            # failure memo or the size cut for k >= 2, by one scan for k = 1
+            for k in range(solution.k - 1, 0, -1):
+                assert frames_of(h, k) == (["dfs"] if k >= 2 else ["last"]), k
+            assert no_k_cover(h, solution.k).counterexample == solution
             twin = Hypergraph(t, h.edges)
             assert no_k_cover(twin, solution.k - 1).refuted
             assert min_cover(twin, enumerate_maximal_independent(twin)) == solution
-            # min_cover deepens over 1..k and finds k - 1 already refuted
-            assert searched[solution.k + 1:] == [solution.k - 1] + list(
-                range(1, solution.k - 1)) + [solution.k]
-            assert len(built) == 2
+            assert built == [(1 << t) - 1] * 2
             built.clear()
-            searched.clear()
 
     def test_bad_candidates_raise_as_before_once_the_sets_are_cached(self, council_h):
         for h in shared_search_graphs(council_h)[:6]:
@@ -592,6 +599,19 @@ class TestDualCertificates:
         assert cert.total == Fraction(19, 3)
         assert cert.total > 6
         assert cert.weight_of(cert.excluded_part) == 0
+
+    def test_bool_and_float_weights_rejected(self):
+        # Fraction(True) is 1 and Fraction(0.5) the float's binary value
+        with pytest.raises(ValueError, match="^weight of node 1 is a bool: True$"):
+            DualWeightCertificate([True, 0.5], True)
+        with pytest.raises(ValueError, match=r"^weight of node 2 is a float: 0\.5$"):
+            DualWeightCertificate([1, 0.5], 1)
+
+    @pytest.mark.parametrize("bound", [True, 2.0, Fraction(2)], ids=repr)
+    def test_bound_must_be_a_plain_int(self, bound):
+        with pytest.raises(ValueError, match=re.escape(f"bound must be an int, not {bound!r}")):
+            DualWeightCertificate([1, "1/2"], bound)
+        assert DualWeightCertificate([1, "1/2"], 2).weights == (1, Fraction(1, 2))
 
     def test_all_zero_weights_rejected(self):
         cert = DualWeightCertificate([0, 0], bound=1)
@@ -729,6 +749,12 @@ class TestNoKCover:
         with pytest.raises(ValueError):
             no_k_cover(council_h, 0)
 
+    @pytest.mark.parametrize("k", [True, 2.0], ids=repr)
+    def test_k_must_be_a_plain_int(self, k):
+        # True and 2.0 equal 1 and 2, and would be kept as the Refutation's k
+        with pytest.raises(ValueError, match=re.escape(f"k must be an int, not {k!r}")):
+            no_k_cover(SINGLE_EDGE, k)
+
 
 def fractional_lp(h, nodes, parts):
     """phase_two on the cover LP: the given nodes' weights, each part at most 1."""
@@ -810,6 +836,12 @@ class TestDualRefutation:
         with pytest.raises(ValueError, match="positive"):
             dual_refutation(SINGLE_EDGE, 0)
 
+    def test_k_must_be_a_plain_int(self):
+        # 2.5 would refute no 2-cover of the triangle but be kept as the bound
+        with pytest.raises(ValueError, match=re.escape("k must be an int, not 2.5")):
+            dual_refutation(TRIANGLE, 2.5)
+        assert dual_refutation(TRIANGLE, 2)[0].bound == 2
+
 
 def random_phase_two_system(rng, k, m):
     """k columns and m rows, with nonnegative or signed entries."""
@@ -871,9 +903,14 @@ class TestPhaseTwo:
 
 
 def bounded_cover_without_memo(cand_masks, full, limit):
-    """The same exhaustive search without the failure memo: the oracle."""
+    """The same exhaustive search without the failure memo: the oracle.
+
+    Candidates are tried by descending size, in input order within a size,
+    and a cover is named by input indices.
+    """
     if full == 0:
         return ()
+    order = sorted(range(len(cand_masks)), key=lambda i: -cand_masks[i].bit_count())
     max_size = max((m.bit_count() for m in cand_masks), default=0)
     by_node = {}
 
@@ -889,7 +926,7 @@ def bounded_cover_without_memo(cand_masks, full, limit):
         lowest = (full & ~covered) & -(full & ~covered)
         v = lowest.bit_length() - 1
         if v not in by_node:
-            by_node[v] = [i for i, m in enumerate(cand_masks) if m >> v & 1]
+            by_node[v] = [i for i in order if cand_masks[i] >> v & 1]
         for i in by_node[v]:
             hit = dfs(covered | cand_masks[i], chosen + (i,))
             if hit is not None:
@@ -963,12 +1000,12 @@ class TestBoundedCoverMemo:
 
 @pytest.fixture
 def searched(monkeypatch):
-    """The candidate masks of every `_cover_search` built, in its order."""
+    """The candidate masks of every `_cover_search` built, in the order it tries them."""
     seen = []
     original = cover._cover_search
 
     def recording(cand_masks, full):
-        seen.append(list(cand_masks))
+        seen.append(sorted(cand_masks, key=int.bit_count, reverse=True))
         return original(cand_masks, full)
 
     monkeypatch.setattr(cover, "_cover_search", recording)
@@ -1025,7 +1062,7 @@ class TestSearchOrder:
         original = cover._cover_search
 
         def recording(cand_masks, full):
-            seen.append(list(cand_masks))
+            seen.append(sorted(cand_masks, key=int.bit_count, reverse=True))
             return original(cand_masks, full)
 
         monkeypatch.setattr(cover, "_cover_search", recording)
@@ -1037,6 +1074,25 @@ class TestSearchOrder:
             first = min_cover(h, candidates)
             assert seen.pop() == self.full_sort(candidates)
             assert min_cover(h, sorted(candidates, key=len)) == first
+
+    def test_hit_names_candidates_by_input_index(self):
+        rng = random.Random(2243)
+        renamed = 0
+        for t in range(18, 25):
+            h = cycle_antichain(rng, t)
+            k = min_cover(h, enumerate_maximal_independent(h)).k
+            full = (1 << t) - 1
+            masks = list(h._maximal_masks)
+            rng.shuffle(masks)
+            hit = cover._cover_search(masks, full)(k)
+            assert len(hit) == k
+            assert functools.reduce(operator.or_, (masks[i] for i in hit)) == full
+            # the cover the search finds over its own order, named in the input
+            ordered = sorted(masks, key=int.bit_count, reverse=True)
+            in_order = cover._cover_search(ordered, full)(k)
+            assert [masks[i] for i in hit] == [ordered[j] for j in in_order]
+            renamed += hit != in_order
+        assert renamed >= 5
 
 
 def tiny_certified_family(game, losing_pair, winning_pair):

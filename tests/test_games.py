@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -130,6 +132,35 @@ class TestWeightedGame:
         # Fraction(True) is 1, so the bool would be read as weight 1.
         with pytest.raises(ValueError, match="weight of member 2 is a bool: True"):
             WeightedGame(2, [1, True], 1)
+
+    def test_bool_quota_rejected(self):
+        # Fraction(True) is 1, so the bool would be read as quota 1.
+        with pytest.raises(ValueError, match="^quota is a bool: True$"):
+            WeightedGame(2, [1, 1], True)
+
+    def test_float_weights_and_quota_rejected(self):
+        # 0.1 would be read as 3602879701896397/36028797018963968
+        with pytest.raises(ValueError, match=r"^weight of member 1 is a float: 0\.1$"):
+            WeightedGame(2, [0.1, 0.2], 0.3)
+        with pytest.raises(ValueError, match=r"^quota is a float: 0\.3$"):
+            WeightedGame(2, ["1/10", "1/5"], 0.3)
+
+    @pytest.mark.parametrize("bad", [Decimal("0.5"), None, [1]], ids=repr)
+    def test_weight_and_quota_of_any_other_type_rejected(self, bad):
+        kind = type(bad).__name__
+        with pytest.raises(ValueError, match=re.escape(f"weight of member 2 is a {kind}: {bad!r}")):
+            WeightedGame(2, [1, bad], 1)
+        with pytest.raises(ValueError, match=re.escape(f"quota is a {kind}: {bad!r}")):
+            WeightedGame(2, [1, 1], bad)
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ValueError, match="^weight of member 1 '1/0' has denominator zero$"):
+            WeightedGame(1, ["1/0"], 1)
+
+    def test_ints_fractions_and_strings_are_exact(self):
+        g = WeightedGame(3, [1, Fraction(1, 3), "0.65"], "13/20")
+        assert g.weights == (1, Fraction(1, 3), Fraction(13, 20))
+        assert g.quota == Fraction(13, 20)
 
     @pytest.mark.parametrize("n", [2.0, True], ids=repr)
     def test_member_count_must_be_an_int(self, n):
@@ -640,6 +671,18 @@ class TestJson:
     def test_inexact_weight_rejected(self):
         with pytest.raises(ValueError):
             game_from_json({"n": 1, "kind": "weighted", "weights": [0.65], "quota": 1})
+
+    @pytest.mark.parametrize("weights, quota, message", [
+        ([1, True], 1, "weight of member 2 is a bool: True"),
+        ([1, 1], False, "quota is a bool: False"),
+        ([1, 1], 0.5, "quota is a float: 0.5"),
+        ([1, None], 1, "weight of member 2 is a NoneType: None"),
+        ([1, "2/0"], 1, "weight of member 2 '2/0' has denominator zero"),
+    ])
+    def test_json_numbers_read_by_the_one_rule(self, weights, quota, message):
+        obj = {"n": 2, "kind": "weighted", "weights": weights, "quota": quota}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            game_from_json(obj)
 
     @pytest.mark.parametrize("obj, field", [
         ({"n": 2, "kind": "weighted", "weights": 5, "quota": 1}, "weights"),
