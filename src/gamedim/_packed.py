@@ -3,7 +3,9 @@
 Member (or node) i is bit i-1 of a mask.  `mask_of` is the one writing of
 a mask from outside input: every list of member indices or nodes that a
 caller hands in passes through it, as every weight or quota passes
-through `exact`.  Three readings of a mask live here, so that coalitions,
+through `exact`, and every count (member or node count, cover limit k,
+bound, population, or the size a resource guard allows) through
+`integer`.  Three readings of a mask live here, so that coalitions,
 hypergraph edges, independent sets and cover candidates all read it the
 same way:
 
@@ -83,6 +85,22 @@ def mask_of(indices: Iterable[object], n: int, what: str) -> int:
             raise ValueError(f"duplicate {what} {i}")
         mask |= bit
     return mask
+
+
+def integer(value: object, what: str, low: int, high: int | None = None) -> int:
+    """``value`` itself, a plain int in low..high (no upper end if high is None).
+
+    Raises ValueError naming ``what`` otherwise: for a bool, a float or an
+    int subclass, which equal or print as some other number, and for a
+    value out of range.  A resource guard is the ``high`` end, with a
+    ``what`` that names the reason.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    if value < low or (high is not None and value > high):
+        span = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{what} must be {span}, got {value}")
+    return value
 
 
 def exact(value: object, what: str) -> Fraction:

@@ -7,6 +7,7 @@ import sys
 import warnings
 
 from . import certificates, cover, eu, separation
+from ._packed import integer
 from ._record import Record
 from .games import Coalition
 
@@ -261,8 +262,8 @@ def cmd_certs_check(args: argparse.Namespace) -> int:
 
 
 def cmd_cover_solve(args: argparse.Namespace) -> int:
-    if args.k is not None and args.k < 1:
-        raise ValueError("k must be positive")
+    if args.k is not None:
+        integer(args.k, "k", 1)
     h = cover.hypergraph_from_json(_read_json(args.hypergraph))
     solution = cover.min_cover(h, cover.enumerate_maximal_independent(h))
     sys.stdout.write(f"minimum cover: {solution.k} parts\n")

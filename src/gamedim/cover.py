@@ -39,7 +39,7 @@ from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import compress, count
 
-from ._packed import PackedMasks, canonical_key, exact, mask_of, members
+from ._packed import MAX_MEMBERS, PackedMasks, canonical_key, exact, integer, mask_of, members
 from ._record import Frozen
 from .simplex import phase_two
 
@@ -52,7 +52,8 @@ class Hypergraph(Frozen):
     Construction canonicalizes: edges are deduplicated, sorted by size then
     members, and an edge containing another is dropped with a warning (the
     smaller edge already forbids every part that would contain the larger).
-    The node count and every node must be plain `int`s, and no node may
+    The node count is a plain `int` in 0..64, as `_packed.members` reads
+    masks of at most 64 bits; every node is a plain `int`, and no node may
     repeat in an edge, so that `hypergraph_to_json` writes only what
     `hypergraph_from_json`, which reads its nodes through these checks,
     reads back.
@@ -70,10 +71,7 @@ class Hypergraph(Frozen):
     edges: tuple[frozenset[int], ...]
 
     def __init__(self, node_count: int, edges: Iterable[Iterable[int]]):
-        if type(node_count) is not int:
-            raise ValueError(f"node_count must be an int, not {node_count!r}")
-        if node_count < 0:
-            raise ValueError("node_count must be nonnegative")
+        integer(node_count, "node count", 0, MAX_MEMBERS)
         canonical: dict[int, tuple[int, ...]] = {}  # by mask
         for e in edges:
             e = tuple(e)
@@ -149,9 +147,8 @@ def _maximal_independent(h: Hypergraph) -> tuple[int, ...]:
     in no useful order; they form an antichain, so one sort by the member
     tuple part of `canonical_key` orders them.
     """
-    t = h.node_count
-    if t > NODE_GUARD:
-        raise ValueError(f"maximal-set enumeration limited to {NODE_GUARD} nodes; got {t}")
+    t = integer(h.node_count, "maximal-set enumeration branches on every node, "
+                "so the node count", 0, NODE_GUARD)
     pairs = [0] * t   # pair-edge neighbours of each node
     rests: list[list[int]] = [[] for _ in range(t)]  # e - {v} for larger edges
     closed = [0] + [1 << v for v in range(t)]  # by node: it and its edge neighbours
@@ -196,7 +193,8 @@ def _maximal_independent(h: Hypergraph) -> tuple[int, ...]:
 class CoverSolution(Frozen):
     """Parts of a cover: node subsets that jointly cover every node.
 
-    Each part holds distinct ints >= 1; `verify` range-checks them against h.
+    Each part holds distinct plain ints >= 1; `verify` range-checks them
+    against h.
     """
 
     parts: tuple[frozenset[int], ...]
@@ -204,8 +202,10 @@ class CoverSolution(Frozen):
     def __init__(self, parts: Iterable[Iterable[int]]):
         parts = [tuple(p) for p in parts]
         for part in parts:
-            if not all(type(v) is int and v >= 1 for v in part) or len(set(part)) < len(part):
-                raise ValueError(f"cover part {part} must hold distinct ints >= 1")
+            for v in part:
+                integer(v, "cover node", 1)
+            if len(set(part)) < len(part):
+                raise ValueError(f"cover part {part} must hold distinct nodes")
         super().__init__(tuple(sorted(map(frozenset, parts), key=lambda p: tuple(sorted(p)))))
 
     @property
@@ -353,7 +353,8 @@ class DualWeightCertificate(Frozen):
     weigh at most 1.  If the total weight exceeds the bound, no cover avoiding
     the excluded part can exist; with an excluded part of weight zero the
     total need only exceed bound - 1, refuting the covers that use it.
-    The weights are read by `_packed.exact`; the bound is a plain int.
+    The weights are read by `_packed.exact`, at most 64 of them; the bound
+    is a plain int, at least 1.
     """
 
     weights: tuple[Fraction, ...]
@@ -363,8 +364,8 @@ class DualWeightCertificate(Frozen):
     def __init__(self, weights: Sequence[Fraction | int | str], bound: int,
                  excluded_part: Iterable[int] | None = None):
         weights = tuple(exact(w, f"weight of node {v}") for v, w in enumerate(weights, 1))
-        if type(bound) is not int:
-            raise ValueError(f"bound must be an int, not {bound!r}")
+        integer(len(weights), "weight count", 0, MAX_MEMBERS)
+        integer(bound, "bound", 1)
         if excluded_part is not None:
             excluded_part = frozenset(members(
                 mask_of(excluded_part, len(weights), "excluded node")))
@@ -426,7 +427,7 @@ def dual_refutation(h: Hypergraph, k: int) -> tuple[DualWeightCertificate, ...]:
     least 1 on a P holding a node in no other maximal set, so the second
     stays at most k - 1 (the first would be unbounded).
     """
-    _check_k(k)
+    integer(k, "k", 1)
     maximal = enumerate_maximal_independent(h)
     masks = h._maximal_masks
     t = h.node_count
@@ -468,18 +469,10 @@ def dual_refutation(h: Hypergraph, k: int) -> tuple[DualWeightCertificate, ...]:
     return ()
 
 
-def _check_k(k: int) -> None:
-    if type(k) is not int:  # True and 2.0 equal ints
-        raise ValueError(f"k must be an int, not {k!r}")
-    if k < 1:
-        raise ValueError("k must be positive")
-
-
 class Refutation(Frozen):
     """Outcome of a k-cover search: either refuted or a counterexample cover."""
 
     k: int
-    exhaustive: bool
     counterexample: CoverSolution | None
 
     @property
@@ -494,12 +487,10 @@ def no_k_cover(h: Hypergraph, k: int) -> Refutation:
     or an earlier call refuted is cut at the root by its failure memo.
     k must be a plain positive int.
     """
-    _check_k(k)
+    integer(k, "k", 1)
     maximal = enumerate_maximal_independent(h)
     hit = h._cover(k)
-    if hit is None:
-        return Refutation(k=k, exhaustive=True, counterexample=None)
-    return Refutation(k=k, exhaustive=False, counterexample=_solution(h, maximal, hit))
+    return Refutation(k, None if hit is None else _solution(h, maximal, hit))
 
 
 def hypergraph_to_json(h: Hypergraph) -> dict:

@@ -18,7 +18,7 @@ import io
 from fractions import Fraction
 from functools import cached_property
 
-from ._packed import mask_of
+from ._packed import integer, mask_of
 from ._record import Frozen
 from .games import Coalition, SimpleGame, byte_tables, table_sum
 
@@ -75,10 +75,7 @@ class MemberTable(Frozen):
             raise ValueError(f"wrong row count: expected {N_MEMBERS}, got {len(self.entries)}")
         mask_of((index for index, _, _ in self.entries), N_MEMBERS, "member index")
         for _, name, population in self.entries:
-            if type(population) is not int:
-                raise ValueError(f"population for {name!r} is not an integer: {population!r}")
-            if population <= 0:
-                raise ValueError(f"nonpositive population for {name!r}: {population}")
+            integer(population, f"population of {name!r}", 1)
         # The populations by member bit, summed over a mask's bytes by
         # population_of.  Kept in the instance __dict__; no field.
         vars(self)["_byte_sums"] = byte_tables(

@@ -33,7 +33,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from ._packed import MAX_MEMBERS, PackedMasks, canonical_key, exact, mask_of, members
+from ._packed import MAX_MEMBERS, PackedMasks, canonical_key, exact, integer, mask_of, members
 from ._record import Frozen
 
 ENUMERATION_GUARD = 20
@@ -59,13 +59,8 @@ class Coalition(Frozen):
 
     def __post_init__(self) -> None:
         """Validate the fields; `__init__` calls it once per coalition."""
-        n, mask = self.n, self.mask
-        if type(n) is not int or type(mask) is not int:  # True and 1.0 equal 1
-            raise ValueError(f"coalition fields must be ints, got n={n!r}, mask={mask!r}")
-        if not 1 <= n <= MAX_MEMBERS:
-            raise ValueError(f"member count must be in 1..{MAX_MEMBERS}, got {n}")
-        if not 0 <= mask < (1 << n):
-            raise ValueError(f"coalition mask {mask:#x} out of range for n={n}")
+        integer(self.mask, "coalition mask", 0,
+                (1 << integer(self.n, "member count", 1, MAX_MEMBERS)) - 1)
 
     @classmethod
     def from_indices(cls, indices: Iterable[int], n: int) -> "Coalition":
@@ -246,8 +241,7 @@ class WeightedGame(SimpleGame, Frozen):
     quota: Fraction
 
     def __init__(self, n: int, weights: Sequence[Fraction | int | str], quota: Fraction | int | str):
-        if type(n) is not int:  # True and 2.0 equal ints
-            raise ValueError(f"member count must be an int, got {n!r}")
+        integer(n, "member count", 1, MAX_MEMBERS)
         weights = tuple(exact(w, f"weight of member {i}") for i, w in enumerate(weights, 1))
         super().__init__(n, weights, exact(quota, "quota"))
         if len(self.weights) != n:
@@ -294,8 +288,7 @@ class ExplicitGame(SimpleGame, Frozen):
     declared_winning: tuple[Coalition, ...]
 
     def __init__(self, n: int, winning: Iterable[Coalition]):
-        if type(n) is not int:
-            raise ValueError(f"member count must be an int, got {n!r}")
+        integer(n, "member count", 1, MAX_MEMBERS)
         winning = tuple(winning)
         for c in winning:
             if not isinstance(c, Coalition):
@@ -369,16 +362,6 @@ def all_coalitions(n: int) -> Iterator[Coalition]:
         yield Coalition(n, mask)
 
 
-def _guard(n: int, what: str) -> None:
-    if n < 1:
-        raise ValueError(f"member count must be in 1..{MAX_MEMBERS}, got {n}")
-    if n > ENUMERATION_GUARD:
-        raise ValueError(
-            f"{what} scans all 2^n coalitions and is limited to "
-            f"n <= {ENUMERATION_GUARD}; got n = {n}"
-        )
-
-
 def check_monotone(game: ExplicitGame) -> bool:
     """Whether the declared winning family is upward closed.
 
@@ -390,7 +373,7 @@ def check_monotone(game: ExplicitGame) -> bool:
     """
     if not isinstance(game, ExplicitGame):
         raise ValueError("check_monotone requires an explicitly listed game")
-    _guard(game.n, "check_monotone")
+    integer(game.n, "check_monotone scans all 2^n coalitions, so n", 1, ENUMERATION_GUARD)
     return _bitset((c.mask for c in game.declared_winning), game.n) == game._winning_bits()
 
 
@@ -404,8 +387,7 @@ def minimal_winning(game: SimpleGame) -> tuple[Coalition, ...]:
     minimal winning masks, and a `Coalition` is built only for each of them.
     The bitsets span all 2^n masks, so it is guarded at n <= 20.
     """
-    n = game.n
-    _guard(n, "minimal_winning")
+    n = integer(game.n, "minimal_winning scans all 2^n coalitions, so n", 1, ENUMERATION_GUARD)
     winning = game._winning_bits()
     reducible = 0
     for step, lacking in _lacking(n):
@@ -432,9 +414,7 @@ def game_from_json(obj: dict) -> SimpleGame:
     """Parse the JSON game description; raises ValueError on malformed input."""
     if not isinstance(obj, dict) or "kind" not in obj or "n" not in obj:
         raise ValueError("game description needs 'n' and 'kind'")
-    n = obj["n"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError("'n' must be an integer")
+    n = integer(obj["n"], "'n'", 1, MAX_MEMBERS)
     kind = obj["kind"]
 
     def field(name: str) -> object:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from ._packed import PackedMasks
+from ._packed import MAX_MEMBERS, PackedMasks, integer
 from ._record import Frozen
 from .games import (
     Coalition,
@@ -57,6 +57,7 @@ class SeparationInstance(Frozen):
 
     def __init__(self, n: int, winning_constraints: Sequence[Coalition],
                  losing_targets: Sequence[Coalition]):
+        integer(n, "member count", 1, MAX_MEMBERS)
         super().__init__(n, tuple(winning_constraints), tuple(losing_targets))
         if not self.winning_constraints:
             raise ValueError("winning_constraints must be non-empty")
@@ -168,11 +169,8 @@ def is_nonseparable_exhaustive(game: SimpleGame, targets: Sequence[Coalition]) -
     coalition in `targets`, decided against all minimal winning coalitions.
     Guarded at n <= 14.
     """
-    if game.n > SEPARATION_GUARD:
-        raise ValueError(
-            f"exhaustive non-separability check limited to n <= {SEPARATION_GUARD}; "
-            f"got n = {game.n}"
-        )
+    integer(game.n, "the exhaustive non-separability check solves an LP over all minimal "
+            "winning coalitions, so n", 1, SEPARATION_GUARD)
     targets = tuple(targets)
     if not targets:
         raise ValueError("no losing targets given")
@@ -192,13 +190,11 @@ def instance_from_json(obj: dict) -> SeparationInstance:
     if not isinstance(obj, dict):
         raise ValueError("instance description must be an object")
     try:
-        n = obj["n"]
+        n = integer(obj["n"], "'n'", 1, MAX_MEMBERS)
         winning = obj["winning_constraints"]
         losing = obj["losing_targets"]
     except KeyError as missing:
         raise ValueError(f"instance description misses key {missing}") from None
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError("'n' must be an integer")
     return SeparationInstance(
         n,
         coalitions_from_json(winning, n, "winning_constraints"),

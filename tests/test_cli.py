@@ -379,13 +379,27 @@ class TestMalformedShapes:
         assert_usage_error(capsys, tmp_path, payload, "cover", "solve")
 
     @pytest.mark.parametrize("payload, message", [
-        ({"nodes": True, "edges": []}, "node_count must be an int, not True"),
+        ({"nodes": True, "edges": []}, "node count must be an int, got True"),
         ({"nodes": 3, "edges": [[1, 2.0]]}, "edge node 2.0 is not an integer"),
     ])
     def test_cover_solve_names_the_bad_node(self, capsys, tmp_path, payload, message):
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(payload))
         assert run(capsys, "cover", "solve", str(path)) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("nodes", [10**10, 10**30], ids=["1e10", "1e30"])
+    def test_cover_solve_rejects_more_nodes_than_a_mask_holds(self, capsys, tmp_path,
+                                                              monkeypatch, nodes):
+        # 10**30 nodes overflowed in a traceback; 10**10 would have packed
+        # masks of 10**10 bits.  Both are refused before any is built.
+        def unbuilt(n):
+            raise AssertionError(f"PackedMasks({n}) built")
+
+        monkeypatch.setattr(cover, "PackedMasks", unbuilt)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"nodes": nodes, "edges": []}))
+        assert run(capsys, "cover", "solve", str(path)) == (
+            2, "", f"error: node count must be in 0..64, got {nodes}\n")
 
     @pytest.mark.parametrize("payload", [
         {"losing": [[1]], "winning": 7},
@@ -455,7 +469,7 @@ class TestCover:
         code, out, err = run(capsys, "cover", "solve", council_hg_file, "--k", k)
         assert code == 2
         assert out == ""
-        assert err == "error: k must be positive\n"
+        assert err == f"error: k must be at least 1, got {k}\n"
 
     def test_refute_seven(self, capsys, council_hg_file):
         code, out, _ = run(capsys, "cover", "refute", council_hg_file, "--k", "7")

@@ -74,11 +74,9 @@ CASES = {
                               ("weights", "bound", "excluded_part"), True,
                               "DualWeightCertificate(weights=(Fraction(1, 1), Fraction(1, 2)), "
                               "bound=1, excluded_part=frozenset({1}))"),
-    "Refutation": (lambda v: Refutation(k=1, exhaustive=bool(v),
-                                        counterexample=CoverSolution([(1, 2)])),
-                   ("k", "exhaustive", "counterexample"), True,
-                   "Refutation(k=1, exhaustive=False, "
-                   "counterexample=CoverSolution(parts=(frozenset({1, 2}),)))"),
+    "Refutation": (lambda v: Refutation(k=1 + v, counterexample=CoverSolution([(1, 2)])),
+                   ("k", "counterexample"), True,
+                   "Refutation(k=1, counterexample=CoverSolution(parts=(frozenset({1, 2}),)))"),
     "MemberTable": (lambda v: other_table() if v else MemberTable(MEMBERS_2014), ("entries",),
                     True, TABLE_REPR),
     "RuleReport": (lambda v: RuleReport(False, True, False, False, 123 + v),
@@ -277,7 +275,7 @@ def test_coalition_validates_once_per_construction(monkeypatch):
     b = a | C(4, 0b0100)
     pickle.loads(pickle.dumps(b))
     assert calls == [(4, 0b0011), (4, 0b0100), (4, 0b0111), (4, 0b0111)]
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="^coalition mask must be in 0..15, got 16$"):
         C(4, 16)
 
 

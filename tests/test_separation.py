@@ -447,7 +447,7 @@ class TestNonSeparableOracle:
 
     def test_resource_guard_at_council_size(self):
         g = WeightedGame(28, [1] * 28, 25)
-        with pytest.raises(ValueError, match="n <= 14"):
+        with pytest.raises(ValueError, match="so n must be in 1..14, got 28$"):
             is_nonseparable_exhaustive(g, [C([1], 28)])
 
     def test_no_targets_rejected(self):
