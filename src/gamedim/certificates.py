@@ -47,7 +47,7 @@ from .eu import (
     WINNING_FAMILY,
     EuGame,
 )
-from .games import Coalition, SimpleGame, coalition_sort_key, coalitions_from_json
+from .games import Coalition, SimpleGame, _coalition, coalition_sort_key, coalitions_from_json
 
 
 class CertificateError(RuntimeError):
@@ -71,7 +71,9 @@ class BalanceCertificate(Frozen):
         for c in losing + winning:
             if c.n != n:
                 raise ValueError(f"coalition over {c.n} members in a certificate over {n}")
-        if len(set(losing)) != len(losing) or len(set(winning)) != len(winning):
+        # Over one n, two coalitions are equal iff their masks are.
+        if (len({c.mask for c in losing}) != len(losing)
+                or len({c.mask for c in winning}) != len(winning)):
             raise ValueError("certificate lists a coalition twice")
         super().__init__(losing, winning)
 
@@ -139,7 +141,7 @@ def transfer_split(li: Coalition, lj: Coalition, transfer: Coalition
     a, b, moved = li.mask, lj.mask, transfer.mask
     if moved & ~(a ^ b):
         raise ValueError("transfer set must lie in the symmetric difference")
-    return Coalition(li.n, moved | (a & b)), Coalition(li.n, (a | b) ^ moved)
+    return _coalition(li.n, moved | (a & b)), _coalition(li.n, (a | b) ^ moved)
 
 
 def build_pair_certificate(li: Coalition, lj: Coalition, game: EuGame) -> BalanceCertificate:
@@ -156,10 +158,10 @@ def build_pair_certificate(li: Coalition, lj: Coalition, game: EuGame) -> Balanc
     if li == lj:
         raise ValueError("pair certificate needs two distinct losing coalitions")
     for c, name in ((li, "first"), (lj, "second")):
-        report = game.classify(c)
-        if report.winning:
+        winning, rule55, rule65, _, _ = game._rules(c)
+        if winning:
             raise ValueError(f"{name} coalition {c} is winning")
-        if not report.rule55 or report.rule65:
+        if not rule55 or rule65:
             raise ValueError(
                 f"{name} coalition {c} must pass the member rule and fail the population rule")
     sym = li.mask ^ lj.mask
@@ -168,7 +170,7 @@ def build_pair_certificate(li: Coalition, lj: Coalition, game: EuGame) -> Balanc
         raise CertificateError(f"symmetric difference of {li} and {lj} has only "
                                f"{sym.bit_count()} members, need {size}")
     cheapest = sum([bit for _, bit in game.table.cheapest_first if bit & sym][:size])
-    cert = BalanceCertificate((li, lj), transfer_split(li, lj, Coalition(li.n, cheapest)))
+    cert = BalanceCertificate((li, lj), transfer_split(li, lj, _coalition(li.n, cheapest)))
     if not verify_balance(cert, game):
         raise CertificateError(
             f"no transfer of {size} members makes both halves of {li}, {lj} winning")
@@ -204,7 +206,7 @@ def build_anchor_certificate(li: Coalition, game: EuGame) -> BalanceCertificate:
     top = candidates[-1][0]
     one_in = next(bit for pop, bit in candidates if pop == top)
     cert = BalanceCertificate(
-        (li, anchor), transfer_split(li, anchor, Coalition(li.n, (outside ^ dropped) | one_in)))
+        (li, anchor), transfer_split(li, anchor, _coalition(li.n, (outside ^ dropped) | one_in)))
     if not verify_balance(cert, game):
         raise CertificateError(f"exchange between {li} and the anchor leaves a losing coalition")
     return cert

@@ -261,26 +261,40 @@ def cmd_certs_check(args: argparse.Namespace) -> int:
     return EXIT_STEP_FAILED
 
 
+def _read_k(text: str) -> int:
+    """The part count ``--k``: ASCII digits, at least 1.
+
+    A leading minus is read as a sign, so that "-3" is out of range rather
+    than malformed.
+    """
+    negative = text.startswith("-")
+    try:
+        value = eu.ascii_int(text[1:] if negative else text)
+    except ValueError:
+        raise ValueError(f"k must be ASCII digits, got {text!r}") from None
+    return integer(-value if negative else value, "k", 1)
+
+
 def cmd_cover_solve(args: argparse.Namespace) -> int:
-    if args.k is not None:
-        integer(args.k, "k", 1)
+    k = None if args.k is None else _read_k(args.k)
     h = cover.hypergraph_from_json(_read_json(args.hypergraph))
     solution = cover.min_cover(h, cover.enumerate_maximal_independent(h))
     sys.stdout.write(f"minimum cover: {solution.k} parts\n")
     for part in solution.parts:
         sys.stdout.write("  " + " ".join(str(v) for v in sorted(part)) + "\n")
-    if args.k is not None and solution.k > args.k:
-        sys.stdout.write(f"no {args.k}-cover exists\n")
+    if k is not None and solution.k > k:
+        sys.stdout.write(f"no {k}-cover exists\n")
         return EXIT_STEP_FAILED
     return EXIT_OK
 
 
 def cmd_cover_refute(args: argparse.Namespace) -> int:
+    k = _read_k(args.k)
     h = cover.hypergraph_from_json(_read_json(args.hypergraph))
-    refutation = cover.no_k_cover(h, args.k)
+    refutation = cover.no_k_cover(h, k)
     if refutation.refuted:
-        sys.stdout.write(f"no {args.k}-cover exists (exhaustive search)\n")
-        duals = cover.dual_refutation(h, args.k)
+        sys.stdout.write(f"no {k}-cover exists (exhaustive search)\n")
+        duals = cover.dual_refutation(h, k)
         if duals:
             plural = "" if len(duals) == 1 else "s"
             sys.stdout.write(f"confirmed by {len(duals)} dual weight certificate{plural}\n")
@@ -374,11 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
     cover_sub = p.add_subparsers(dest="cover_command", required=True)
     q = cover_sub.add_parser("solve", help="find a minimum cover")
     q.add_argument("hypergraph", help="JSON hypergraph {nodes, edges}")
-    q.add_argument("--k", type=int, default=None, help="also require a cover of at most K parts")
+    q.add_argument("--k", default=None, help="also require a cover of at most K parts")
     q.set_defaults(func=cmd_cover_solve)
     q = cover_sub.add_parser("refute", help="prove that no k-cover exists")
     q.add_argument("hypergraph", help="JSON hypergraph {nodes, edges}")
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--k", required=True, help="the number of parts to refute")
     q.set_defaults(func=cmd_cover_refute)
     q = cover_sub.add_parser("duals", help="derive dual weights refuting a cover one part short")
     q.add_argument("hypergraph", help="JSON hypergraph {nodes, edges}")

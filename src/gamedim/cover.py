@@ -15,7 +15,10 @@ as candidate parts; `min_cover` relies on this and the test suite checks it.
 Covers are refuted two independent ways: exhaustive bounded search over the
 maximal independent sets, and rational node weights, derived by exact LP,
 that bound every candidate part by 1 while the total weight exceeds the
-number of parts available.
+number of parts available.  The search cuts a branch on two bounds: the
+parts left times the largest part size, and the co-occurrence bound, a
+count of uncovered nodes no two of which share a candidate, each of which
+needs a part of its own.
 
 Masks are written from node lists, read and ordered by `_packed`.  A
 `Hypergraph` packs its edges as it filters them into an antichain;
@@ -230,38 +233,52 @@ def _cover_search(masks: Sequence[int], full: int
     refutation of covers within the limit.
 
     A branch is cut when its parts left times the largest candidate size
-    falls short of the nodes it must still cover.  A branch that fails with
-    d parts left proves that no d candidates cover what it leaves, and so
+    falls short of the nodes it must still cover.  It is also cut by
+    co-occurrence: two nodes co-occur when some candidate holds both, and
+    uncovered nodes no two of which co-occur need a part each.  They are
+    picked greedily, lowest node first, each time dropping the nodes that
+    co-occur with the one picked; more of them than parts left cuts the
+    branch.  A branch that fails with d parts left, by this cut or by its
+    search, proves that no d candidates cover what it leaves, and so
     neither do fewer, under any limit; `failed` keeps, per uncovered mask,
     the most parts known not to suffice, and a node reached again with no
     more parts left is cut at once.  With one part left, the first holder
     of the lowest uncovered node that covers the rest is found by one scan
-    of the holders' complemented masks; with two left, the holders of that
-    node are tried in a loop, each finished by that scan.  Only subtrees
-    without a cover are cut, and the candidates are tried in the same order
-    as by one frame per candidate, so the cover found is the same.
+    of the holders' complemented masks, after a rest that does not lie
+    within that node's co-occurring nodes is rejected; with two left, the
+    holders of that node are tried in a loop, each finished by that scan.
+    Only subtrees without a cover are cut, and the candidates are tried in
+    the same order as by one frame per candidate, so the cover found is the
+    same.
 
-    The order, each node's holders (input indices and complemented masks)
-    and the memo are built once, for every limit; a refuted limit asked
-    again is cut at the root, by the memo or the size cut.
+    The order and the memo are built once, for every limit, and so are each
+    node's holders (input indices and complemented masks) and the nodes
+    that do not co-occur with it, on the first branch on it or the first
+    greedy pick of it; a refuted limit asked again is cut at the root, by
+    the memo or a cut.
     """
     sizes = list(map(int.bit_count, masks))
     order = sorted(range(len(masks)), key=sizes.__getitem__, reverse=True)
     ordered = [masks[i] for i in order]
     max_size = max(sizes, default=0)
-    by_node: dict[int, tuple[list[int], list[int]]] = {}
+    by_node: dict[int, tuple[list[int], list[int], int]] = {}
     failed: dict[int, int] = {}
 
-    def holders(need: int) -> tuple[list[int], list[int]]:
+    def holders(need: int) -> tuple[list[int], list[int], int]:
+        # The lowest node's holders, as input indices and complemented
+        # masks, and the other nodes that no holder of it holds.
         low = need & -need
         if low not in by_node:
             held = list(map(low.__and__, ordered))
-            by_node[low] = (list(compress(order, held)),
-                            [full ^ m for m in compress(ordered, held)])
+            holding = list(compress(ordered, held))
+            by_node[low] = (list(compress(order, held)), [full ^ m for m in holding],
+                            full & ~functools.reduce(int.__or__, holding, low))
         return by_node[low]
 
     def last(need: int) -> int | None:
-        index, lacks = holders(need)
+        index, lacks, apart = holders(need)
+        if need & apart:
+            return None
         try:
             return index[operator.indexOf(map(need.__and__, lacks), 0)]
         except ValueError:
@@ -278,7 +295,17 @@ def _cover_search(masks: Sequence[int], full: int
             # need: the nodes still uncovered, never 0; left >= 2
             if left * max_size < need.bit_count() or failed.get(need, 0) >= left:
                 return None
-            for i, lack in zip(*holders(need)):
+            # Pick nodes of need that pairwise co-occur in no candidate,
+            # lowest first: more than left of them need more than left parts.
+            rest, spread = need, left
+            while rest:
+                if not spread:
+                    failed[need] = left
+                    return None
+                spread -= 1
+                rest &= holders(rest)[2]
+            index, lacks, _ = holders(need)
+            for i, lack in zip(index, lacks):
                 rest = need & lack
                 if not rest:
                     return (i,)

@@ -77,9 +77,11 @@ class MemberTable(Frozen):
         for _, name, population in self.entries:
             integer(population, f"population of {name!r}", 1)
         # The populations by member bit, summed over a mask's bytes by
-        # population_of.  Kept in the instance __dict__; no field.
-        vars(self)["_byte_sums"] = byte_tables(
-            [population for _, _, population in sorted(self.entries)])
+        # `table_sum`, and the population rule's right-hand side, 13*T.
+        # Kept in the instance __dict__; no fields.
+        populations = [population for _, _, population in sorted(self.entries)]
+        vars(self).update(_byte_sums=byte_tables(populations),
+                          _population_bar=POPULATION_NUM * sum(populations))
 
     @property
     def populations(self) -> dict[int, int]:
@@ -149,7 +151,8 @@ class EuGame(SimpleGame, Frozen):
     """The council rule as a simple game over the 28 members of a table.
 
     `contains` (alias `is_winning`) and `classify` share one evaluation of the
-    mask, `_rules`: its `bit_count`, the table's byte tables, integer compares.
+    mask, `_rules`: its `bit_count`, one `table_sum` over the table's byte
+    tables, and integer compares against the quotas and the table's 13*T.
     """
 
     table: MemberTable
@@ -163,10 +166,13 @@ class EuGame(SimpleGame, Frozen):
 
     def _rules(self, coalition: Coalition) -> tuple[bool, bool, bool, bool, int]:
         """(winning, member rule, population rule, outright rule, population)."""
-        population = self.table.population_of(coalition)
+        if coalition.n != N_MEMBERS:
+            raise ValueError(f"coalition over {coalition.n} members, table over {N_MEMBERS}")
+        table = self.table
+        population = table_sum(table._byte_sums, coalition.mask)
         members = coalition.mask.bit_count()
         rule55 = members >= MEMBER_QUOTA
-        rule65 = POPULATION_DEN * population >= POPULATION_NUM * self.table.total_population
+        rule65 = POPULATION_DEN * population >= table._population_bar
         rule25 = members >= OUTRIGHT_QUOTA
         return (rule55 and rule65) or rule25, rule55, rule65, rule25, population
 

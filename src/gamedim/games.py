@@ -85,19 +85,19 @@ class Coalition(Frozen):
 
     def union(self, other: "Coalition") -> "Coalition":
         self._check_same_ground(other)
-        return Coalition(self.n, self.mask | other.mask)
+        return _coalition(self.n, self.mask | other.mask)
 
     def intersection(self, other: "Coalition") -> "Coalition":
         self._check_same_ground(other)
-        return Coalition(self.n, self.mask & other.mask)
+        return _coalition(self.n, self.mask & other.mask)
 
     def difference(self, other: "Coalition") -> "Coalition":
         self._check_same_ground(other)
-        return Coalition(self.n, self.mask & ~other.mask)
+        return _coalition(self.n, self.mask & ~other.mask)
 
     def symmetric_difference(self, other: "Coalition") -> "Coalition":
         self._check_same_ground(other)
-        return Coalition(self.n, self.mask ^ other.mask)
+        return _coalition(self.n, self.mask ^ other.mask)
 
     def issubset(self, other: "Coalition") -> bool:
         self._check_same_ground(other)
@@ -131,6 +131,19 @@ class Coalition(Frozen):
 # setters store its fields past the frozen __setattr__.
 _set_n = Coalition.n.__set__
 _set_mask = Coalition.mask.__set__
+_new = object.__new__
+
+
+def _coalition(n: int, mask: int) -> Coalition:
+    """`Coalition(n, mask)` without its two checks, for a mask known to fit n.
+
+    Only for masks made by mask arithmetic on checked coalitions of one n,
+    or read off a bitset over the 2^n masks of a checked n.
+    """
+    c = _new(Coalition)
+    _set_n(c, n)
+    _set_mask(c, mask)
+    return c
 
 
 def coalition_sort_key(c: Coalition) -> tuple[int, bytes]:
@@ -393,7 +406,7 @@ def minimal_winning(game: SimpleGame) -> tuple[Coalition, ...]:
     for step, lacking in _lacking(n):
         reducible |= (winning & lacking) << step
     return tuple(sorted(
-        (Coalition(n, m) for m in _set_bits(winning & ~reducible)), key=coalition_sort_key))
+        (_coalition(n, m) for m in _set_bits(winning & ~reducible)), key=coalition_sort_key))
 
 
 # --- JSON descriptions -------------------------------------------------------

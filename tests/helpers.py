@@ -149,6 +149,36 @@ def grown_maximal_independent(h: Hypergraph):
     return sorted(maximal, key=lambda s: tuple(sorted(s)))
 
 
+def reference_cover_search(cand_masks, full, limit):
+    """The first cover of at most limit parts, by a search that cuts nothing.
+
+    The oracle for `cover._cover_search`: it branches on the lowest
+    uncovered node over the candidates holding it, by descending size and
+    in input order within a size, to the depth limit, with no size bound,
+    no failure memo and no co-occurrence cut.  A cover is named by input
+    indices; None if there is none within the limit.
+    """
+    if full == 0:
+        return ()
+    order = sorted(range(len(cand_masks)), key=lambda i: -cand_masks[i].bit_count())
+
+    def dfs(covered, chosen):
+        if covered == full:
+            return chosen
+        if len(chosen) == limit:
+            return None
+        uncovered = full & ~covered
+        lowest = uncovered & -uncovered
+        for i in order:
+            if cand_masks[i] & lowest:
+                hit = dfs(covered | cand_masks[i], chosen + (i,))
+                if hit is not None:
+                    return hit
+        return None
+
+    return dfs(0, ())
+
+
 def random_hypergraph(rng: random.Random, t: int, n_edges: int) -> Hypergraph:
     edges = set()
     for _ in range(n_edges):

@@ -320,6 +320,9 @@ class TestPairCertificates:
         w1, w2 = transfer_split(li, lj, transfer)
         for m in range(1, n + 1):
             assert (m in li) + (m in lj) == (m in w1) + (m in w2)
+        # The halves are built unchecked, from the masks.
+        for half in (w1, w2):
+            assert type(half) is Coalition and half == Coalition(n, half.mask)
 
     @pytest.mark.parametrize("li_n, lj_n, transfer_n", [(4, 5, 4), (4, 4, 5)])
     def test_transfer_split_mixed_member_counts_rejected(self, li_n, lj_n, transfer_n):

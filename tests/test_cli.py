@@ -471,6 +471,17 @@ class TestCover:
         assert out == ""
         assert err == f"error: k must be at least 1, got {k}\n"
 
+    # `int` takes the first two; k, like every other typed number, is ASCII digits only.
+    @pytest.mark.parametrize("command", ["solve", "refute"])
+    @pytest.mark.parametrize("k", ["\u0667", " +7_0", "7.0", "-"])
+    def test_k_is_ascii_digits(self, capsys, council_hg_file, command, k):
+        assert run(capsys, "cover", command, council_hg_file, "--k", k) == (
+            2, "", f"error: k must be ASCII digits, got {k!r}\n")
+
+    def test_refute_rejects_nonpositive_k(self, capsys, council_hg_file):
+        assert run(capsys, "cover", "refute", council_hg_file, "--k", "-3") == (
+            2, "", "error: k must be at least 1, got -3\n")
+
     def test_refute_seven(self, capsys, council_hg_file):
         code, out, _ = run(capsys, "cover", "refute", council_hg_file, "--k", "7")
         assert code == 0

@@ -42,6 +42,7 @@ from helpers import (
     cycle_antichain,
     grown_maximal_independent,
     random_hypergraph,
+    reference_cover_search,
     reference_phase_two,
     sylvester_minor,
 )
@@ -902,40 +903,6 @@ class TestPhaseTwo:
         assert phase_two(as_masks(rows), ones, ones)[2].bit_length() == bits
 
 
-def bounded_cover_without_memo(cand_masks, full, limit):
-    """The same exhaustive search without the failure memo: the oracle.
-
-    Candidates are tried by descending size, in input order within a size,
-    and a cover is named by input indices.
-    """
-    if full == 0:
-        return ()
-    order = sorted(range(len(cand_masks)), key=lambda i: -cand_masks[i].bit_count())
-    max_size = max((m.bit_count() for m in cand_masks), default=0)
-    by_node = {}
-
-    def dfs(covered, chosen):
-        if covered == full:
-            return chosen
-        depth_left = limit - len(chosen)
-        if depth_left <= 0:
-            return None
-        uncovered = (full & ~covered).bit_count()
-        if depth_left * max_size < uncovered:
-            return None
-        lowest = (full & ~covered) & -(full & ~covered)
-        v = lowest.bit_length() - 1
-        if v not in by_node:
-            by_node[v] = [i for i in order if cand_masks[i] >> v & 1]
-        for i in by_node[v]:
-            hit = dfs(covered | cand_masks[i], chosen + (i,))
-            if hit is not None:
-                return hit
-        return None
-
-    return dfs(0, ())
-
-
 class TestBoundedCoverMemo:
     @staticmethod
     def search_input(h):
@@ -949,7 +916,7 @@ class TestBoundedCoverMemo:
         while True:
             limit += 1
             hit = cover._cover_search(masks, full)(limit)
-            assert hit == bounded_cover_without_memo(masks, full, limit), limit
+            assert hit == reference_cover_search(masks, full, limit), limit
             if hit is not None:
                 return limit
 
@@ -994,8 +961,47 @@ class TestBoundedCoverMemo:
     def test_edge_cases_of_the_last_two_levels(self, masks, full, first):
         search = cover._cover_search(masks, full)
         hits = [search(limit) for limit in range(5)]
-        assert hits == [bounded_cover_without_memo(masks, full, limit) for limit in range(5)]
+        assert hits == [reference_cover_search(masks, full, limit) for limit in range(5)]
         assert next((hit for hit in hits if hit is not None), None) == first
+
+
+class TestCoOccurrenceCut:
+    """The co-occurrence cut drops only subtrees that hold no cover.
+
+    On fresh copies of each hypergraph, `min_cover` and `no_k_cover` at
+    every limit, asked in both orders, give the covers and refutations of
+    the search that cuts nothing.
+    """
+
+    @staticmethod
+    def assert_same_as_uncut(h):
+        t = h.node_count
+        maximal = enumerate_maximal_independent(Hypergraph(t, h.edges))
+        masks = [sum(1 << (v - 1) for v in s) for s in maximal]
+        expected = {}
+        for k in range(1, t + 1):
+            hit = reference_cover_search(masks, (1 << t) - 1, k)
+            expected[k] = None if hit is None else CoverSolution(map(maximal.__getitem__, hit))
+        first = next(k for k in expected if expected[k] is not None)
+        twin = Hypergraph(t, h.edges)
+        assert min_cover(twin, enumerate_maximal_independent(twin)) == expected[first]
+        for order in (range(1, t + 1), range(t, 0, -1)):
+            for k in order:
+                assert no_k_cover(twin, k).counterexample == expected[k], k
+            twin = Hypergraph(t, h.edges)
+        return first
+
+    def test_random_hypergraphs(self):
+        rng = random.Random(5519)
+        minima = set()
+        for _ in range(80):
+            t = rng.randint(2, 12)
+            h = random_hypergraph(rng, t, rng.randint(1, t * (t - 1) // 2))
+            minima.add(self.assert_same_as_uncut(h))
+        assert len(minima) >= 4 and max(minima) >= 5
+
+    def test_council_family(self, council_h):
+        assert self.assert_same_as_uncut(council_h) == 8
 
 
 @pytest.fixture

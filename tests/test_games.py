@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from gamedim import games
 from gamedim.games import (
     Coalition,
     ExplicitGame,
@@ -74,6 +75,16 @@ class TestCoalition:
         assert (a ^ b).members == (1, 2, 4)
         assert C([1, 2], 5) <= a
         assert not a <= b
+
+    @given(st.integers(1, 64).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))))
+    def test_set_operations_equal_the_checked_coalition(self, case):
+        # The results are built unchecked, from the operands' masks.
+        n, a, b = case
+        x, y = Coalition(n, a), Coalition(n, b)
+        for c, mask in ((x | y, a | b), (x & y, a & b), (x - y, a & ~b), (x ^ y, a ^ b)):
+            assert type(c) is Coalition
+            assert c == Coalition(c.n, c.mask) == Coalition(n, mask)
 
     def test_mixed_ground_sets_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -584,6 +595,13 @@ class TestMinimalWinning:
             for game in (IntersectionGame(parts), UnionGame(parts)):
                 assert list(minimal_winning(game)) == brute_minimal_winning(game)
 
+    def test_results_equal_the_checked_coalitions(self):
+        # minimal_winning builds its results unchecked, off the bitset.
+        rng = random.Random(4271)
+        for n in range(1, 11):
+            for c in minimal_winning(random_game(rng, n)):
+                assert type(c) is Coalition and c == Coalition(n, c.mask)
+
     def test_no_membership_calls_and_one_coalition_per_result(self, monkeypatch):
         counts = {"contains": 0, "coalitions": 0}
         for cls in (WeightedGame, ExplicitGame, IntersectionGame, UnionGame):
@@ -594,13 +612,21 @@ class TestMinimalWinning:
                 return _original(self, coalition)
 
             monkeypatch.setattr(cls, "contains", counted)
+        # A coalition is built checked (`__post_init__`) or unchecked
+        # (`games._coalition`); count both.
         original_post_init = Coalition.__post_init__
+        original_unchecked = games._coalition
 
         def counted_post_init(self):
             counts["coalitions"] += 1
             original_post_init(self)
 
+        def counted_unchecked(n, mask):
+            counts["coalitions"] += 1
+            return original_unchecked(n, mask)
+
         monkeypatch.setattr(Coalition, "__post_init__", counted_post_init)
+        monkeypatch.setattr(games, "_coalition", counted_unchecked)
         game = IntersectionGame([
             WeightedGame(12, [7, 9, 5, 7, 6, 7, 4, 3, 2, 3, 3, 4], 40),
             WeightedGame(12, [10, 3, 5, 5, 1, 3, 7, 9, 6, 10, 10, 6], 45),

@@ -272,9 +272,9 @@ def test_coalition_validates_once_per_construction(monkeypatch):
 
     monkeypatch.setattr(Coalition, "__post_init__", counted)
     a = C(4, 0b0011)
-    b = a | C(4, 0b0100)
-    pickle.loads(pickle.dumps(b))
-    assert calls == [(4, 0b0011), (4, 0b0100), (4, 0b0111), (4, 0b0111)]
+    b = a | C(4, 0b0100)  # mask arithmetic on checked coalitions: unchecked
+    pickle.loads(pickle.dumps(b))  # unpickling checks
+    assert calls == [(4, 0b0011), (4, 0b0100), (4, 0b0111)]
     with pytest.raises(ValueError, match="^coalition mask must be in 0..15, got 16$"):
         C(4, 16)
 
