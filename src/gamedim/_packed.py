@@ -5,7 +5,11 @@ a mask from outside input: every list of member indices or nodes that a
 caller hands in passes through it, as every weight or quota passes
 through `exact`, and every count (member or node count, cover limit k,
 bound, population, or the size a resource guard allows) through
-`integer`.  Three readings of a mask live here, so that coalitions,
+`integer`.  Three more rules read input at the boundary: `fields` the
+named values of a JSON object, `listed` a JSON list (of index lists, for
+coalitions and hypergraph edges), and `of_kind` every list of coalitions
+or games that a caller hands in, each item of one class over one member
+count.  Three readings of a mask live here, so that coalitions,
 hypergraph edges, independent sets and cover candidates all read it the
 same way:
 
@@ -116,6 +120,53 @@ def exact(value: object, what: str) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"{what} {value!r} has denominator zero") from None
+
+
+def fields(obj: object, what: str, *names: str) -> tuple:
+    """The values of the named keys of a JSON object, in the order named.
+
+    Raises ValueError, "{what} description needs 'a' and 'b'", for
+    anything but an object (a dict) holding every name.
+    """
+    if not isinstance(obj, dict) or not all(name in obj for name in names):
+        *rest, last = map(repr, names)
+        listing = f"{', '.join(rest)} and {last}" if rest else last
+        raise ValueError(f"{what} description needs {listing}")
+    return tuple(obj[name] for name in names)
+
+
+def listed(value: object, name: str, noun: str | None = None) -> list:
+    """``value`` itself, a JSON list; with a ``noun``, a list of index lists.
+
+    Raises ValueError naming the key ``name`` otherwise, as in "'edges' must
+    be a list of node index lists".
+    """
+    if not isinstance(value, list) or (
+            noun is not None and not all(isinstance(item, list) for item in value)):
+        shape = "a list" if noun is None else f"a list of {noun} index lists"
+        raise ValueError(f"{name!r} must be {shape}")
+    return value
+
+
+def of_kind(items: Iterable[object], kind: type, n: int | None, what: str,
+            empty: bool = False) -> tuple:
+    """The items as a tuple, each an instance of ``kind`` over ``n`` members.
+
+    With n None, the count is the first item's.  Raises ValueError naming
+    ``what`` and the item otherwise, as in "declared winner 1 is not a
+    Coalition", and for no items at all unless ``empty`` allows them.
+    """
+    items = tuple(items)
+    if not (items or empty):
+        raise ValueError(f"no {what} given")
+    if n is None and items and isinstance(items[0], kind):
+        n = items[0].n
+    for item in items:
+        if not isinstance(item, kind):
+            raise ValueError(f"{what} {item!r} is not a {kind.__name__}")
+        if item.n != n:
+            raise ValueError(f"{what} {item} is over {item.n} members, not {n}")
+    return items
 
 
 def members(mask: int) -> tuple[int, ...]:

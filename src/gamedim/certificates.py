@@ -36,6 +36,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from itertools import combinations
 
+from ._packed import fields, of_kind
 from ._record import Frozen
 from .cover import Hypergraph, enumerate_maximal_independent, min_cover
 from .eu import (
@@ -46,6 +47,7 @@ from .eu import (
     OUTRIGHT_QUOTA,
     WINNING_FAMILY,
     EuGame,
+    _label_sets,
 )
 from .games import Coalition, SimpleGame, _coalition, coalition_sort_key, coalitions_from_json
 
@@ -61,16 +63,10 @@ class BalanceCertificate(Frozen):
     winning: tuple[Coalition, ...]
 
     def __init__(self, losing: Iterable[Coalition], winning: Iterable[Coalition]):
+        losing = of_kind(losing, Coalition, None, "losing coalition")
+        winning = of_kind(winning, Coalition, losing[0].n, "winning coalition")
         losing = tuple(sorted(losing, key=coalition_sort_key))
         winning = tuple(sorted(winning, key=coalition_sort_key))
-        if not losing:
-            raise ValueError("certificate needs at least one losing coalition")
-        if not winning:
-            raise ValueError("certificate needs at least one winning coalition")
-        n = losing[0].n
-        for c in losing + winning:
-            if c.n != n:
-                raise ValueError(f"coalition over {c.n} members in a certificate over {n}")
         # Over one n, two coalitions are equal iff their masks are.
         if (len({c.mask for c in losing}) != len(losing)
                 or len({c.mask for c in winning}) != len(winning)):
@@ -301,8 +297,7 @@ def nonseparable_family(game: EuGame) -> CertifiedFamily:
         try:
             certificates[frozenset(edge)] = build(edge)
         except (ValueError, CertificateError) as err:
-            label = "{" + ",".join(f"L{v}" for v in edge) + "}"
-            raise type(err)(f"{label}: {err}") from err
+            raise type(err)(f"{_label_sets([edge])}: {err}") from err
     return CertifiedFamily(
         nodes=LOSING_FAMILY,
         hypergraph=Hypergraph(len(LOSING_FAMILY), certificates.keys()),
@@ -318,9 +313,6 @@ def certificate_to_json(cert: BalanceCertificate) -> dict:
 
 
 def certificate_from_json(obj: dict, n: int) -> BalanceCertificate:
-    if not isinstance(obj, dict) or "losing" not in obj or "winning" not in obj:
-        raise ValueError("certificate description needs 'losing' and 'winning'")
-    return BalanceCertificate(
-        losing=coalitions_from_json(obj["losing"], n, "losing"),
-        winning=coalitions_from_json(obj["winning"], n, "winning"),
-    )
+    losing, winning = fields(obj, "certificate", "losing", "winning")
+    return BalanceCertificate(coalitions_from_json(losing, n, "losing"),
+                              coalitions_from_json(winning, n, "winning"))

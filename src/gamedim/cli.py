@@ -55,8 +55,9 @@ class ProofTranscript(Record):
         }
 
 
-def _labels(parts) -> str:
-    return " ".join("{" + ",".join(f"L{v}" for v in sorted(p)) + "}" for p in parts)
+def _write_parts(parts) -> None:
+    for part in parts:
+        sys.stdout.write("  " + " ".join(str(v) for v in sorted(part)) + "\n")
 
 
 def run_verification(table: eu.MemberTable | None = None) -> ProofTranscript:
@@ -122,14 +123,14 @@ def run_verification(table: eu.MemberTable | None = None) -> ProofTranscript:
     if not record("exhaustive cover search", solution.k > 7,
                   "no 7-cover exists over the 21 candidate parts"
                   if solution.k > 7 else
-                  f"found a {solution.k}-cover: {_labels(solution.parts)}"):
+                  f"found a {solution.k}-cover: {eu._label_sets(solution.parts)}"):
         return conclude()
 
     # 6: two derived dual weightings refute every 7-cover independently
     duals = cover.dual_refutation(h, 7)
     if not record("dual refutation", len(duals) == 2,
                   f"totals {duals[0].total} > 7 (parts avoiding "
-                  f"{_labels([duals[0].excluded_part])}) and {duals[1].total} > "
+                  f"{eu._label_sets([duals[0].excluded_part])}) and {duals[1].total} > "
                   f"6 (a part equal to it)" if len(duals) == 2 else
                   f"derived {len(duals)} dual weightings, expected 2"):
         return conclude()
@@ -137,7 +138,7 @@ def run_verification(table: eu.MemberTable | None = None) -> ProofTranscript:
     # 7: the minimum cover uses exactly 8 parts
     ok = solution.k == 8 and solution.verify(h)
     record("minimum cover", ok,
-           f"8 parts: {_labels(solution.parts)}" if ok
+           f"8 parts: {eu._label_sets(solution.parts)}" if ok
            else f"minimum cover has {solution.k} parts")
     return conclude()
 
@@ -280,8 +281,7 @@ def cmd_cover_solve(args: argparse.Namespace) -> int:
     h = cover.hypergraph_from_json(_read_json(args.hypergraph))
     solution = cover.min_cover(h, cover.enumerate_maximal_independent(h))
     sys.stdout.write(f"minimum cover: {solution.k} parts\n")
-    for part in solution.parts:
-        sys.stdout.write("  " + " ".join(str(v) for v in sorted(part)) + "\n")
+    _write_parts(solution.parts)
     if k is not None and solution.k > k:
         sys.stdout.write(f"no {k}-cover exists\n")
         return EXIT_STEP_FAILED
@@ -300,8 +300,7 @@ def cmd_cover_refute(args: argparse.Namespace) -> int:
             sys.stdout.write(f"confirmed by {len(duals)} dual weight certificate{plural}\n")
         return EXIT_OK
     sys.stdout.write(f"refutation failed, found a {refutation.counterexample.k}-cover:\n")
-    for part in refutation.counterexample.parts:
-        sys.stdout.write("  " + " ".join(str(v) for v in sorted(part)) + "\n")
+    _write_parts(refutation.counterexample.parts)
     return EXIT_STEP_FAILED
 
 

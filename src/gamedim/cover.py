@@ -42,7 +42,8 @@ from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import compress, count
 
-from ._packed import MAX_MEMBERS, PackedMasks, canonical_key, exact, integer, mask_of, members
+from ._packed import (MAX_MEMBERS, PackedMasks, canonical_key, exact, fields, integer, listed,
+                      mask_of, members)
 from ._record import Frozen
 from .simplex import phase_two
 
@@ -525,9 +526,5 @@ def hypergraph_to_json(h: Hypergraph) -> dict:
 
 
 def hypergraph_from_json(obj: dict) -> Hypergraph:
-    if not isinstance(obj, dict) or "nodes" not in obj or "edges" not in obj:
-        raise ValueError("hypergraph description needs 'nodes' and 'edges'")
-    edges = obj["edges"]
-    if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
-        raise ValueError("'edges' must be a list of node index lists")
-    return Hypergraph(obj["nodes"], edges)
+    nodes, edges = fields(obj, "hypergraph", "nodes", "edges")
+    return Hypergraph(nodes, listed(edges, "edges", "node"))

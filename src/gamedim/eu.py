@@ -14,9 +14,9 @@ claimed non-separable, whose certificates `certificates` derives, and the
 
 from __future__ import annotations
 
+import functools
 import io
 from fractions import Fraction
-from functools import cached_property
 
 from ._packed import integer, mask_of
 from ._record import Frozen
@@ -64,7 +64,9 @@ class MemberTable(Frozen):
     """The 28 member states with their populations, indexed 1..28.
 
     Each index in 1..28 appears once (read by `mask_of`), and each
-    population is a positive plain `int`.
+    population is a positive plain `int`.  The table keeps, in its instance
+    `__dict__` but no field, `total_population` and `cheapest_first`: the
+    (population, member bit) of every member, by population, then index.
     """
 
     entries: tuple[tuple[int, str, int], ...]
@@ -78,24 +80,17 @@ class MemberTable(Frozen):
             integer(population, f"population of {name!r}", 1)
         # The populations by member bit, summed over a mask's bytes by
         # `table_sum`, and the population rule's right-hand side, 13*T.
-        # Kept in the instance __dict__; no fields.
         populations = [population for _, _, population in sorted(self.entries)]
-        vars(self).update(_byte_sums=byte_tables(populations),
-                          _population_bar=POPULATION_NUM * sum(populations))
+        total = sum(populations)
+        vars(self).update(
+            _byte_sums=byte_tables(populations), _population_bar=POPULATION_NUM * total,
+            total_population=total,
+            cheapest_first=tuple(sorted(
+                (population, 1 << (index - 1)) for index, _, population in self.entries)))
 
     @property
     def populations(self) -> dict[int, int]:
         return {index: population for index, _, population in self.entries}
-
-    @cached_property
-    def total_population(self) -> int:
-        return sum(population for _, _, population in self.entries)
-
-    @cached_property
-    def cheapest_first(self) -> tuple[tuple[int, int], ...]:
-        """(population, member bit) of every member, by population, then index."""
-        return tuple((population, 1 << (index - 1))
-                     for index, _, population in sorted(self.entries, key=lambda e: (e[2], e[0])))
 
     def population_of(self, coalition: Coalition) -> int:
         if coalition.n != N_MEMBERS:
@@ -103,7 +98,9 @@ class MemberTable(Frozen):
         return table_sum(self._byte_sums, coalition.mask)
 
 
+@functools.cache
 def default_members() -> MemberTable:
+    """The bundled 2014 table, built once per process: a table is frozen."""
     return MemberTable(MEMBERS_2014)
 
 
@@ -262,6 +259,11 @@ def labeled_coalition(label: str) -> Coalition:
     except ValueError:
         pass
     raise ValueError(f"unknown coalition label {label!r}")
+
+
+def _label_sets(sets) -> str:
+    """Sets of losing-coalition labels as the replay writes them: ``{L1,L4} {L15}``."""
+    return " ".join("{" + ",".join(f"L{v}" for v in sorted(s)) + "}" for s in sets)
 
 
 # Non-separable label sets over L1..L15: 75 pairs and 5 triples.  Each pair

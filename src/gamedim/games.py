@@ -33,7 +33,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from ._packed import MAX_MEMBERS, PackedMasks, canonical_key, exact, integer, mask_of, members
+from ._packed import (MAX_MEMBERS, PackedMasks, canonical_key, exact, fields, integer, listed,
+                      mask_of, members, of_kind)
 from ._record import Frozen
 
 ENUMERATION_GUARD = 20
@@ -302,12 +303,7 @@ class ExplicitGame(SimpleGame, Frozen):
 
     def __init__(self, n: int, winning: Iterable[Coalition]):
         integer(n, "member count", 1, MAX_MEMBERS)
-        winning = tuple(winning)
-        for c in winning:
-            if not isinstance(c, Coalition):
-                raise ValueError(f"declared winner {c!r} is not a Coalition")
-            if c.n != n:
-                raise ValueError(f"coalition over {c.n} members in a game over {n}")
+        winning = of_kind(winning, Coalition, n, "declared winner", empty=True)
         super().__init__(n, tuple(sorted(set(winning), key=coalition_sort_key)))
         # Sorted by size first, so each kept mask contains no other.
         kept = PackedMasks(n)
@@ -333,15 +329,7 @@ class _Combination(SimpleGame):
     """
 
     def __init__(self, parts: Sequence[SimpleGame]):
-        parts = tuple(parts)
-        if not parts:
-            raise ValueError("combination over an empty list of games")
-        for i, g in enumerate(parts):
-            if not isinstance(g, SimpleGame):
-                raise ValueError(f"part {i + 1} of the combination is not a SimpleGame: {g!r}")
-            if g.n != parts[0].n:
-                raise ValueError(f"member count mismatch among parts: {g.n} vs {parts[0].n}")
-        super().__init__(parts)
+        super().__init__(of_kind(parts, SimpleGame, None, "combination part"))
 
     @property
     def n(self) -> int:
@@ -418,35 +406,22 @@ def minimal_winning(game: SimpleGame) -> tuple[Coalition, ...]:
 
 def coalitions_from_json(value: object, n: int, what: str) -> list[Coalition]:
     """Parse a list of index lists; raises ValueError on any other shape."""
-    if not isinstance(value, list) or not all(isinstance(ix, list) for ix in value):
-        raise ValueError(f"{what!r} must be a list of member index lists")
-    return [Coalition.from_indices(ix, n) for ix in value]
+    return [Coalition.from_indices(ix, n) for ix in listed(value, what, "member")]
 
 
 def game_from_json(obj: dict) -> SimpleGame:
     """Parse the JSON game description; raises ValueError on malformed input."""
-    if not isinstance(obj, dict) or "kind" not in obj or "n" not in obj:
-        raise ValueError("game description needs 'n' and 'kind'")
-    n = integer(obj["n"], "'n'", 1, MAX_MEMBERS)
-    kind = obj["kind"]
-
-    def field(name: str) -> object:
-        if name not in obj:
-            raise ValueError(f"{kind} game description needs {name!r}")
-        return obj[name]
-
-    def listed(name: str) -> list:
-        value = field(name)
-        if not isinstance(value, list):
-            raise ValueError(f"{name!r} must be a list")
-        return value
-
+    n, kind = fields(obj, "game", "n", "kind")
+    n = integer(n, "'n'", 1, MAX_MEMBERS)
     if kind == "weighted":
-        return WeightedGame(n, listed("weights"), field("quota"))
+        weights, quota = fields(obj, "weighted game", "weights", "quota")
+        return WeightedGame(n, listed(weights, "weights"), quota)
     if kind == "explicit":
-        return ExplicitGame(n, coalitions_from_json(field("winning"), n, "winning"))
+        (winning,) = fields(obj, "explicit game", "winning")
+        return ExplicitGame(n, coalitions_from_json(winning, n, "winning"))
     if kind in ("intersection", "union"):
-        parts = [game_from_json(p) for p in listed("parts")]
+        (parts,) = fields(obj, f"{kind} game", "parts")
+        parts = [game_from_json(p) for p in listed(parts, "parts")]
         game = (IntersectionGame if kind == "intersection" else UnionGame)(parts)
         if game.n != n:
             raise ValueError(f"{kind} game declares n = {n}, but its parts are over {game.n}")

@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from ._packed import MAX_MEMBERS, PackedMasks, integer
+from ._packed import MAX_MEMBERS, PackedMasks, fields, integer, of_kind
 from ._record import Frozen
 from .games import (
     Coalition,
@@ -58,14 +58,8 @@ class SeparationInstance(Frozen):
     def __init__(self, n: int, winning_constraints: Sequence[Coalition],
                  losing_targets: Sequence[Coalition]):
         integer(n, "member count", 1, MAX_MEMBERS)
-        super().__init__(n, tuple(winning_constraints), tuple(losing_targets))
-        if not self.winning_constraints:
-            raise ValueError("winning_constraints must be non-empty")
-        if not self.losing_targets:
-            raise ValueError("losing_targets must be non-empty")
-        for c in self.winning_constraints + self.losing_targets:
-            if c.n != n:
-                raise ValueError(f"coalition over {c.n} members in an instance over {n}")
+        super().__init__(n, of_kind(winning_constraints, Coalition, n, "winning constraint"),
+                         of_kind(losing_targets, Coalition, n, "losing target"))
 
 
 class Separable(Frozen):
@@ -171,9 +165,7 @@ def is_nonseparable_exhaustive(game: SimpleGame, targets: Sequence[Coalition]) -
     """
     integer(game.n, "the exhaustive non-separability check solves an LP over all minimal "
             "winning coalitions, so n", 1, SEPARATION_GUARD)
-    targets = tuple(targets)
-    if not targets:
-        raise ValueError("no losing targets given")
+    targets = of_kind(targets, Coalition, game.n, "losing target")
     for c in targets:
         if game.contains(c):
             raise ValueError(f"target {c} is winning, not losing")
@@ -187,16 +179,7 @@ def is_nonseparable_exhaustive(game: SimpleGame, targets: Sequence[Coalition]) -
 
 def instance_from_json(obj: dict) -> SeparationInstance:
     """Parse {"n": int, "winning_constraints": [[...]], "losing_targets": [[...]]}."""
-    if not isinstance(obj, dict):
-        raise ValueError("instance description must be an object")
-    try:
-        n = integer(obj["n"], "'n'", 1, MAX_MEMBERS)
-        winning = obj["winning_constraints"]
-        losing = obj["losing_targets"]
-    except KeyError as missing:
-        raise ValueError(f"instance description misses key {missing}") from None
-    return SeparationInstance(
-        n,
-        coalitions_from_json(winning, n, "winning_constraints"),
-        coalitions_from_json(losing, n, "losing_targets"),
-    )
+    n, winning, losing = fields(obj, "instance", "n", "winning_constraints", "losing_targets")
+    n = integer(n, "'n'", 1, MAX_MEMBERS)
+    return SeparationInstance(n, coalitions_from_json(winning, n, "winning_constraints"),
+                              coalitions_from_json(losing, n, "losing_targets"))

@@ -51,7 +51,7 @@ class TestBalanceCertificate:
             BalanceCertificate(losing=(), winning=(W(1),))
 
     def test_empty_winning_rejected(self):
-        with pytest.raises(ValueError, match="at least one winning"):
+        with pytest.raises(ValueError, match="^no winning coalition given$"):
             BalanceCertificate(losing=(L(1),), winning=())
 
     def test_duplicate_rejected(self):

@@ -134,6 +134,24 @@ class TestVerify:
         assert [s.status for s in transcript.steps] == ["PASS"] * 7
         assert transcript.conclusion == "dimension >= 8"
 
+    def test_bundled_table_is_built_once_and_members_builds_its_own(self, capsys, tmp_path,
+                                                                    monkeypatch):
+        assert eu.default_members() is eu.default_members()
+        assert run_verification() == run_verification()
+        tables = []
+        build = eu.build_eu_game
+
+        def recording(table):
+            tables.append(table)
+            return build(table)
+
+        monkeypatch.setattr(eu, "build_eu_game", recording)
+        path = write_members(tmp_path / "same.csv", MEMBERS_2014)
+        assert run(capsys, "verify")[1] == run(capsys, "verify", "--members", path)[1]
+        bundled, given = tables
+        assert bundled is eu.default_members()
+        assert given == bundled and given is not bundled
+
     def test_each_certificate_built_and_verified_once(self, monkeypatch):
         # `_rules` is the one evaluation behind `contains`, `is_winning` and
         # `classify`: 27 in step 1, then 2 classify and 4 verify per transfer

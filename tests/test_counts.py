@@ -3,7 +3,8 @@
 Member and node counts, coalition masks, k, bounds, populations, cover
 nodes and the sizes the resource guards allow are all plain ints in a
 range; each site hands its value to that rule, and no module writes a
-check of its own.
+check of its own.  Likewise every JSON object is read by `_packed.fields`
+and every list of coalitions or games by `_packed.of_kind`.
 """
 
 import ast
@@ -14,6 +15,7 @@ import pytest
 
 import gamedim
 from gamedim._packed import integer
+from gamedim.certificates import BalanceCertificate
 from gamedim.cover import (
     CoverSolution,
     DualWeightCertificate,
@@ -131,6 +133,19 @@ DEFECTS = {
     "ExplicitGame(0)": (lambda: ExplicitGame(0, []), "member count must be in 1..64, got 0"),
     "WeightedGame(100)": (lambda: WeightedGame(100, [1] * 100, 1),
                           "member count must be in 1..64, got 100"),
+    # AttributeError: 'int' object has no attribute 'n'
+    "SeparationInstance of ints": (
+        lambda: SeparationInstance(3, [1, 2], [Coalition(3, 1)]),
+        "winning constraint 1 is not a Coalition"),
+    "is_nonseparable_exhaustive of an int": (
+        lambda: is_nonseparable_exhaustive(WeightedGame(3, [1, 1, 1], 2), [5]),
+        "losing target 5 is not a Coalition"),
+    # AttributeError from coalition_sort_key, which reads .mask
+    "BalanceCertificate of ints": (lambda: BalanceCertificate([1], [2]),
+                                   "losing coalition 1 is not a Coalition"),
+    "BalanceCertificate with a string": (
+        lambda: BalanceCertificate([Coalition(3, 1)], [Coalition(3, 3), "x"]),
+        "winning coalition 'x' is not a Coalition"),
 }
 
 
@@ -149,27 +164,39 @@ def test_integer_returns_a_good_value_itself(value, low, high):
     assert integer(value, "count", low, high) is value
 
 
-def int_checks(tree):
-    """Line numbers of `type(x) is [not] int|bool` and `isinstance(x, int|bool)`."""
-    def names_int(node):
+def type_checks(tree, names):
+    """Line numbers of `type(x) is [not] N` and `isinstance(x, N)`, N in names."""
+    def names_one(node):
         nodes = node.elts if isinstance(node, ast.Tuple) else [node]
-        return any(isinstance(n, ast.Name) and n.id in ("int", "bool") for n in nodes)
+        return any(isinstance(n, ast.Name) and n.id in names for n in nodes)
 
     for node in ast.walk(tree):
         if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
                 and isinstance(node.left.func, ast.Name) and node.left.func.id == "type"
                 and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
-                and any(names_int(c) for c in node.comparators)):
+                and any(names_one(c) for c in node.comparators)):
             yield node.lineno
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "isinstance" and len(node.args) == 2
-                and names_int(node.args[1])):
+                and names_one(node.args[1])):
             yield node.lineno
 
 
-def test_no_module_but_packed_checks_an_int_by_hand():
+def hand_checks(names):
+    """Per module but `_packed`, the lines of its checks for the named types.
+
+    Asserts that the detector finds the rule's own checks in `_packed`.
+    """
     source = Path(gamedim.__file__).parent
-    found = {path.name: list(int_checks(ast.parse(path.read_text(encoding="utf-8"))))
+    found = {path.name: list(type_checks(ast.parse(path.read_text(encoding="utf-8")), names))
              for path in sorted(source.glob("*.py"))}
     assert found.pop("_packed.py"), "the detector finds the rule's own checks"
-    assert {name: lines for name, lines in found.items() if lines} == {}
+    return {name: lines for name, lines in found.items() if lines}
+
+
+def test_no_module_but_packed_checks_an_int_by_hand():
+    assert hand_checks(("int", "bool")) == {}
+
+
+def test_no_module_but_packed_checks_a_document_or_member_list_by_hand():
+    assert hand_checks(("dict", "Coalition", "SimpleGame")) == {}
