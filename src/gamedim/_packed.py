@@ -5,13 +5,18 @@ a mask from outside input: every list of member indices or nodes that a
 caller hands in passes through it, as every weight or quota passes
 through `exact`, and every count (member or node count, cover limit k,
 bound, population, or the size a resource guard allows) through
-`integer`.  Three more rules read input at the boundary: `fields` the
+`integer`.  Four more rules read input at the boundary: `fields` the
 named values of a JSON object, `listed` a JSON list (of index lists, for
-coalitions and hypergraph edges), and `of_kind` every list of coalitions
-or games that a caller hands in, each item of one class over one member
-count.  Three readings of a mask live here, so that coalitions,
-hypergraph edges, independent sets and cover candidates all read it the
-same way:
+coalitions and hypergraph edges), `instance` every single coalition, game
+or certificate that a caller hands in, of one class over the member count
+expected, and `of_kind` every list of them, each item by that rule.
+
+Every per-byte table of a mask is built by one doubling, `subset_sums`:
+`byte_tables` of weights or populations, summed over a mask's bytes by
+`table_sum`; of the 1-tuples (1,) ... (64,), the members of each byte
+value; and of the eight bits reversed, each byte reversed.  Three readings
+of a mask live here, so that coalitions, hypergraph edges, independent
+sets and cover candidates all read it the same way:
 
 - `members`: its members, ascending, one table lookup per byte.
 - `canonical_key`: the (size, member tuple) order.  It sorts by size, then
@@ -34,36 +39,50 @@ same way:
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 MAX_MEMBERS = 64
 
 
-def _reversal() -> bytes:
-    """Entry b is byte b with its bits in reverse order; built by doubling."""
-    table = [0]
-    for i in range(8):
-        table += [r | 0x80 >> i for r in table]
-    return bytes(table)
+def subset_sums(values: Sequence, start=0) -> list:
+    """Entry m is ``start`` plus ``values[i]`` over the set bits i of m, in order.
+
+    Each value doubles the list: the masks with its bit are the masks
+    without it, plus the value.
+    """
+    sums = [start]
+    for v in values:
+        sums += [s + v for s in sums]
+    return sums
 
 
-_REVERSED = _reversal()
+def byte_tables(values: Sequence, start=0) -> tuple[list, ...]:
+    """Table b lists the `subset_sums` of ``values[8b:8b+8]``.
+
+    Indexed by byte b of a mask, so `table_sum` adds a mask's values with
+    one lookup per byte.
+    """
+    return tuple(subset_sums(values[low:low + 8], start) for low in range(0, len(values), 8))
+
+
+def table_sum(tables: Sequence[list[int]], mask: int) -> int:
+    """The sum of the values over the set bits of the mask, by `byte_tables`."""
+    return sum(map(list.__getitem__, tables, mask.to_bytes(len(tables), "little")))
+
+
+# Entry b is byte b with its bits in reverse order.
+_REVERSED = bytes(subset_sums([0x80 >> i for i in range(8)]))
 
 
 @functools.cache
 def _byte_members() -> tuple[list[tuple[int, ...]], ...]:
     """Per byte of a mask of up to MAX_MEMBERS bits, the members of each value.
 
-    Built on first use, by doubling, so every entry is sorted.
+    Built on first use.  A subset sum of 1-tuples concatenates them in bit
+    order, so every entry is sorted.
     """
-    tables = []
-    for low in range(1, MAX_MEMBERS + 1, 8):
-        table: list[tuple[int, ...]] = [()]
-        for v in range(low, low + 8):
-            table += [s + (v,) for s in table]
-        tables.append(table)
-    return tuple(tables)
+    return byte_tables([(v,) for v in range(1, MAX_MEMBERS + 1)], ())
 
 
 def mask_of(indices: Iterable[object], n: int, what: str) -> int:
@@ -148,24 +167,34 @@ def listed(value: object, name: str, noun: str | None = None) -> list:
     return value
 
 
+def instance(item, kind: type, n: int | None, what: str):
+    """``item`` itself, an instance of ``kind`` over ``n`` members (any, if None).
+
+    Raises ValueError naming ``what`` and the item otherwise: "operand 5 is
+    not a Coalition", "coalition {1} is over 5 members, not 4".
+    """
+    if not isinstance(item, kind):
+        raise ValueError(f"{what} {item!r} is not a {kind.__name__}")
+    if n is not None and item.n != n:
+        raise ValueError(f"{what} {item} is over {item.n} members, not {n}")
+    return item
+
+
 def of_kind(items: Iterable[object], kind: type, n: int | None, what: str,
             empty: bool = False) -> tuple:
-    """The items as a tuple, each an instance of ``kind`` over ``n`` members.
+    """The items as a tuple, each an `instance` of ``kind`` over ``n`` members.
 
-    With n None, the count is the first item's.  Raises ValueError naming
-    ``what`` and the item otherwise, as in "declared winner 1 is not a
-    Coalition", and for no items at all unless ``empty`` allows them.
+    With n None, the count is the first item's.  Raises ValueError as
+    `instance` does, and for no items at all unless ``empty`` allows them.
     """
     items = tuple(items)
     if not (items or empty):
         raise ValueError(f"no {what} given")
     if n is None and items and isinstance(items[0], kind):
         n = items[0].n
-    for item in items:
-        if not isinstance(item, kind):
-            raise ValueError(f"{what} {item!r} is not a {kind.__name__}")
-        if item.n != n:
-            raise ValueError(f"{what} {item} is over {item.n} members, not {n}")
+    for item in items:  # the common case, without a call per item
+        if not isinstance(item, kind) or item.n != n:
+            instance(item, kind, n, what)
     return items
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from itertools import combinations
 
-from ._packed import fields, of_kind
+from ._packed import fields, instance, of_kind
 from ._record import Frozen
 from .cover import Hypergraph, enumerate_maximal_independent, min_cover
 from .eu import (
@@ -117,8 +117,8 @@ def verify_balance(cert: BalanceCertificate, game: SimpleGame) -> bool:
     True iff |W*| >= |N|, the member incidences balance exactly, every listed
     losing coalition loses and every listed winning coalition wins.
     """
-    if cert.n != game.n:
-        raise ValueError(f"certificate over {cert.n} members, game over {game.n}")
+    n = instance(game, SimpleGame, None, "game").n
+    instance(cert, BalanceCertificate, n, "certificate")
     return (len(cert.winning) >= len(cert.losing) and cert.incidence_balanced()
             and not any(map(game.contains, cert.losing))
             and all(map(game.contains, cert.winning)))
@@ -132,12 +132,13 @@ def transfer_split(li: Coalition, lj: Coalition, transfer: Coalition
     symmetric difference: shared members land in both halves, each member of
     the symmetric difference in exactly one.
     """
-    li._check_same_ground(lj)
-    transfer._check_same_ground(li)
+    n = instance(li, Coalition, None, "first coalition").n
+    instance(lj, Coalition, n, "second coalition")
+    instance(transfer, Coalition, n, "transfer")
     a, b, moved = li.mask, lj.mask, transfer.mask
     if moved & ~(a ^ b):
         raise ValueError("transfer set must lie in the symmetric difference")
-    return _coalition(li.n, moved | (a & b)), _coalition(li.n, (a | b) ^ moved)
+    return _coalition(n, moved | (a & b)), _coalition(n, (a | b) ^ moved)
 
 
 def build_pair_certificate(li: Coalition, lj: Coalition, game: EuGame) -> BalanceCertificate:

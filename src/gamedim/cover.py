@@ -329,7 +329,8 @@ def _cover_search(masks: Sequence[int], full: int
 def _solution(h: Hypergraph, cands: Sequence, hit: tuple[int, ...]) -> CoverSolution:
     """The cover of h by the candidates a search hit names, checked."""
     solution = CoverSolution(map(cands.__getitem__, hit))
-    assert solution.verify(h)
+    if not solution.verify(h):
+        raise RuntimeError("a found cover fails verification")
     return solution
 
 

@@ -18,9 +18,9 @@ import functools
 import io
 from fractions import Fraction
 
-from ._packed import integer, mask_of
+from ._packed import byte_tables, instance, integer, mask_of, table_sum
 from ._record import Frozen
-from .games import Coalition, SimpleGame, byte_tables, table_sum
+from .games import Coalition, SimpleGame
 
 N_MEMBERS = 28
 MEMBER_QUOTA = 16  # smallest integer >= 55% of 28
@@ -93,8 +93,7 @@ class MemberTable(Frozen):
         return {index: population for index, _, population in self.entries}
 
     def population_of(self, coalition: Coalition) -> int:
-        if coalition.n != N_MEMBERS:
-            raise ValueError(f"coalition over {coalition.n} members, table over {N_MEMBERS}")
+        instance(coalition, Coalition, N_MEMBERS, "coalition")
         return table_sum(self._byte_sums, coalition.mask)
 
 
@@ -163,11 +162,10 @@ class EuGame(SimpleGame, Frozen):
 
     def _rules(self, coalition: Coalition) -> tuple[bool, bool, bool, bool, int]:
         """(winning, member rule, population rule, outright rule, population)."""
-        if coalition.n != N_MEMBERS:
-            raise ValueError(f"coalition over {coalition.n} members, table over {N_MEMBERS}")
+        mask = instance(coalition, Coalition, N_MEMBERS, "coalition").mask
         table = self.table
-        population = table_sum(table._byte_sums, coalition.mask)
-        members = coalition.mask.bit_count()
+        population = table_sum(table._byte_sums, mask)
+        members = mask.bit_count()
         rule55 = members >= MEMBER_QUOTA
         rule65 = POPULATION_DEN * population >= table._population_bar
         rule25 = members >= OUTRIGHT_QUOTA

@@ -33,8 +33,9 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from ._packed import (MAX_MEMBERS, PackedMasks, canonical_key, exact, fields, integer, listed,
-                      mask_of, members, of_kind)
+from ._packed import (MAX_MEMBERS, PackedMasks, byte_tables, canonical_key, exact, fields,
+                      instance, integer, listed, mask_of, members, of_kind, subset_sums,
+                      table_sum)
 from ._record import Frozen
 
 ENUMERATION_GUARD = 20
@@ -80,28 +81,24 @@ class Coalition(Frozen):
     def __contains__(self, member: int) -> bool:
         return 1 <= member <= self.n and bool(self.mask >> (member - 1) & 1)
 
-    def _check_same_ground(self, other: "Coalition") -> None:
-        if self.n != other.n:
-            raise ValueError(f"member count mismatch: {self.n} vs {other.n}")
-
     def union(self, other: "Coalition") -> "Coalition":
-        self._check_same_ground(other)
+        instance(other, Coalition, self.n, "operand")
         return _coalition(self.n, self.mask | other.mask)
 
     def intersection(self, other: "Coalition") -> "Coalition":
-        self._check_same_ground(other)
+        instance(other, Coalition, self.n, "operand")
         return _coalition(self.n, self.mask & other.mask)
 
     def difference(self, other: "Coalition") -> "Coalition":
-        self._check_same_ground(other)
+        instance(other, Coalition, self.n, "operand")
         return _coalition(self.n, self.mask & ~other.mask)
 
     def symmetric_difference(self, other: "Coalition") -> "Coalition":
-        self._check_same_ground(other)
+        instance(other, Coalition, self.n, "operand")
         return _coalition(self.n, self.mask ^ other.mask)
 
     def issubset(self, other: "Coalition") -> bool:
-        self._check_same_ground(other)
+        instance(other, Coalition, self.n, "operand")
         return self.mask & ~other.mask == 0
 
     __or__ = union
@@ -150,32 +147,6 @@ def _coalition(n: int, mask: int) -> Coalition:
 def coalition_sort_key(c: Coalition) -> tuple[int, bytes]:
     """Canonical ordering for coalition lists: by size, then member tuple."""
     return canonical_key(c.mask, c.n)
-
-
-def _subset_sums(values: Sequence[int]) -> list[int]:
-    """Entry m is the sum of ``values[i]`` over the set bits i of m.
-
-    Each value doubles the list: the masks with its bit are the masks
-    without it, plus the value.
-    """
-    sums = [0]
-    for v in values:
-        sums += [s + v for s in sums]
-    return sums
-
-
-def byte_tables(values: Sequence[int]) -> tuple[list[int], ...]:
-    """Table b lists the sum of every subset of ``values[8b:8b+8]``.
-
-    Indexed by byte b of a mask, so `table_sum` adds a mask's values with
-    one lookup per byte.
-    """
-    return tuple(_subset_sums(values[low:low + 8]) for low in range(0, len(values), 8))
-
-
-def table_sum(tables: Sequence[list[int]], mask: int) -> int:
-    """The sum of the values over the set bits of the mask, by `byte_tables`."""
-    return sum(map(list.__getitem__, tables, mask.to_bytes(len(tables), "little")))
 
 
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -232,10 +203,7 @@ class SimpleGame:
         return _pack([self.contains(Coalition(self.n, m)) for m in range(1 << self.n)])
 
     def _check_dimension(self, coalition: Coalition) -> None:
-        if coalition.n != self.n:
-            raise ValueError(
-                f"member count mismatch: game over {self.n}, coalition over {coalition.n}"
-            )
+        instance(coalition, Coalition, self.n, "coalition")
 
 
 class WeightedGame(SimpleGame, Frozen):
@@ -286,7 +254,7 @@ class WeightedGame(SimpleGame, Frozen):
 
     def _winning_bits(self) -> int:
         quota = self._scaled_quota
-        return _pack([s >= quota for s in _subset_sums(self._scaled_weights)])
+        return _pack([s >= quota for s in subset_sums(self._scaled_weights)])
 
 
 class ExplicitGame(SimpleGame, Frozen):
@@ -423,9 +391,7 @@ def game_from_json(obj: dict) -> SimpleGame:
         (parts,) = fields(obj, f"{kind} game", "parts")
         parts = [game_from_json(p) for p in listed(parts, "parts")]
         game = (IntersectionGame if kind == "intersection" else UnionGame)(parts)
-        if game.n != n:
-            raise ValueError(f"{kind} game declares n = {n}, but its parts are over {game.n}")
-        return game
+        return instance(game, SimpleGame, n, f"{kind} game")
     raise ValueError(f"unknown game kind {kind!r}")
 
 

@@ -18,7 +18,7 @@ rows b - a(W) <= 0 and a(L) - b <= -1.  Member i is bit i - 1 and the
 quota is bit n, so the rows go to the solver as the mask pairs
 (1 << n, W) and (L, 1 << n).  (The bound b >= 0 costs nothing: any target
 forces b >= 1.)  A feasible vertex is re-checked by substitution, through
-byte tables of its integer numerators (`games.byte_tables`).  An
+byte tables of its integer numerators (`_packed.byte_tables`).  An
 infeasible system yields Phase I's Farkas certificate: multipliers of the
 bounds x >= 0, then of the rows, a nonnegative combination of the listed
 constraints that reads 0 <= total < 0.  Every constraint, bound or row, is
@@ -33,16 +33,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from ._packed import MAX_MEMBERS, PackedMasks, fields, integer, of_kind
+from ._packed import MAX_MEMBERS, PackedMasks, byte_tables, fields, integer, of_kind, table_sum
 from ._record import Frozen
-from .games import (
-    Coalition,
-    SimpleGame,
-    byte_tables,
-    coalitions_from_json,
-    minimal_winning,
-    table_sum,
-)
+from .games import Coalition, SimpleGame, coalitions_from_json, minimal_winning
 from .simplex import phase_one
 
 SEPARATION_GUARD = 14

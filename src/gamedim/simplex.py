@@ -60,9 +60,8 @@ from itertools import compress
 if sys.byteorder != "little":
     raise ImportError("gamedim.simplex casts little-endian fields to machine words")
 
-# bytes.translate tables: 1 for the top byte of a negative field, and
-# _BIT[b][x] = 1 iff bit b of the byte x is set.
-_NEGATIVE = bytes(b >= 0x80 for b in range(256))
+# bytes.translate tables: _BIT[b][x] = 1 iff bit b of the byte x is set,
+# so _BIT[7] marks the top byte of a negative field.
 _BIT = [bytes(x >> b & 1 for x in range(256)) for b in range(8)]
 # memoryview.cast formats of signed machine words, by size in bytes
 _SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"}
@@ -136,7 +135,7 @@ def _solve(rows: Sequence[tuple[int, int]], rhs: Sequence[int], obj: list[int],
             s = min(entering)[1]
             raw, col_s = decode(table[s])
             col_0 = decode(table[0])[1]
-            for i in compress(range(m), raw[width - 1::width].translate(_NEGATIVE)):
+            for i in compress(range(m), raw[width - 1::width].translate(_BIT[7])):
                 a, b = col_s[i], col_0[i]
                 if r < 0:
                     r, best_a, best_b = i, a, b

@@ -3,8 +3,9 @@
 Member and node counts, coalition masks, k, bounds, populations, cover
 nodes and the sizes the resource guards allow are all plain ints in a
 range; each site hands its value to that rule, and no module writes a
-check of its own.  Likewise every JSON object is read by `_packed.fields`
-and every list of coalitions or games by `_packed.of_kind`.
+check of its own.  Likewise every JSON object is read by `_packed.fields`,
+every single coalition, game or certificate by `_packed.instance` and
+every list of them by `_packed.of_kind`.
 """
 
 import ast
@@ -15,7 +16,7 @@ import pytest
 
 import gamedim
 from gamedim._packed import integer
-from gamedim.certificates import BalanceCertificate
+from gamedim.certificates import BalanceCertificate, transfer_split, verify_balance
 from gamedim.cover import (
     CoverSolution,
     DualWeightCertificate,
@@ -24,9 +25,11 @@ from gamedim.cover import (
     enumerate_maximal_independent,
     no_k_cover,
 )
+from gamedim.eu import build_eu_game
 from gamedim.games import (
     Coalition,
     ExplicitGame,
+    IntersectionGame,
     WeightedGame,
     check_monotone,
     game_from_json,
@@ -39,6 +42,7 @@ from gamedim.separation import (
 )
 
 SINGLE_EDGE = Hypergraph(2, [(1, 2)])
+ONE_ONE = BalanceCertificate([Coalition(3, 1)], [Coalition(3, 1)])
 
 
 def weighted(n):
@@ -146,6 +150,30 @@ DEFECTS = {
     "BalanceCertificate with a string": (
         lambda: BalanceCertificate([Coalition(3, 1)], [Coalition(3, 3), "x"]),
         "winning coalition 'x' is not a Coalition"),
+    # AttributeError: '...' object has no attribute 'n'
+    "EuGame.contains(None)": (lambda: build_eu_game().contains(None),
+                              "coalition None is not a Coalition"),
+    "EuGame.is_winning of a list": (lambda: build_eu_game().is_winning([1, 2]),
+                                    "coalition [1, 2] is not a Coalition"),
+    "EuGame.classify(None)": (lambda: build_eu_game().classify(None),
+                              "coalition None is not a Coalition"),
+    "population_of(None)": (lambda: build_eu_game().table.population_of(None),
+                            "coalition None is not a Coalition"),
+    "WeightedGame.contains of an int": (lambda: WeightedGame(3, [1, 1, 1], 2).contains(3),
+                                        "coalition 3 is not a Coalition"),
+    "IntersectionGame.contains of a string": (
+        lambda: IntersectionGame([WeightedGame(3, [1, 1, 1], 2)]).contains("x"),
+        "coalition 'x' is not a Coalition"),
+    "Coalition | int": (lambda: Coalition(3, 3) | 5, "operand 5 is not a Coalition"),
+    "Coalition <= set": (lambda: Coalition(3, 3) <= {1}, "operand {1} is not a Coalition"),
+    "verify_balance of a string game": (lambda: verify_balance(ONE_ONE, "g"),
+                                        "game 'g' is not a SimpleGame"),
+    "verify_balance of a string certificate": (
+        lambda: verify_balance("c", WeightedGame(3, [1, 1, 1], 2)),
+        "certificate 'c' is not a BalanceCertificate"),
+    # "'int' object has no attribute '_check_same_ground'"
+    "transfer_split of an int": (lambda: transfer_split(Coalition(3, 3), Coalition(3, 6), 0),
+                                 "transfer 0 is not a Coalition"),
 }
 
 
@@ -182,21 +210,34 @@ def type_checks(tree, names):
             yield node.lineno
 
 
-def hand_checks(names):
-    """Per module but `_packed`, the lines of its checks for the named types.
+def count_compares(tree):
+    """Line numbers of `a.n != b` and `a != b.n`: a member count compared."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Compare) and any(isinstance(op, ast.NotEq) for op in node.ops)
+                and any(isinstance(side, ast.Attribute) and side.attr == "n"
+                        for side in (node.left, *node.comparators))):
+            yield node.lineno
+
+
+def hand_checks(find, *args):
+    """Per module but `_packed`, the lines that ``find(tree, *args)`` yields.
 
     Asserts that the detector finds the rule's own checks in `_packed`.
     """
     source = Path(gamedim.__file__).parent
-    found = {path.name: list(type_checks(ast.parse(path.read_text(encoding="utf-8")), names))
+    found = {path.name: list(find(ast.parse(path.read_text(encoding="utf-8")), *args))
              for path in sorted(source.glob("*.py"))}
     assert found.pop("_packed.py"), "the detector finds the rule's own checks"
     return {name: lines for name, lines in found.items() if lines}
 
 
 def test_no_module_but_packed_checks_an_int_by_hand():
-    assert hand_checks(("int", "bool")) == {}
+    assert hand_checks(type_checks, ("int", "bool")) == {}
 
 
 def test_no_module_but_packed_checks_a_document_or_member_list_by_hand():
-    assert hand_checks(("dict", "Coalition", "SimpleGame")) == {}
+    assert hand_checks(type_checks, ("dict", "Coalition", "SimpleGame")) == {}
+
+
+def test_no_module_but_packed_compares_a_member_count_by_hand():
+    assert hand_checks(count_compares) == {}

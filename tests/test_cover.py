@@ -587,6 +587,14 @@ class TestCoverSolution:
         parts = [set(range(1, 16))]
         assert not CoverSolution(parts).verify(council_h)
 
+    def test_a_found_cover_failing_verification_raises(self, monkeypatch):
+        # A check that raises, not an assert, so `python -O` keeps it.
+        monkeypatch.setattr(CoverSolution, "verify", lambda self, h: False)
+        with pytest.raises(RuntimeError, match="^a found cover fails verification$"):
+            min_cover(Hypergraph(3, [(1, 2), (2, 3), (1, 3)]), [(1,), (2,), (3,)])
+        with pytest.raises(RuntimeError, match="^a found cover fails verification$"):
+            no_k_cover(Hypergraph(3, [(1, 2), (2, 3), (1, 3)]), 3)
+
 
 class TestDualCertificates:
     def test_first_council_dual(self, council_h):

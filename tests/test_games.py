@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gamedim import games
+from gamedim._packed import byte_tables, table_sum
 from gamedim.games import (
     Coalition,
     ExplicitGame,
@@ -16,13 +17,11 @@ from gamedim.games import (
     UnionGame,
     WeightedGame,
     all_coalitions,
-    byte_tables,
     check_monotone,
     coalition_sort_key,
     game_from_json,
     game_to_json,
     minimal_winning,
-    table_sum,
 )
 
 from helpers import brute_minimal_winning, masked_sum, random_monotone_game
@@ -87,7 +86,7 @@ class TestCoalition:
             assert c == Coalition(c.n, c.mask) == Coalition(n, mask)
 
     def test_mixed_ground_sets_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
+        with pytest.raises(ValueError, match=r"^operand \{1\} is over 5 members, not 4$"):
             C([1], 4) | C([1], 5)
 
     def test_sort_key_orders_as_member_tuples(self):
@@ -128,7 +127,7 @@ class TestWeightedGame:
 
     def test_dimension_mismatch(self):
         g = WeightedGame(4, [1, 1, 1, 1], 3)
-        with pytest.raises(ValueError, match="mismatch"):
+        with pytest.raises(ValueError, match=r"^coalition \{1\} is over 5 members, not 4$"):
             g.contains(C([1], 5))
 
     def test_negative_weight_rejected(self):
@@ -687,8 +686,7 @@ class TestJson:
     def test_combination_member_count_must_match_its_parts(self, kind):
         part = {"n": 2, "kind": "weighted", "weights": [1, 1], "quota": 1}
         assert game_from_json({"n": 2, "kind": kind, "parts": [part]}).n == 2
-        with pytest.raises(ValueError, match=f"^{kind} game declares n = 3, but its parts "
-                                             "are over 2$"):
+        with pytest.raises(ValueError, match=f"^{kind} game .* is over 2 members, not 3$"):
             game_from_json({"n": 3, "kind": kind, "parts": [part]})
 
     def test_unknown_kind_rejected(self):
