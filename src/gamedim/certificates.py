@@ -29,12 +29,22 @@ the two halves on the coalition masks.
 The 5 triple certificates take as witnesses the three of W1..W12 whose
 per-member counts equal the triple's.  Every builder ends in one
 `verify_balance` of the certificate it returns, against the game itself.
+
+The public builders check their arguments, then run the one construction
+per kind that `nonseparable_family` runs on the bundled coalitions.  A
+construction reads each losing coalition's rule profile through a callable:
+a builder passes `EuGame._rules`, which checks the coalition first, and a
+family build passes a memo of it, so each of L1..L15 is classified once per
+build.  The halves, made from masks, are wrapped into a certificate
+unchecked (`_certificate`): sorted in canonical order, with no mask listed
+twice, as `BalanceCertificate` sorts and checks what a caller hands in.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import combinations
+from operator import attrgetter
 
 from ._packed import fields, instance, of_kind
 from ._record import Frozen
@@ -44,12 +54,17 @@ from .eu import (
     LOSING_FAMILY,
     NONSEPARABLE_PAIRS,
     NONSEPARABLE_TRIPLES,
+    N_MEMBERS,
     OUTRIGHT_QUOTA,
     WINNING_FAMILY,
     EuGame,
     _label_sets,
 )
-from .games import Coalition, SimpleGame, _coalition, coalition_sort_key, coalitions_from_json
+from .games import (Coalition, SimpleGame, _coalition, _new, coalition_sort_key,
+                    coalitions_from_json)
+
+
+_mask = attrgetter("mask")
 
 
 class CertificateError(RuntimeError):
@@ -64,14 +79,7 @@ class BalanceCertificate(Frozen):
 
     def __init__(self, losing: Iterable[Coalition], winning: Iterable[Coalition]):
         losing = of_kind(losing, Coalition, None, "losing coalition")
-        winning = of_kind(winning, Coalition, losing[0].n, "winning coalition")
-        losing = tuple(sorted(losing, key=coalition_sort_key))
-        winning = tuple(sorted(winning, key=coalition_sort_key))
-        # Over one n, two coalitions are equal iff their masks are.
-        if (len({c.mask for c in losing}) != len(losing)
-                or len({c.mask for c in winning}) != len(winning)):
-            raise ValueError("certificate lists a coalition twice")
-        super().__init__(losing, winning)
+        _fill(self, losing, of_kind(winning, Coalition, losing[0].n, "winning coalition"))
 
     @property
     def n(self) -> int:
@@ -83,8 +91,33 @@ class BalanceCertificate(Frozen):
         Compares the two sides' per-member counts as bit planes (see
         `incidence_planes`): equal counts give equal plane lists.
         """
-        return (incidence_planes(c.mask for c in self.losing)
-                == incidence_planes(c.mask for c in self.winning))
+        return (incidence_planes(map(_mask, self.losing))
+                == incidence_planes(map(_mask, self.winning)))
+
+
+def _fill(cert: BalanceCertificate, losing: Iterable[Coalition],
+          winning: Iterable[Coalition]) -> BalanceCertificate:
+    """Set the fields of ``cert``: each side sorted by `coalition_sort_key`.
+
+    The coalitions must be over one n, where two are equal iff their masks
+    are; a mask listed twice on one side raises ValueError.
+    """
+    losing = tuple(sorted(losing, key=coalition_sort_key))
+    winning = tuple(sorted(winning, key=coalition_sort_key))
+    if (len(set(map(_mask, losing))) != len(losing)
+            or len(set(map(_mask, winning))) != len(winning)):
+        raise ValueError("certificate lists a coalition twice")
+    vars(cert).update(losing=losing, winning=winning)
+    return cert
+
+
+def _certificate(losing: Iterable[Coalition], winning: Iterable[Coalition]) -> BalanceCertificate:
+    """`BalanceCertificate(losing, winning)` without its item checks.
+
+    Only for nonempty sides of coalitions over one n: the bundled ones and
+    halves made from their masks.
+    """
+    return _fill(_new(BalanceCertificate), losing, winning)
 
 
 def incidence_planes(masks: Iterable[int]) -> list[int]:
@@ -138,7 +171,24 @@ def transfer_split(li: Coalition, lj: Coalition, transfer: Coalition
     a, b, moved = li.mask, lj.mask, transfer.mask
     if moved & ~(a ^ b):
         raise ValueError("transfer set must lie in the symmetric difference")
+    return _split(n, a, b, moved)
+
+
+def _split(n: int, a: int, b: int, moved: int) -> tuple[Coalition, Coalition]:
+    """`transfer_split` of the masks a and b, unchecked: moved lies in a ^ b."""
     return _coalition(n, moved | (a & b)), _coalition(n, (a | b) ^ moved)
+
+
+def _first(entries: Iterable[tuple[int, int]], mask: int, count: int) -> int:
+    """The first ``count`` members of ``mask`` among (population, bit) entries, as a mask."""
+    picked = 0
+    for _, bit in entries:
+        if not count:
+            break
+        if bit & mask:
+            picked |= bit
+            count -= 1
+    return picked
 
 
 def build_pair_certificate(li: Coalition, lj: Coalition, game: EuGame) -> BalanceCertificate:
@@ -152,22 +202,32 @@ def build_pair_certificate(li: Coalition, lj: Coalition, game: EuGame) -> Balanc
     changes, is largest for the cheapest transfer.  If that W2 loses, every
     other transfer's W2 loses too.
     """
+    game = instance(game, EuGame, N_MEMBERS, "game")
+    return _pair_certificate(li, lj, game, game._rules)
+
+
+def _pair_certificate(li: Coalition, lj: Coalition, game: EuGame,
+                      rules: Callable[[Coalition], tuple]) -> BalanceCertificate:
+    """`build_pair_certificate`, reading each coalition's profile by ``rules``."""
     if li == lj:
         raise ValueError("pair certificate needs two distinct losing coalitions")
     for c, name in ((li, "first"), (lj, "second")):
-        winning, rule55, rule65, _, _ = game._rules(c)
+        winning, rule55, rule65, _, _ = rules(c)
         if winning:
             raise ValueError(f"{name} coalition {c} is winning")
         if not rule55 or rule65:
             raise ValueError(
                 f"{name} coalition {c} must pass the member rule and fail the population rule")
-    sym = li.mask ^ lj.mask
-    size = max(0, OUTRIGHT_QUOTA - (li.mask & lj.mask).bit_count())
+    a, b = li.mask, lj.mask
+    sym = a ^ b
+    size = max(0, OUTRIGHT_QUOTA - (a & b).bit_count())
     if size > sym.bit_count():
         raise CertificateError(f"symmetric difference of {li} and {lj} has only "
                                f"{sym.bit_count()} members, need {size}")
-    cheapest = sum([bit for _, bit in game.table.cheapest_first if bit & sym][:size])
-    cert = BalanceCertificate((li, lj), transfer_split(li, lj, _coalition(li.n, cheapest)))
+    # The size cheapest are sym without its dearest sym.bit_count() - size:
+    # the members Li and Lj do not share sit mostly at the dear end.
+    cheapest = sym ^ _first(reversed(game.table.cheapest_first), sym, sym.bit_count() - size)
+    cert = _certificate((li, lj), _split(N_MEMBERS, a, b, cheapest))
     if not verify_balance(cert, game):
         raise CertificateError(
             f"no transfer of {size} members makes both halves of {li}, {lj} winning")
@@ -185,11 +245,18 @@ def build_anchor_certificate(li: Coalition, game: EuGame) -> BalanceCertificate:
     the transfer split of li and the anchor that moves everything else of
     li - anchor, plus the incoming member, into W1.
     """
+    game = instance(game, EuGame, N_MEMBERS, "game")
+    return _anchor_certificate(li, game, game._rules)
+
+
+def _anchor_certificate(li: Coalition, game: EuGame,
+                        rules: Callable[[Coalition], tuple]) -> BalanceCertificate:
+    """`build_anchor_certificate`, reading each coalition's profile by ``rules``."""
     anchor = LOSING_FAMILY[ANCHOR_LABEL - 1]
     if li == anchor:
         raise ValueError("anchor certificate needs a coalition distinct from the anchor")
     for c in (li, anchor):
-        if game.is_winning(c):
+        if rules(c)[0]:
             raise ValueError(f"coalition {c} is winning")
     outside = li.mask & ~anchor.mask
     if outside.bit_count() < 2:
@@ -198,12 +265,12 @@ def build_anchor_certificate(li: Coalition, game: EuGame) -> BalanceCertificate:
     if not incoming:
         raise ValueError(f"the anchor {anchor} has no member outside {li}")
     order = game.table.cheapest_first
-    dropped = sum([bit for _, bit in order if bit & outside][:2])
+    dropped = _first(order, outside, 2)
     candidates = [(pop, bit) for pop, bit in order if bit & incoming]
     top = candidates[-1][0]
     one_in = next(bit for pop, bit in candidates if pop == top)
-    cert = BalanceCertificate(
-        (li, anchor), transfer_split(li, anchor, _coalition(li.n, (outside ^ dropped) | one_in)))
+    cert = _certificate((li, anchor), _split(
+        N_MEMBERS, li.mask, anchor.mask, (outside ^ dropped) | one_in))
     if not verify_balance(cert, game):
         raise CertificateError(f"exchange between {li} and the anchor leaves a losing coalition")
     return cert
@@ -230,11 +297,16 @@ def build_triple_certificate(losing: Iterable[Coalition], game: SimpleGame) -> B
     losing = tuple(losing)
     if len(losing) != 3:
         raise ValueError(f"triple certificate needs three losing coalitions, got {len(losing)}")
+    return _triple_certificate(of_kind(losing, Coalition, N_MEMBERS, "losing coalition"), game)
+
+
+def _triple_certificate(losing: Sequence[Coalition], game: SimpleGame) -> BalanceCertificate:
+    """`build_triple_certificate` of three coalitions over the council's members."""
     target = sum(map(_base4, losing))
     for a, b in combinations(range(len(_WINNING_QUADS)), 2):
         c = _WINNER_OF_QUAD.get(target - _WINNING_QUADS[a] - _WINNING_QUADS[b], -1)
         if c > b:
-            cert = BalanceCertificate(losing, (WINNING_FAMILY[k] for k in (a, b, c)))
+            cert = _certificate(losing, (WINNING_FAMILY[k] for k in (a, b, c)))
             if not verify_balance(cert, game):
                 raise CertificateError("certificate does not verify")
             return cert
@@ -270,7 +342,7 @@ def lower_bound_dimension(game: SimpleGame, family: CertifiedFamily) -> int:
 
     Re-checks every edge certificate against the game first.
     """
-    family.check(game)
+    instance(family, CertifiedFamily, None, "family").check(game)
     h = family.hypergraph
     return min_cover(h, enumerate_maximal_independent(h)).k
 
@@ -279,29 +351,39 @@ def nonseparable_family(game: EuGame) -> CertifiedFamily:
     """Construct and verify all 80 bundled certificates of the council family.
 
     The 75 pairs are built by the transfer and anchor constructions, the 5
-    triples by matching witnesses from W1..W12.  Each builder verifies the
-    certificate it returns, once.  The first failure aborts the construction
-    with a ValueError or CertificateError whose message names the edge, as in
-    ``{L3,L14}: <reason>``.
+    triples by matching witnesses from W1..W12.  Each construction verifies
+    the certificate it returns, once.  The pair constructions read the rule
+    profiles of L1..L15 from a memo of `EuGame._rules` that lives for this
+    call only, filled in edge order as each coalition is first needed, so
+    each is classified once, and the first failing check is the one the
+    public builder would raise.  The first failure aborts the construction
+    with a ValueError or CertificateError whose message names the edge, as
+    in ``{L3,L14}: <reason>``.
     """
+    game = instance(game, EuGame, N_MEMBERS, "game")
+    profiles: dict[int, tuple] = {}  # `EuGame._rules` of each coalition, by mask
 
-    def build(edge: tuple[int, ...]) -> BalanceCertificate:
-        if len(edge) == 3:
-            return build_triple_certificate((LOSING_FAMILY[i - 1] for i in edge), game)
-        i, j = edge
-        if j == ANCHOR_LABEL:
-            return build_anchor_certificate(LOSING_FAMILY[i - 1], game)
-        return build_pair_certificate(LOSING_FAMILY[i - 1], LOSING_FAMILY[j - 1], game)
+    def rules(c: Coalition) -> tuple:
+        if c.mask not in profiles:
+            profiles[c.mask] = game._rules(c)
+        return profiles[c.mask]
 
     certificates: dict[frozenset[int], BalanceCertificate] = {}
     for edge in NONSEPARABLE_PAIRS + NONSEPARABLE_TRIPLES:
+        losing = [LOSING_FAMILY[i - 1] for i in edge]
         try:
-            certificates[frozenset(edge)] = build(edge)
+            if len(edge) == 3:
+                cert = _triple_certificate(losing, game)
+            elif edge[1] == ANCHOR_LABEL:
+                cert = _anchor_certificate(losing[0], game, rules)
+            else:
+                cert = _pair_certificate(*losing, game, rules)
         except (ValueError, CertificateError) as err:
             raise type(err)(f"{_label_sets([edge])}: {err}") from err
+        certificates[frozenset(edge)] = cert
     return CertifiedFamily(
         nodes=LOSING_FAMILY,
-        hypergraph=Hypergraph(len(LOSING_FAMILY), certificates.keys()),
+        hypergraph=Hypergraph(len(LOSING_FAMILY), NONSEPARABLE_PAIRS + NONSEPARABLE_TRIPLES),
         certificates=certificates,
     )
 

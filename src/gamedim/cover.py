@@ -42,8 +42,8 @@ from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import compress, count
 
-from ._packed import (MAX_MEMBERS, PackedMasks, canonical_key, exact, fields, integer, listed,
-                      mask_of, members)
+from ._packed import (MAX_MEMBERS, PackedMasks, canonical_key, exact, fields, instance, integer,
+                      listed, mask_of, members)
 from ._record import Frozen
 from .simplex import phase_two
 
@@ -115,6 +115,7 @@ class Hypergraph(Frozen):
 
 def is_independent(nodes: Iterable[int], h: Hypergraph) -> bool:
     """True iff no edge of h lies inside the given node set."""
+    h = instance(h, Hypergraph, None, "hypergraph")
     return not h._packed_edges.any_inside(mask_of(nodes, h.node_count, "node"))
 
 
@@ -127,7 +128,7 @@ def enumerate_maximal_independent(h: Hypergraph) -> tuple[frozenset[int], ...]:
     excluded node can no longer be blocked, and reports nothing there.
     Guarded at 24 nodes.
     """
-    return h._maximal_sets
+    return instance(h, Hypergraph, None, "hypergraph")._maximal_sets
 
 
 def _maximal_independent(h: Hypergraph) -> tuple[int, ...]:
@@ -217,6 +218,7 @@ class CoverSolution(Frozen):
         return len(self.parts)
 
     def verify(self, h: Hypergraph) -> bool:
+        h = instance(h, Hypergraph, None, "hypergraph")
         return (all(is_independent(p, h) for p in self.parts)
                 and frozenset().union(*self.parts) == h.nodes)
 
@@ -351,6 +353,7 @@ def min_cover(h: Hypergraph, candidates: Sequence[Iterable[int]]) -> CoverSoluti
     enumeration is never started here, so explicit candidates above its
     node guard still run.
     """
+    h = instance(h, Hypergraph, None, "hypergraph")
     if "_maximal_sets" in h.__dict__ and candidates is h._maximal_sets:
         cands = candidates
         search = h._cover
@@ -417,7 +420,8 @@ def verify_dual_certificate(cert: DualWeightCertificate, h: Hypergraph) -> bool:
     multiple of their denominators, so each set's weight is an integer sum
     compared with that scale, and no `Fraction` is added per set.
     """
-    weights = cert.weights
+    weights = instance(cert, DualWeightCertificate, None, "dual certificate").weights
+    h = instance(h, Hypergraph, None, "hypergraph")
     if len(weights) != h.node_count:
         raise ValueError(f"expected {h.node_count} weights, got {len(weights)}")
     for i, w in enumerate(weights):
@@ -523,6 +527,7 @@ def no_k_cover(h: Hypergraph, k: int) -> Refutation:
 
 
 def hypergraph_to_json(h: Hypergraph) -> dict:
+    h = instance(h, Hypergraph, None, "hypergraph")
     return {"nodes": h.node_count, "edges": [sorted(e) for e in h.edges]}
 
 

@@ -356,7 +356,8 @@ def minimal_winning(game: SimpleGame) -> tuple[Coalition, ...]:
     minimal winning masks, and a `Coalition` is built only for each of them.
     The bitsets span all 2^n masks, so it is guarded at n <= 20.
     """
-    n = integer(game.n, "minimal_winning scans all 2^n coalitions, so n", 1, ENUMERATION_GUARD)
+    n = integer(instance(game, SimpleGame, None, "game").n,
+                "minimal_winning scans all 2^n coalitions, so n", 1, ENUMERATION_GUARD)
     winning = game._winning_bits()
     reducible = 0
     for step, lacking in _lacking(n):

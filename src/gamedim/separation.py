@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
+from . import _packed
 from ._packed import MAX_MEMBERS, PackedMasks, byte_tables, fields, integer, of_kind, table_sum
 from ._record import Frozen
 from .games import Coalition, SimpleGame, coalitions_from_json, minimal_winning
@@ -104,7 +105,7 @@ def lp_feasible(instance: SeparationInstance) -> Separable | NotSeparable:
     the inclusion-minimal ones sufficient), as are losing targets contained
     in another target.
     """
-    n = instance.n
+    n = _packed.instance(instance, SeparationInstance, None, "separation instance").n
     quota = 1 << n  # the quota's bit; member i is bit i - 1
     winning = _inclusion_minimal(instance.winning_constraints, n)
     losing = _inclusion_maximal(instance.losing_targets, n)
@@ -156,6 +157,7 @@ def is_nonseparable_exhaustive(game: SimpleGame, targets: Sequence[Coalition]) -
     coalition in `targets`, decided against all minimal winning coalitions.
     Guarded at n <= 14.
     """
+    _packed.instance(game, SimpleGame, None, "game")
     integer(game.n, "the exhaustive non-separability check solves an LP over all minimal "
             "winning coalitions, so n", 1, SEPARATION_GUARD)
     targets = of_kind(targets, Coalition, game.n, "losing target")

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gamedim.certificates import (
     BalanceCertificate,
     CertificateError,
+    _certificate,
     build_anchor_certificate,
     build_pair_certificate,
     build_triple_certificate,
@@ -21,6 +22,7 @@ from gamedim.eu import (
     LOSING_FAMILY,
     MEMBERS_2014,
     N_MEMBERS,
+    NONSEPARABLE_PAIRS,
     NONSEPARABLE_TRIPLES,
     WINNING_FAMILY,
     EuGame,
@@ -524,6 +526,30 @@ class TestFamily:
             assert len(cert.winning) >= len(cert.losing)
             assert cert.incidence_balanced()
             assert {family.coalition_of(v) for v in edge} == set(cert.losing)
+
+    def test_each_edge_matches_its_public_builder(self, family, eu_game):
+        # The family reads its input checks from a memo and wraps the halves
+        # unchecked; the public builders check every argument.  Both give
+        # the same certificate, equal to one built through the checks.
+        for edge in NONSEPARABLE_PAIRS + NONSEPARABLE_TRIPLES:
+            losing = [L(i) for i in edge]
+            if len(edge) == 3:
+                built = build_triple_certificate(losing, eu_game)
+            elif edge[1] == 15:
+                built = build_anchor_certificate(losing[0], eu_game)
+            else:
+                built = build_pair_certificate(*losing, eu_game)
+            cert = family.certificates[frozenset(edge)]
+            assert type(cert) is BalanceCertificate
+            assert cert == built == BalanceCertificate(cert.losing[::-1], cert.winning[::-1]), edge
+
+    def test_unchecked_wrap_still_refuses_a_repeated_mask(self):
+        with pytest.raises(ValueError, match="^certificate lists a coalition twice$"):
+            _certificate((L(1), L(1)), (W(1), W(2)))
+        with pytest.raises(ValueError, match="^certificate lists a coalition twice$"):
+            _certificate((L(1), L(5)), (W(2), W(2)))
+        assert _certificate((L(5), L(1)), (W(2), W(1))) == BalanceCertificate(
+            (L(1), L(5)), (W(1), W(2)))
 
     def test_tampered_certificate_detected(self, family, eu_game):
         edge = frozenset({1, 5})

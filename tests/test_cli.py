@@ -154,24 +154,26 @@ class TestVerify:
 
     def test_each_certificate_built_and_verified_once(self, monkeypatch):
         # `_rules` is the one evaluation behind `contains`, `is_winning` and
-        # `classify`: 27 in step 1, then 2 classify and 4 verify per transfer
-        # pair, 2 input checks and 4 verify per anchor pair, 6 per triple.
-        # Each of the 75 pairs makes one transfer split.
-        calls = {"verify_balance": 0, "build_pair_certificate": 0, "transfer_split": 0,
-                 "_rules": 0}
-        for owner, name in ((certificates, "verify_balance"),
-                            (certificates, "build_pair_certificate"),
-                            (certificates, "transfer_split"), (eu.EuGame, "_rules")):
+        # `classify`: 27 in step 1, one per losing coalition L1..L15 for the
+        # pair constructions' input checks, read from the family's memo, and
+        # 4 per pair and 6 per triple in `verify_balance`: 27 + 15 + 300 + 30.
+        # Each edge is built once, by its kind's construction, and each of
+        # the 75 pairs makes one split of its masks.
+        counted = {(certificates, "verify_balance"): 80, (certificates, "_pair_certificate"): 61,
+                   (certificates, "_anchor_certificate"): 14,
+                   (certificates, "_triple_certificate"): 5, (certificates, "_split"): 75,
+                   (eu.EuGame, "_rules"): 372}
+        calls = dict.fromkeys((name for _, name in counted), 0)
+        for owner, name in counted:
             original = getattr(owner, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
+            def counting(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(owner, name, counted)
+            monkeypatch.setattr(owner, name, counting)
         assert run_verification().verified
-        assert calls == {"verify_balance": 80, "build_pair_certificate": 61,
-                         "transfer_split": 75, "_rules": 507}
+        assert calls == {name: count for (_, name), count in counted.items()}
 
     def test_module_stdout_matches_expected_transcript(self):
         # The transcript the benchmark gate compares against, byte for byte.
@@ -619,4 +621,22 @@ class TestExport:
             "{1,4,6,7,8,9,10,11,12,13,14,15,16,17,18,20,21,22,23,24,25,26,27,28} "
             "winning\n"
         )
+        assert not path.exists()
+
+    @pytest.mark.parametrize("doubled, message", [
+        # France's population doubled: L1 wins, which the first edge's first
+        # input check reports.
+        (2, "{L1,L5}: first coalition "
+            "{2,3,5,6,8,9,10,11,12,15,16,17,18,19,20,21,22,23,24,25,26,27,28} is winning"),
+        # Member 15's doubled: L1 still passes, and L8 wins.
+        (15, "{L1,L8}: second coalition "
+             "{2,3,4,7,8,9,10,11,12,13,14,15,17,19,20,21,22,23,24,25,26,27,28} is winning"),
+    ])
+    def test_input_check_failure_names_the_first_failing_edge(self, capsys, tmp_path,
+                                                               doubled, message):
+        entries = [(i, name, 2 * pop if i == doubled else pop) for i, name, pop in MEMBERS_2014]
+        members = write_members(tmp_path / "doubled.csv", entries)
+        path = tmp_path / "certs.json"
+        assert run(capsys, "export", "certs", str(path), "--members", members) == (
+            2, "", f"error: {message}\n")
         assert not path.exists()

@@ -16,16 +16,29 @@ import pytest
 
 import gamedim
 from gamedim._packed import integer
-from gamedim.certificates import BalanceCertificate, transfer_split, verify_balance
+from gamedim.certificates import (
+    BalanceCertificate,
+    build_anchor_certificate,
+    build_pair_certificate,
+    build_triple_certificate,
+    lower_bound_dimension,
+    nonseparable_family,
+    transfer_split,
+    verify_balance,
+)
 from gamedim.cover import (
     CoverSolution,
     DualWeightCertificate,
     Hypergraph,
     dual_refutation,
     enumerate_maximal_independent,
+    hypergraph_to_json,
+    is_independent,
+    min_cover,
     no_k_cover,
+    verify_dual_certificate,
 )
-from gamedim.eu import build_eu_game
+from gamedim.eu import LOSING_FAMILY, build_eu_game
 from gamedim.games import (
     Coalition,
     ExplicitGame,
@@ -39,10 +52,13 @@ from gamedim.separation import (
     SeparationInstance,
     instance_from_json,
     is_nonseparable_exhaustive,
+    lp_feasible,
 )
 
 SINGLE_EDGE = Hypergraph(2, [(1, 2)])
 ONE_ONE = BalanceCertificate([Coalition(3, 1)], [Coalition(3, 1)])
+MAJORITY_28 = WeightedGame(28, [1] * 28, 14)  # over the council's members, not an EuGame
+L1, L2, L5 = (LOSING_FAMILY[i - 1] for i in (1, 2, 5))
 
 
 def weighted(n):
@@ -174,6 +190,47 @@ DEFECTS = {
     # "'int' object has no attribute '_check_same_ground'"
     "transfer_split of an int": (lambda: transfer_split(Coalition(3, 3), Coalition(3, 6), 0),
                                  "transfer 0 is not a Coalition"),
+    # AttributeError: '...' object has no attribute '_rules', 'is_winning',
+    # 'mask', 'check', '_maximal_sets', 'node_count', 'weights' or 'n'
+    "build_pair_certificate of a weighted game": (
+        lambda: build_pair_certificate(L1, L5, MAJORITY_28),
+        f"game {MAJORITY_28!r} is not a EuGame"),
+    "build_pair_certificate of a string game": (lambda: build_pair_certificate(L1, L5, "g"),
+                                                "game 'g' is not a EuGame"),
+    "build_anchor_certificate of a weighted game": (
+        lambda: build_anchor_certificate(L1, MAJORITY_28),
+        f"game {MAJORITY_28!r} is not a EuGame"),
+    "nonseparable_family of a weighted game": (lambda: nonseparable_family(MAJORITY_28),
+                                               f"game {MAJORITY_28!r} is not a EuGame"),
+    "build_triple_certificate with a string": (
+        lambda: build_triple_certificate([L1, L2, "x"], build_eu_game()),
+        "losing coalition 'x' is not a Coalition"),
+    "lower_bound_dimension of a string family": (
+        lambda: lower_bound_dimension(MAJORITY_28, "fam"),
+        "family 'fam' is not a CertifiedFamily"),
+    "min_cover of a string": (lambda: min_cover("h", []), "hypergraph 'h' is not a Hypergraph"),
+    "dual_refutation of a string": (lambda: dual_refutation("h", 2),
+                                    "hypergraph 'h' is not a Hypergraph"),
+    "no_k_cover of a string": (lambda: no_k_cover("h", 1), "hypergraph 'h' is not a Hypergraph"),
+    "enumerate_maximal_independent of a string": (
+        lambda: enumerate_maximal_independent("h"), "hypergraph 'h' is not a Hypergraph"),
+    "is_independent in a string": (lambda: is_independent([1], "h"),
+                                   "hypergraph 'h' is not a Hypergraph"),
+    "hypergraph_to_json of a string": (lambda: hypergraph_to_json("h"),
+                                       "hypergraph 'h' is not a Hypergraph"),
+    "verify_dual_certificate against a string": (
+        lambda: verify_dual_certificate(DualWeightCertificate([1, 1], 2), "h"),
+        "hypergraph 'h' is not a Hypergraph"),
+    "verify_dual_certificate of a string": (
+        lambda: verify_dual_certificate("c", SINGLE_EDGE),
+        "dual certificate 'c' is not a DualWeightCertificate"),
+    "CoverSolution.verify against a string": (
+        lambda: CoverSolution([[1], [2, 3]]).verify("h"), "hypergraph 'h' is not a Hypergraph"),
+    "lp_feasible of a string": (lambda: lp_feasible("i"),
+                                "separation instance 'i' is not a SeparationInstance"),
+    "is_nonseparable_exhaustive of a string game": (
+        lambda: is_nonseparable_exhaustive("g", []), "game 'g' is not a SimpleGame"),
+    "minimal_winning of a string": (lambda: minimal_winning("g"), "game 'g' is not a SimpleGame"),
 }
 
 
