@@ -13,34 +13,44 @@ expected, and `of_kind` every list of them, each item by that rule.
 
 Every per-byte table of a mask is built by one doubling, `subset_sums`:
 `byte_tables` of weights or populations, summed over a mask's bytes by
-`table_sum`; of the 1-tuples (1,) ... (64,), the members of each byte
-value; and of the eight bits reversed, each byte reversed.  Three readings
-of a mask live here, so that coalitions, hypergraph edges, independent
-sets and cover candidates all read it the same way:
+`table_sum`, or over a whole list of masks by `table_sums`, which writes
+them as 64-bit machine words and looks up each byte lane with one `map`;
+of the 1-tuples (1,) ... (64,), the members of each byte value; and of the
+eight bits reversed, each byte reversed.  Three readings of a mask live
+here, so that coalitions, hypergraph edges, independent sets and cover
+candidates all read it the same way:
 
 - `members`: its members, ascending, one table lookup per byte.
 - `canonical_key`: the (size, member tuple) order.  It sorts by size, then
   by the complement's bytes, each with its bits reversed.  Member 1 is then
   the top bit of the first byte, so at the first member where two masks
   differ, the one holding it has the larger bytes (and the smaller member
-  tuple), and its complement the smaller bytes.
+  tuple), and its complement the smaller bytes.  `canonical_order` sorts
+  a list of masks in that order by integer keys, all read by one
+  `table_sums`.
 - `PackedMasks`: does any of a set of masks lie inside m?  Masks of n bits
   sit one per (n+1)-bit field, whose top bit is a guard.  Field i of
   packed & (~m * ones) is zero iff mask i lies inside m; with the guards
   set, subtracting one per field clears exactly those fields' guards and
   borrows nothing across fields.  So the test is one multiplication, one
   subtraction and a few bitwise operations, with no Python frame per mask.
-  `add_minimal` adds m only if the test fails.  Fed masks in order of size,
-  it keeps exactly those that contain no earlier one: the one
-  inclusion-minimal filter of separation constraints, hypergraph edges and
-  an explicit game's declared winners.
+  `add_minimal` adds each of a list of masks, in order of size, unless the
+  test finds an earlier one inside: the one inclusion-minimal filter of
+  separation constraints, hypergraph edges and an explicit game's declared
+  winners.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
+from array import array
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from operator import add
+
+if sys.byteorder != "little":
+    raise ImportError("gamedim._packed reads masks as little-endian machine words")
 
 MAX_MEMBERS = 64
 
@@ -69,6 +79,18 @@ def byte_tables(values: Sequence, start=0) -> tuple[list, ...]:
 def table_sum(tables: Sequence[list[int]], mask: int) -> int:
     """The sum of the values over the set bits of the mask, by `byte_tables`."""
     return sum(map(list.__getitem__, tables, mask.to_bytes(len(tables), "little")))
+
+
+def table_sums(tables: Sequence[list[int]], masks: Sequence[int]) -> list[int]:
+    """`table_sum` of every mask, one table lookup per byte lane.
+
+    The masks are written as 64-bit machine words in one pass; lane b of
+    those bytes is byte b of every mask, looked up in table b, and the lanes
+    are added mask by mask.
+    """
+    raw = array("Q", masks).tobytes()
+    lanes = (map(t.__getitem__, raw[b::8]) for b, t in enumerate(tables))
+    return list(functools.reduce(functools.partial(map, add), lanes))
 
 
 # Entry b is byte b with its bits in reverse order.
@@ -214,6 +236,27 @@ def canonical_key(mask: int, n: int) -> tuple[int, bytes]:
     return mask.bit_count(), complement.to_bytes((n + 7) >> 3, "little").translate(_REVERSED)
 
 
+@functools.cache
+def _canonical_tables(n: int) -> tuple[list[int], ...]:
+    """`byte_tables` of a sort key of n-bit masks in `canonical_key` order.
+
+    Member i adds 1 to the size, 2^(n-1-i) to the mask reversed, which is
+    subtracted, and 2^i to the mask itself: the key is (size, minus the
+    reversed mask, the mask), each field n bits wide.  At the first member
+    where two masks of one size differ, the one holding it has the larger
+    reversed mask.
+    """
+    return byte_tables([(1 << 2 * n) - (1 << (2 * n - 1 - i)) + (1 << i) for i in range(n)])
+
+
+def canonical_order(masks: Sequence[int], n: int) -> list[int]:
+    """The n-bit masks sorted by `canonical_key`, with no Python call per mask.
+
+    Each key is one `table_sums` entry; the mask is its low n bits.
+    """
+    return list(map(((1 << n) - 1).__and__, sorted(table_sums(_canonical_tables(n), masks))))
+
+
 class PackedMasks:
     """Masks of n bits, tested together: does any of them lie inside m?"""
 
@@ -224,16 +267,48 @@ class PackedMasks:
         self._full = (1 << n) - 1
         self._packed = self._ones = self._guards = self._at = 0
 
-    def add_minimal(self, m: int) -> bool:
-        """Add m unless an added mask lies inside it; True iff m was added."""
-        if self.any_inside(m):
-            return False
-        at = self._at
-        self._packed |= m << at
-        self._ones |= 1 << at
-        self._guards |= 1 << (at + self._n)
-        self._at = at + self._n + 1
-        return True
+    def add_minimal(self, masks: Iterable[int]) -> list[bool]:
+        """Add each mask in turn unless an added mask lies inside it.
+
+        Returns, per mask, whether it was added.  A mask can only contain a
+        smaller one or an equal one, so in a run of masks of one size each
+        is tested against the fields packed before the run began, and
+        against a set of the masks the run added.  Those are packed into a
+        short integer of their own, joined to the rest when the run ends;
+        fed in order of size, the masks make one run per size.  The guards
+        less the ones, added to the zero-field test's operand, set exactly
+        the guards of its nonzero fields.
+        """
+        full, width = self._full, self._n + 1
+        added: list[bool] = []
+        run, run_packed, run_at, size = set(), 0, 0, -1
+        for m in masks:
+            if m.bit_count() != size:
+                size = m.bit_count()
+                self._join(run_packed, run_at)
+                packed, ones, guards = self._packed, self._ones, self._guards
+                borrowed = guards - ones
+                run, run_packed, run_at = set(), 0, 0
+            fresh = m not in run and ((packed & ((full ^ m) * ones)) + borrowed) & guards == guards
+            added.append(fresh)
+            if fresh:
+                run.add(m)
+                run_packed |= m << run_at
+                run_at += width
+        self._join(run_packed, run_at)
+        return added
+
+    def _join(self, run_packed: int, run_at: int) -> None:
+        """Put fields packed on their own, run_at bits of them, after the rest.
+
+        Their ones are (2^run_at - 1) / (2^(n+1) - 1).
+        """
+        at, n = self._at, self._n
+        ones = ((1 << run_at) - 1) // ((1 << n + 1) - 1) << at
+        self._packed |= run_packed << at
+        self._ones |= ones
+        self._guards |= ones << n
+        self._at = at + run_at
 
     def any_inside(self, m: int) -> bool:
         ones, guards = self._ones, self._guards

@@ -85,9 +85,10 @@ class Hypergraph(Frozen):
         # In size order, an edge contains an earlier edge, kept or dropped,
         # iff it contains a kept one: a dropped edge contains a kept one.
         packed = PackedMasks(node_count)
+        ordered = sorted(canonical, key=lambda m: canonical_key(m, node_count))
         kept = []
-        for m in sorted(canonical, key=lambda m: canonical_key(m, node_count)):
-            if packed.add_minimal(m):
+        for m, added in zip(ordered, packed.add_minimal(ordered)):
+            if added:
                 kept.append(m)
             else:
                 warnings.warn(f"dropping redundant edge {sorted(canonical[m])}: "

@@ -18,24 +18,27 @@ floating point.
 The exhaustive scans (`minimal_winning`, `check_monotone`) never test the 2^n
 coalitions one at a time.  Each game packs its whole winning family into one
 Python-int bitset, where bit m is set iff the coalition with mask m wins:
-weighted games from their subset sums, intersections and unions by AND and
-OR of their parts' bitsets, explicit games by an upward closure.  The shift
-step ``(bits & lacking_i) << 2**i`` moves every mask without member i to the
-same mask with member i added, so n such steps close a family upward, or
-find every winning coalition that stays winning after removing one member.
+weighted games by meeting in the middle (see `WeightedGame._winning_bits`),
+intersections and unions by AND and OR of their parts' bitsets, explicit
+games by an upward closure.  The shift step ``(bits & lacking_i) << 2**i``
+moves every mask without member i to the same mask with member i added, so
+n such steps close a family upward, or find every winning coalition that
+stays winning after removing one member.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
+from itertools import accumulate, compress, count, repeat
 
-from ._packed import (MAX_MEMBERS, PackedMasks, byte_tables, canonical_key, exact, fields,
-                      instance, integer, listed, mask_of, members, of_kind, subset_sums,
-                      table_sum)
+from ._packed import (MAX_MEMBERS, PackedMasks, byte_tables, canonical_key, canonical_order,
+                      exact, fields, instance, integer, listed, mask_of, members, of_kind,
+                      subset_sums, table_sum)
 from ._record import Frozen
 
 ENUMERATION_GUARD = 20
@@ -165,24 +168,31 @@ def _bitset(masks: Iterable[int], n: int) -> int:
     return _pack(flags)
 
 
-def _set_bits(bits: int) -> Iterator[int]:
-    """The positions of the set bits of ``bits``, ascending, in linear time."""
-    digits = bin(bits)[:1:-1]
-    m = digits.find("1")
-    while m >= 0:
-        yield m
-        m = digits.find("1", m + 1)
+def _set_bits(bits: int) -> list[int]:
+    """The positions of the set bits of ``bits``, ascending.
+
+    The base-2 digits, lowest first, split at each 1: the k-th piece's end
+    is the sum of the first k + 1 pieces' lengths, plus k.
+    """
+    pieces = bin(bits)[:1:-1].split("1")
+    pieces.pop()
+    return list(map(operator.add, accumulate(map(len, pieces)), count()))
 
 
-def _lacking(n: int) -> Iterator[tuple[int, int]]:
+@cache
+def _lacking(n: int) -> tuple[tuple[int, int], ...]:
     """For each member bit i: ``(2**i, bitset of the masks without bit i)``.
 
-    Over the 2^n masks the bitset is blocks of 2^i zeros above 2^i ones,
-    written as one repeated base-2 string.
+    Over the 2^n masks the bitset is blocks of 2^i ones below 2^i zeros,
+    written as one repeated byte string: 0x55, 0x33 and 0x0f for the bits
+    within a byte, whole 0xff and 0x00 bytes above.  A constant of n, kept
+    per n: n 2^n-bit numbers, 6 KB at n = 12.
     """
-    for i in range(n):
-        step = 1 << i
-        yield step, int(("0" * step + "1" * step) * (1 << (n - 1 - i)), 2)
+    size, full = (1 << n) + 7 >> 3, (1 << (1 << n)) - 1
+    periods = [b"\x55", b"\x33", b"\x0f"] + [b"\xff" * (1 << i - 3) + b"\0" * (1 << i - 3)
+                                          for i in range(3, n)]
+    return tuple((1 << i, int.from_bytes(period * (size // len(period)), "little") & full)
+                 for i, period in enumerate(periods[:n]))
 
 
 class SimpleGame:
@@ -253,8 +263,26 @@ class WeightedGame(SimpleGame, Frozen):
         return self.scaled_weight(coalition) >= self._scaled_quota
 
     def _winning_bits(self) -> int:
-        quota = self._scaled_quota
-        return _pack([s >= quota for s in subset_sums(self._scaled_weights)])
+        """The winning bitset, met in the middle.
+
+        A mask splits into its low ``h`` bits and the rest, so the bitset is
+        one 2^h-bit chunk per high part: the low parts whose subset sum
+        reaches the quota minus the high part's.  Those are the top entries
+        of the low sums in sorted order, so each chunk is a suffix OR of
+        their bits, picked by one `bisect` per high part.  h is about n/2,
+        and at least 3 (a whole byte) unless n is smaller.
+        """
+        n, weights = self.n, self._scaled_weights
+        h = min(n, max(3, (n + 1) >> 1))
+        low = subset_sums(weights[:h])
+        order = sorted(range(1 << h), key=low.__getitem__)
+        # chunks[i] holds the bits of the low parts from sorted position i on
+        suffixes = accumulate(map((1).__lshift__, reversed(order)), operator.or_, initial=0)
+        chunks = list(map(int.to_bytes, suffixes, repeat((1 << h) + 7 >> 3), repeat("little")))
+        chunks.reverse()
+        thresholds = map(self._scaled_quota.__sub__, subset_sums(weights[h:]))
+        picks = map(bisect_left, repeat(sorted(low)), thresholds)
+        return int.from_bytes(b"".join(map(chunks.__getitem__, picks)), "little")
 
 
 class ExplicitGame(SimpleGame, Frozen):
@@ -274,9 +302,8 @@ class ExplicitGame(SimpleGame, Frozen):
         winning = of_kind(winning, Coalition, n, "declared winner", empty=True)
         super().__init__(n, tuple(sorted(set(winning), key=coalition_sort_key)))
         # Sorted by size first, so each kept mask contains no other.
-        kept = PackedMasks(n)
-        vars(self)["_minimal"] = tuple(
-            c.mask for c in self.declared_winning if kept.add_minimal(c.mask))
+        masks = [c.mask for c in self.declared_winning]
+        vars(self)["_minimal"] = tuple(compress(masks, PackedMasks(n).add_minimal(masks)))
 
     def contains(self, coalition: Coalition) -> bool:
         self._check_dimension(coalition)
@@ -353,7 +380,8 @@ def minimal_winning(game: SimpleGame) -> tuple[Coalition, ...]:
     test single-member removals.  With W the game's winning bitset, the shift
     step ``(W & lacking_i) << 2**i`` marks every mask that stays winning
     without member i; W minus the union of those n marks holds exactly the
-    minimal winning masks, and a `Coalition` is built only for each of them.
+    minimal winning masks.  They are read off its digits, put in order by
+    `canonical_order`, and a `Coalition` is built only for each of them.
     The bitsets span all 2^n masks, so it is guarded at n <= 20.
     """
     n = integer(instance(game, SimpleGame, None, "game").n,
@@ -362,8 +390,8 @@ def minimal_winning(game: SimpleGame) -> tuple[Coalition, ...]:
     reducible = 0
     for step, lacking in _lacking(n):
         reducible |= (winning & lacking) << step
-    return tuple(sorted(
-        (_coalition(n, m) for m in _set_bits(winning & ~reducible)), key=coalition_sort_key))
+    masks = canonical_order(_set_bits(winning & ~reducible), n)
+    return tuple(map(_coalition, repeat(n), masks))
 
 
 # --- JSON descriptions -------------------------------------------------------

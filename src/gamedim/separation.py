@@ -18,28 +18,33 @@ rows b - a(W) <= 0 and a(L) - b <= -1.  Member i is bit i - 1 and the
 quota is bit n, so the rows go to the solver as the mask pairs
 (1 << n, W) and (L, 1 << n).  (The bound b >= 0 costs nothing: any target
 forces b >= 1.)  A feasible vertex is re-checked by substitution, through
-byte tables of its integer numerators (`_packed.byte_tables`).  An
-infeasible system yields Phase I's Farkas certificate: multipliers of the
-bounds x >= 0, then of the rows, a nonnegative combination of the listed
+byte tables of its integer numerators (`_packed.byte_tables`), read for
+all listed coalitions at once (`_packed.table_sums`).  An infeasible
+system yields Phase I's Farkas certificate: multipliers of the bounds
+x >= 0, then of the rows, a nonnegative combination of the listed
 constraints that reads 0 <= total < 0.  Every constraint, bound or row, is
 one (plus, minus, rhs, label), and the combination is re-checked over
 that one list.  Winning constraints that contain another one and targets
-inside another target are dropped first, by one packed zero-field test
-per coalition (`PackedMasks.add_minimal`).
+inside another target are dropped first, by one pass of packed zero-field
+tests over the masks sorted by size (`PackedMasks.add_minimal`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import attrgetter
 
 from . import _packed
-from ._packed import MAX_MEMBERS, PackedMasks, byte_tables, fields, integer, of_kind, table_sum
+from ._packed import MAX_MEMBERS, PackedMasks, byte_tables, fields, integer, of_kind, table_sums
 from ._record import Frozen
-from .games import Coalition, SimpleGame, coalitions_from_json, minimal_winning
+from .games import Coalition, SimpleGame, _coalition, coalitions_from_json, minimal_winning
 from .simplex import phase_one
 
 SEPARATION_GUARD = 14
+
+_mask = attrgetter("mask")
 
 
 class SeparationInstance(Frozen):
@@ -80,21 +85,19 @@ class NotSeparable(Frozen):
                 + f" gives the contradiction 0 <= {self.total}")
 
 
-def _inclusion_minimal(coalitions: Sequence[Coalition], n: int) -> list[Coalition]:
-    """Coalitions with no other listed coalition inside, in order of size."""
-    kept = PackedMasks(n)
-    return [c for c in sorted(coalitions, key=len) if kept.add_minimal(c.mask)]
+def _inclusion_minimal(masks: Sequence[int], n: int) -> list[int]:
+    """The masks with no other listed mask inside, each once, in order of size."""
+    masks = sorted(masks, key=int.bit_count)
+    return list(compress(masks, PackedMasks(n).add_minimal(masks)))
 
 
-def _inclusion_maximal(coalitions: Sequence[Coalition], n: int) -> list[Coalition]:
-    """Coalitions inside no other listed coalition, largest first.
+def _inclusion_maximal(masks: Sequence[int], n: int) -> list[int]:
+    """The masks inside no other listed mask, each once, largest first.
 
     c lies inside o iff the complement of o lies inside that of c.
     """
-    kept = PackedMasks(n)
     full = (1 << n) - 1
-    return [c for c in sorted(coalitions, key=len, reverse=True)
-            if kept.add_minimal(full ^ c.mask)]
+    return list(map(full.__xor__, _inclusion_minimal(list(map(full.__xor__, masks)), n)))
 
 
 def lp_feasible(instance: SeparationInstance) -> Separable | NotSeparable:
@@ -107,9 +110,11 @@ def lp_feasible(instance: SeparationInstance) -> Separable | NotSeparable:
     """
     n = _packed.instance(instance, SeparationInstance, None, "separation instance").n
     quota = 1 << n  # the quota's bit; member i is bit i - 1
-    winning = _inclusion_minimal(instance.winning_constraints, n)
-    losing = _inclusion_maximal(instance.losing_targets, n)
-    rows = [(quota, w.mask) for w in winning] + [(l.mask, quota) for l in losing]
+    listed = (list(map(_mask, instance.winning_constraints)),
+              list(map(_mask, instance.losing_targets)))
+    winning = _inclusion_minimal(listed[0], n)
+    losing = _inclusion_maximal(listed[1], n)
+    rows = [*zip(repeat(quota), winning), *zip(losing, repeat(quota))]
     feasible, values, denom = phase_one(rows, [0] * len(winning) + [-1] * len(losing), n + 1)
     if feasible:
         # Substitute the numerators: every value shares the denominator, so
@@ -118,12 +123,10 @@ def lp_feasible(instance: SeparationInstance) -> Separable | NotSeparable:
         if any(x < 0 for x in weights):
             raise RuntimeError("witness has a negative weight")
         tables = byte_tables(weights)
-        for w in instance.winning_constraints:
-            if table_sum(tables, w.mask) < b:
-                raise RuntimeError(f"witness violates winning constraint {w}")
-        for l in instance.losing_targets:
-            if table_sum(tables, l.mask) > b - denom:
-                raise RuntimeError(f"witness violates losing target {l}")
+        for masks, fails, what in ((listed[0], b.__gt__, "winning constraint"),
+                                   (listed[1], (b - denom).__lt__, "losing target")):
+            for m in compress(masks, map(fails, table_sums(tables, masks))):
+                raise RuntimeError(f"witness violates {what} {_coalition(n, m)}")
         return Separable(tuple(Fraction(x, denom) for x in weights), Fraction(b, denom))
 
     # Each listed constraint as (plus, minus, rhs, label): the masks of the
@@ -131,8 +134,8 @@ def lp_feasible(instance: SeparationInstance) -> Separable | NotSeparable:
     # The certificate weighs the bounds x >= 0 first, then the rows.
     constraints = ([(0, 1 << i, 0, f"weight[{i + 1}] >= 0") for i in range(n)]
                    + [(0, quota, 0, "quota >= 0")]
-                   + [(quota, w.mask, 0, f"weight({w}) >= quota") for w in winning]
-                   + [(l.mask, quota, -1, f"weight({l}) <= quota - 1") for l in losing])
+                   + [(quota, w, 0, f"weight({_coalition(n, w)}) >= quota") for w in winning]
+                   + [(l, quota, -1, f"weight({_coalition(n, l)}) <= quota - 1") for l in losing])
     total = 0
     combined = [0] * (n + 1)
     terms = []

@@ -1,6 +1,7 @@
 """Independent brute-force oracles and random generators for the test suite."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -82,6 +83,28 @@ def masked_sum(values, mask):
         total += values[low.bit_length() - 1]
         mask ^= low
     return total
+
+
+def reference_winning_bits(game: WeightedGame) -> int:
+    """The weighted game's winning bitset by the subset-sum formula.
+
+    Every mask's weight sum, scaled to integers and built by one doubling
+    per member, is compared with the quota; bit m is set iff mask m wins.
+    """
+    scale = math.lcm(game.quota.denominator, *(w.denominator for w in game.weights))
+    sums = [0]
+    for w in game.weights:
+        w = int(w * scale)
+        sums += [s + w for s in sums]
+    quota = game.quota * scale
+    return int("".join("1" if s >= quota else "0" for s in reversed(sums)), 2)
+
+
+def minimal_masks_of_bits(bits: int, n: int) -> set[int]:
+    """The masks whose bit is set and whose every one-member removal's is not."""
+    wins = bin(bits)[:1:-1].ljust(1 << n, "0")
+    return {m for m in range(1 << n) if wins[m] == "1"
+            and not any(wins[m ^ (1 << i)] == "1" for i in range(n) if m >> i & 1)}
 
 
 def brute_minimal_winning(game):
@@ -262,21 +285,21 @@ def reference_anchor_certificate(li, anchor, game):
     return cert
 
 
-def brute_inclusion_minimal(coalitions):
-    """Sorted by size; keep each coalition with no kept one inside it."""
+def brute_inclusion_minimal(masks):
+    """Sorted by size; keep each mask with no kept one inside it."""
     out = []
-    for c in sorted(coalitions, key=len):
-        if not any(o.issubset(c) for o in out):
-            out.append(c)
+    for m in sorted(masks, key=lambda m: bin(m).count("1")):
+        if not any(o & ~m == 0 for o in out):
+            out.append(m)
     return out
 
 
-def brute_inclusion_maximal(coalitions):
-    """Sorted by size, largest first; keep each coalition inside no kept one."""
+def brute_inclusion_maximal(masks):
+    """Sorted by size, largest first; keep each mask inside no kept one."""
     out = []
-    for c in sorted(coalitions, key=len, reverse=True):
-        if not any(c.issubset(o) for o in out):
-            out.append(c)
+    for m in sorted(masks, key=lambda m: bin(m).count("1"), reverse=True):
+        if not any(m & ~o == 0 for o in out):
+            out.append(m)
     return out
 
 

@@ -24,7 +24,13 @@ from gamedim.games import (
     minimal_winning,
 )
 
-from helpers import brute_minimal_winning, masked_sum, random_monotone_game
+from helpers import (
+    brute_minimal_winning,
+    masked_sum,
+    minimal_masks_of_bits,
+    random_monotone_game,
+    reference_winning_bits,
+)
 
 
 def C(indices, n):
@@ -510,6 +516,40 @@ class TestWinningBits:
         # Member 2 has weight 0: {2} loses, {1} and every superset of it wins.
         assert WeightedGame(2, [1, 0], 1)._winning_bits() == 0b1010
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_weighted_matches_the_subset_sum_formula_at_every_split(self, seed):
+        # The bitset is met in the middle at h = max(3, (n + 1) // 2) low
+        # members (all of them below n = 3): n = 1..14 covers every split.
+        rng = random.Random(7300 + seed)
+        for n in range(1, 15):
+            for _ in range(6):
+                game = random_weighted(rng, n)
+                assert game._winning_bits() == reference_winning_bits(game), game
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_weighted_matches_the_subset_sum_formula_at_large_n(self, n):
+        rng = random.Random(7400 + n)
+        games_ = [random_weighted(rng, n),
+                  WeightedGame(n, [rng.randint(1, 10) for _ in range(n)], rng.randint(n, 4 * n))]
+        for game in games_:
+            assert game._winning_bits() == reference_winning_bits(game), game
+
+    def test_weighted_quota_outside_the_sums(self):
+        rng = random.Random(7500)
+        for n in (1, 2, 3, 7, 12):
+            weights = [Fraction(rng.randint(0, 9), rng.randint(1, 3)) for _ in range(n)]
+            total = sum(weights, Fraction(0))
+            for quota in (Fraction(-5, 2), Fraction(0)):
+                assert WeightedGame(n, weights, quota)._winning_bits() == (1 << (1 << n)) - 1
+            assert WeightedGame(n, weights, total + Fraction(1, 7))._winning_bits() == 0
+            # The grand coalition ties at the quota, so it wins.
+            tie = WeightedGame(n, weights, total)
+            assert tie._winning_bits() >> ((1 << n) - 1) & 1
+            assert tie._winning_bits() == reference_winning_bits(tie)
+        # All weights zero: every mask weighs 0.
+        assert WeightedGame(9, [0] * 9, 0)._winning_bits() == (1 << 512) - 1
+        assert WeightedGame(9, [0] * 9, Fraction(1, 9))._winning_bits() == 0
+
     def test_base_method_for_contains_only_subclass(self):
         for n in range(1, 9):
             game = ContainsOnly(n)
@@ -594,6 +634,21 @@ class TestMinimalWinning:
                                   rng.randint(n, 4 * n)) for _ in range(2)]
             for game in (IntersectionGame(parts), UnionGame(parts)):
                 assert list(minimal_winning(game)) == brute_minimal_winning(game)
+
+    @pytest.mark.parametrize("n", [3, 8, 11, 14, 16])
+    def test_sorted_like_coalition_sort_key_on_brute_force_sets(self, n):
+        # Up to n = 16: the minimal masks of each part's subset-sum bitset,
+        # and of their AND and OR, each sorted by coalition_sort_key.
+        rng = random.Random(7600 + n)
+        parts = [WeightedGame(n, [rng.randint(0, 10) for _ in range(n)], rng.randint(n, 4 * n))
+                 for _ in range(2)]
+        bits = [reference_winning_bits(p) for p in parts]
+        for game, reference in ((parts[0], bits[0]),
+                                (IntersectionGame(parts), bits[0] & bits[1]),
+                                (UnionGame(parts), bits[0] | bits[1])):
+            expected = sorted((Coalition(n, m) for m in minimal_masks_of_bits(reference, n)),
+                              key=coalition_sort_key)
+            assert minimal_winning(game) == tuple(expected)
 
     def test_results_equal_the_checked_coalitions(self):
         # minimal_winning builds its results unchecked, off the bitset.

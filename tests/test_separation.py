@@ -412,7 +412,20 @@ def random_family(rng, n):
         masks.append(m)
     masks += rng.sample([0, full, 0, full] + masks, rng.randint(0, 4))
     rng.shuffle(masks)
-    return [Coalition(n, m) for m in masks]
+    return masks
+
+
+def nested_family(rng, n):
+    """Chains of nested masks, each mask listed up to three times, shuffled:
+    every kept mask has listed duplicates, subsets and supersets."""
+    masks = []
+    for _ in range(rng.randint(1, 5)):
+        m = rng.getrandbits(n)
+        for _ in range(rng.randint(1, 6)):
+            masks += [m] * rng.randint(1, 3)
+            m = m | rng.getrandbits(n) if rng.random() < 0.5 else m & rng.getrandbits(n)
+    rng.shuffle(masks)
+    return masks
 
 
 class TestInclusionFilters:
@@ -424,9 +437,28 @@ class TestInclusionFilters:
                 assert _inclusion_minimal(family, n) == brute_inclusion_minimal(family)
                 assert _inclusion_maximal(family, n) == brute_inclusion_maximal(family)
 
+    @pytest.mark.parametrize("n", [1, 12, 28, 64])
+    def test_duplicates_and_nested_masks(self, n):
+        rng = random.Random(8100 + n)
+        for _ in range(60):
+            family = nested_family(rng, n)
+            assert _inclusion_minimal(family, n) == brute_inclusion_minimal(family)
+            assert _inclusion_maximal(family, n) == brute_inclusion_maximal(family)
+
+    def test_minimal_winning_lists_stay_whole(self):
+        # An antichain in order of size, as `minimal_winning` hands it over.
+        rng = random.Random(8117)
+        for n in (4, 9, 12):
+            for _ in range(5):
+                game = IntersectionGame([WeightedGame(n, [rng.randint(1, 10) for _ in range(n)],
+                                                      rng.randint(n, 4 * n)) for _ in range(2)])
+                masks = [c.mask for c in minimal_winning(game)]
+                assert _inclusion_minimal(masks, n) == masks
+                assert _inclusion_minimal(masks + masks[::-1], n) == masks
+
     def test_empty_and_full_coalitions(self):
         for n in (1, 64):
-            empty, full = Coalition(n, 0), Coalition(n, (1 << n) - 1)
+            empty, full = 0, (1 << n) - 1
             family = [full, empty, full, empty]
             assert _inclusion_minimal(family, n) == [empty]
             assert _inclusion_maximal(family, n) == [full]
