@@ -30,19 +30,18 @@ The 5 triple certificates take as witnesses the three of W1..W12 whose
 per-member counts equal the triple's.  Every builder ends in one
 `verify_balance` of the certificate it returns, against the game itself.
 
-The public builders check their arguments, then run the one construction
-per kind that `nonseparable_family` runs on the bundled coalitions.  A
-construction reads each losing coalition's rule profile through a callable:
-a builder passes `EuGame._rules`, which checks the coalition first, and a
-family build passes a memo of it, so each of L1..L15 is classified once per
-build.  The halves, made from masks, are wrapped into a certificate
-unchecked (`_certificate`): sorted in canonical order, with no mask listed
-twice, as `BalanceCertificate` sorts and checks what a caller hands in.
+`nonseparable_family` builds every edge by the public builder of its kind.
+The pair and anchor builders check their argument types first, then build
+and verify; they classify their coalitions by `EuGame._rules` only when no
+certificate comes out, and then raise the first failing check.  The halves,
+made from masks, are wrapped into a certificate unchecked (`_certificate`):
+sorted in canonical order, with no mask listed twice, as
+`BalanceCertificate` sorts and checks what a caller hands in.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from itertools import combinations
 from operator import attrgetter
 
@@ -201,37 +200,40 @@ def build_pair_certificate(li: Coalition, lj: Coalition, game: EuGame) -> Balanc
     fixed member count, so its population, the only thing a transfer choice
     changes, is largest for the cheapest transfer.  If that W2 loses, every
     other transfer's W2 loses too.
+
+    The rule checks on li and lj run only when no certificate comes out:
+    one that verifies passes them.  It lists li and lj as losing, so each
+    has fewer than OUTRIGHT_QUOTA members, and W2 as winning, so W2's
+    |li| + |lj| - OUTRIGHT_QUOTA members are at least MEMBER_QUOTA.  Each of
+    li and lj then has more than MEMBER_QUOTA members and, losing, fails
+    the population rule.
     """
     game = instance(game, EuGame, N_MEMBERS, "game")
-    return _pair_certificate(li, lj, game, game._rules)
-
-
-def _pair_certificate(li: Coalition, lj: Coalition, game: EuGame,
-                      rules: Callable[[Coalition], tuple]) -> BalanceCertificate:
-    """`build_pair_certificate`, reading each coalition's profile by ``rules``."""
     if li == lj:
         raise ValueError("pair certificate needs two distinct losing coalitions")
+    of_kind((li, lj), Coalition, N_MEMBERS, "coalition")
+    a, b = li.mask, lj.mask
+    sym = a ^ b
+    size = max(0, OUTRIGHT_QUOTA - (a & b).bit_count())
+    if size <= sym.bit_count():
+        # The size cheapest are sym without its dearest sym.bit_count() - size:
+        # the members Li and Lj do not share sit mostly at the dear end.
+        cheapest = sym ^ _first(reversed(game.table.cheapest_first), sym, sym.bit_count() - size)
+        cert = _certificate((li, lj), _split(N_MEMBERS, a, b, cheapest))
+        if verify_balance(cert, game):
+            return cert
     for c, name in ((li, "first"), (lj, "second")):
-        winning, rule55, rule65, _, _ = rules(c)
+        winning, rule55, rule65, _, _ = game._rules(c)
         if winning:
             raise ValueError(f"{name} coalition {c} is winning")
         if not rule55 or rule65:
             raise ValueError(
                 f"{name} coalition {c} must pass the member rule and fail the population rule")
-    a, b = li.mask, lj.mask
-    sym = a ^ b
-    size = max(0, OUTRIGHT_QUOTA - (a & b).bit_count())
     if size > sym.bit_count():
         raise CertificateError(f"symmetric difference of {li} and {lj} has only "
                                f"{sym.bit_count()} members, need {size}")
-    # The size cheapest are sym without its dearest sym.bit_count() - size:
-    # the members Li and Lj do not share sit mostly at the dear end.
-    cheapest = sym ^ _first(reversed(game.table.cheapest_first), sym, sym.bit_count() - size)
-    cert = _certificate((li, lj), _split(N_MEMBERS, a, b, cheapest))
-    if not verify_balance(cert, game):
-        raise CertificateError(
-            f"no transfer of {size} members makes both halves of {li}, {lj} winning")
-    return cert
+    raise CertificateError(
+        f"no transfer of {size} members makes both halves of {li}, {lj} winning")
 
 
 def build_anchor_certificate(li: Coalition, game: EuGame) -> BalanceCertificate:
@@ -244,36 +246,35 @@ def build_anchor_certificate(li: Coalition, game: EuGame) -> BalanceCertificate:
     first member of the last population run in anchor - li.  The exchange is
     the transfer split of li and the anchor that moves everything else of
     li - anchor, plus the incoming member, into W1.
+
+    The rule checks on li and the anchor run only when no certificate comes
+    out: a certificate that verifies lists both as losing, which is all
+    they ask.
     """
     game = instance(game, EuGame, N_MEMBERS, "game")
-    return _anchor_certificate(li, game, game._rules)
-
-
-def _anchor_certificate(li: Coalition, game: EuGame,
-                        rules: Callable[[Coalition], tuple]) -> BalanceCertificate:
-    """`build_anchor_certificate`, reading each coalition's profile by ``rules``."""
     anchor = LOSING_FAMILY[ANCHOR_LABEL - 1]
     if li == anchor:
         raise ValueError("anchor certificate needs a coalition distinct from the anchor")
+    outside = instance(li, Coalition, N_MEMBERS, "coalition").mask & ~anchor.mask
+    incoming = anchor.mask & ~li.mask
+    if outside.bit_count() >= 2 and incoming:
+        order = game.table.cheapest_first
+        dropped = _first(order, outside, 2)
+        candidates = [(pop, bit) for pop, bit in order if bit & incoming]
+        top = candidates[-1][0]
+        one_in = next(bit for pop, bit in candidates if pop == top)
+        cert = _certificate((li, anchor), _split(
+            N_MEMBERS, li.mask, anchor.mask, (outside ^ dropped) | one_in))
+        if verify_balance(cert, game):
+            return cert
     for c in (li, anchor):
-        if rules(c)[0]:
+        if game._rules(c)[0]:
             raise ValueError(f"coalition {c} is winning")
-    outside = li.mask & ~anchor.mask
     if outside.bit_count() < 2:
         raise ValueError(f"{li} has fewer than two members outside the anchor {anchor}")
-    incoming = anchor.mask & ~li.mask
     if not incoming:
         raise ValueError(f"the anchor {anchor} has no member outside {li}")
-    order = game.table.cheapest_first
-    dropped = _first(order, outside, 2)
-    candidates = [(pop, bit) for pop, bit in order if bit & incoming]
-    top = candidates[-1][0]
-    one_in = next(bit for pop, bit in candidates if pop == top)
-    cert = _certificate((li, anchor), _split(
-        N_MEMBERS, li.mask, anchor.mask, (outside ^ dropped) | one_in))
-    if not verify_balance(cert, game):
-        raise CertificateError(f"exchange between {li} and the anchor leaves a losing coalition")
-    return cert
+    raise CertificateError(f"exchange between {li} and the anchor leaves a losing coalition")
 
 
 def _base4(c: Coalition) -> int:
@@ -297,11 +298,7 @@ def build_triple_certificate(losing: Iterable[Coalition], game: SimpleGame) -> B
     losing = tuple(losing)
     if len(losing) != 3:
         raise ValueError(f"triple certificate needs three losing coalitions, got {len(losing)}")
-    return _triple_certificate(of_kind(losing, Coalition, N_MEMBERS, "losing coalition"), game)
-
-
-def _triple_certificate(losing: Sequence[Coalition], game: SimpleGame) -> BalanceCertificate:
-    """`build_triple_certificate` of three coalitions over the council's members."""
+    of_kind(losing, Coalition, N_MEMBERS, "losing coalition")
     target = sum(map(_base4, losing))
     for a, b in combinations(range(len(_WINNING_QUADS)), 2):
         c = _WINNER_OF_QUAD.get(target - _WINNING_QUADS[a] - _WINNING_QUADS[b], -1)
@@ -350,34 +347,25 @@ def lower_bound_dimension(game: SimpleGame, family: CertifiedFamily) -> int:
 def nonseparable_family(game: EuGame) -> CertifiedFamily:
     """Construct and verify all 80 bundled certificates of the council family.
 
-    The 75 pairs are built by the transfer and anchor constructions, the 5
-    triples by matching witnesses from W1..W12.  Each construction verifies
-    the certificate it returns, once.  The pair constructions read the rule
-    profiles of L1..L15 from a memo of `EuGame._rules` that lives for this
-    call only, filled in edge order as each coalition is first needed, so
-    each is classified once, and the first failing check is the one the
-    public builder would raise.  The first failure aborts the construction
-    with a ValueError or CertificateError whose message names the edge, as
-    in ``{L3,L14}: <reason>``.
+    Each edge is built by its kind's public builder: the 61 transfer pairs
+    by `build_pair_certificate`, the 14 pairs with L15 by
+    `build_anchor_certificate` and the 5 triples by
+    `build_triple_certificate`.  Each verifies the certificate it returns,
+    once.  The first failure aborts the construction with the builder's
+    ValueError or CertificateError, its message prefixed by the edge, as in
+    ``{L3,L14}: <reason>``.
     """
     game = instance(game, EuGame, N_MEMBERS, "game")
-    profiles: dict[int, tuple] = {}  # `EuGame._rules` of each coalition, by mask
-
-    def rules(c: Coalition) -> tuple:
-        if c.mask not in profiles:
-            profiles[c.mask] = game._rules(c)
-        return profiles[c.mask]
-
     certificates: dict[frozenset[int], BalanceCertificate] = {}
     for edge in NONSEPARABLE_PAIRS + NONSEPARABLE_TRIPLES:
         losing = [LOSING_FAMILY[i - 1] for i in edge]
         try:
             if len(edge) == 3:
-                cert = _triple_certificate(losing, game)
+                cert = build_triple_certificate(losing, game)
             elif edge[1] == ANCHOR_LABEL:
-                cert = _anchor_certificate(losing[0], game, rules)
+                cert = build_anchor_certificate(losing[0], game)
             else:
-                cert = _pair_certificate(*losing, game, rules)
+                cert = build_pair_certificate(*losing, game)
         except (ValueError, CertificateError) as err:
             raise type(err)(f"{_label_sets([edge])}: {err}") from err
         certificates[frozenset(edge)] = cert

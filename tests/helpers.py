@@ -17,6 +17,9 @@ from gamedim import (
     WeightedGame,
     verify_balance,
 )
+from gamedim._packed import instance
+from gamedim.certificates import _certificate, _first, _split
+from gamedim.eu import ANCHOR_LABEL, LOSING_FAMILY, N_MEMBERS, OUTRIGHT_QUOTA, EuGame
 
 # The two dual weightings of the council family, as written out by hand
 # before `dual_refutation` derived them: the first refutes the 7-covers
@@ -280,6 +283,63 @@ def reference_anchor_certificate(li, anchor, game):
     w1 = moved | (li & anchor)
     w2 = (li | anchor) - moved
     cert = BalanceCertificate(losing=(li, anchor), winning=(w1, w2))
+    if not verify_balance(cert, game):
+        raise CertificateError(f"exchange between {li} and the anchor leaves a losing coalition")
+    return cert
+
+
+def checked_first_pair_certificate(li, lj, game):
+    """`build_pair_certificate` with every rule check before the construction.
+
+    The reference for the builder, which classifies li and lj only when no
+    certificate comes out: same checks, same order, same messages.
+    """
+    game = instance(game, EuGame, N_MEMBERS, "game")
+    if li == lj:
+        raise ValueError("pair certificate needs two distinct losing coalitions")
+    for c, name in ((li, "first"), (lj, "second")):
+        winning, rule55, rule65, _, _ = game._rules(c)
+        if winning:
+            raise ValueError(f"{name} coalition {c} is winning")
+        if not rule55 or rule65:
+            raise ValueError(
+                f"{name} coalition {c} must pass the member rule and fail the population rule")
+    a, b = li.mask, lj.mask
+    sym = a ^ b
+    size = max(0, OUTRIGHT_QUOTA - (a & b).bit_count())
+    if size > sym.bit_count():
+        raise CertificateError(f"symmetric difference of {li} and {lj} has only "
+                               f"{sym.bit_count()} members, need {size}")
+    cheapest = sym ^ _first(reversed(game.table.cheapest_first), sym, sym.bit_count() - size)
+    cert = _certificate((li, lj), _split(N_MEMBERS, a, b, cheapest))
+    if not verify_balance(cert, game):
+        raise CertificateError(
+            f"no transfer of {size} members makes both halves of {li}, {lj} winning")
+    return cert
+
+
+def checked_first_anchor_certificate(li, game):
+    """`build_anchor_certificate` with every rule check before the exchange."""
+    game = instance(game, EuGame, N_MEMBERS, "game")
+    anchor = LOSING_FAMILY[ANCHOR_LABEL - 1]
+    if li == anchor:
+        raise ValueError("anchor certificate needs a coalition distinct from the anchor")
+    for c in (li, anchor):
+        if game._rules(c)[0]:
+            raise ValueError(f"coalition {c} is winning")
+    outside = li.mask & ~anchor.mask
+    if outside.bit_count() < 2:
+        raise ValueError(f"{li} has fewer than two members outside the anchor {anchor}")
+    incoming = anchor.mask & ~li.mask
+    if not incoming:
+        raise ValueError(f"the anchor {anchor} has no member outside {li}")
+    order = game.table.cheapest_first
+    dropped = _first(order, outside, 2)
+    candidates = [(pop, bit) for pop, bit in order if bit & incoming]
+    top = candidates[-1][0]
+    one_in = next(bit for pop, bit in candidates if pop == top)
+    cert = _certificate((li, anchor), _split(
+        N_MEMBERS, li.mask, anchor.mask, (outside ^ dropped) | one_in))
     if not verify_balance(cert, game):
         raise CertificateError(f"exchange between {li} and the anchor leaves a losing coalition")
     return cert

@@ -1,9 +1,11 @@
+import collections
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gamedim._packed import instance
 from gamedim.certificates import (
     BalanceCertificate,
     CertificateError,
@@ -31,7 +33,12 @@ from gamedim.eu import (
 )
 from gamedim.games import Coalition, WeightedGame
 
-from helpers import TRIPLE_WITNESSES, reference_anchor_certificate
+from helpers import (
+    TRIPLE_WITNESSES,
+    checked_first_anchor_certificate,
+    checked_first_pair_certificate,
+    reference_anchor_certificate,
+)
 
 
 def L(i):
@@ -451,6 +458,97 @@ class TestAnchorTieRules:
         assert sorted(bits) == [1 << i for i in range(N_MEMBERS)]
 
 
+def outcome(build, *args):
+    """What ``build(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return build(*args)
+    except (ValueError, CertificateError) as err:
+        return type(err), str(err)
+
+
+def differential_tables():
+    """The bundled table, the tied ones, three with each population moved by
+    up to 5 %, and one where members 18..28 hold nearly everyone, so that a
+    superset of the anchor can lose."""
+    yield MemberTable(MEMBERS_2014)
+    yield from tied_tables()
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        yield MemberTable(tuple((i, name, int(pop * rng.uniform(0.95, 1.05)))
+                                for i, name, pop in MEMBERS_2014))
+    yield MemberTable(tuple((i, name, 1 if i <= 17 else 10**6) for i, name, _ in MEMBERS_2014))
+
+
+# What each builder outcome is, by the fixed words of its message.
+OUTCOME_WORDS = ("distinct", "first coalition", "second coalition", "is winning",
+                 "member rule", "not a Coalition", "members, not", "symmetric difference",
+                 "no transfer", "fewer than two", "no member outside", "leaves a losing")
+
+
+def outcome_kind(result):
+    if type(result) is BalanceCertificate:
+        return "built"
+    return " / ".join(word for word in OUTCOME_WORDS if word in result[1])
+
+
+class TestDeferredRuleChecks:
+    # The pair and anchor builders build and verify first and run their rule
+    # checks only when no certificate comes out.  On every input they agree
+    # with the check-first reference, but for one two-fault message.
+
+    def test_same_result_as_checking_first(self):
+        rng = random.Random(33)
+        coalitions = LOSING_FAMILY + WINNING_FAMILY + tuple(
+            Coalition.from_indices(rng.sample(range(1, 29), rng.randint(14, 26)), N_MEMBERS)
+            for _ in range(30)) + tuple(
+            L(15) | Coalition.from_indices(extra, N_MEMBERS) for extra in ([16], [16, 17]))
+        pairs, anchors = collections.Counter(), collections.Counter()
+        for table in differential_tables():
+            game = build_eu_game(table)
+            for li in coalitions:
+                got = outcome(build_anchor_certificate, li, game)
+                assert got == outcome(checked_first_anchor_certificate, li, game), li
+                anchors[outcome_kind(got)] += 1
+                for lj in coalitions:
+                    got = outcome(build_pair_certificate, li, lj, game)
+                    assert got == outcome(checked_first_pair_certificate, li, lj, game), (li, lj)
+                    pairs[outcome_kind(got)] += 1
+        assert set(pairs) == {"built", "distinct", "first coalition / is winning",
+                              "second coalition / is winning", "first coalition / member rule",
+                              "second coalition / member rule", "symmetric difference",
+                              "no transfer"}, pairs
+        assert set(anchors) == {"built", "distinct", "is winning", "fewer than two",
+                                "no member outside", "leaves a losing"}, anchors
+
+    def test_bad_arguments_give_the_same_error(self, eu_game):
+        bad = (5, "x", None, Coalition.from_indices([1, 2, 3], N_MEMBERS - 1),
+               Coalition.from_indices(range(1, 20), N_MEMBERS - 1))
+        good = (L(1), L(5), L(15), W(2), Coalition.from_indices(range(1, 15), N_MEMBERS))
+        renamed = 0
+        for li in bad + good:
+            for game in (eu_game, "g", WeightedGame(N_MEMBERS, [1] * N_MEMBERS, 15)):
+                got = outcome(build_anchor_certificate, li, game)
+                assert got == outcome(checked_first_anchor_certificate, li, game), li
+            for lj in bad + good:
+                got = outcome(build_pair_certificate, li, lj, eu_game)
+                expected = outcome(checked_first_pair_certificate, li, lj, eu_game)
+                lj_fault = outcome(instance, lj, Coalition, N_MEMBERS, "coalition")
+                if type(expected) is tuple and expected[1].startswith("first") and lj_fault != lj:
+                    # Both faulty: the one accepted change names lj's fault.
+                    expected = lj_fault
+                    renamed += 1
+                assert got == expected, (li, lj)
+        assert renamed == 3 * len(bad)  # L15, W2 and the 14 members, as li
+
+    def test_a_rule_fault_and_a_type_fault_name_the_type_fault(self, eu_game):
+        # Checking first named the winning li; the types are now checked
+        # before any rule, so the non-coalition lj is named.
+        expected = (ValueError, f"first coalition {W(2)} is winning")
+        assert outcome(checked_first_pair_certificate, W(2), 5, eu_game) == expected
+        with pytest.raises(ValueError, match="^coalition 5 is not a Coalition$"):
+            build_pair_certificate(W(2), 5, eu_game)
+
+
 class WitnessLosesGame(EuGame):
     """The council game with one listed coalition declared losing."""
 
@@ -528,9 +626,8 @@ class TestFamily:
             assert {family.coalition_of(v) for v in edge} == set(cert.losing)
 
     def test_each_edge_matches_its_public_builder(self, family, eu_game):
-        # The family reads its input checks from a memo and wraps the halves
-        # unchecked; the public builders check every argument.  Both give
-        # the same certificate, equal to one built through the checks.
+        # The family calls the public builders, which wrap the halves
+        # unchecked: each certificate equals one built through the checks.
         for edge in NONSEPARABLE_PAIRS + NONSEPARABLE_TRIPLES:
             losing = [L(i) for i in edge]
             if len(edge) == 3:

@@ -154,15 +154,16 @@ class TestVerify:
 
     def test_each_certificate_built_and_verified_once(self, monkeypatch):
         # `_rules` is the one evaluation behind `contains`, `is_winning` and
-        # `classify`: 27 in step 1, one per losing coalition L1..L15 for the
-        # pair constructions' input checks, read from the family's memo, and
-        # 4 per pair and 6 per triple in `verify_balance`: 27 + 15 + 300 + 30.
-        # Each edge is built once, by its kind's construction, and each of
-        # the 75 pairs makes one split of its masks.
-        counted = {(certificates, "verify_balance"): 80, (certificates, "_pair_certificate"): 61,
-                   (certificates, "_anchor_certificate"): 14,
-                   (certificates, "_triple_certificate"): 5, (certificates, "_split"): 75,
-                   (eu.EuGame, "_rules"): 372}
+        # `classify`: 27 in step 1, then 4 per pair and 6 per triple in
+        # `verify_balance`: 27 + 300 + 30.  A builder whose certificate
+        # verifies runs no rule checks of its own.  Each edge is built once,
+        # by its kind's public builder, and each of the 75 pairs makes one
+        # split of its masks.
+        counted = {(certificates, "verify_balance"): 80,
+                   (certificates, "build_pair_certificate"): 61,
+                   (certificates, "build_anchor_certificate"): 14,
+                   (certificates, "build_triple_certificate"): 5, (certificates, "_split"): 75,
+                   (eu.EuGame, "_rules"): 357}
         calls = dict.fromkeys((name for _, name in counted), 0)
         for owner, name in counted:
             original = getattr(owner, name)

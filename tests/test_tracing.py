@@ -7,7 +7,7 @@ renames or deletes one would otherwise fail only in a traced bench run.
 import importlib.util
 from pathlib import Path
 
-from gamedim import cover, games
+from gamedim import cli, cover, games
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -58,3 +58,20 @@ def test_traced_enumeration_returns_the_cached_tuple():
     assert solution.k == 3
     assert counts["cover.enumerate_maximal_independent.calls"] == 3
     assert counts["cover.maximal_sets.found"] == 15
+
+
+def test_traced_replay_counts_each_certificate_builder():
+    # The family builds every edge by its kind's public builder, so the
+    # tracer's wrappers see all 61 transfer pairs, 14 anchor pairs and 80
+    # verifications.
+    tracing = load_tracing()
+    recorder = tracing.Recorder()
+    recorder.install()
+    try:
+        assert cli.run_verification().verified
+    finally:
+        recorder.uninstall()
+    counts = recorder.snapshot()
+    assert counts["certificates.build_pair_certificate.calls"] == 61
+    assert counts["certificates.build_anchor_certificate.calls"] == 14
+    assert counts["certificates.verify_balance.calls"] == 80
