@@ -247,9 +247,8 @@ def build_anchor_certificate(li: Coalition, game: EuGame) -> BalanceCertificate:
     the transfer split of li and the anchor that moves everything else of
     li - anchor, plus the incoming member, into W1.
 
-    The rule checks on li and the anchor run only when no certificate comes
-    out: a certificate that verifies lists both as losing, which is all
-    they ask.
+    The rule check on li runs only when no certificate comes out: a
+    certificate that verifies lists li as losing, which is all it asks.
     """
     game = instance(game, EuGame, N_MEMBERS, "game")
     anchor = LOSING_FAMILY[ANCHOR_LABEL - 1]
@@ -267,9 +266,10 @@ def build_anchor_certificate(li: Coalition, game: EuGame) -> BalanceCertificate:
             N_MEMBERS, li.mask, anchor.mask, (outside ^ dropped) | one_in))
         if verify_balance(cert, game):
             return cert
-    for c in (li, anchor):
-        if game._rules(c)[0]:
-            raise ValueError(f"coalition {c} is winning")
+    # The anchor has fewer than MEMBER_QUOTA members, so it loses under
+    # every member table; only li can be winning.
+    if game._rules(li)[0]:
+        raise ValueError(f"coalition {li} is winning")
     if outside.bit_count() < 2:
         raise ValueError(f"{li} has fewer than two members outside the anchor {anchor}")
     if not incoming:

@@ -25,11 +25,14 @@ Masks are written from node lists, read and ordered by `_packed`.  A
 `is_independent` and `min_cover` test against that one packed set.  Its
 maximal independent sets are enumerated once, as node masks, on first
 request, by a pivoted branching search in the manner of Bron and Kerbosch,
-then sorted by member tuple.  They are kept on it with the frozensets
-derived from those masks: the exhaustive search and the dual derivation
-and check all read the same tuples.  So is one cover search over those
-sets, which `no_k_cover` always reads and `min_cover` reads when given the
-tuple `enumerate_maximal_independent` returned.
+then sorted by member tuple, each mask keyed by its bytes with their bits
+reversed.  They are kept on it with the frozensets derived from those
+masks, three byte lookups each: the exhaustive search and the dual
+derivation and check all read the same tuples.  So is one cover search
+over those sets, which `no_k_cover` always reads and `min_cover` reads
+when given the tuple `enumerate_maximal_independent` returned.  The search
+writes its candidates once as machine words and reads the holders of a
+node off one byte lane of them.
 """
 
 from __future__ import annotations
@@ -38,16 +41,21 @@ import functools
 import math
 import operator
 import warnings
+from array import array
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import compress, count
 
-from ._packed import (MAX_MEMBERS, PackedMasks, canonical_key, exact, fields, instance, integer,
-                      listed, mask_of, members)
+from ._packed import (_REVERSED, MAX_MEMBERS, PackedMasks, _byte_members, canonical_key, exact,
+                      fields, instance, integer, listed, mask_of, members)
 from ._record import Frozen
 from .simplex import phase_two
 
 NODE_GUARD = 24
+
+# Entry i maps a byte to 1 if its bit i is set, else to 0: counting up,
+# bit i is clear for 2^i values, then set for 2^i.
+_HAS_BIT = [(bytes(1 << i) + b"\1" * (1 << i)) * (128 >> i) for i in range(8)]
 
 
 class Hypergraph(Frozen):
@@ -107,7 +115,10 @@ class Hypergraph(Frozen):
 
     @functools.cached_property
     def _maximal_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(map(frozenset, map(members, self._maximal_masks)))
+        # Masks of at most NODE_GUARD = 24 nodes: three bytes, members ascending.
+        low, mid, high = _byte_members()[:3]
+        return tuple([frozenset(low[m & 255] + mid[m >> 8 & 255] + high[m >> 16])
+                      for m in self._maximal_masks])
 
     @functools.cached_property
     def _cover(self) -> Callable[[int], tuple[int, ...] | None]:
@@ -147,11 +158,20 @@ def _maximal_independent(h: Hypergraph) -> tuple[int, ...]:
     node of e - u is free.  Either way it holds a node of the branch set,
     and the branches take each in ascending order, leaving it out of those
     after: each maximal set is found once.  An empty branch set is a dead
-    end, an excluded node that nothing left can block.  Choosing v blocks
-    its pair neighbours and, for each larger edge through v, the one node
-    of the edge left outside chosen | v, if only one is.  The sets come out
-    in no useful order; they form an antichain, so one sort by the member
-    tuple part of `canonical_key` orders them.
+    end, an excluded node that nothing left can block.  So the excluded
+    nodes are scanned first, and the first dead end returns at once; the
+    free nodes, whose branch sets hold at least the node itself, are
+    scanned only while the smallest branch set found has more than one
+    node.  The branch set taken is still a smallest one, the first scanned
+    among equals; any pivot finds the same sets.  Choosing v blocks its
+    pair neighbours and, for each larger edge through v, the one node of
+    the edge left outside chosen | v, if only one is.  The sets come out in
+    no useful order.  Each is keyed by its bytes with
+    their bits reversed, so member 1 is the top bit of the first byte: at
+    the first member where two sets differ, the one holding it has the
+    larger key.  The sets form an antichain, so no set's member tuple is a
+    prefix of another's, and sorting by descending key is sorting by member
+    tuple.
     """
     t = integer(h.node_count, "maximal-set enumeration branches on every node, "
                 "so the node count", 0, NODE_GUARD)
@@ -176,8 +196,24 @@ def _maximal_independent(h: Hypergraph) -> tuple[int, ...]:
         if not free | excluded:
             results.append(chosen)
             return
-        branch = min(map(free.__and__, map(closed.__getitem__, members(free | excluded))),
-                     key=int.bit_count)
+        branch, size, scan = 0, t + 1, excluded
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            b = free & closed[low.bit_length()]
+            if not b:
+                return
+            if b.bit_count() < size:
+                branch, size = b, b.bit_count()
+        scan = free if size > 1 else 0
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            b = free & closed[low.bit_length()]
+            if b.bit_count() < size:
+                branch, size = b, b.bit_count()
+                if size == 1:
+                    break
         unchosen = ~chosen
         while branch:
             bit = branch & -branch
@@ -193,7 +229,9 @@ def _maximal_independent(h: Hypergraph) -> tuple[int, ...]:
             excluded |= bit
 
     extend(0, (1 << t) - 1, 0)
-    return tuple(sorted(results, key=lambda m: canonical_key(m, t)[1]))
+    width = (t + 7) >> 3
+    return tuple(sorted(results, key=lambda m: m.to_bytes(width, "little").translate(_REVERSED),
+                        reverse=True))
 
 
 class CoverSolution(Frozen):
@@ -259,12 +297,17 @@ def _cover_search(masks: Sequence[int], full: int
     node's holders (input indices and complemented masks) and the nodes
     that do not co-occur with it, on the first branch on it or the first
     greedy pick of it; a refuted limit asked again is cut at the root, by
-    the memo or a cut.
+    the memo or a cut.  The ordered masks are written once as 64-bit
+    machine words; byte lane b of those bytes is byte b of every mask, so
+    node v's holders are read off lane v // 8, translated to one selector
+    byte per mask by a table of bit v % 8, and picked out by `compress`
+    with no Python call per candidate.
     """
     sizes = list(map(int.bit_count, masks))
     order = sorted(range(len(masks)), key=sizes.__getitem__, reverse=True)
     ordered = [masks[i] for i in order]
     max_size = max(sizes, default=0)
+    raw = array("Q", ordered).tobytes()  # byte b of mask i is raw[8 * i + b]
     by_node: dict[int, tuple[list[int], list[int], int]] = {}
     failed: dict[int, int] = {}
 
@@ -273,9 +316,10 @@ def _cover_search(masks: Sequence[int], full: int
         # masks, and the other nodes that no holder of it holds.
         low = need & -need
         if low not in by_node:
-            held = list(map(low.__and__, ordered))
+            v = low.bit_length() - 1
+            held = raw[v >> 3::8].translate(_HAS_BIT[v & 7])
             holding = list(compress(ordered, held))
-            by_node[low] = (list(compress(order, held)), [full ^ m for m in holding],
+            by_node[low] = (list(compress(order, held)), list(map(full.__xor__, holding)),
                             full & ~functools.reduce(int.__or__, holding, low))
         return by_node[low]
 

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,10 +23,12 @@ from gamedim.certificates import (
 )
 from gamedim.eu import (
     LOSING_FAMILY,
+    MEMBER_QUOTA,
     MEMBERS_2014,
     N_MEMBERS,
     NONSEPARABLE_PAIRS,
     NONSEPARABLE_TRIPLES,
+    OUTRIGHT_QUOTA,
     WINNING_FAMILY,
     EuGame,
     MemberTable,
@@ -365,6 +368,23 @@ class TestAnchorCertificates:
     def test_winning_coalition_rejected(self, eu_game):
         with pytest.raises(ValueError, match=r"^coalition \{.*\} is winning$"):
             build_anchor_certificate(W(1), eu_game)
+
+    def test_only_a_winning_li_is_named(self):
+        # The anchor has fewer members than the member rule asks, so it loses
+        # even when its members hold nearly every citizen; li is the only
+        # coalition the builder checks for winning.
+        heavy = set(L(15).members)
+        heavy_anchor = MemberTable(tuple((i, name, 10**6 if i in heavy else 1)
+                                         for i, name, _ in MEMBERS_2014))
+        outright = Coalition.from_indices(range(1, OUTRIGHT_QUOTA + 1), N_MEMBERS)
+        message = rf"^coalition {re.escape(str(outright))} is winning$"
+        assert len(L(15)) < MEMBER_QUOTA
+        for table in [*differential_tables(), heavy_anchor]:
+            game = build_eu_game(table)
+            assert not game.is_winning(L(15))
+            assert game.is_winning(outright)
+            with pytest.raises(ValueError, match=message):
+                build_anchor_certificate(outright, game)
 
     def test_one_member_outside_the_anchor_rejected(self, eu_game):
         li = Coalition.from_indices([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16], N_MEMBERS)

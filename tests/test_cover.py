@@ -350,6 +350,52 @@ class TestEnumerateMaximal:
         assert len(calls) == 1
 
 
+def pinned_graphs():
+    """Four seeded benchmark-sized antichains for each size from 18 to 24 nodes."""
+    rng = random.Random(3407)
+    return [cycle_antichain(rng, t) for t in range(18, 25) for _ in range(4)]
+
+
+class TestPinnedOutputs:
+    """The outputs and the enumeration's work on fixed graphs, pinned."""
+
+    def test_outputs_are_pinned(self):
+        # the reprs of the sets, the minimum cover and the refutation below it
+        digest = hashlib.sha256()
+        for h in pinned_graphs():
+            maximal = enumerate_maximal_independent(h)
+            solution = min_cover(h, maximal)
+            refutation = no_k_cover(h, solution.k - 1)
+            assert refutation.refuted
+            digest.update(f"{maximal!r}\n{solution!r}\n{refutation!r}\n".encode())
+        assert digest.hexdigest() == (
+            "58d2676f8440dbb9ad981dd2f32b405b8fbcd3bd261d4556eaea21a95978a6de")
+
+    @staticmethod
+    def enumeration_calls(h):
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            code = frame.f_code
+            if (event == "call" and code.co_filename == cover.__file__
+                    and code.co_name == "extend"):
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            cover._maximal_independent(h)
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def test_enumeration_calls_are_pinned(self, council_h):
+        # One call per node of the branching tree: leaves, dead ends and
+        # pivots.  A change of pivot rule moves these counts.
+        assert self.enumeration_calls(council_h) == 42
+        assert sum(map(self.enumeration_calls, pinned_graphs())) == 10549
+
+
 class TestMinCover:
     def test_council_minimum_is_eight(self, council_h):
         solution = min_cover(council_h, COUNCIL_MAXIMAL_PARTS)
