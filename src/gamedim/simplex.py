@@ -22,39 +22,53 @@ the integer-preserving (Edmonds/Bareiss) update
 with every entry negated when p < 0.
 
 Packed columns.  Each dictionary column is one Python int: row i sits in
-the W-bit field at bit W*i, as the signed sum sum_i T[i][j] * 2**(W*i).
-Every entry, and D, is up to sign a minor of the {-1, 0, 1} matrix
-[rhs | -A] (A holding the x0 column in Phase I) of order at most its
-column count q, so by Hadamard's bound at most q**(q/2) in absolute value.
-W is that bound's bit length plus a sign bit, rounded up to 8, 16, 32 or
-64 bits, and above 64 bits to a multiple of 64: 64 bits at q = 16, 128 at
-q = 31.  So W >= 8 and W >= q, and a row's mask fits in its field:
-per sign, one `int.to_bytes` per row writes the rows' masks into one
-integer, which, shifted right by j and masked by a 1 per field, puts a 1
-in each field whose row has that sign at j.  Column j starts as -A's,
-minus's less plus's.  The update is linear in each column; the new
-pivot-row entry, -sign(p) * T[r][j], belongs in field r, which the plain
-update leaves at 0, and adding D to field r of col_s once per pivot puts
-it there.  So a pivot is one multiply, subtract and divide per column,
+the W-bit field at bit W*i.  Every entry, and D, is up to sign a minor
+of the {-1, 0, 1} matrix [rhs | -A] (A holding the x0 column in Phase I)
+of order at most its column count q, so by Hadamard's bound at most
+q**(q/2) in absolute value.  W is that bound's bit length plus a sign
+bit, rounded up to 8, 16, 32 or 64 bits, and above 64 bits to a multiple
+of 64: 64 bits at q = 16, 128 at q = 31.  So W >= 8 and W >= q, and a
+row's mask fits in its field: per sign, one `int.to_bytes` per row
+writes the rows' masks into one integer, which, shifted right by j and
+masked by a 1 per field, puts a 1 in each field whose row has that sign
+at j.  Columns are lifted: field i of column j holds T[i][j] + 2**(W-1),
+in [0, 2**W), so the int is u_j = col_j + offsets, with col_j the signed
+sum sum_i T[i][j] * 2**(W*i) and offsets a 2**(W-1) in every field.  No
+field borrows from its neighbour, so a pivot-row entry is field r
+shifted down and masked, less 2**(W-1).  Column j starts as offsets plus
+-A's, minus's less plus's.  The update is linear in each signed column;
+the new pivot-row entry, -sign(p) * T[r][j], belongs in field r, which
+the plain update leaves at 0, and adding D to field r of col_s once per
+pivot puts it there.  With folded = col_s + D * 2**(W*r) and
+c = sign(p) * T[r][j], a pivot is
 
-    col_j' = (|p| * col_j - sign(p) * T[r][j] * (col_s + D * 2**(W*r))) / D.
+    u_j' = (|p| * u_j - c * folded + (D - |p|) * offsets) / D.
 
-The division is exact, so it is a right shift by D's factors of 2, then a
-division by D's odd part only when that is not 1: a big-integer division
-costs one machine division per 30-bit digit, a shift none.  D is a power
-of 2 at 698 of the 706 pivots of 40 separation-ladder LPs at n = 12, and
-at 906 of the 921 of the 105 council pair LPs.
-Products may overflow a field into its neighbours, but each field's
-numerator is a multiple of D, so the whole integer is too and the quotient
-is again a signed sum within the bound.  Adding 2**(W-1) to every field
-makes them nonnegative, and flipping that bit again leaves each field's
+The numerator is |p| * col_j - c * folded, each of whose fields is a
+multiple of D, plus D * offsets, so the division is exact: a right shift
+by D's factors of 2, then a division by D's odd part only when that is
+not 1 (a big-integer division costs one machine division per 30-bit
+digit, a shift none).  When |p| == D, D * col_j - c * folded is a
+multiple of D, so c * folded is one too and u_j' = u_j - c * folded / D:
+one quotient per distinct value c of the pivot row serves every column
+holding it, each such column costs one subtraction, and a column with
+T[r][j] = 0 is not touched.  That holds at 636 of the 721 pivots of the
+40 n = 12 LPs of a seed-4242 separation-ladder pass, at 57 of the 64 of
+the council's three dual LPs, and at 613 of the 921 of its 105 pair LPs.
+Otherwise c * folded less (D - |p|) * offsets is formed once per value,
+and each column costs one multiply, subtract and divide.  Products may
+overflow a field into its neighbours, but the whole numerator is a
+multiple of D, and the quotient is again a lifted column within the
+bound.  Flipping each field's top bit, u ^ offsets, leaves the field's
 two's complement, so one `to_bytes` and one `memoryview.cast` to signed
 machine words decode a whole column.  A field wider than 64 bits is its
 top word, signed, shifted over the unsigned words below it.  The ratio
-test reads signs from the top bits of the offset columns: the rows where
-column s is negative, and among them those where column 0 is 0.  If there
-are any, the least ratio is 0 and the least basic variable among them
-leaves, with no column decoded; otherwise it decodes columns 0 and s and
+test reads signs from the top bits of the lifted columns: u_s & offsets
+marks the rows where column s is >= 0, (u_0 - ones) & offsets those
+where column 0 (>= 0 in a feasible dictionary) is > 0.  If some row has
+neither, the least ratio is 0, and the least basic variable among those
+rows leaves: one `compress` of the basic variables by the fields' top
+bytes, with no column decoded.  Otherwise it decodes columns 0 and s and
 compares the ratios at the negative rows, cross-multiplied.  The
 objective row is a plain list.  Packing moves entries, not values, so
 Bland's rule picks a row-by-row tableau's pivots.
@@ -64,7 +78,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from itertools import compress, repeat
 from operator import itemgetter
 
@@ -113,21 +127,22 @@ def _solve(rows: Sequence[tuple[int, int]], rhs: Sequence[int], obj: list[int],
 
     def decode(column: int) -> Sequence[int]:
         # The fields' values, read off their two's complement bytes.
-        view = memoryview(((column + offsets) ^ offsets).to_bytes(size, "little"))
+        view = memoryview((column ^ offsets).to_bytes(size, "little"))
         values = view.cast(_SIGNED[word])[words - 1::words]
         for j in reversed(range(words - 1)):
             values = [v << 64 | w for v, w in zip(values, view.cast("Q")[j::words])]
         return values
 
-    def flagged(tops: int) -> Iterator[int]:
-        # The rows whose field has its top bit set in ``tops``.
-        return compress(range(m), tops.to_bytes(size, "little")[width - 1::width])
+    def selectors(tops: int) -> bytes:
+        # Per row, its field's top byte in ``tops``: nonzero iff the top bit is set.
+        return tops.to_bytes(size, "little")[width - 1::width]
 
     cols = [-1] + list(range(k))
     basic = list(range(k, k + m))
-    table = ([int.from_bytes(b"".join(map(codes.__getitem__, rhs)), "little") - offsets]
-             + [ones] * auxiliary
-             + [(minus >> j & ones) - (plus >> j & ones) for j in range(k - auxiliary)])
+    table = ([int.from_bytes(b"".join(map(codes.__getitem__, rhs)), "little")]
+             + [offsets + ones] * auxiliary
+             + [offsets + (minus >> j & ones) - (plus >> j & ones)
+                for j in range(k - auxiliary)])
     denom = 1
     r, s = (min(range(m), key=rhs.__getitem__), 1) if auxiliary else (-1, 0)
     while True:
@@ -140,14 +155,15 @@ def _solve(rows: Sequence[tuple[int, int]], rhs: Sequence[int], obj: list[int],
             s = min(entering)[1]
             # The top bits of the fields where column s is >= 0, and where
             # column 0 (>= 0 in a feasible dictionary) is > 0.
-            nonnegative = (table[s] + offsets) & offsets
-            positive = (table[0] + offsets - ones) & offsets
-            if nonnegative | positive != offsets:
+            nonnegative = table[s] & offsets
+            positive = (table[0] - ones) & offsets
+            zero = offsets ^ (nonnegative | positive)
+            if zero:
                 # Rows with ratio 0, the least: the least basic one leaves.
-                r = min(flagged(offsets ^ (nonnegative | positive)), key=basic.__getitem__)
+                r = basic.index(min(compress(basic, selectors(zero))))
             else:
                 col_s, col_0 = decode(table[s]), decode(table[0])
-                for i in flagged(offsets ^ nonnegative):
+                for i in compress(range(m), selectors(offsets ^ nonnegative)):
                     a, b = col_s[i], col_0[i]
                     if r < 0:
                         r, best_a, best_b = i, a, b
@@ -160,25 +176,38 @@ def _solve(rows: Sequence[tuple[int, int]], rhs: Sequence[int], obj: list[int],
                     raise RuntimeError("objective unbounded")
 
         at = shift * r
-        prow = [((c + offsets) >> at & field) - half for c in table]
+        prow = [(u >> at & field) - half for u in table]
         p = prow[s]
         sign = 1 if p > 0 else -1
         pa = abs(p)
-        col_s = table[s]
-        folded = col_s + (denom << at)
+        folded = table[s] - offsets + (denom << at)
         fs = obj[s] * sign
         # D = 2**twos * odd
         twos = (denom & -denom).bit_length() - 1
         odd = denom >> twos
-        for j, y in enumerate(prow):
-            if j == s:
-                continue
-            c = sign * y
-            if c or pa != denom:
-                column = (pa * table[j] - c * folded) >> twos
-                table[j] = column // odd if odd > 1 else column
-            obj[j] = (obj[j] * pa - fs * y) // denom
-        table[s] = sign * (folded - (p << at))
+        # Per value y = T[r][j] and c = sign * y, its columns' term: when
+        # |p| == D, c * folded / D, which they lose; else c * folded less the
+        # offsets' share, (D - |p|) * offsets, which the update divides by D.
+        terms: dict[int, int] = {}
+        if pa == denom:
+            for j, y in enumerate(prow):
+                if y and j != s:
+                    term = terms.get(y)
+                    if term is None:
+                        term = sign * y * folded >> twos
+                        term = terms[y] = term // odd if odd > 1 else term
+                    table[j] -= term
+        else:
+            lift = (denom - pa) * offsets
+            for j, y in enumerate(prow):
+                if j != s:
+                    term = terms.get(y)
+                    if term is None:
+                        term = terms[y] = sign * y * folded - lift
+                    column = pa * table[j] - term >> twos
+                    table[j] = column // odd if odd > 1 else column
+        obj[:] = [(o * pa - fs * y) // denom for o, y in zip(obj, prow)]
+        table[s] = sign * (folded - (p << at)) + offsets
         obj[s] = fs
         denom = pa
         basic[r], cols[s] = cols[s], basic[r]

@@ -388,6 +388,18 @@ def as_entries(rows, k):
     return [[(plus >> j & 1) - (minus >> j & 1) for j in range(k)] for plus, minus in rows]
 
 
+# A {-1, 0, 1} system whose pivots reach |p| != D with an odd D > 1, so
+# that `simplex._solve` runs the update that divides by D's odd part: Phase
+# I with ODD_PIVOT_RHS pivots at D = 3 onto |p| = 5, then at D = 5 onto 1;
+# Phase II with ODD_PIVOT_PHASE_TWO at D = 3 onto 1.  Found by a seeded
+# search over small random systems with a scratch copy of the solver that
+# recorded (D, |p|) each time that division ran; no such counter is kept
+# in the solver itself.
+ODD_PIVOT_ROWS = [[1, 1, 1], [0, 1, -1], [1, -1, 0], [-1, 0, -1]]
+ODD_PIVOT_RHS = [1, 0, 0, -1]
+ODD_PIVOT_PHASE_TWO = ([1, 0, 0, 1], [1, 0, 2])  # (rhs, objective)
+
+
 def reference_phase_one(rows, rhs):
     """List-of-rows reference for `simplex.phase_one`.
 

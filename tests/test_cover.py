@@ -37,6 +37,9 @@ from gamedim.simplex import phase_two
 
 from helpers import (
     COUNCIL_DUALS,
+    ODD_PIVOT_PHASE_TWO,
+    ODD_PIVOT_ROWS,
+    as_entries,
     as_masks,
     brute_maximal_independent,
     cycle_antichain,
@@ -948,6 +951,26 @@ class TestPhaseTwo:
         for _ in range(4):
             rows, rhs, objective = random_phase_two_system(rng, k, rng.randint(20, 36))
             check_phase_two(rows + rows[::3], rhs + rhs[::3], objective)
+
+    def test_pivot_off_an_odd_denominator(self):
+        assert check_phase_two(ODD_PIVOT_ROWS, *ODD_PIVOT_PHASE_TWO) == "optimal"
+
+    def test_council_duals_pinned(self, council_h, monkeypatch):
+        # The three LPs `dual_refutation` solves on the council family, each
+        # checked against the reference, and their raw outputs (vertex,
+        # multipliers, D, value) pinned.
+        outputs = []
+
+        def record(rows, rhs, objective):
+            check_phase_two(as_entries(rows, len(objective)), rhs, objective)
+            outputs.append(phase_two(rows, rhs, objective))
+            return outputs[-1]
+
+        monkeypatch.setattr(cover, "phase_two", record)
+        assert dual_refutation(council_h, 7) == COUNCIL_DUALS
+        assert len(outputs) == 3
+        assert hashlib.sha256(repr(outputs).encode()).hexdigest() == (
+            "9d4c45b3d286e43e7e819774e8f36963a8365d190f235a8fac8f2fda5b86e5b6")
 
     @pytest.mark.parametrize("order, bits", [(32, 76), (64, 187)])
     def test_entries_wider_than_64_bits(self, order, bits):

@@ -26,6 +26,8 @@ from gamedim.separation import (
 from gamedim.simplex import phase_one
 
 from helpers import (
+    ODD_PIVOT_RHS,
+    ODD_PIVOT_ROWS,
     TRIPLE_WITNESSES,
     as_entries,
     as_masks,
@@ -291,6 +293,32 @@ def random_system(rng, n):
     return rows, rhs
 
 
+def tall_system(rng):
+    """`lp_feasible`'s rows for an n = 10-12 intersection of two weighted
+    games: one per minimal winning coalition, 100-400 of them, then 1-3
+    random losing targets."""
+    while True:
+        n = rng.randint(10, 12)
+        parts = []
+        for _ in range(2):
+            weights = [rng.randint(1, 10) for _ in range(n)]
+            parts.append(WeightedGame(n, weights, rng.randint(2 * sum(weights) // 5,
+                                                              3 * sum(weights) // 5)))
+        game = IntersectionGame(parts)
+        winning = [c.mask for c in minimal_winning(game)]
+        if 100 <= len(winning) <= 400:
+            break
+    losing, count = [], rng.randint(1, 3)
+    while len(losing) < count:
+        mask = rng.getrandbits(n) | rng.getrandbits(n)
+        if not game.contains(Coalition(n, mask)):
+            losing.append(mask)
+    bits = [[m >> i & 1 for i in range(n)] for m in winning + losing]
+    rows = ([[-b for b in row] + [1] for row in bits[:len(winning)]]
+            + [row + [-1] for row in bits[len(winning):]])
+    return rows, [0] * len(winning) + [-1] * count
+
+
 @pytest.fixture
 def phase_one_calls(monkeypatch):
     """Every (rows, rhs) that `lp_feasible` hands to `phase_one`, as entries."""
@@ -354,6 +382,25 @@ class TestPackedPhaseOne:
         rows = sylvester_minor(order)
         assert check_phase_one(rows, [-1] * len(rows)) is True
         assert phase_one(as_masks(rows), [-1] * len(rows), len(rows[0]))[2].bit_length() == bits
+
+    def test_tall_tableaux_match_reference(self):
+        # The random systems stop at 2n + 4 rows; these have 100-400.  Six
+        # of each verdict, their raw outputs (verdict, values, D) pinned.
+        rng = random.Random(3541)
+        outcomes = {True: 0, False: 0}
+        digest = hashlib.sha256()
+        while min(outcomes.values()) < 6:
+            rows, rhs = tall_system(rng)
+            result = phase_one(as_masks(rows), rhs, len(rows[0]))
+            if outcomes[result[0]] < 6:
+                assert check_phase_one(rows, rhs) is result[0]
+                outcomes[result[0]] += 1
+                digest.update(f"{result!r}\n".encode())
+        assert digest.hexdigest() == (
+            "78095a9f1a085845f9cdcfbcf24ec593db907cb331d859f94f7cb673ab5b092b")
+
+    def test_pivot_off_an_odd_denominator(self):
+        assert check_phase_one(ODD_PIVOT_ROWS, ODD_PIVOT_RHS) is True
 
     def test_single_row(self):
         assert check_phase_one([[1]], [-1]) is False
