@@ -36,7 +36,6 @@ from .games import (
     SimpleGame,
     UnionGame,
     WeightedGame,
-    check_monotone,
     minimal_winning,
 )
 from .separation import (
@@ -72,7 +71,6 @@ __all__ = [
     "build_eu_game",
     "build_pair_certificate",
     "build_triple_certificate",
-    "check_monotone",
     "enumerate_maximal_independent",
     "is_independent",
     "is_nonseparable_exhaustive",

@@ -6,8 +6,8 @@ caller hands in passes through it, as every weight or quota passes
 through `exact`, and every count (member or node count, cover limit k,
 bound, population, or the size a resource guard allows) through
 `integer`.  Four more rules read input at the boundary: `fields` the
-named values of a JSON object, `listed` a JSON list (of index lists, for
-coalitions and hypergraph edges), `instance` every single coalition, game
+named values of a JSON object, `listed` a JSON list of index lists (of
+coalitions or hypergraph edges), `instance` every single coalition, game
 or certificate that a caller hands in, of one class over the member count
 expected, and `of_kind` every list of them, each item by that rule.
 
@@ -176,16 +176,14 @@ def fields(obj: object, what: str, *names: str) -> tuple:
     return tuple(obj[name] for name in names)
 
 
-def listed(value: object, name: str, noun: str | None = None) -> list:
-    """``value`` itself, a JSON list; with a ``noun``, a list of index lists.
+def listed(value: object, name: str, noun: str) -> list:
+    """``value`` itself, a JSON list of index lists.
 
     Raises ValueError naming the key ``name`` otherwise, as in "'edges' must
     be a list of node index lists".
     """
-    if not isinstance(value, list) or (
-            noun is not None and not all(isinstance(item, list) for item in value)):
-        shape = "a list" if noun is None else f"a list of {noun} index lists"
-        raise ValueError(f"{name!r} must be {shape}")
+    if not isinstance(value, list) or not all(isinstance(item, list) for item in value):
+        raise ValueError(f"{name!r} must be a list of {noun} index lists")
     return value
 
 

@@ -177,6 +177,8 @@ def parse_coalition(text: str, n: int = eu.N_MEMBERS) -> Coalition:
     if text:
         for part in text.split(","):
             part = part.strip()
+            if not part:
+                raise ValueError(f"empty member index in {text!r}")
             if "-" in part:
                 try:
                     lo, hi = (eu.ascii_int(half.strip()) for half in part.split("-", 1))
@@ -189,7 +191,7 @@ def parse_coalition(text: str, n: int = eu.N_MEMBERS) -> Coalition:
                     if not 1 <= bound <= n:
                         raise ValueError(f"member index {bound} out of range 1..{n}")
                 indices.extend(range(lo, hi + 1))
-            elif part:
+            else:
                 try:
                     indices.append(eu.ascii_int(part))
                 except ValueError:

@@ -228,7 +228,10 @@ def _maximal_independent(h: Hypergraph) -> tuple[int, ...]:
             free ^= bit
             excluded |= bit
 
-    extend(0, (1 << t) - 1, 0)
+    try:
+        extend(0, (1 << t) - 1, 0)
+    finally:
+        del extend  # it calls itself through its own cell: unlink it, so no cycle is left
     width = (t + 7) >> 3
     return tuple(sorted(results, key=lambda m: m.to_bytes(width, "little").translate(_REVERSED),
                         reverse=True))
@@ -368,7 +371,10 @@ def _cover_search(masks: Sequence[int], full: int
             failed[need] = left
             return None
 
-        return dfs(full, limit)
+        try:
+            return dfs(full, limit)
+        finally:
+            del dfs  # it calls itself through its own cell: unlink it, so no cycle is left
 
     return search
 
@@ -447,11 +453,6 @@ class DualWeightCertificate(Frozen):
             excluded_part = frozenset(members(
                 mask_of(excluded_part, len(weights), "excluded node")))
         super().__init__(weights, bound, excluded_part)
-
-    def weight_of(self, nodes: Iterable[int]) -> Fraction:
-        nodes = tuple(nodes)
-        mask_of(nodes, len(self.weights), "node")
-        return sum((self.weights[v - 1] for v in nodes), Fraction(0))
 
     @property
     def total(self) -> Fraction:

@@ -92,10 +92,6 @@ class MemberTable(Frozen):
     def populations(self) -> dict[int, int]:
         return {index: population for index, _, population in self.entries}
 
-    def population_of(self, coalition: Coalition) -> int:
-        instance(coalition, Coalition, N_MEMBERS, "coalition")
-        return table_sum(self._byte_sums, coalition.mask)
-
 
 @functools.cache
 def default_members() -> MemberTable:

@@ -15,9 +15,9 @@ subset of those eight members, so a weight sum is one integer table lookup
 per byte of the coalition's mask.  Nothing is ever rounded or computed in
 floating point.
 
-The exhaustive scans (`minimal_winning`, `check_monotone`) never test the 2^n
-coalitions one at a time.  Each game packs its whole winning family into one
-Python-int bitset, where bit m is set iff the coalition with mask m wins:
+The exhaustive scan `minimal_winning` never tests the 2^n coalitions one at
+a time.  Each game packs its whole winning family into one Python-int
+bitset, where bit m is set iff the coalition with mask m wins:
 weighted games by meeting in the middle (see `WeightedGame._winning_bits`),
 intersections and unions by AND and OR of their parts' bitsets, explicit
 games by an upward closure.  The shift step ``(bits & lacking_i) << 2**i``
@@ -37,8 +37,8 @@ from functools import cache, cached_property, reduce
 from itertools import accumulate, compress, count, repeat
 
 from ._packed import (MAX_MEMBERS, PackedMasks, byte_tables, canonical_key, canonical_order,
-                      exact, fields, instance, integer, listed, mask_of, members, of_kind,
-                      subset_sums, table_sum)
+                      exact, instance, integer, listed, mask_of, members, of_kind, subset_sums,
+                      table_sum)
 from ._record import Frozen
 
 ENUMERATION_GUARD = 20
@@ -158,14 +158,6 @@ _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 def _pack(flags: Sequence[bool] | bytes | bytearray) -> int:
     """The bitset whose bit m is ``flags[m]``, built by one base-2 `int()`."""
     return int(bytes(flags)[::-1].translate(_BINARY_DIGITS), 2)
-
-
-def _bitset(masks: Iterable[int], n: int) -> int:
-    """The bitset over the 2^n masks with exactly the bits ``masks`` set."""
-    flags = bytearray(1 << n)
-    for m in masks:
-        flags[m] = 1
-    return _pack(flags)
 
 
 def _set_bits(bits: int) -> list[int]:
@@ -288,8 +280,7 @@ class WeightedGame(SimpleGame, Frozen):
 class ExplicitGame(SimpleGame, Frozen):
     """Game given by a listed winning family, evaluated under upward closure.
 
-    The declared family is kept, deduplicated and canonically sorted, so
-    `check_monotone` can detect a listing that is not upward closed;
+    The declared family is kept, deduplicated and canonically sorted;
     membership queries use only the minimal declared coalitions (any superset
     of one is winning), kept in the instance `__dict__` but no field.
     """
@@ -310,7 +301,10 @@ class ExplicitGame(SimpleGame, Frozen):
         return any(m & coalition.mask == m for m in self._minimal)
 
     def _winning_bits(self) -> int:
-        bits = _bitset(self._minimal, self.n)
+        flags = bytearray(1 << self.n)
+        for m in self._minimal:
+            flags[m] = 1
+        bits = _pack(flags)
         for step, lacking in _lacking(self.n):
             bits |= (bits & lacking) << step
         return bits
@@ -352,27 +346,6 @@ class UnionGame(_Combination, Frozen):
     _quantifier, _bit_join = any, operator.or_
 
 
-def all_coalitions(n: int) -> Iterator[Coalition]:
-    """All 2**n coalitions over 1..n, in mask order."""
-    for mask in range(1 << n):
-        yield Coalition(n, mask)
-
-
-def check_monotone(game: ExplicitGame) -> bool:
-    """Whether the declared winning family is upward closed.
-
-    A declared family passes iff every superset of a declared winner is
-    itself declared, that is iff the bitset of the declared masks equals the
-    game's winning bitset (the upward closure of its minimal declared
-    coalitions, by n shift steps).  Both bitsets span all 2^n masks, so it is
-    guarded at n <= 20.
-    """
-    if not isinstance(game, ExplicitGame):
-        raise ValueError("check_monotone requires an explicitly listed game")
-    integer(game.n, "check_monotone scans all 2^n coalitions, so n", 1, ENUMERATION_GUARD)
-    return _bitset((c.mask for c in game.declared_winning), game.n) == game._winning_bits()
-
-
 def minimal_winning(game: SimpleGame) -> tuple[Coalition, ...]:
     """The winning coalitions whose every proper subset loses, canonically sorted.
 
@@ -394,44 +367,6 @@ def minimal_winning(game: SimpleGame) -> tuple[Coalition, ...]:
     return tuple(map(_coalition, repeat(n), masks))
 
 
-# --- JSON descriptions -------------------------------------------------------
-#
-# Game: {"n": int, "kind": "weighted"|"explicit"|"intersection"|"union", ...}
-# with weights/quota as strings parsed exactly (decimal "0.65" or ratio
-# "13/20") and coalitions as sorted index arrays.
-
-
 def coalitions_from_json(value: object, n: int, what: str) -> list[Coalition]:
     """Parse a list of index lists; raises ValueError on any other shape."""
     return [Coalition.from_indices(ix, n) for ix in listed(value, what, "member")]
-
-
-def game_from_json(obj: dict) -> SimpleGame:
-    """Parse the JSON game description; raises ValueError on malformed input."""
-    n, kind = fields(obj, "game", "n", "kind")
-    n = integer(n, "'n'", 1, MAX_MEMBERS)
-    if kind == "weighted":
-        weights, quota = fields(obj, "weighted game", "weights", "quota")
-        return WeightedGame(n, listed(weights, "weights"), quota)
-    if kind == "explicit":
-        (winning,) = fields(obj, "explicit game", "winning")
-        return ExplicitGame(n, coalitions_from_json(winning, n, "winning"))
-    if kind in ("intersection", "union"):
-        (parts,) = fields(obj, f"{kind} game", "parts")
-        parts = [game_from_json(p) for p in listed(parts, "parts")]
-        game = (IntersectionGame if kind == "intersection" else UnionGame)(parts)
-        return instance(game, SimpleGame, n, f"{kind} game")
-    raise ValueError(f"unknown game kind {kind!r}")
-
-
-def game_to_json(game: SimpleGame) -> dict:
-    if isinstance(game, WeightedGame):
-        return {"n": game.n, "kind": "weighted", "weights": [str(w) for w in game.weights],
-                "quota": str(game.quota)}
-    if isinstance(game, ExplicitGame):
-        return {"n": game.n, "kind": "explicit",
-                "winning": [list(c.members) for c in game.declared_winning]}
-    if isinstance(game, _Combination):
-        kind = "intersection" if isinstance(game, IntersectionGame) else "union"
-        return {"n": game.n, "kind": kind, "parts": [game_to_json(p) for p in game.parts]}
-    raise ValueError(f"cannot serialize game of type {type(game).__name__}")

@@ -75,6 +75,24 @@ class TestVerify:
         assert "FAIL" in out
         assert "not established" in out
 
+    @pytest.mark.parametrize("moved, code, step_1", [
+        (61943, 0, "PASS 15 losing and 12 winning confirmed"),
+        (61944, 1, "FAIL misclassified: L7"),
+    ])
+    def test_population_rule_breaks_at_l7(self, capsys, tmp_path, moved, code, step_1):
+        # 20 * pop(L7) - 13 * total is -1,238,871: L7 is 61,943.55 citizens
+        # short of 65 %, the thinnest margin of the 2014 proof.  Germany
+        # (row 1) is outside L7 and the United Kingdom (row 3) inside it.
+        entries = [(i, name, pop - moved if i == 1 else pop + moved if i == 3 else pop)
+                   for i, name, pop in MEMBERS_2014]
+        path = write_members(tmp_path / "moved.csv", entries)
+        result, out, _ = run(capsys, "verify", "--members", path)
+        assert result == code
+        # the step names are padded to the longest one the replay reached
+        assert " ".join(out.splitlines()[4].split()) == f"step 1 reference coalitions {step_1}"
+        if code == 0:
+            assert out.endswith("conclusion: dimension >= 8\n")
+
     def test_failed_pair_certificate_names_its_edge(self, capsys, tmp_path):
         path = write_bulgaria_members(tmp_path)
         code, out, _ = run(capsys, "verify", "--members", path)
@@ -292,6 +310,11 @@ class TestClassify:
         ("1-+3", "bad member range '1-+3'"),
         ("L\u0661", "unknown coalition label 'L\u0661'"),
         ("5-3", "empty range '5-3'"),
+        # An empty item is a typo, not a coalition without it; a blank
+        # argument is the empty coalition.
+        ("1,,2", "empty member index in '1,,2'"),
+        ("1,2,", "empty member index in '1,2,'"),
+        (",", "empty member index in ','"),
     ])
     def test_malformed_part_is_named(self, capsys, text, message):
         assert run(capsys, "classify", text) == (2, "", f"error: {message}\n")

@@ -44,8 +44,6 @@ from gamedim.games import (
     ExplicitGame,
     IntersectionGame,
     WeightedGame,
-    check_monotone,
-    game_from_json,
     minimal_winning,
 )
 from gamedim.separation import (
@@ -73,8 +71,6 @@ SITES = {
     "ExplicitGame n": (4, 1, 64, lambda n: ExplicitGame(n, [])),
     "SeparationInstance n": (4, 1, 64, lambda n: SeparationInstance(
         n, [Coalition(4, 1)], [Coalition(4, 2)])),
-    "game_from_json n": (4, 1, 64, lambda n: game_from_json(
-        {"n": n, "kind": "explicit", "winning": [[1]]})),
     "instance_from_json n": (4, 1, 64, lambda n: instance_from_json(
         {"n": n, "winning_constraints": [[1]], "losing_targets": [[2]]})),
     "Hypergraph node count": (4, 0, 64, lambda t: Hypergraph(t, [])),
@@ -113,9 +109,6 @@ GUARDS = {
     "minimal_winning": (
         20, lambda n: minimal_winning(weighted(n)),
         "minimal_winning scans all 2^n coalitions, so n must be in 1..20, got 21"),
-    "check_monotone": (
-        20, lambda n: check_monotone(ExplicitGame(n, [])),
-        "check_monotone scans all 2^n coalitions, so n must be in 1..20, got 21"),
     "is_nonseparable_exhaustive": (
         14, lambda n: is_nonseparable_exhaustive(weighted(n), [Coalition(n, 0)]),
         "the exhaustive non-separability check solves an LP over all minimal winning "
@@ -173,8 +166,6 @@ DEFECTS = {
                                     "coalition [1, 2] is not a Coalition"),
     "EuGame.classify(None)": (lambda: build_eu_game().classify(None),
                               "coalition None is not a Coalition"),
-    "population_of(None)": (lambda: build_eu_game().table.population_of(None),
-                            "coalition None is not a Coalition"),
     "WeightedGame.contains of an int": (lambda: WeightedGame(3, [1, 1, 1], 2).contains(3),
                                         "coalition 3 is not a Coalition"),
     "IntersectionGame.contains of a string": (

@@ -103,10 +103,6 @@ class TestMemberTable:
         with pytest.raises(ValueError, match=f"^member index {index} out of range 1..28$"):
             load_members(to_csv(entries))
 
-    def test_population_of_checks_ground_set(self):
-        with pytest.raises(ValueError):
-            default_members().population_of(Coalition.from_indices([1], 5))
-
 
 class TestEuGame:
     def test_member_quota_is_sixteen(self, eu_game):

@@ -16,16 +16,13 @@ from gamedim.games import (
     SimpleGame,
     UnionGame,
     WeightedGame,
-    all_coalitions,
-    check_monotone,
     coalition_sort_key,
-    game_from_json,
-    game_to_json,
     minimal_winning,
 )
 
 from helpers import (
     brute_minimal_winning,
+    coalitions_of,
     masked_sum,
     minimal_masks_of_bits,
     random_monotone_game,
@@ -193,7 +190,7 @@ class TestWeightedGame:
         for _ in range(25):
             n = rng.randint(1, 8)
             g = WeightedGame(n, [rng.randint(0, 9) for _ in range(n)], rng.randint(0, 20))
-            for c in all_coalitions(n):
+            for c in coalitions_of(n):
                 if g.contains(c):
                     for m in range(1, n + 1):
                         if m not in c:
@@ -216,7 +213,7 @@ class TestWeightedGame:
         quota = rng.randint(0, sum(weights) + 1)
         g = WeightedGame(n, weights, quota)
         scaled = WeightedGame(n, [w * scale for w in weights], quota * scale)
-        for c in all_coalitions(n):
+        for c in coalitions_of(n):
             assert g.contains(c) == scaled.contains(c)
 
 
@@ -252,7 +249,7 @@ class TestIntegerScaledMembership:
         quota = sum((weights[m - 1] for m in subset.members), Fraction(0))
         quota += Fraction(offset, lcm)
         for g in (WeightedGame(n, weights, quota), WeightedGame(n, weights, free_quota)):
-            for c in all_coalitions(n):
+            for c in coalitions_of(n):
                 assert g.contains(c) == fraction_contains(g, c)
         if offset == 0:
             assert WeightedGame(n, weights, quota).contains(subset)
@@ -267,12 +264,6 @@ class TestIntegerScaledMembership:
         assert g.weights == tuple(weights)
         assert all(type(w) is Fraction for w in g.weights)
         assert g.quota == quota and type(g.quota) is Fraction
-        assert game_to_json(g) == {
-            "n": len(weights),
-            "kind": "weighted",
-            "weights": [str(w) for w in weights],
-            "quota": str(quota),
-        }
         assert g == WeightedGame(len(weights), weights, quota)
         assert hash(g) == hash(WeightedGame(len(weights), weights, quota))
         assert repr(g) == (f"WeightedGame(n={len(weights)}, weights={tuple(weights)!r}, "
@@ -435,7 +426,7 @@ class TestGameExpressions:
             n = rng.randint(1, 8)
             declared = [Coalition(n, rng.randrange(1 << n)) for _ in range(rng.randint(1, 10))]
             g = ExplicitGame(n, declared)
-            for c in all_coalitions(n):
+            for c in coalitions_of(n):
                 assert g.contains(c) == any(d <= c for d in declared)
 
 
@@ -492,7 +483,7 @@ class TestWinningBits:
             game = random_game(rng, n)
             bits = game._winning_bits()
             assert 0 <= bits < 1 << (1 << n)
-            for c in all_coalitions(n):
+            for c in coalitions_of(n):
                 assert bits >> c.mask & 1 == game.contains(c), (game, c)
 
     @given(
@@ -507,7 +498,7 @@ class TestWinningBits:
         game = WeightedGame(n, weights, quota)
         bits = game._winning_bits()
         assert bits >> tie & 1
-        for c in all_coalitions(n):
+        for c in coalitions_of(n):
             assert bits >> c.mask & 1 == fraction_contains(game, c)
 
     def test_quota_zero_and_zero_weights(self):
@@ -554,47 +545,9 @@ class TestWinningBits:
         for n in range(1, 9):
             game = ContainsOnly(n)
             bits = game._winning_bits()
-            for c in all_coalitions(n):
+            for c in coalitions_of(n):
                 assert bits >> c.mask & 1 == game.contains(c)
             assert list(minimal_winning(game)) == brute_minimal_winning(game)
-
-
-class TestCheckMonotone:
-    def test_threshold_family_is_monotone(self):
-        g = ExplicitGame(4, [c for c in all_coalitions(4) if len(c) >= 2])
-        assert check_monotone(g)
-
-    def test_missing_superset_detected(self):
-        g = ExplicitGame(2, [C([1], 2)])
-        assert not check_monotone(g)  # {1,2} missing from the declared family
-
-    def test_random_declared_families(self):
-        rng = random.Random(17)
-        for _ in range(40):
-            n = rng.randint(2, 10)
-            closed = random_monotone_game(rng, n)
-            assert check_monotone(closed)
-            declared = {c.mask for c in closed.declared_winning}
-            minimal = {c.mask for c in minimal_winning(closed)}
-            # Dropping a minimal winner leaves an upward-closed family ...
-            dropped = rng.choice(sorted(minimal))
-            assert check_monotone(ExplicitGame(n, [Coalition(n, m) for m in declared
-                                                   if m != dropped]))
-            # ... dropping any other declared winner leaves a superset missing.
-            others = sorted(declared - minimal)
-            if others:
-                dropped = rng.choice(others)
-                assert not check_monotone(ExplicitGame(
-                    n, [Coalition(n, m) for m in declared if m != dropped]))
-
-    def test_requires_explicit(self):
-        with pytest.raises(ValueError, match="explicit"):
-            check_monotone(WeightedGame(2, [1, 1], 1))
-
-    def test_resource_guard(self):
-        g = ExplicitGame(28, [C(list(range(1, 29)), 28)])
-        with pytest.raises(ValueError, match="so n must be in 1..20, got 28$"):
-            check_monotone(g)
 
 
 class TestMinimalWinning:
@@ -710,71 +663,3 @@ class TestMinimalWinning:
             WeightedGame(0, [], 1)
         with pytest.raises(ValueError, match="^member count must be in 1..64, got 0$"):
             ExplicitGame(0, [])
-
-
-class TestJson:
-    def test_weighted_round_trip_with_decimal_strings(self):
-        obj = {"n": 2, "kind": "weighted", "weights": ["0.65", "1/3"], "quota": "0.5"}
-        g = game_from_json(obj)
-        assert g.weights == (Fraction(13, 20), Fraction(1, 3))
-        assert g.quota == Fraction(1, 2)
-        assert game_from_json(game_to_json(g)) == g
-
-    def test_nested_expression_round_trip(self):
-        g = UnionGame([
-            IntersectionGame([
-                WeightedGame(3, [1, 1, 1], 2),
-                WeightedGame(3, [5, 0, 1], 5),
-            ]),
-            ExplicitGame(3, [C([1, 2, 3], 3)]),
-        ])
-        back = game_from_json(game_to_json(g))
-        assert back == g
-        for c in all_coalitions(3):
-            assert back.contains(c) == g.contains(c)
-
-    def test_coalitions_serialize_sorted(self):
-        g = ExplicitGame(3, [C([3, 1], 3)])
-        assert game_to_json(g)["winning"] == [[1, 3]]
-
-    @pytest.mark.parametrize("kind", ["union", "intersection"])
-    def test_combination_member_count_must_match_its_parts(self, kind):
-        part = {"n": 2, "kind": "weighted", "weights": [1, 1], "quota": 1}
-        assert game_from_json({"n": 2, "kind": kind, "parts": [part]}).n == 2
-        with pytest.raises(ValueError, match=f"^{kind} game .* is over 2 members, not 3$"):
-            game_from_json({"n": 3, "kind": kind, "parts": [part]})
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            game_from_json({"n": 2, "kind": "mystery"})
-
-    def test_inexact_weight_rejected(self):
-        with pytest.raises(ValueError):
-            game_from_json({"n": 1, "kind": "weighted", "weights": [0.65], "quota": 1})
-
-    @pytest.mark.parametrize("weights, quota, message", [
-        ([1, True], 1, "weight of member 2 is a bool: True"),
-        ([1, 1], False, "quota is a bool: False"),
-        ([1, 1], 0.5, "quota is a float: 0.5"),
-        ([1, None], 1, "weight of member 2 is a NoneType: None"),
-        ([1, "2/0"], 1, "weight of member 2 '2/0' has denominator zero"),
-    ])
-    def test_json_numbers_read_by_the_one_rule(self, weights, quota, message):
-        obj = {"n": 2, "kind": "weighted", "weights": weights, "quota": quota}
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            game_from_json(obj)
-
-    @pytest.mark.parametrize("obj, field", [
-        ({"n": 2, "kind": "weighted", "weights": 5, "quota": 1}, "weights"),
-        ({"n": 2, "kind": "weighted", "quota": 1}, "weights"),
-        ({"n": 2, "kind": "weighted", "weights": [1, 1]}, "quota"),
-        ({"n": 2, "kind": "explicit"}, "winning"),
-        ({"n": 2, "kind": "union", "parts": 5}, "parts"),
-        ({"n": 2, "kind": "intersection", "parts": 5}, "parts"),
-        ({"n": 2, "kind": "union"}, "parts"),
-        ({"n": 2, "kind": "intersection"}, "parts"),
-        ({"n": True, "kind": "weighted", "weights": [1], "quota": 1}, "n"),
-    ])
-    def test_missing_or_scalar_field_names_it(self, obj, field):
-        with pytest.raises(ValueError, match=f"'{field}'"):
-            game_from_json(obj)

@@ -41,7 +41,6 @@ ENTRY_POINTS = {
     "Hypergraph": (4, lambda ix: Hypergraph(4, [(3, 4), ix])),
     "is_independent": (4, lambda ix: is_independent(ix, Hypergraph(4, [(3, 4)]))),
     "min_cover": (4, lambda ix: min_cover(Hypergraph(4, [(3, 4)]), [(2, 3), ix, (4,)])),
-    "weight_of": (4, lambda ix: DualWeightCertificate([1, 2, 3, 4], 1).weight_of(ix)),
     "excluded_part": (4, lambda ix: DualWeightCertificate([1, 2, 3, 4], 1, excluded_part=ix)),
     "CoverSolution": (4, lambda ix: CoverSolution([(3,), ix, (4,)])
                       .verify(Hypergraph(4, [(3, 4)]))),

@@ -1,4 +1,4 @@
-"""Random JSON payloads through the four JSON readers raise only ValueError.
+"""Random JSON payloads through the three JSON readers raise only ValueError.
 
 A payload is any value `json.load` can return.  Most are drawn in the
 shape each reader expects, its keys present, with small counts and lists of
@@ -20,15 +20,12 @@ from gamedim.cli import main
 from gamedim.certificates import certificate_from_json
 from gamedim.cover import hypergraph_from_json
 from gamedim.eu import N_MEMBERS
-from gamedim.games import game_from_json
 from gamedim.separation import instance_from_json
 
-KEYS = ("n", "kind", "weights", "quota", "winning", "parts", "nodes", "edges", "losing",
-        "winning_constraints", "losing_targets")
-KINDS = ("weighted", "explicit", "intersection", "union")
+KEYS = ("n", "winning", "nodes", "edges", "losing", "winning_constraints", "losing_targets")
 
 scalars = (st.none() | st.booleans() | st.integers(-2, 70) | st.integers() | st.floats()
-           | st.sampled_from(KINDS + ("1/2", "13/20", "-1", "1/0", "0.65", "1e999", "x"))
+           | st.sampled_from(("1/2", "13/20", "-1", "1/0", "0.65", "1e999", "x"))
            | st.text(max_size=4))
 index_lists = st.lists(st.lists(st.integers(-1, 30) | scalars, max_size=6), max_size=6)
 values = st.recursive(
@@ -57,18 +54,9 @@ def shaped(keys):
     return mostly(st.fixed_dictionaries(keys))
 
 
-games = st.recursive(
-    shaped({"n": counts, "kind": st.sampled_from(KINDS),
-            "weights": mostly(st.lists(st.integers(0, 9) | scalars, max_size=8)),
-            "quota": mostly(st.integers(0, 30)), "winning": index_fields}),
-    lambda inner: st.fixed_dictionaries(
-        {"n": counts, "kind": st.sampled_from(KINDS), "parts": st.lists(inner, max_size=3)}),
-    max_leaves=4)
-
 READERS = {
     "hypergraph": (hypergraph_from_json,
                    shaped({"nodes": counts, "edges": index_fields})),
-    "game": (game_from_json, games),
     "certificate": (lambda obj: certificate_from_json(obj, N_MEMBERS),
                     shaped({"losing": index_fields, "winning": index_fields})),
     "instance": (instance_from_json,

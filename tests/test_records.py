@@ -132,6 +132,13 @@ def gamedim_classes():
                     if isinstance(value, type) and value.__module__ == module.__name__)
 
 
+def test_every_public_name_resolves():
+    assert sorted(set(gamedim.__all__)) == sorted(gamedim.__all__)
+    namespace = {}
+    exec("from gamedim import *", namespace)  # raises on a name it cannot find
+    assert all(namespace[name] is getattr(gamedim, name) for name in gamedim.__all__)
+
+
 def test_every_value_class_has_a_case():
     found = {cls.__qualname__ for cls in gamedim_classes()
              if issubclass(cls, Record) and cls not in (Record, Frozen)}
