@@ -28,7 +28,7 @@ from .cover import (
     no_k_cover,
     verify_dual_certificate,
 )
-from .eu import EuGame, MemberTable, build_eu_game, load_members, reference_coalitions
+from .eu import EuGame, MemberTable, build_eu_game, load_members
 from .games import (
     Coalition,
     ExplicitGame,
@@ -81,7 +81,6 @@ __all__ = [
     "minimal_winning",
     "no_k_cover",
     "nonseparable_family",
-    "reference_coalitions",
     "verify_balance",
     "verify_dual_certificate",
 ]

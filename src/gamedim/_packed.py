@@ -190,7 +190,7 @@ def listed(value: object, name: str, noun: str) -> list:
 def instance(item, kind: type, n: int | None, what: str):
     """``item`` itself, an instance of ``kind`` over ``n`` members (any, if None).
 
-    Raises ValueError naming ``what`` and the item otherwise: "operand 5 is
+    Raises ValueError naming ``what`` and the item otherwise: "transfer 0 is
     not a Coalition", "coalition {1} is over 5 members, not 4".
     """
     if not isinstance(item, kind):

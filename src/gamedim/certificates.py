@@ -33,10 +33,9 @@ per-member counts equal the triple's.  Every builder ends in one
 `nonseparable_family` builds every edge by the public builder of its kind.
 The pair and anchor builders check their argument types first, then build
 and verify; they classify their coalitions by `EuGame._rules` only when no
-certificate comes out, and then raise the first failing check.  The halves,
-made from masks, are wrapped into a certificate unchecked (`_certificate`):
-sorted in canonical order, with no mask listed twice, as
-`BalanceCertificate` sorts and checks what a caller hands in.
+certificate comes out, and then raise the first failing check.  Every
+certificate, built or handed in, is a `BalanceCertificate`, which checks
+and sorts its two sides.
 """
 
 from __future__ import annotations
@@ -59,8 +58,7 @@ from .eu import (
     EuGame,
     _label_sets,
 )
-from .games import (Coalition, SimpleGame, _coalition, _new, coalition_sort_key,
-                    coalitions_from_json)
+from .games import Coalition, SimpleGame, _coalition, coalition_sort_key, coalitions_from_json
 
 
 _mask = attrgetter("mask")
@@ -77,8 +75,19 @@ class BalanceCertificate(Frozen):
     winning: tuple[Coalition, ...]
 
     def __init__(self, losing: Iterable[Coalition], winning: Iterable[Coalition]):
+        """Each side sorted by `coalition_sort_key`, over the first losing one's n.
+
+        Raises ValueError for an empty side, an item that is no coalition
+        over that n, or a mask listed twice on one side.
+        """
         losing = of_kind(losing, Coalition, None, "losing coalition")
-        _fill(self, losing, of_kind(winning, Coalition, losing[0].n, "winning coalition"))
+        winning = of_kind(winning, Coalition, losing[0].n, "winning coalition")
+        losing = tuple(sorted(losing, key=coalition_sort_key))
+        winning = tuple(sorted(winning, key=coalition_sort_key))
+        if (len(set(map(_mask, losing))) != len(losing)
+                or len(set(map(_mask, winning))) != len(winning)):
+            raise ValueError("certificate lists a coalition twice")
+        vars(self).update(losing=losing, winning=winning)
 
     @property
     def n(self) -> int:
@@ -92,31 +101,6 @@ class BalanceCertificate(Frozen):
         """
         return (incidence_planes(map(_mask, self.losing))
                 == incidence_planes(map(_mask, self.winning)))
-
-
-def _fill(cert: BalanceCertificate, losing: Iterable[Coalition],
-          winning: Iterable[Coalition]) -> BalanceCertificate:
-    """Set the fields of ``cert``: each side sorted by `coalition_sort_key`.
-
-    The coalitions must be over one n, where two are equal iff their masks
-    are; a mask listed twice on one side raises ValueError.
-    """
-    losing = tuple(sorted(losing, key=coalition_sort_key))
-    winning = tuple(sorted(winning, key=coalition_sort_key))
-    if (len(set(map(_mask, losing))) != len(losing)
-            or len(set(map(_mask, winning))) != len(winning)):
-        raise ValueError("certificate lists a coalition twice")
-    vars(cert).update(losing=losing, winning=winning)
-    return cert
-
-
-def _certificate(losing: Iterable[Coalition], winning: Iterable[Coalition]) -> BalanceCertificate:
-    """`BalanceCertificate(losing, winning)` without its item checks.
-
-    Only for nonempty sides of coalitions over one n: the bundled ones and
-    halves made from their masks.
-    """
-    return _fill(_new(BalanceCertificate), losing, winning)
 
 
 def incidence_planes(masks: Iterable[int]) -> list[int]:
@@ -219,7 +203,7 @@ def build_pair_certificate(li: Coalition, lj: Coalition, game: EuGame) -> Balanc
         # The size cheapest are sym without its dearest sym.bit_count() - size:
         # the members Li and Lj do not share sit mostly at the dear end.
         cheapest = sym ^ _first(reversed(game.table.cheapest_first), sym, sym.bit_count() - size)
-        cert = _certificate((li, lj), _split(N_MEMBERS, a, b, cheapest))
+        cert = BalanceCertificate((li, lj), _split(N_MEMBERS, a, b, cheapest))
         if verify_balance(cert, game):
             return cert
     for c, name in ((li, "first"), (lj, "second")):
@@ -262,7 +246,7 @@ def build_anchor_certificate(li: Coalition, game: EuGame) -> BalanceCertificate:
         candidates = [(pop, bit) for pop, bit in order if bit & incoming]
         top = candidates[-1][0]
         one_in = next(bit for pop, bit in candidates if pop == top)
-        cert = _certificate((li, anchor), _split(
+        cert = BalanceCertificate((li, anchor), _split(
             N_MEMBERS, li.mask, anchor.mask, (outside ^ dropped) | one_in))
         if verify_balance(cert, game):
             return cert
@@ -303,7 +287,7 @@ def build_triple_certificate(losing: Iterable[Coalition], game: SimpleGame) -> B
     for a, b in combinations(range(len(_WINNING_QUADS)), 2):
         c = _WINNER_OF_QUAD.get(target - _WINNING_QUADS[a] - _WINNING_QUADS[b], -1)
         if c > b:
-            cert = _certificate(losing, (WINNING_FAMILY[k] for k in (a, b, c)))
+            cert = BalanceCertificate(losing, (WINNING_FAMILY[k] for k in (a, b, c)))
             if not verify_balance(cert, game):
                 raise CertificateError("certificate does not verify")
             return cert
@@ -317,16 +301,13 @@ class CertifiedFamily(Frozen):
     hypergraph: Hypergraph
     certificates: Mapping[frozenset[int], BalanceCertificate]
 
-    def coalition_of(self, label: int) -> Coalition:
-        return self.nodes[label - 1]
-
     def check(self, game: SimpleGame) -> None:
         """Re-verify every edge certificate; raises CertificateError on failure."""
         for edge in self.hypergraph.edges:
             cert = self.certificates.get(edge)
             if cert is None:
                 raise CertificateError(f"edge {sorted(edge)} carries no certificate")
-            if set(cert.losing) != {self.coalition_of(v) for v in edge}:
+            if set(cert.losing) != {self.nodes[v - 1] for v in edge}:
                 raise CertificateError(
                     f"certificate for edge {sorted(edge)} lists different losing coalitions"
                 )

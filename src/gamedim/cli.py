@@ -84,9 +84,8 @@ def run_verification(table: eu.MemberTable | None = None) -> ProofTranscript:
         return ProofTranscript(notes=notes, steps=steps, conclusion=conclusion)
 
     # 1: the bundled losing and winning coalitions classify as advertised
-    losing, winning = eu.reference_coalitions()
-    bad = [f"L{i}" for i, c in enumerate(losing, start=1) if game.is_winning(c)]
-    bad += [f"W{i}" for i, c in enumerate(winning, start=1) if not game.is_winning(c)]
+    bad = [f"L{i}" for i, c in enumerate(eu.LOSING_FAMILY, start=1) if game.is_winning(c)]
+    bad += [f"W{i}" for i, c in enumerate(eu.WINNING_FAMILY, start=1) if not game.is_winning(c)]
     if not record("reference coalitions", not bad,
                   "15 losing and 12 winning confirmed" if not bad
                   else "misclassified: " + ", ".join(bad)):
@@ -146,14 +145,14 @@ def run_verification(table: eu.MemberTable | None = None) -> ProofTranscript:
 def _load_table(path: str | None) -> eu.MemberTable:
     if path is None:
         return eu.default_members()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return eu.load_members(fh)
 
 
 def _read_json(path: str) -> dict:
     import json  # only the commands that read or write JSON load it
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except RecursionError:
@@ -168,7 +167,7 @@ def _dump_json(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def parse_coalition(text: str, n: int = eu.N_MEMBERS) -> Coalition:
+def parse_coalition(text: str) -> Coalition:
     """Parse '1,4-7,12' style index lists or bundled labels like 'L15'."""
     text = text.strip()
     if text and text[0].upper() in "LW" and text[1:].isdigit():
@@ -188,15 +187,15 @@ def parse_coalition(text: str, n: int = eu.N_MEMBERS) -> Coalition:
                     raise ValueError(f"empty range {part!r}")
                 # checked before expanding, so a huge range builds no list
                 for bound in (lo, hi):
-                    if not 1 <= bound <= n:
-                        raise ValueError(f"member index {bound} out of range 1..{n}")
+                    if not 1 <= bound <= eu.N_MEMBERS:
+                        raise ValueError(f"member index {bound} out of range 1..{eu.N_MEMBERS}")
                 indices.extend(range(lo, hi + 1))
             else:
                 try:
                     indices.append(eu.ascii_int(part))
                 except ValueError:
                     raise ValueError(f"bad member index {part!r}") from None
-    return Coalition.from_indices(indices, n)
+    return Coalition.from_indices(indices, eu.N_MEMBERS)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

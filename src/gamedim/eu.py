@@ -88,10 +88,6 @@ class MemberTable(Frozen):
             cheapest_first=tuple(sorted(
                 (population, 1 << (index - 1)) for index, _, population in self.entries)))
 
-    @property
-    def populations(self) -> dict[int, int]:
-        return {index: population for index, _, population in self.entries}
-
 
 @functools.cache
 def default_members() -> MemberTable:
@@ -99,12 +95,10 @@ def default_members() -> MemberTable:
     return MemberTable(MEMBERS_2014)
 
 
-def load_members(stream: io.TextIOBase | str) -> MemberTable:
+def load_members(stream: io.TextIOBase) -> MemberTable:
     """Parse a member table from CSV with header ``index,name,population``."""
     import csv  # only a table given on the command line is CSV
 
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
     try:
         rows = list(csv.reader(stream))
     except csv.Error as err:  # say, a cell over the csv module's field limit
@@ -222,11 +216,6 @@ LOSING_FAMILY: tuple[Coalition, ...] = tuple(
 WINNING_FAMILY: tuple[Coalition, ...] = tuple(
     Coalition.from_indices(ix, N_MEMBERS) for ix in _WINNING_INDICES
 )
-
-
-def reference_coalitions() -> tuple[tuple[Coalition, ...], tuple[Coalition, ...]]:
-    """The bundled (losing L1..L15, winning W1..W12) coalitions."""
-    return LOSING_FAMILY, WINNING_FAMILY
 
 
 def ascii_int(text: str) -> int:

@@ -9,11 +9,10 @@ class here but the plain base `SimpleGame` is a frozen value record
 they are of one class with equal fields, so a combination compares by its
 parts.  Weights and quota are exact rationals (``fractions.Fraction``); a
 weighted game scales them once, by the least common multiple of their
-denominators, to integers.  Its first `contains` or `scaled_weight` call then
-builds one table per byte of the member mask, the scaled weight of every
-subset of those eight members, so a weight sum is one integer table lookup
-per byte of the coalition's mask.  Nothing is ever rounded or computed in
-floating point.
+denominators, to integers.  Its first `contains` call then builds one table
+per byte of the member mask, the scaled weight of every subset of those
+eight members, so a weight sum is one integer table lookup per byte of the
+coalition's mask.  Nothing is ever rounded or computed in floating point.
 
 The exhaustive scan `minimal_winning` never tests the 2^n coalitions one at
 a time.  Each game packs its whole winning family into one Python-int
@@ -83,32 +82,6 @@ class Coalition(Frozen):
 
     def __contains__(self, member: int) -> bool:
         return 1 <= member <= self.n and bool(self.mask >> (member - 1) & 1)
-
-    def union(self, other: "Coalition") -> "Coalition":
-        instance(other, Coalition, self.n, "operand")
-        return _coalition(self.n, self.mask | other.mask)
-
-    def intersection(self, other: "Coalition") -> "Coalition":
-        instance(other, Coalition, self.n, "operand")
-        return _coalition(self.n, self.mask & other.mask)
-
-    def difference(self, other: "Coalition") -> "Coalition":
-        instance(other, Coalition, self.n, "operand")
-        return _coalition(self.n, self.mask & ~other.mask)
-
-    def symmetric_difference(self, other: "Coalition") -> "Coalition":
-        instance(other, Coalition, self.n, "operand")
-        return _coalition(self.n, self.mask ^ other.mask)
-
-    def issubset(self, other: "Coalition") -> bool:
-        instance(other, Coalition, self.n, "operand")
-        return self.mask & ~other.mask == 0
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
-    __xor__ = symmetric_difference
-    __le__ = issubset
 
     def __str__(self) -> str:
         return "{" + ",".join(str(m) for m in self.members) + "}"
@@ -204,9 +177,6 @@ class SimpleGame:
         """
         return _pack([self.contains(Coalition(self.n, m)) for m in range(1 << self.n)])
 
-    def _check_dimension(self, coalition: Coalition) -> None:
-        instance(coalition, Coalition, self.n, "coalition")
-
 
 class WeightedGame(SimpleGame, Frozen):
     """Threshold rule: winning iff the members' weight sum meets the quota.
@@ -216,8 +186,8 @@ class WeightedGame(SimpleGame, Frozen):
     by the least common multiple of their denominators, so it never depends
     on rounding and never touches a `Fraction`.  The scaled weight of a mask is
     the sum, over its bytes, of the byte's entry in that byte's partial-sum
-    table; the tables are built on the first `contains` or `scaled_weight`
-    call, so a game only ever scanned by `minimal_winning` builds none.
+    table; the tables are built on the first `contains` call, so a game
+    only ever scanned by `minimal_winning` builds none.
     """
 
     n: int
@@ -246,13 +216,9 @@ class WeightedGame(SimpleGame, Frozen):
         # __dict__ but no field, so ==, hash and repr do not see it.
         return byte_tables(self._scaled_weights)
 
-    def scaled_weight(self, coalition: Coalition) -> int:
-        """The coalition's weight sum times the game's integer scale."""
-        self._check_dimension(coalition)
-        return table_sum(self._byte_sums, coalition.mask)
-
     def contains(self, coalition: Coalition) -> bool:
-        return self.scaled_weight(coalition) >= self._scaled_quota
+        mask = instance(coalition, Coalition, self.n, "coalition").mask
+        return table_sum(self._byte_sums, mask) >= self._scaled_quota
 
     def _winning_bits(self) -> int:
         """The winning bitset, met in the middle.
@@ -297,7 +263,7 @@ class ExplicitGame(SimpleGame, Frozen):
         vars(self)["_minimal"] = tuple(compress(masks, PackedMasks(n).add_minimal(masks)))
 
     def contains(self, coalition: Coalition) -> bool:
-        self._check_dimension(coalition)
+        instance(coalition, Coalition, self.n, "coalition")
         return any(m & coalition.mask == m for m in self._minimal)
 
     def _winning_bits(self) -> int:
@@ -325,7 +291,7 @@ class _Combination(SimpleGame):
         return self.parts[0].n
 
     def contains(self, coalition: Coalition) -> bool:
-        self._check_dimension(coalition)
+        instance(coalition, Coalition, self.n, "coalition")
         return self._quantifier(g.contains(coalition) for g in self.parts)
 
     def _winning_bits(self) -> int:

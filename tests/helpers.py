@@ -18,7 +18,7 @@ from gamedim import (
     verify_balance,
 )
 from gamedim._packed import instance
-from gamedim.certificates import _certificate, _first, _split
+from gamedim.certificates import _first, _split
 from gamedim.eu import ANCHOR_LABEL, LOSING_FAMILY, N_MEMBERS, OUTRIGHT_QUOTA, EuGame
 
 # The two dual weightings of the council family, as written out by hand
@@ -48,13 +48,18 @@ TRIPLE_WITNESSES = {
 }
 
 
+def populations(table):
+    """The member table's populations by member index."""
+    return {index: population for index, _, population in table.entries}
+
+
 def composed_council_game(table):
     """The council rule composed from three weighted games over 28 members.
 
     (16 members AND 13/20 of the population) OR 25 members, built from the
     generic game classes: an independent reference for `EuGame`.
     """
-    pops = table.populations
+    pops = populations(table)
     members_55 = WeightedGame(28, [1] * 28, 16)
     population_65 = WeightedGame(
         28, [pops[i] for i in range(1, 29)], Fraction(13 * table.total_population, 20))
@@ -254,12 +259,13 @@ def find_balanced_pair_certificate(game, losing, rng: random.Random, max_pairs: 
              if (a.mask ^ b.mask).bit_count() <= 7 and (a.mask | b.mask) in winning]
     rng.shuffle(pairs)
     for la, lb in pairs[:max_pairs]:
-        union, inter = la | lb, la & lb
-        diff = (la ^ lb).members
+        union, inter = la.mask | lb.mask, la.mask & lb.mask
+        diff = Coalition(game.n, la.mask ^ lb.mask).members
         for r in range(len(diff) + 1):
             for picked in itertools.combinations(diff, r):
-                w1 = inter | Coalition.from_indices(picked, game.n)
-                w2 = union - Coalition.from_indices(picked, game.n)
+                moved = Coalition.from_indices(picked, game.n).mask
+                w1 = Coalition(game.n, inter | moved)
+                w2 = Coalition(game.n, union & ~moved)
                 if w1 == w2 or not (game.contains(w1) and game.contains(w2)):
                     continue
                 cert = BalanceCertificate(losing=(la, lb), winning=(w1, w2))
@@ -276,12 +282,13 @@ def reference_anchor_certificate(li, anchor, game):
     (-population, index).  Returns the certificate, or raises the builder's
     error when it does not verify.
     """
-    pops = game.table.populations
-    kept = sorted((li - anchor).members, key=lambda m: (pops[m], m))[2:]
-    one_in = min((anchor - li).members, key=lambda m: (-pops[m], m))
-    moved = Coalition.from_indices(kept + [one_in], li.n)
-    w1 = moved | (li & anchor)
-    w2 = (li | anchor) - moved
+    pops = populations(game.table)
+    n, a, b = li.n, li.mask, anchor.mask
+    kept = sorted(Coalition(n, a & ~b).members, key=lambda m: (pops[m], m))[2:]
+    one_in = min(Coalition(n, b & ~a).members, key=lambda m: (-pops[m], m))
+    moved = Coalition.from_indices(kept + [one_in], n).mask
+    w1 = Coalition(n, moved | (a & b))
+    w2 = Coalition(n, (a | b) & ~moved)
     cert = BalanceCertificate(losing=(li, anchor), winning=(w1, w2))
     if not verify_balance(cert, game):
         raise CertificateError(f"exchange between {li} and the anchor leaves a losing coalition")
@@ -311,7 +318,7 @@ def checked_first_pair_certificate(li, lj, game):
         raise CertificateError(f"symmetric difference of {li} and {lj} has only "
                                f"{sym.bit_count()} members, need {size}")
     cheapest = sym ^ _first(reversed(game.table.cheapest_first), sym, sym.bit_count() - size)
-    cert = _certificate((li, lj), _split(N_MEMBERS, a, b, cheapest))
+    cert = BalanceCertificate((li, lj), _split(N_MEMBERS, a, b, cheapest))
     if not verify_balance(cert, game):
         raise CertificateError(
             f"no transfer of {size} members makes both halves of {li}, {lj} winning")
@@ -338,7 +345,7 @@ def checked_first_anchor_certificate(li, game):
     candidates = [(pop, bit) for pop, bit in order if bit & incoming]
     top = candidates[-1][0]
     one_in = next(bit for pop, bit in candidates if pop == top)
-    cert = _certificate((li, anchor), _split(
+    cert = BalanceCertificate((li, anchor), _split(
         N_MEMBERS, li.mask, anchor.mask, (outside ^ dropped) | one_in))
     if not verify_balance(cert, game):
         raise CertificateError(f"exchange between {li} and the anchor leaves a losing coalition")

@@ -10,7 +10,6 @@ from gamedim._packed import instance
 from gamedim.certificates import (
     BalanceCertificate,
     CertificateError,
-    _certificate,
     build_anchor_certificate,
     build_pair_certificate,
     build_triple_certificate,
@@ -40,6 +39,7 @@ from helpers import (
     TRIPLE_WITNESSES,
     checked_first_anchor_certificate,
     checked_first_pair_certificate,
+    populations,
     reference_anchor_certificate,
 )
 
@@ -50,6 +50,11 @@ def L(i):
 
 def W(i):
     return WINNING_FAMILY[i - 1]
+
+
+def members(mask):
+    """The members of a mask over the council's 28."""
+    return Coalition(N_MEMBERS, mask).members
 
 
 class TestBalanceCertificate:
@@ -212,10 +217,10 @@ def sorted_transfer_reference(li, lj, game):
     Returns (position of the first working transfer in the sorted order,
     certificate), or (None, None) when none works.
     """
-    size = max(0, 25 - len(li & lj))
-    pops = game.table.populations
+    size = max(0, 25 - (li.mask & lj.mask).bit_count())
+    pops = populations(game.table)
     ranked = sorted(
-        itertools.combinations(sorted((li ^ lj).members), size),
+        itertools.combinations(members(li.mask ^ lj.mask), size),
         key=lambda ix: (sum(pops[m] for m in ix), ix),
     )
     for position, indices in enumerate(ranked):
@@ -228,8 +233,8 @@ def sorted_transfer_reference(li, lj, game):
 def cutoff_tie(li, lj, pops):
     """Whether the last member in and the first member out of the cheapest
     transfer share a population, so that the index rule picks between them."""
-    size = 25 - len(li & lj)
-    ranked = sorted((li ^ lj).members, key=lambda m: (pops[m], m))
+    size = 25 - (li.mask & lj.mask).bit_count()
+    ranked = sorted(members(li.mask ^ lj.mask), key=lambda m: (pops[m], m))
     return 0 < size < len(ranked) and pops[ranked[size - 1]] == pops[ranked[size]]
 
 
@@ -242,7 +247,7 @@ class TestTransferOrder:
         for i, j in itertools.combinations(range(1, 15), 2):
             if not all(r.rule55 and not r.rule65 for r in map(game.classify, (L(i), L(j)))):
                 continue
-            ties += cutoff_tie(L(i), L(j), game.table.populations)
+            ties += cutoff_tie(L(i), L(j), populations(game.table))
             position, expected = sorted_transfer_reference(L(i), L(j), game)
             if expected is None:
                 with pytest.raises(CertificateError, match="no transfer"):
@@ -326,7 +331,7 @@ class TestPairCertificates:
         li, lj = Coalition(n, li_mask), Coalition(n, lj_mask)
         if li == lj:
             return
-        sym = (li ^ lj).members
+        sym = Coalition(n, li_mask ^ lj_mask).members
         picked = data.draw(st.sets(st.sampled_from(sym)))
         transfer = Coalition.from_indices(sorted(picked), n)
         w1, w2 = transfer_split(li, lj, transfer)
@@ -397,7 +402,7 @@ class TestAnchorCertificates:
         table = MemberTable(tuple((i, name, 1 if i <= 17 else 10**6)
                                   for i, name, _ in MEMBERS_2014))
         game = build_eu_game(table)
-        li = L(15) | Coalition.from_indices([16, 17], N_MEMBERS)
+        li = Coalition(N_MEMBERS, L(15).mask | 0b11 << 15)  # L15 and members 16, 17
         assert not game.is_winning(li)
         with pytest.raises(ValueError, match="has no member outside"):
             build_anchor_certificate(li, game)
@@ -405,13 +410,13 @@ class TestAnchorCertificates:
     def test_exchange_produces_a_16_member_winner(self, eu_game):
         # The anchor side swaps one member out and two in: 15 - 1 + 2 = 16,
         # the smallest coalition that can pass the member rule.
-        pops = eu_game.table.populations
+        pops = populations(eu_game.table)
         for i in range(1, 15):
             cert = build_anchor_certificate(L(i), eu_game)
             small = min(cert.winning, key=len)
             assert len(small) == 16
             largest = max(small.members, key=lambda m: pops[m])
-            shrunk = small - Coalition.from_indices([largest], N_MEMBERS)
+            shrunk = Coalition(N_MEMBERS, small.mask & ~(1 << largest - 1))
             assert not eu_game.is_winning(shrunk)
 
 
@@ -419,8 +424,8 @@ def anchor_ties(li, pops):
     """Whether a population tie sits where the index rule decides: between
     the second and third cheapest members of li - L15, or between the two
     most populous members of L15 - li."""
-    outside = sorted((li - L(15)).members, key=lambda m: (pops[m], m))
-    incoming = sorted((pops[m] for m in (L(15) - li).members), reverse=True)
+    outside = sorted(members(li.mask & ~L(15).mask), key=lambda m: (pops[m], m))
+    incoming = sorted((pops[m] for m in members(L(15).mask & ~li.mask)), reverse=True)
     return (len(outside) > 2 and pops[outside[1]] == pops[outside[2]],
             len(incoming) > 1 and incoming[0] == incoming[1])
 
@@ -456,7 +461,7 @@ class TestAnchorTieRules:
             for i in range(1, 15):
                 if game.is_winning(L(i)) or game.is_winning(L(15)):
                     continue  # refused by the input checks, before any exchange
-                cut, top = anchor_ties(L(i), table.populations)
+                cut, top = anchor_ties(L(i), populations(table))
                 seen["cut tie"] += cut
                 seen["top tie"] += top
                 try:
@@ -521,7 +526,7 @@ class TestDeferredRuleChecks:
         coalitions = LOSING_FAMILY + WINNING_FAMILY + tuple(
             Coalition.from_indices(rng.sample(range(1, 29), rng.randint(14, 26)), N_MEMBERS)
             for _ in range(30)) + tuple(
-            L(15) | Coalition.from_indices(extra, N_MEMBERS) for extra in ([16], [16, 17]))
+            Coalition(N_MEMBERS, L(15).mask | extra) for extra in (1 << 15, 0b11 << 15))
         pairs, anchors = collections.Counter(), collections.Counter()
         for table in differential_tables():
             game = build_eu_game(table)
@@ -643,11 +648,11 @@ class TestFamily:
         for edge, cert in family.certificates.items():
             assert len(cert.winning) >= len(cert.losing)
             assert cert.incidence_balanced()
-            assert {family.coalition_of(v) for v in edge} == set(cert.losing)
+            assert {family.nodes[v - 1] for v in edge} == set(cert.losing)
 
     def test_each_edge_matches_its_public_builder(self, family, eu_game):
-        # The family calls the public builders, which wrap the halves
-        # unchecked: each certificate equals one built through the checks.
+        # The family calls the public builders: each certificate equals the
+        # one its builder returns and one built from its sides reversed.
         for edge in NONSEPARABLE_PAIRS + NONSEPARABLE_TRIPLES:
             losing = [L(i) for i in edge]
             if len(edge) == 3:
@@ -662,10 +667,10 @@ class TestFamily:
 
     def test_unchecked_wrap_still_refuses_a_repeated_mask(self):
         with pytest.raises(ValueError, match="^certificate lists a coalition twice$"):
-            _certificate((L(1), L(1)), (W(1), W(2)))
+            BalanceCertificate((L(1), L(1)), (W(1), W(2)))
         with pytest.raises(ValueError, match="^certificate lists a coalition twice$"):
-            _certificate((L(1), L(5)), (W(2), W(2)))
-        assert _certificate((L(5), L(1)), (W(2), W(1))) == BalanceCertificate(
+            BalanceCertificate((L(1), L(5)), (W(2), W(2)))
+        assert BalanceCertificate((L(5), L(1)), (W(2), W(1))) == BalanceCertificate(
             (L(1), L(5)), (W(1), W(2)))
 
     def test_tampered_certificate_detected(self, family, eu_game):

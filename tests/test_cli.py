@@ -142,6 +142,15 @@ class TestVerify:
         assert run(capsys, "verify", "--members", path) == (
             2, "", "error: member table: field larger than field limit (131072)\n")
 
+    def test_members_file_may_start_with_a_byte_order_mark(self, capsys, tmp_path):
+        # A spreadsheet's "CSV UTF-8" export writes one.
+        plain = write_members(tmp_path / "plain.csv", MEMBERS_2014)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+        expected = run(capsys, "verify", "--members", plain)
+        assert expected[0] == 0
+        assert run(capsys, "verify", "--members", str(marked)) == expected
+
     def test_missing_members_file(self, capsys):
         code, _, err = run(capsys, "verify", "--members", "/does/not/exist.csv")
         assert code == 2
@@ -502,6 +511,14 @@ class TestCover:
         code, out, _ = run(capsys, "cover", "solve", council_hg_file)
         assert code == 0
         assert "minimum cover: 8 parts" in out
+
+    def test_hypergraph_file_may_start_with_a_byte_order_mark(self, capsys, tmp_path,
+                                                              council_hg_file):
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(council_hg_file).read_bytes())
+        expected = run(capsys, "cover", "solve", council_hg_file)
+        assert expected[0] == 0
+        assert run(capsys, "cover", "solve", str(marked)) == expected
 
     def test_solve_with_impossible_bound(self, capsys, council_hg_file):
         code, out, _ = run(capsys, "cover", "solve", council_hg_file, "--k", "7")

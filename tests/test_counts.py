@@ -171,8 +171,6 @@ DEFECTS = {
     "IntersectionGame.contains of a string": (
         lambda: IntersectionGame([WeightedGame(3, [1, 1, 1], 2)]).contains("x"),
         "coalition 'x' is not a Coalition"),
-    "Coalition | int": (lambda: Coalition(3, 3) | 5, "operand 5 is not a Coalition"),
-    "Coalition <= set": (lambda: Coalition(3, 3) <= {1}, "operand {1} is not a Coalition"),
     "verify_balance of a string game": (lambda: verify_balance(ONE_ONE, "g"),
                                         "game 'g' is not a SimpleGame"),
     "verify_balance of a string certificate": (
@@ -289,3 +287,41 @@ def test_no_module_but_packed_checks_a_document_or_member_list_by_hand():
 
 def test_no_module_but_packed_compares_a_member_count_by_hand():
     assert hand_checks(count_compares) == {}
+
+
+def unused_imports(tree):
+    """(line, name) of each name imported into a scope that never reads it.
+
+    The scope is the function whose body holds the import, or the module;
+    a name counts as read if it is loaded anywhere in that scope, nested
+    functions and annotations included.  `__future__` imports are switches,
+    not names.
+    """
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"):
+            continue
+        scope = node
+        while not isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = parent[scope]
+        read = {n.id for n in ast.walk(scope)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for alias in node.names:
+            name = alias.asname or alias.name.partition(".")[0]
+            if name not in read:
+                yield node.lineno, name
+
+
+def test_the_import_detector_finds_an_unused_name():
+    tree = ast.parse("import os\nimport os.path as p\nfrom a import b as c, d\n\n"
+                     "def f():\n    import json\n    return c(d)\n\njson = 1\n")
+    assert list(unused_imports(tree)) == [(1, "os"), (2, "p"), (6, "json")]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # `__init__` imports its names to export them.
+    source = Path(gamedim.__file__).parent
+    found = {path.name: list(unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
+             for path in sorted(source.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -69,29 +69,6 @@ class TestCoalition:
         assert 5 in c and 3 not in c
         assert list(c) == [2, 5, 7]
 
-    def test_set_operations(self):
-        a, b = C([1, 2, 3], 5), C([3, 4], 5)
-        assert (a | b).members == (1, 2, 3, 4)
-        assert (a & b).members == (3,)
-        assert (a - b).members == (1, 2)
-        assert (a ^ b).members == (1, 2, 4)
-        assert C([1, 2], 5) <= a
-        assert not a <= b
-
-    @given(st.integers(1, 64).flatmap(lambda n: st.tuples(
-        st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))))
-    def test_set_operations_equal_the_checked_coalition(self, case):
-        # The results are built unchecked, from the operands' masks.
-        n, a, b = case
-        x, y = Coalition(n, a), Coalition(n, b)
-        for c, mask in ((x | y, a | b), (x & y, a & b), (x - y, a & ~b), (x ^ y, a ^ b)):
-            assert type(c) is Coalition
-            assert c == Coalition(c.n, c.mask) == Coalition(n, mask)
-
-    def test_mixed_ground_sets_rejected(self):
-        with pytest.raises(ValueError, match=r"^operand \{1\} is over 5 members, not 4$"):
-            C([1], 4) | C([1], 5)
-
     def test_sort_key_orders_as_member_tuples(self):
         # Masks drawn from a small pool, so that equal sizes and duplicates
         # occur at every n, plus the empty and the full coalition.
@@ -292,7 +269,7 @@ class TestIntegerScaledMembership:
         assert not WeightedGame(n, weights, quota + step).contains(tie)
         for m in tie.members:
             if weights[m - 1]:
-                assert not exact.contains(tie - Coalition.from_indices([m], n))
+                assert not exact.contains(Coalition(n, tie.mask & ~(1 << m - 1)))
 
 
 class TestByteTableMembership:
@@ -427,7 +404,7 @@ class TestGameExpressions:
             declared = [Coalition(n, rng.randrange(1 << n)) for _ in range(rng.randint(1, 10))]
             g = ExplicitGame(n, declared)
             for c in coalitions_of(n):
-                assert g.contains(c) == any(d <= c for d in declared)
+                assert g.contains(c) == any(d.mask & ~c.mask == 0 for d in declared)
 
 
 def random_weighted(rng, n):
@@ -471,7 +448,6 @@ class ContainsOnly(SimpleGame):
         self.n = n
 
     def contains(self, coalition):
-        self._check_dimension(coalition)
         return 2 * len(coalition) >= self.n
 
 

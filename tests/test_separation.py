@@ -213,7 +213,7 @@ class TestLpFeasible:
             else:
                 targets = rng.sample(losing, min(len(losing), rng.randint(1, 3)))
                 if rng.random() < 0.25:
-                    targets[0] = rng.choice(winning) | targets[0]
+                    targets[0] = Coalition(n, rng.choice(winning).mask | targets[0].mask)
             instance = SeparationInstance(n, winning, targets)
             result = lp_feasible(instance)
             if isinstance(result, Separable):
