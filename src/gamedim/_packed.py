@@ -36,8 +36,7 @@ candidates all read it the same way:
   subtraction and a few bitwise operations, with no Python frame per mask.
   `add_minimal` adds each of a list of masks, in order of size, unless the
   test finds an earlier one inside: the one inclusion-minimal filter of
-  separation constraints, hypergraph edges and an explicit game's declared
-  winners.
+  hypergraph edges and an explicit game's declared winners.
 """
 
 from __future__ import annotations

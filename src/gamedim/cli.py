@@ -281,7 +281,7 @@ def cmd_cover_solve(args: argparse.Namespace) -> int:
     k = None if args.k is None else _read_k(args.k)
     h = cover.hypergraph_from_json(_read_json(args.hypergraph))
     solution = cover.min_cover(h, cover.enumerate_maximal_independent(h))
-    sys.stdout.write(f"minimum cover: {solution.k} parts\n")
+    sys.stdout.write(f"minimum cover: {solution.k} part{'' if solution.k == 1 else 's'}\n")
     _write_parts(solution.parts)
     if k is not None and solution.k > k:
         sys.stdout.write(f"no {k}-cover exists\n")

@@ -23,10 +23,12 @@ all listed coalitions at once (`_packed.table_sums`).  An infeasible
 system yields Phase I's Farkas certificate: multipliers of the bounds
 x >= 0, then of the rows, a nonnegative combination of the listed
 constraints that reads 0 <= total < 0.  Every constraint, bound or row, is
-one (plus, minus, rhs, label), and the combination is re-checked over
-that one list.  Winning constraints that contain another one and targets
-inside another target are dropped first, by one pass of packed zero-field
-tests over the masks sorted by size (`PackedMasks.add_minimal`).
+one (plus, minus, rhs), and the combination is re-checked over that one
+list; only the terms it uses are labelled.  Each distinct listed
+coalition is one row, winning constraints smallest first and targets
+largest first.  Dominated rows stay: for W inside W' and a >= 0,
+a(W') >= a(W), so a winning constraint that contains another one, or a
+target inside another target, never changes feasibility.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from itertools import compress, repeat
 from operator import attrgetter
 
 from . import _packed
-from ._packed import MAX_MEMBERS, PackedMasks, byte_tables, fields, integer, of_kind, table_sums
+from ._packed import MAX_MEMBERS, byte_tables, fields, integer, of_kind, table_sums
 from ._record import Frozen
 from .games import Coalition, SimpleGame, _coalition, coalitions_from_json, minimal_winning
 from .simplex import phase_one
@@ -85,35 +87,19 @@ class NotSeparable(Frozen):
                 + f" gives the contradiction 0 <= {self.total}")
 
 
-def _inclusion_minimal(masks: Sequence[int], n: int) -> list[int]:
-    """The masks with no other listed mask inside, each once, in order of size."""
-    masks = sorted(masks, key=int.bit_count)
-    return list(compress(masks, PackedMasks(n).add_minimal(masks)))
-
-
-def _inclusion_maximal(masks: Sequence[int], n: int) -> list[int]:
-    """The masks inside no other listed mask, each once, largest first.
-
-    c lies inside o iff the complement of o lies inside that of c.
-    """
-    full = (1 << n) - 1
-    return list(map(full.__xor__, _inclusion_minimal(list(map(full.__xor__, masks)), n)))
-
-
 def lp_feasible(instance: SeparationInstance) -> Separable | NotSeparable:
     """Decide weighted separability of the instance in exact arithmetic.
 
-    Variables are the n member weights plus the quota.  Winning constraints
-    dominated by a subset constraint are dropped first (monotonicity makes
-    the inclusion-minimal ones sufficient), as are losing targets contained
-    in another target.
+    Variables are the n member weights plus the quota.  Each distinct
+    listed coalition is one row, dominated ones included: they cost pivots
+    but never change the verdict.
     """
     n = _packed.instance(instance, SeparationInstance, None, "separation instance").n
     quota = 1 << n  # the quota's bit; member i is bit i - 1
     listed = (list(map(_mask, instance.winning_constraints)),
               list(map(_mask, instance.losing_targets)))
-    winning = _inclusion_minimal(listed[0], n)
-    losing = _inclusion_maximal(listed[1], n)
+    winning = sorted(dict.fromkeys(listed[0]), key=int.bit_count)
+    losing = sorted(dict.fromkeys(listed[1]), key=int.bit_count, reverse=True)
     rows = [*zip(repeat(quota), winning), *zip(losing, repeat(quota))]
     feasible, values, denom = phase_one(rows, [0] * len(winning) + [-1] * len(losing), n + 1)
     if feasible:
@@ -129,17 +115,15 @@ def lp_feasible(instance: SeparationInstance) -> Separable | NotSeparable:
                 raise RuntimeError(f"witness violates {what} {_coalition(n, m)}")
         return Separable(tuple(Fraction(x, denom) for x in weights), Fraction(b, denom))
 
-    # Each listed constraint as (plus, minus, rhs, label): the masks of the
+    # Each listed constraint as (plus, minus, rhs): the masks of the
     # variables with coefficient +1 and -1 in plus . x - minus . x <= rhs.
     # The certificate weighs the bounds x >= 0 first, then the rows.
-    constraints = ([(0, 1 << i, 0, f"weight[{i + 1}] >= 0") for i in range(n)]
-                   + [(0, quota, 0, "quota >= 0")]
-                   + [(quota, w, 0, f"weight({_coalition(n, w)}) >= quota") for w in winning]
-                   + [(l, quota, -1, f"weight({_coalition(n, l)}) <= quota - 1") for l in losing])
+    constraints = ([(0, 1 << i, 0) for i in range(n + 1)]
+                   + [(quota, w, 0) for w in winning] + [(l, quota, -1) for l in losing])
     total = 0
     combined = [0] * (n + 1)
     terms = []
-    for lam, (plus, minus, rhs, label) in zip(values, constraints):
+    for lam, (plus, minus, rhs) in zip(values, constraints):
         if lam < 0:
             raise RuntimeError("negative multiplier in refutation")
         if lam == 0:
@@ -147,6 +131,12 @@ def lp_feasible(instance: SeparationInstance) -> Separable | NotSeparable:
         for j in range(n + 1):
             combined[j] += lam * ((plus >> j & 1) - (minus >> j & 1))
         total += lam * rhs
+        if rhs:
+            label = f"weight({_coalition(n, plus)}) <= quota - 1"
+        elif plus:
+            label = f"weight({_coalition(n, minus)}) >= quota"
+        else:
+            label = "quota >= 0" if minus == quota else f"weight[{minus.bit_length()}] >= 0"
         terms.append((Fraction(lam, denom), label))
     if any(combined) or total >= 0:
         raise RuntimeError("refutation does not combine to a contradiction")

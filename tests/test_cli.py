@@ -507,6 +507,11 @@ class TestCover:
         assert proc.stderr == (
             b"warning: dropping redundant edge [1, 2, 3]: it contains a smaller edge\n")
 
+    def test_one_part_is_singular(self, capsys, tmp_path):
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps({"nodes": 3, "edges": []}))
+        assert run(capsys, "cover", "solve", str(path)) == (0, "minimum cover: 1 part\n  1 2 3\n", "")
+
     def test_solve_reports_eight(self, capsys, council_hg_file):
         code, out, _ = run(capsys, "cover", "solve", council_hg_file)
         assert code == 0

@@ -17,8 +17,6 @@ from gamedim.separation import (
     NotSeparable,
     Separable,
     SeparationInstance,
-    _inclusion_maximal,
-    _inclusion_minimal,
     instance_from_json,
     is_nonseparable_exhaustive,
     lp_feasible,
@@ -475,41 +473,78 @@ def nested_family(rng, n):
     return masks
 
 
-class TestInclusionFilters:
-    def test_match_the_quadratic_oracle(self):
-        rng = random.Random(3301)
-        for n in (1, 1, 2, 3, 5, 8, 13, 28, 63, 64, 64):
-            for _ in range(40):
-                family = random_family(rng, n)
-                assert _inclusion_minimal(family, n) == brute_inclusion_minimal(family)
-                assert _inclusion_maximal(family, n) == brute_inclusion_maximal(family)
+def reduced(instance):
+    """The instance without dominated winning constraints, targets inside
+    another target, or repeats."""
+    n = instance.n
+    return SeparationInstance(
+        n,
+        [Coalition(n, m) for m in brute_inclusion_minimal(
+            [c.mask for c in instance.winning_constraints])],
+        [Coalition(n, m) for m in brute_inclusion_maximal(
+            [c.mask for c in instance.losing_targets])])
 
-    @pytest.mark.parametrize("n", [1, 12, 28, 64])
+
+def check_redundant_rows(instance):
+    """Dominated and repeated rows leave the verdict class alone, and the
+    verdict re-checks against every listed coalition."""
+    result = lp_feasible(instance)
+    assert type(result) is type(lp_feasible(reduced(instance)))
+    if isinstance(result, Separable):
+        substitute(result, instance)
+    else:
+        recombine(result, instance)
+    return result
+
+
+class TestRedundantRows:
+    def test_random_families(self):
+        # Every other instance keeps only the masks a random weighted game
+        # puts on the right side, so it is separable by construction.
+        rng = random.Random(3301)
+        verdicts = []
+        for n in (1, 1, 2, 3, 5, 8, 13, 28):
+            for i in range(40):
+                winning, losing = random_family(rng, n), random_family(rng, n)
+                if i % 2:
+                    weights = [rng.randint(0, 5) for _ in range(n)]
+                    quota = sum(weights) // 2 + 1
+                    weight = lambda m: sum(w for j, w in enumerate(weights) if m >> j & 1)
+                    winning = [m for m in winning if weight(m) >= quota]
+                    losing = [m for m in losing if weight(m) < quota]
+                if winning and losing:
+                    result = check_redundant_rows(SeparationInstance(
+                        n, [Coalition(n, m) for m in winning],
+                        [Coalition(n, m) for m in losing]))
+                    assert not i % 2 or isinstance(result, Separable)
+                    verdicts.append(type(result))
+        assert verdicts.count(Separable) > 40 and verdicts.count(NotSeparable) > 40
+
+    @pytest.mark.parametrize("n", [1, 12, 28])
     def test_duplicates_and_nested_masks(self, n):
         rng = random.Random(8100 + n)
-        for _ in range(60):
-            family = nested_family(rng, n)
-            assert _inclusion_minimal(family, n) == brute_inclusion_minimal(family)
-            assert _inclusion_maximal(family, n) == brute_inclusion_maximal(family)
+        for _ in range(30):
+            check_redundant_rows(SeparationInstance(
+                n, [Coalition(n, m) for m in nested_family(rng, n)],
+                [Coalition(n, m) for m in nested_family(rng, n)]))
 
-    def test_minimal_winning_lists_stay_whole(self):
-        # An antichain in order of size, as `minimal_winning` hands it over.
-        rng = random.Random(8117)
-        for n in (4, 9, 12):
-            for _ in range(5):
-                game = IntersectionGame([WeightedGame(n, [rng.randint(1, 10) for _ in range(n)],
-                                                      rng.randint(n, 4 * n)) for _ in range(2)])
-                masks = [c.mask for c in minimal_winning(game)]
-                assert _inclusion_minimal(masks, n) == masks
-                assert _inclusion_minimal(masks + masks[::-1], n) == masks
-
-    def test_empty_and_full_coalitions(self):
-        for n in (1, 64):
-            empty, full = 0, (1 << n) - 1
-            family = [full, empty, full, empty]
-            assert _inclusion_minimal(family, n) == [empty]
-            assert _inclusion_maximal(family, n) == [full]
-            assert _inclusion_minimal([], n) == _inclusion_maximal([], n) == []
+    @pytest.mark.parametrize("targets, expected", [
+        ((1, 2, 12), NotSeparable), ((1, 4, 7), NotSeparable),
+        ((1, 3), Separable), ((12, 14), Separable)])
+    def test_council_rows_with_dominated_winners_and_nested_targets(self, targets, expected):
+        rng = random.Random(2800 + len(targets))
+        losing = [LOSING_FAMILY[i - 1].mask for i in targets]
+        winning = [w.mask for w in WINNING_FAMILY]
+        winning += [m | rng.getrandbits(28) for m in winning] + winning[:3]
+        losing += [m & rng.getrandbits(28) for m in losing] + losing[:1]
+        rng.shuffle(winning)
+        rng.shuffle(losing)
+        instance = SeparationInstance(28, [Coalition(28, m) for m in winning],
+                                      [Coalition(28, m) for m in losing])
+        kept = reduced(instance)
+        assert set(kept.winning_constraints) == set(WINNING_FAMILY)
+        assert set(kept.losing_targets) == {LOSING_FAMILY[i - 1] for i in targets}
+        assert isinstance(check_redundant_rows(instance), expected)
 
 
 class TestNonSeparableOracle:
