@@ -16,7 +16,7 @@ Every per-byte table of a mask is built by one doubling, `subset_sums`:
 `table_sum`, or over a whole list of masks by `table_sums`, which writes
 them as 64-bit machine words and looks up each byte lane with one `map`;
 of the 1-tuples (1,) ... (64,), the members of each byte value; and of the
-eight bits reversed, each byte reversed.  Three readings of a mask live
+eight bits reversed, each byte reversed.  Two readings of a mask live
 here, so that coalitions, hypergraph edges, independent sets and cover
 candidates all read it the same way:
 
@@ -28,15 +28,6 @@ candidates all read it the same way:
   tuple), and its complement the smaller bytes.  `canonical_order` sorts
   a list of masks in that order by integer keys, all read by one
   `table_sums`.
-- `PackedMasks`: does any of a set of masks lie inside m?  Masks of n bits
-  sit one per (n+1)-bit field, whose top bit is a guard.  Field i of
-  packed & (~m * ones) is zero iff mask i lies inside m; with the guards
-  set, subtracting one per field clears exactly those fields' guards and
-  borrows nothing across fields.  So the test is one multiplication, one
-  subtraction and a few bitwise operations, with no Python frame per mask.
-  `add_minimal` adds each of a list of masks, in order of size, unless the
-  test finds an earlier one inside: the one inclusion-minimal filter of
-  hypergraph edges and an explicit game's declared winners.
 """
 
 from __future__ import annotations
@@ -253,60 +244,3 @@ def canonical_order(masks: Sequence[int], n: int) -> list[int]:
     """
     return list(map(((1 << n) - 1).__and__, sorted(table_sums(_canonical_tables(n), masks))))
 
-
-class PackedMasks:
-    """Masks of n bits, tested together: does any of them lie inside m?"""
-
-    __slots__ = ("_n", "_full", "_packed", "_ones", "_guards", "_at")
-
-    def __init__(self, n: int):
-        self._n = n
-        self._full = (1 << n) - 1
-        self._packed = self._ones = self._guards = self._at = 0
-
-    def add_minimal(self, masks: Iterable[int]) -> list[bool]:
-        """Add each mask in turn unless an added mask lies inside it.
-
-        Returns, per mask, whether it was added.  A mask can only contain a
-        smaller one or an equal one, so in a run of masks of one size each
-        is tested against the fields packed before the run began, and
-        against a set of the masks the run added.  Those are packed into a
-        short integer of their own, joined to the rest when the run ends;
-        fed in order of size, the masks make one run per size.  The guards
-        less the ones, added to the zero-field test's operand, set exactly
-        the guards of its nonzero fields.
-        """
-        full, width = self._full, self._n + 1
-        added: list[bool] = []
-        run, run_packed, run_at, size = set(), 0, 0, -1
-        for m in masks:
-            if m.bit_count() != size:
-                size = m.bit_count()
-                self._join(run_packed, run_at)
-                packed, ones, guards = self._packed, self._ones, self._guards
-                borrowed = guards - ones
-                run, run_packed, run_at = set(), 0, 0
-            fresh = m not in run and ((packed & ((full ^ m) * ones)) + borrowed) & guards == guards
-            added.append(fresh)
-            if fresh:
-                run.add(m)
-                run_packed |= m << run_at
-                run_at += width
-        self._join(run_packed, run_at)
-        return added
-
-    def _join(self, run_packed: int, run_at: int) -> None:
-        """Put fields packed on their own, run_at bits of them, after the rest.
-
-        Their ones are (2^run_at - 1) / (2^(n+1) - 1).
-        """
-        at, n = self._at, self._n
-        ones = ((1 << run_at) - 1) // ((1 << n + 1) - 1) << at
-        self._packed |= run_packed << at
-        self._ones |= ones
-        self._guards |= ones << n
-        self._at = at + run_at
-
-    def any_inside(self, m: int) -> bool:
-        ones, guards = self._ones, self._guards
-        return (((self._packed & ((self._full ^ m) * ones)) | guards) - ones) & guards != guards

@@ -295,11 +295,24 @@ def build_triple_certificate(losing: Iterable[Coalition], game: SimpleGame) -> B
 
 
 class CertifiedFamily(Frozen):
-    """A hypergraph over losing-coalition labels with one certificate per edge."""
+    """A hypergraph over losing-coalition labels with one certificate per edge.
+
+    Construction raises ValueError unless the hypergraph is a `Hypergraph`,
+    the nodes are its node count of coalitions over one n, and the
+    certificates are a `Mapping`, so `lower_bound_dimension` never fails late.
+    """
 
     nodes: tuple[Coalition, ...]
     hypergraph: Hypergraph
     certificates: Mapping[frozenset[int], BalanceCertificate]
+
+    def __init__(self, nodes: Iterable[Coalition], hypergraph: Hypergraph,
+                 certificates: Mapping[frozenset[int], BalanceCertificate]):
+        hypergraph = instance(hypergraph, Hypergraph, None, "hypergraph")
+        nodes = of_kind(nodes, Coalition, None, "node coalition", empty=True)
+        if len(nodes) != hypergraph.node_count:
+            raise ValueError(f"expected {hypergraph.node_count} node coalitions, got {len(nodes)}")
+        super().__init__(nodes, hypergraph, instance(certificates, Mapping, None, "certificates"))
 
     def check(self, game: SimpleGame) -> None:
         """Re-verify every edge certificate; raises CertificateError on failure."""
@@ -350,11 +363,8 @@ def nonseparable_family(game: EuGame) -> CertifiedFamily:
         except (ValueError, CertificateError) as err:
             raise type(err)(f"{_label_sets([edge])}: {err}") from err
         certificates[frozenset(edge)] = cert
-    return CertifiedFamily(
-        nodes=LOSING_FAMILY,
-        hypergraph=Hypergraph(len(LOSING_FAMILY), NONSEPARABLE_PAIRS + NONSEPARABLE_TRIPLES),
-        certificates=certificates,
-    )
+    return CertifiedFamily(LOSING_FAMILY, Hypergraph(
+        len(LOSING_FAMILY), NONSEPARABLE_PAIRS + NONSEPARABLE_TRIPLES), certificates)
 
 
 def certificate_to_json(cert: BalanceCertificate) -> dict:

@@ -21,18 +21,19 @@ count of uncovered nodes no two of which share a candidate, each of which
 needs a part of its own.
 
 Masks are written from node lists, read and ordered by `_packed`.  A
-`Hypergraph` packs its edges as it filters them into an antichain;
-`is_independent` and `min_cover` test against that one packed set.  Its
-maximal independent sets are enumerated once, as node masks, on first
-request, by a pivoted branching search in the manner of Bron and Kerbosch,
-then sorted by member tuple, each mask keyed by its bytes with their bits
-reversed.  They are kept on it with the frozensets derived from those
-masks, three byte lookups each: the exhaustive search and the dual
-derivation and check all read the same tuples.  So is one cover search
-over those sets, which `no_k_cover` always reads and `min_cover` reads
-when given the tuple `enumerate_maximal_independent` returned.  The search
-writes its candidates once as machine words and reads the holders of a
-node off one byte lane of them.
+`Hypergraph` keeps its edges as masks, filtered into an antichain;
+`is_independent` and `min_cover` scan them once per node mask m, as an
+edge e lies inside m iff e & ~m is 0.  Its maximal independent sets are
+enumerated once, as node masks, on first request, by a pivoted branching
+search in the manner of Bron and Kerbosch, then sorted by member tuple,
+each mask keyed by its bytes with their bits reversed.  They are kept on
+it with the frozensets derived from those masks, three byte lookups each:
+the exhaustive search and the dual derivation and check all read the same
+tuples.  So is one cover search over those sets, which `no_k_cover` always
+reads and `min_cover` reads when given the tuple
+`enumerate_maximal_independent` returned.  The search writes its
+candidates once as machine words and reads the holders of a node off one
+byte lane of them.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ import warnings
 from array import array
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress, count, groupby
 
-from ._packed import (_REVERSED, MAX_MEMBERS, PackedMasks, _byte_members, canonical_key, exact,
-                      fields, instance, integer, listed, mask_of, members)
+from ._packed import (_REVERSED, MAX_MEMBERS, _byte_members, canonical_key, exact, fields,
+                      instance, integer, listed, mask_of, members)
 from ._record import Frozen
 from .simplex import phase_two
 
@@ -71,8 +72,8 @@ class Hypergraph(Frozen):
     reads back.
 
     Node v is bit v - 1 of a mask.  The edge masks are kept from
-    construction, as a tuple and packed; the maximal independent sets are
-    enumerated once, as masks in member-tuple order, on first request
+    construction, as a tuple; the maximal independent sets are enumerated
+    once, as masks in member-tuple order, on first request
     (`_maximal_independent`), and their frozensets and the one cover search
     over them are built from those masks on first use.  All live in the
     instance `__dict__` but are no fields, so ==, hash and repr do not see
@@ -90,19 +91,21 @@ class Hypergraph(Frozen):
             if len(e) < 2:
                 raise ValueError(f"edge {sorted(e)} has fewer than two nodes")
             canonical.setdefault(mask_of(e, node_count, "edge node"), e)
-        # In size order, an edge contains an earlier edge, kept or dropped,
-        # iff it contains a kept one: a dropped edge contains a kept one.
-        packed = PackedMasks(node_count)
+        # In size order, an edge contains an earlier one iff it contains a
+        # kept one (a dropped edge contains a kept one), and never one of its
+        # own size: each is tested against the kept smaller edges only.
+        kept: list[int] = []
         ordered = sorted(canonical, key=lambda m: canonical_key(m, node_count))
-        kept = []
-        for m, added in zip(ordered, packed.add_minimal(ordered)):
-            if added:
-                kept.append(m)
-            else:
-                warnings.warn(f"dropping redundant edge {sorted(canonical[m])}: "
-                              "it contains a smaller edge", stacklevel=2)
+        for _, run in groupby(ordered, int.bit_count):
+            smaller = tuple(kept)
+            for m in run:
+                if all(map((~m).__and__, smaller)):
+                    kept.append(m)
+                else:
+                    warnings.warn(f"dropping redundant edge {sorted(canonical[m])}: "
+                                  "it contains a smaller edge", stacklevel=2)
         super().__init__(node_count, tuple(frozenset(canonical[m]) for m in kept))
-        vars(self).update(_edge_masks=tuple(kept), _packed_edges=packed)
+        vars(self)["_edge_masks"] = tuple(kept)
 
     @property
     def nodes(self) -> frozenset[int]:
@@ -128,7 +131,7 @@ class Hypergraph(Frozen):
 def is_independent(nodes: Iterable[int], h: Hypergraph) -> bool:
     """True iff no edge of h lies inside the given node set."""
     h = instance(h, Hypergraph, None, "hypergraph")
-    return not h._packed_edges.any_inside(mask_of(nodes, h.node_count, "node"))
+    return all(map((~mask_of(nodes, h.node_count, "node")).__and__, h._edge_masks))
 
 
 def enumerate_maximal_independent(h: Hypergraph) -> tuple[frozenset[int], ...]:
@@ -399,7 +402,7 @@ def min_cover(h: Hypergraph, candidates: Sequence[Iterable[int]]) -> CoverSoluti
     returned, already cached on h, they are independent and cover the nodes
     by construction, and h's own cover search answers.  Any other
     candidates are checked in input order, each one's nodes by `mask_of`
-    before its mask against h's packed edges, then sorted by
+    before its mask against h's edge masks, then sorted by
     `canonical_key` once and searched by a fresh `_cover_search`.  The
     enumeration is never started here, so explicit candidates above its
     node guard still run.
@@ -410,11 +413,10 @@ def min_cover(h: Hypergraph, candidates: Sequence[Iterable[int]]) -> CoverSoluti
         search = h._cover
     else:
         t = h.node_count
-        edges = h._packed_edges
         cands, masks = [], []
         for c in map(tuple, candidates):
             m = mask_of(c, t, "node")
-            if edges.any_inside(m):
+            if not all(map((~m).__and__, h._edge_masks)):
                 raise ValueError(f"candidate part {sorted(c)} contains an edge")
             cands.append(frozenset(c))
             masks.append(m)

@@ -145,6 +145,9 @@ class EuGame(SimpleGame, Frozen):
     n = N_MEMBERS
     member_quota = MEMBER_QUOTA
 
+    def __init__(self, table: MemberTable):
+        super().__init__(instance(table, MemberTable, None, "member table"))
+
     @property
     def population_quota(self) -> Fraction:
         """The exact population threshold, 13/20 of the total population."""

@@ -33,11 +33,10 @@ from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, count, repeat
 
-from ._packed import (MAX_MEMBERS, PackedMasks, byte_tables, canonical_key, canonical_order,
-                      exact, instance, integer, listed, mask_of, members, of_kind, subset_sums,
-                      table_sum)
+from ._packed import (MAX_MEMBERS, byte_tables, canonical_key, canonical_order, exact, instance,
+                      integer, listed, mask_of, members, of_kind, subset_sums, table_sum)
 from ._record import Frozen
 
 ENUMERATION_GUARD = 20
@@ -246,9 +245,9 @@ class WeightedGame(SimpleGame, Frozen):
 class ExplicitGame(SimpleGame, Frozen):
     """Game given by a listed winning family, evaluated under upward closure.
 
-    The declared family is kept, deduplicated and canonically sorted;
-    membership queries use only the minimal declared coalitions (any superset
-    of one is winning), kept in the instance `__dict__` but no field.
+    The declared family is kept, deduplicated and canonically sorted.  A
+    coalition wins iff it holds a declared one; a declared one that holds
+    another changes neither this test nor the upward closure.
     """
 
     n: int
@@ -258,18 +257,15 @@ class ExplicitGame(SimpleGame, Frozen):
         integer(n, "member count", 1, MAX_MEMBERS)
         winning = of_kind(winning, Coalition, n, "declared winner", empty=True)
         super().__init__(n, tuple(sorted(set(winning), key=coalition_sort_key)))
-        # Sorted by size first, so each kept mask contains no other.
-        masks = [c.mask for c in self.declared_winning]
-        vars(self)["_minimal"] = tuple(compress(masks, PackedMasks(n).add_minimal(masks)))
 
     def contains(self, coalition: Coalition) -> bool:
-        instance(coalition, Coalition, self.n, "coalition")
-        return any(m & coalition.mask == m for m in self._minimal)
+        outside = ~instance(coalition, Coalition, self.n, "coalition").mask
+        return any(not c.mask & outside for c in self.declared_winning)
 
     def _winning_bits(self) -> int:
         flags = bytearray(1 << self.n)
-        for m in self._minimal:
-            flags[m] = 1
+        for c in self.declared_winning:
+            flags[c.mask] = 1
         bits = _pack(flags)
         for step, lacking in _lacking(self.n):
             bits |= (bits & lacking) << step

@@ -18,6 +18,7 @@ import gamedim
 from gamedim._packed import integer
 from gamedim.certificates import (
     BalanceCertificate,
+    CertifiedFamily,
     build_anchor_certificate,
     build_pair_certificate,
     build_triple_certificate,
@@ -38,7 +39,14 @@ from gamedim.cover import (
     no_k_cover,
     verify_dual_certificate,
 )
-from gamedim.eu import LOSING_FAMILY, build_eu_game
+from gamedim.eu import (
+    LOSING_FAMILY,
+    MEMBERS_2014,
+    NONSEPARABLE_PAIRS,
+    NONSEPARABLE_TRIPLES,
+    EuGame,
+    build_eu_game,
+)
 from gamedim.games import (
     Coalition,
     ExplicitGame,
@@ -57,6 +65,13 @@ SINGLE_EDGE = Hypergraph(2, [(1, 2)])
 ONE_ONE = BalanceCertificate([Coalition(3, 1)], [Coalition(3, 1)])
 MAJORITY_28 = WeightedGame(28, [1] * 28, 14)  # over the council's members, not an EuGame
 L1, L2, L5 = (LOSING_FAMILY[i - 1] for i in (1, 2, 5))
+COUNCIL = Hypergraph(len(LOSING_FAMILY), NONSEPARABLE_PAIRS + NONSEPARABLE_TRIPLES)
+
+
+def council_family(**fields):
+    """The council's `CertifiedFamily` fields, some replaced, by keyword."""
+    return CertifiedFamily(**{"nodes": LOSING_FAMILY, "hypergraph": COUNCIL,
+                              "certificates": {}, **fields})
 
 
 def weighted(n):
@@ -197,6 +212,24 @@ DEFECTS = {
     "lower_bound_dimension of a string family": (
         lambda: lower_bound_dimension(MAJORITY_28, "fam"),
         "family 'fam' is not a CertifiedFamily"),
+    # Built, then lower_bound_dimension raised AttributeError ('str' object
+    # has no attribute 'edges'; 'NoneType' object has no attribute 'get')
+    # or IndexError (a node label past the listed coalitions)
+    "CertifiedFamily over a string hypergraph": (
+        lambda: council_family(hypergraph="x"), "hypergraph 'x' is not a Hypergraph"),
+    "CertifiedFamily with 3 of 15 nodes": (lambda: council_family(nodes=LOSING_FAMILY[:3]),
+                                           "expected 15 node coalitions, got 3"),
+    "CertifiedFamily with a node over another n": (
+        lambda: council_family(nodes=LOSING_FAMILY[:14] + (Coalition(3, 1),)),
+        "node coalition {1} is over 3 members, not 28"),
+    "CertifiedFamily without certificates": (lambda: council_family(certificates=None),
+                                             "certificates None is not a Mapping"),
+    # Built, then contains raised AttributeError ('tuple' object has no
+    # attribute '_byte_sums')
+    "build_eu_game of the raw member rows": (
+        lambda: build_eu_game(MEMBERS_2014),
+        f"member table {MEMBERS_2014!r} is not a MemberTable"),
+    "EuGame of a string": (lambda: EuGame("t"), "member table 't' is not a MemberTable"),
     "min_cover of a string": (lambda: min_cover("h", []), "hypergraph 'h' is not a Hypergraph"),
     "dual_refutation of a string": (lambda: dual_refutation("h", 2),
                                     "hypergraph 'h' is not a Hypergraph"),

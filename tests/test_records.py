@@ -158,14 +158,17 @@ def test_only_record_and_coalition_write_value_methods():
 
 SHARED = sorted(name for name, (make, *_) in CASES.items()
                 if make(0).__class__.__init__ is Record.__init__)
+# These check their fields in an `__init__` of their own, which still takes
+# them by the field names, by position and by name.
+CHECKED = ["CertifiedFamily", "EuGame"]
 
 
 def test_shared_constructor_serves_the_classes_that_only_store():
-    assert SHARED == ["CertifiedFamily", "EuGame", "NotSeparable", "ProofTranscript",
-                      "Refutation", "RuleReport", "Separable", "Step"]
+    assert SHARED == ["NotSeparable", "ProofTranscript", "Refutation", "RuleReport",
+                      "Separable", "Step"]
 
 
-@pytest.mark.parametrize("name", SHARED)
+@pytest.mark.parametrize("name", sorted(SHARED + CHECKED))
 def test_shared_constructor_binds_by_position_and_by_name(name):
     make, fields, _, _ = CASES[name]
     obj = make(0)
